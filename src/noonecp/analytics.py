@@ -1,13 +1,20 @@
 """Closed-form success probabilities for the iterated concentration schemes.
 
-With x = alpha^2 and y = 1 - x, round K succeeds unconditionally with
+With x = alpha^2, y = 1 - x and r = min(x, y) / max(x, y), round k succeeds
+unconditionally with
 
-    P_K = 2 (x y)^(2^(K-1)) / prod_{j=2..K} (x^(2^(j-1)) + y^(2^(j-1)))
+    P_k = 2 (x y)^(2^(k-1)) / prod_{j=2..k} (x^(2^(j-1)) + y^(2^(j-1)))
+        = 2 |x - y| r^(2^(k-1)) / (1 - r^(2^k)),
 
-(the K = 1 denominator is the empty product). These forms are the oracle
-the simulation engine is checked against; they are evaluated in log2 space
-so deep rounds near the balanced point do not underflow (the numerator
-alone drops below the smallest double around K = 11 at x = y = 1/2).
+because the product telescopes: prod_{i=1..k-1} (1 + r^(2^i)) =
+(1 - r^(2^k)) / (1 - r^2). Summing the rounds telescopes too:
+
+    p_total(K) = 2 min(x, y) - 2 |x - y| R / (1 - R),   R = r^(2^K).
+
+At x = y these reduce to 2^-k and 1 - 2^-K. Both forms cost O(1) per call
+and accept any k: r^(2^k) is exp(-2^k L) with L = -ln r, which is exactly
+0 once it underflows. These forms are the oracle the simulation engine is
+checked against.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ import numpy as np
 # Simulation and closed form must agree at least this tightly.
 ORACLE_MATCH_TOLERANCE = 1e-12
 
-_LN2 = math.log(2.0)
+# Veltkamp splitting constant 2^27 + 1: splits a double into two halves
+# whose products are exact.
+_SPLITTER = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -31,30 +40,70 @@ class SweepPoint:
     per_round_p: tuple[float, ...]
 
 
-def _log2_power_sum(x: float, y: float, exponent: int) -> float:
-    """log2(x**e + y**e) without underflow, for x, y in (0, 1)."""
-    hi, lo = (x, y) if x >= y else (y, x)
-    ratio_pow = 2.0 ** (exponent * math.log2(lo / hi)) if lo < hi else 1.0
-    return exponent * math.log2(hi) + math.log1p(ratio_pow) / _LN2
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+
+
+def _check_count(value: int, what: str) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+
+
+def _imbalance(alpha: float) -> tuple[float, float, float]:
+    """(|x - y|, min(x, y), L = ln(max/min)) for x = alpha^2, y = 1 - x.
+
+    x is carried exactly as hi + lo (Dekker's two-product), so |x - y| and
+    min(x, y) are correct to an ulp even where 1 - x cancels. x = 1/2 is
+    unreachable: the square of a double is never exactly 1/2.
+    """
+    hi = alpha * alpha
+    c = _SPLITTER * alpha
+    a_hi = c - (c - alpha)
+    a_lo = alpha - a_hi
+    lo = ((a_hi * a_hi - hi) + 2.0 * a_hi * a_lo) + a_lo * a_lo
+    signed = (2.0 * hi - 1.0) + 2.0 * lo
+    small = hi + lo if signed < 0.0 else (1.0 - hi) - lo
+    diff = abs(signed)
+    if diff < 0.5:
+        # atanh is well conditioned here; ln(max/min) = 2 atanh|x - y|.
+        return diff, small, 2.0 * math.atanh(diff)
+    if small == 0.0:
+        return diff, small, math.inf
+    # Lopsided: atanh is ill-conditioned near 1, the logarithms are not.
+    return diff, small, math.log1p(-small) - math.log(small)
+
+
+def _ratio_power(log_ratio: float, k: int) -> tuple[float, float]:
+    """(R, 1 - R) for R = r^(2^k) = exp(-2^k L), L = log_ratio > 0.
+
+    Once 2^k L reaches 1024, exp has long underflowed, so R is returned as
+    exactly 0 without forming 2^k L (which leaves the float range for
+    large k).
+    """
+    if k + math.frexp(log_ratio)[1] > 10:
+        return 0.0, 1.0
+    t = math.ldexp(log_ratio, k)
+    return math.exp(-t), -math.expm1(-t)
 
 
 def p_round_closed_form(alpha: float, round_k: int) -> float:
     """Unconditional success probability of round K for initial alpha."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    if not isinstance(round_k, int) or round_k < 1:
-        raise ValueError(f"round index must be a positive integer, got {round_k!r}")
-    x = alpha * alpha
-    y = 1.0 - x
-    log2_p = 1.0 + float(2 ** (round_k - 1)) * math.log2(x * y)
-    for j in range(2, round_k + 1):
-        log2_p -= _log2_power_sum(x, y, 2 ** (j - 1))
-    return 2.0**log2_p
+    _check_alpha(alpha)
+    _check_count(round_k, "round index")
+    diff, _, log_ratio = _imbalance(alpha)
+    r_half, _ = _ratio_power(log_ratio, round_k - 1)
+    _, one_minus_r = _ratio_power(log_ratio, round_k)
+    return 2.0 * diff * r_half / one_minus_r
 
 
 def p_total_closed_form(alpha: float, k_max: int) -> float:
     """Total success probability of a k_max-round schedule."""
-    return sum(p_round_closed_form(alpha, k) for k in range(1, k_max + 1))
+    _check_alpha(alpha)
+    _check_count(k_max, "k_max")
+    diff, small, log_ratio = _imbalance(alpha)
+    r_pow, one_minus_r = _ratio_power(log_ratio, k_max)
+    return 2.0 * small - 2.0 * diff * r_pow / one_minus_r
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -75,8 +124,7 @@ def figure3_sweep(
     ``run_schedule`` and a disagreement beyond ORACLE_MATCH_TOLERANCE on
     any unconditional round probability or on the total raises ValueError.
     """
-    if not isinstance(k_max, int) or k_max < 1:
-        raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
+    _check_count(k_max, "k_max")
     alphas = default_alpha_grid() if grid is None else np.asarray(list(grid), dtype=float)
     points: list[SweepPoint] = []
     for a in alphas:

@@ -66,7 +66,8 @@ class ProtocolConfig:
     alpha is the real positive coefficient of the |N,0> component; the
     |0,N> coefficient is sqrt(1 - alpha^2). theta is the probe phase per
     auxiliary photon (its sign and magnitude only need to keep the success
-    and failure readings distinguishable). loss_eta is the single-pass
+    and failure readings distinguishable, so it may not lie within
+    PHASE_CLASS_TOLERANCE of a multiple of 2*pi). loss_eta is the single-pass
     channel transmission used by ``apply_loss_model``.
     """
 
@@ -90,10 +91,10 @@ class ProtocolConfig:
         th = self.theta
         if not (isinstance(th, (int, float)) and math.isfinite(th)):
             raise ValueError(f"theta must be a finite real, got {th!r}")
-        if abs(th) <= PHASE_CLASS_TOLERANCE:
+        if abs(math.remainder(th, math.tau)) <= PHASE_CLASS_TOLERANCE:
             raise ValueError(
-                "theta must exceed the homodyne phase tolerance "
-                f"{PHASE_CLASS_TOLERANCE} in magnitude, got {th!r}"
+                "theta must stay farther than the homodyne phase tolerance "
+                f"{PHASE_CLASS_TOLERANCE} from every multiple of 2*pi, got {th!r}"
             )
         eta = self.loss_eta
         if not (isinstance(eta, (int, float)) and math.isfinite(eta) and 0.0 <= eta <= 1.0):
@@ -229,9 +230,12 @@ def vbs_transmission(alpha: float, round_k: int) -> float:
         raise ValueError(f"round index must be a positive integer, got {round_k!r}")
     x = alpha * alpha
     y = 1.0 - x
-    e = 2 ** (round_k - 1)
     if x == y:
         return 0.5
+    if round_k > 1024:
+        # 2^(k-1) no longer converts to float; r^(2^(k-1)) is exactly 0 here.
+        return 1.0 if x > y else 0.0
+    e = 2 ** (round_k - 1)
     if x < y:
         r = (x / y) ** e
         return r / (1.0 + r)

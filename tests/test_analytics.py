@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,32 @@ from noonecp import (
 )
 
 BALANCED = 1 / math.sqrt(2)
+
+
+def _reference_rounds(alpha, k_max):
+    """P_1..P_k_max at 60 digits by recycling the failure branch round by round.
+
+    Round k succeeds with 2 x_k y_k on the surviving branch; failure keeps
+    probability x_k^2 + y_k^2 and squares the renormalized coefficients.
+    Independent of the telescoped forms under test.
+    """
+    with mpmath.workdps(60):
+        x = mpmath.mpf(alpha) ** 2
+        y = 1 - x
+        survival = mpmath.mpf(1)
+        rounds = []
+        for _ in range(k_max):
+            rounds.append(2 * x * y * survival)
+            fail = x * x + y * y
+            survival *= fail
+            x, y = x * x / fail, y * y / fail
+        return rounds
+
+
+_REFERENCE_CASES = [(float(a), 30) for a in np.linspace(0.01, 0.999, 200)] + [
+    (math.sqrt(alpha_sq), 1000)
+    for alpha_sq in (0.5, 0.5 + 1e-15, 0.5 - 1e-15, 0.499999, 0.8, 1e-4)
+]
 
 
 def test_round_one_closed_form():
@@ -58,6 +85,9 @@ def test_round_validation():
         p_round_closed_form(1.0, 1)
     with pytest.raises(ValueError):
         p_round_closed_form(0.6, 0)
+    for k_max in (0, -3, 2.0):
+        with pytest.raises(ValueError):
+            p_total_closed_form(0.6, k_max)
 
 
 def test_round_decreases_with_k():
@@ -88,6 +118,45 @@ def test_total_single_round():
 def test_total_bounded_by_one():
     for alpha_sq in np.linspace(0.05, 0.95, 19):
         assert p_total_closed_form(math.sqrt(alpha_sq), 12) <= 1.0 + 1e-12
+    alphas = [math.sqrt(a) for a in np.linspace(0.05, 0.95, 19)] + [BALANCED]
+    for k_max in (12, 60, 1000, 5000):
+        for alpha in alphas:
+            assert p_total_closed_form(alpha, k_max) <= 1.0
+
+
+def test_round_matches_mpmath_reference():
+    checked = 0
+    for alpha, k_max in _REFERENCE_CASES:
+        for k, ref in enumerate(_reference_rounds(alpha, k_max), start=1):
+            if ref < 1e-300:
+                continue
+            got = p_round_closed_form(alpha, k)
+            assert abs(got - ref) <= 1e-12 * ref, (alpha, k, got, float(ref))
+            checked += 1
+    assert checked > 2000
+
+
+def test_total_matches_mpmath_reference():
+    for alpha, k_max in _REFERENCE_CASES:
+        total = mpmath.mpf(0)
+        for k, ref in enumerate(_reference_rounds(alpha, k_max), start=1):
+            total += ref
+            got = p_total_closed_form(alpha, k)
+            assert abs(got - total) <= 1e-14 * total, (alpha, k, got, float(total))
+
+
+def test_any_depth_is_accepted():
+    # 2^k leaves the float range near k = 1024; the forms return the limits
+    for k in (1024, 1025, 5000, 10**6):
+        assert p_round_closed_form(math.sqrt(0.8), k) == 0.0
+        assert p_total_closed_form(math.sqrt(0.8), k) == pytest.approx(0.4, rel=1e-15)
+        assert p_total_closed_form(BALANCED, k) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_alpha_squaring_to_zero_gives_zero_yield():
+    # alpha^2 underflows to 0.0; the true yields are far below the smallest double
+    assert p_round_closed_form(1e-200, 1) == 0.0
+    assert p_total_closed_form(1e-200, 10) == 0.0
 
 
 def test_default_grid_shape():

@@ -151,6 +151,17 @@ def test_run_rejects_boundary_alpha(capsys):
         assert "alpha-sq" in err
 
 
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_run_beyond_float_exponent_depth(tmp_path, capsys, protocol):
+    out_path = tmp_path / "deep.csv"
+    argv = ["run", "--protocol", protocol, "--alpha-sq", "0.8", "--rounds", "2000"]
+    code, _, err = _run(capsys, argv + ["--out", str(out_path)])
+    assert code == EXIT_OK, err
+    _, rows = _csv_rows(out_path.read_text())
+    assert len(rows) == 2000
+    assert all(math.isfinite(float(r[4])) for r in rows)
+
+
 def test_run_rejects_bad_numbers(capsys):
     assert _run(capsys, ["run", "--alpha-sq", "0.5", "--rounds", "0"])[0] == EXIT_USAGE
     assert _run(capsys, ["run", "--alpha-sq", "0.5", "--n", "0"])[0] == EXIT_USAGE

@@ -134,6 +134,14 @@ def test_vbs_transmission_deep_round_stays_finite():
     assert t_hi == pytest.approx(1.0, abs=1e-12)
 
 
+def test_vbs_transmission_beyond_float_exponent_is_exact_limit():
+    # 2^(k-1) stops converting to float at k = 1025; the ratio power is 0
+    for k in (1024, 1025, 1026, 5000):
+        assert vbs_transmission(math.sqrt(0.3), k) == 0.0
+        assert vbs_transmission(math.sqrt(0.7), k) == 1.0
+        assert vbs_transmission(1 / math.sqrt(2), k) in (0.0, 1.0)
+
+
 def test_vbs_transmission_validates_inputs():
     with pytest.raises(ValueError):
         vbs_transmission(0.0, 1)
@@ -158,10 +166,18 @@ def test_config_validation():
         _config(theta=0.0)
     with pytest.raises(ValueError):
         _config(theta=1e-10)
+    for theta in (2 * math.pi, -4 * math.pi, 2 * math.pi + 1e-12):
+        with pytest.raises(ValueError):
+            _config(theta=theta)
     with pytest.raises(ValueError):
         _config(loss_eta=-0.1)
     with pytest.raises(ValueError):
         _config(loss_eta=1.1)
+
+
+def test_config_accepts_readable_phases():
+    for theta in (math.pi, -0.2):
+        assert _config(theta=theta).theta == theta
 
 
 def test_config_beta_property():
