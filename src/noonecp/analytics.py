@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .protocols import _check_alpha, _check_count
+
 # Simulation and closed form must agree at least this tightly.
 ORACLE_MATCH_TOLERANCE = 1e-12
 
@@ -38,16 +40,6 @@ class SweepPoint:
     alpha: float
     p_total: float
     per_round_p: tuple[float, ...]
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-
-
-def _check_count(value: int, what: str) -> None:
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
 def _imbalance(alpha: float) -> tuple[float, float, float]:

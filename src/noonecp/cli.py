@@ -8,9 +8,11 @@ Three subcommands:
 * ``compare-loss``: lossy ecp1 vs ecp2 totals over an alpha grid, as CSV.
 
 Exit codes: 0 on success, 2 on usage errors, 3 on I/O errors. A flat
-key=value config file can supply any flag's value; explicit flags win.
-CSV output uses 12 significant digits, '.' decimals and LF line endings,
-and is byte-identical across runs with identical flags.
+key=value config file can supply the value of any of the chosen
+subcommand's flags; explicit flags win, and keys the subcommand has no
+flag for are ignored. CSV output uses 12 significant digits, '.' decimals
+and LF line endings, and is byte-identical across runs with identical
+flags.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .analytics import (
 from .protocols import (
     PROTOCOLS,
     ProtocolConfig,
-    Schedule,
     apply_loss_model,
     run_schedule,
 )
@@ -40,77 +40,118 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_DEFAULTS = {
-    "protocol": "ecp2",
-    "n": 1,
-    "rounds": 10,
-    "theta": 0.1,
-    "eta": 1.0,
-}
-
-# Config-file vocabulary; each subcommand consumes the keys it has flags for.
-_CONFIG_KEYS = ("protocol", "alpha-sq", "n", "rounds", "theta", "eta", "grid", "out")
-
 
 class _UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One executed schedule plus its closed-form cross-check.
-
-    Everything except wall_time_s is a deterministic function of the
-    configuration; CSV serialization only uses the deterministic part.
-    """
-
-    config: ProtocolConfig
-    schedule: Schedule
-    oracle_per_round: tuple[float, ...]
-    oracle_p_total: float
-    deltas: tuple[float, ...]
-    p_total_with_loss: float
-    wall_time_s: float
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _parse_float(text: str, flag: str) -> float:
+def _number(text: str, kind: type, what: str) -> int | float:
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise _UsageError(f"{flag} expects a number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects {what}, got {text!r}") from None
 
 
-def _parse_int(text: str, flag: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise _UsageError(f"{flag} expects an integer, got {text!r}") from None
+def _protocol(text: str) -> str:
+    protocol = text.lower()
+    if protocol not in PROTOCOLS:
+        raise argparse.ArgumentTypeError(f"must be one of {PROTOCOLS}, got {text!r}")
+    return protocol
 
 
-def _parse_grid(text: str) -> list[float]:
+def _positive_int(text: str) -> int:
+    value = _number(text, int, "an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _unit_interval(text: str) -> float:
+    value = _number(text, float, "a number")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
+
+
+def _alpha_sq(text: str) -> float:
+    value = _number(text, float, "a number")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly inside (0, 1), got {value}")
+    return value
+
+
+def _grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise _UsageError(f"--grid expects start:stop:steps, got {text!r}")
-    start = _parse_float(parts[0], "--grid start")
-    stop = _parse_float(parts[1], "--grid stop")
-    steps = _parse_int(parts[2], "--grid steps")
+        raise argparse.ArgumentTypeError(f"expects start:stop:steps, got {text!r}")
+    start = _number(parts[0], float, "a number as start")
+    stop = _number(parts[1], float, "a number as stop")
+    steps = _number(parts[2], int, "an integer as steps")
     if steps < 0:
-        raise _UsageError(f"--grid steps must be >= 0, got {steps}")
+        raise argparse.ArgumentTypeError(f"steps must be >= 0, got {steps}")
     if steps == 0:
         return []
     if not (0.0 < start < 1.0 and 0.0 < stop < 1.0):
-        raise _UsageError(f"--grid endpoints must lie strictly inside (0, 1), got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"endpoints must lie strictly inside (0, 1), got {text!r}"
+        )
     if start > stop:
-        raise _UsageError(f"--grid start must not exceed stop, got {text!r}")
+        raise argparse.ArgumentTypeError(f"start must not exceed stop, got {text!r}")
     return [float(a) for a in np.linspace(start, stop, steps)]
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file; '#' starts a comment, blank lines are skipped."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by name, the parser of each subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="noonecp",
+        description="Simulate iterated entanglement concentration of NOON states.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {
+        "run": sub.add_parser("run", help="one schedule at a fixed alpha^2"),
+        "sweep": sub.add_parser("sweep", help="p_total over an alpha grid, vs closed form"),
+        "compare-loss": sub.add_parser(
+            "compare-loss", help="lossy ecp1 vs ecp2 over an alpha grid"
+        ),
+    }
+    p_run, p_sweep, p_cmp = subparsers.values()
+    default_grid = [float(a) for a in default_alpha_grid()]
+
+    p_run.add_argument("--alpha-sq", type=_alpha_sq)
+    for p in (p_run, p_cmp):
+        p.add_argument("--eta", type=_unit_interval, default=1.0, help="channel transmission")
+    for p in (p_sweep, p_cmp):
+        p.add_argument(
+            "--grid", type=_grid, default=default_grid, help="alpha grid start:stop:steps"
+        )
+    for p in (p_run, p_sweep):
+        p.add_argument("--protocol", type=_protocol, default="ecp2", help="ecp1 or ecp2")
+    for p in subparsers.values():
+        p.add_argument("--n", type=_positive_int, default=1, help="photon number N")
+        p.add_argument("--rounds", type=_positive_int, default=10, help="rounds to run")
+        p.add_argument("--theta", type=float, default=0.1, help="probe phase (rad)")
+        p.add_argument("--out", help="output CSV path")
+        p.add_argument("--config", help="flat key=value config file")
+    return parser, subparsers
+
+
+def _config_defaults(
+    path: str, subparsers: dict[str, argparse.ArgumentParser], command: str
+) -> dict[str, str]:
+    """The config file's values for the flags of ``command``, by dest.
+
+    Flat key=value file; '#' starts a comment, blank lines are skipped.
+    Keys match flag names case-insensitively, with '-' and '_'
+    interchangeable. A key that no subcommand has a flag for is an error.
+    """
+    flags = {
+        name: set(vars(p.parse_args([]))) - {"config"} for name, p in subparsers.items()
+    }
+    known = set().union(*flags.values())
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     values: dict[str, str] = {}
@@ -121,129 +162,24 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise _UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = stripped.split("=", 1)
-        key = key.strip().lower().replace("_", "-")
-        if key not in _CONFIG_KEYS:
+        key = key.strip().lower().replace("-", "_")
+        if key not in known:
             raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        if key in flags[command]:
+            values[key] = value.strip()
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="noonecp",
-        description="Simulate iterated entanglement concentration of NOON states.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_protocol: bool = True) -> None:
-        if with_protocol:
-            p.add_argument("--protocol", choices=PROTOCOLS, default=None)
-        p.add_argument("--n", type=int, default=None, help="photon number N")
-        p.add_argument("--rounds", type=int, default=None, help="rounds to run")
-        p.add_argument("--theta", type=float, default=None, help="probe phase (rad)")
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--config", default=None, help="flat key=value config file")
-
-    p_run = sub.add_parser("run", help="one schedule at a fixed alpha^2")
-    p_run.add_argument("--alpha-sq", type=float, default=None, dest="alpha_sq")
-    p_run.add_argument("--eta", type=float, default=None, help="channel transmission")
-    common(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="p_total over an alpha grid, vs closed form")
-    p_sweep.add_argument("--grid", default=None, help="alpha grid start:stop:steps")
-    common(p_sweep)
-
-    p_cmp = sub.add_parser("compare-loss", help="lossy ecp1 vs ecp2 over an alpha grid")
-    p_cmp.add_argument("--eta", type=float, default=None, help="channel transmission")
-    p_cmp.add_argument("--grid", default=None, help="alpha grid start:stop:steps")
-    common(p_cmp, with_protocol=False)
-
-    return parser
-
-
-@dataclass
-class _Settings:
-    command: str
-    protocol: str
-    alpha_sq: float | None
-    n: int
-    rounds: int
-    theta: float
-    eta: float
-    grid: list[float] | None
-    out: str | None
-
-
-def _resolve_settings(args: argparse.Namespace) -> _Settings:
-    """Merge flags over config-file values over built-in defaults."""
-    file_values: dict[str, str] = {}
-    if args.config is not None:
-        file_values = _load_config_file(args.config)
-
-    def pick(flag_value, key: str, convert):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return convert(file_values[key], f"--{key}")
-        return _DEFAULTS.get(key.replace("-", "_"))
-
-    protocol = getattr(args, "protocol", None)
-    if protocol is None:
-        protocol = file_values.get("protocol", _DEFAULTS["protocol"])
-    protocol = str(protocol).lower()
-    if protocol not in PROTOCOLS:
-        raise _UsageError(f"--protocol must be one of {PROTOCOLS}, got {protocol!r}")
-
-    alpha_sq = getattr(args, "alpha_sq", None)
-    if alpha_sq is None and "alpha-sq" in file_values:
-        alpha_sq = _parse_float(file_values["alpha-sq"], "--alpha-sq")
-    if alpha_sq is not None and not 0.0 < alpha_sq < 1.0:
-        raise _UsageError(
-            f"--alpha-sq must lie strictly inside (0, 1), got {alpha_sq}"
-        )
-
-    n = pick(getattr(args, "n", None), "n", _parse_int)
-    rounds = pick(getattr(args, "rounds", None), "rounds", _parse_int)
-    theta = pick(getattr(args, "theta", None), "theta", _parse_float)
-    eta = pick(getattr(args, "eta", None), "eta", _parse_float)
-    if n < 1:
-        raise _UsageError(f"--n must be >= 1, got {n}")
-    if rounds < 1:
-        raise _UsageError(f"--rounds must be >= 1, got {rounds}")
-    if not 0.0 <= eta <= 1.0:
-        raise _UsageError(f"--eta must lie in [0, 1], got {eta}")
-
-    grid: list[float] | None = None
-    grid_text = getattr(args, "grid", None)
-    if grid_text is None:
-        grid_text = file_values.get("grid") if args.command != "run" else None
-    if grid_text is not None:
-        grid = _parse_grid(grid_text)
-
-    out = args.out if args.out is not None else file_values.get("out")
-
-    return _Settings(
-        command=args.command,
-        protocol=protocol,
-        alpha_sq=alpha_sq,
-        n=n,
-        rounds=rounds,
-        theta=theta,
-        eta=eta,
-        grid=grid,
-        out=out,
-    )
-
-
-def _make_config(settings: _Settings, protocol: str, alpha: float) -> ProtocolConfig:
+def _make_config(args: argparse.Namespace, protocol: str, alpha: float) -> ProtocolConfig:
     try:
         return ProtocolConfig(
             protocol=protocol,
             alpha=alpha,
-            n_photons=settings.n,
-            max_rounds=settings.rounds,
-            theta=settings.theta,
-            loss_eta=settings.eta,
+            n_photons=args.n,
+            max_rounds=args.rounds,
+            theta=args.theta,
+            # sweep has no --eta; its schedules are lossless
+            loss_eta=getattr(args, "eta", 1.0),
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -258,129 +194,97 @@ def _write_csv(out: str | None, header: str, rows: list[str]) -> None:
         fh.write(text)
 
 
-def _build_run_record(settings: _Settings) -> RunRecord:
-    config = _make_config(settings, settings.protocol, math.sqrt(settings.alpha_sq))
-    started = time.perf_counter()
-    schedule = run_schedule(config)
-    oracle = tuple(
-        p_round_closed_form(config.alpha, k) for k in range(1, config.max_rounds + 1)
-    )
-    wall = time.perf_counter() - started
-    deltas = tuple(
-        abs(row.p_unconditional - o) for row, o in zip(schedule.per_round, oracle)
-    )
-    lossy = apply_loss_model(schedule, config)
-    return RunRecord(
-        config=config,
-        schedule=schedule,
-        oracle_per_round=oracle,
-        oracle_p_total=sum(oracle),
-        deltas=deltas,
-        p_total_with_loss=lossy.p_total,
-        wall_time_s=wall,
-    )
-
-
 _RUN_CSV_HEADER = (
     "round,vbs_t,p_conditional,p_unconditional,p_round_oracle,delta,success_fidelity"
 )
 
 
-def _run_csv_rows(record: RunRecord) -> list[str]:
-    rows = []
-    for row, oracle, delta in zip(
-        record.schedule.per_round, record.oracle_per_round, record.deltas
-    ):
-        vbs = "" if row.vbs_transmission is None else _fmt(row.vbs_transmission)
-        rows.append(
-            ",".join(
-                [
-                    str(row.round_index),
-                    vbs,
-                    _fmt(row.p_conditional),
-                    _fmt(row.p_unconditional),
-                    _fmt(oracle),
-                    _fmt(delta),
-                    _fmt(row.success_fidelity),
-                ]
-            )
-        )
-    return rows
-
-
-def cmd_run(settings: _Settings) -> int:
-    if settings.alpha_sq is None:
+def cmd_run(args: argparse.Namespace) -> int:
+    if args.alpha_sq is None:
         raise _UsageError("run requires --alpha-sq (flag or config file)")
-    record = _build_run_record(settings)
-    cfg = record.config
+    config = _make_config(args, args.protocol, math.sqrt(args.alpha_sq))
+    started = time.perf_counter()
+    schedule = run_schedule(config)
+    oracle = [p_round_closed_form(config.alpha, k) for k in range(1, config.max_rounds + 1)]
+    wall = time.perf_counter() - started
+    deltas = [abs(row.p_unconditional - o) for row, o in zip(schedule.per_round, oracle)]
+    rows = [
+        ",".join(
+            [
+                str(row.round_index),
+                "" if row.vbs_transmission is None else _fmt(row.vbs_transmission),
+                _fmt(row.p_conditional),
+                _fmt(row.p_unconditional),
+                _fmt(o),
+                _fmt(delta),
+                _fmt(row.success_fidelity),
+            ]
+        )
+        for row, o, delta in zip(schedule.per_round, oracle, deltas)
+    ]
     print(
-        f"protocol={cfg.protocol} alpha_sq={_fmt(settings.alpha_sq)} "
-        f"n={cfg.n_photons} rounds={cfg.max_rounds} theta={_fmt(cfg.theta)} "
-        f"eta={_fmt(cfg.loss_eta)}"
+        f"protocol={config.protocol} alpha_sq={_fmt(args.alpha_sq)} "
+        f"n={config.n_photons} rounds={config.max_rounds} theta={_fmt(config.theta)} "
+        f"eta={_fmt(config.loss_eta)}"
     )
     print(_RUN_CSV_HEADER.replace(",", "  "))
-    for line in _run_csv_rows(record):
+    for line in rows:
         print(line.replace(",", "  "))
-    print(f"p_total          = {_fmt(record.schedule.p_total)}")
-    print(f"p_total_oracle   = {_fmt(record.oracle_p_total)}")
-    print(f"max_round_delta  = {_fmt(max(record.deltas) if record.deltas else 0.0)}")
-    if cfg.loss_eta < 1.0:
-        print(f"p_total_with_loss= {_fmt(record.p_total_with_loss)} (eta={_fmt(cfg.loss_eta)})")
-    print(f"wall_time_s      = {record.wall_time_s:.6f}")
-    if settings.out is not None:
-        _write_csv(settings.out, _RUN_CSV_HEADER, _run_csv_rows(record))
+    print(f"p_total          = {_fmt(schedule.p_total)}")
+    print(f"p_total_oracle   = {_fmt(sum(oracle))}")
+    print(f"max_round_delta  = {_fmt(max(deltas))}")
+    if config.loss_eta < 1.0:
+        lossy = apply_loss_model(schedule, config).p_total
+        print(f"p_total_with_loss= {_fmt(lossy)} (eta={_fmt(config.loss_eta)})")
+    print(f"wall_time_s      = {wall:.6f}")
+    if args.out is not None:
+        _write_csv(args.out, _RUN_CSV_HEADER, rows)
     return EXIT_OK
 
 
-def cmd_sweep(settings: _Settings) -> int:
-    grid = settings.grid
-    if grid is None:
-        grid = [float(a) for a in default_alpha_grid()]
+def cmd_sweep(args: argparse.Namespace) -> int:
     header = "alpha,alpha_sq,k_max,p_total,p_total_oracle,delta"
     rows = []
-    for alpha in grid:
-        config = _make_config(settings, settings.protocol, alpha)
+    for alpha in args.grid:
+        config = _make_config(args, args.protocol, alpha)
         simulated = run_schedule(config).p_total
-        oracle = p_total_closed_form(alpha, settings.rounds)
+        oracle = p_total_closed_form(alpha, args.rounds)
         rows.append(
             ",".join(
                 [
                     _fmt(alpha),
                     _fmt(alpha * alpha),
-                    str(settings.rounds),
+                    str(args.rounds),
                     _fmt(simulated),
                     _fmt(oracle),
                     _fmt(abs(simulated - oracle)),
                 ]
             )
         )
-    _write_csv(settings.out, header, rows)
+    _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
-def cmd_compare_loss(settings: _Settings) -> int:
-    grid = settings.grid
-    if grid is None:
-        grid = [float(a) for a in default_alpha_grid()]
+def cmd_compare_loss(args: argparse.Namespace) -> int:
     header = "alpha,eta,p_total_ecp1,p_total_ecp2,advantage"
     rows = []
-    for alpha in grid:
+    for alpha in args.grid:
         totals = {}
         for protocol in PROTOCOLS:
-            config = _make_config(settings, protocol, alpha)
+            config = _make_config(args, protocol, alpha)
             totals[protocol] = apply_loss_model(run_schedule(config), config).p_total
         rows.append(
             ",".join(
                 [
                     _fmt(alpha),
-                    _fmt(settings.eta),
+                    _fmt(args.eta),
                     _fmt(totals["ecp1"]),
                     _fmt(totals["ecp2"]),
                     _fmt(totals["ecp2"] - totals["ecp1"]),
                 ]
             )
         )
-    _write_csv(settings.out, header, rows)
+    _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
@@ -392,17 +296,20 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # Flag > file > built-in default: the file's values become the
+            # subcommand's defaults, which argparse converts through each
+            # flag's type= on the second parse.
+            chosen = subparsers[args.command]
+            chosen.set_defaults(**_config_defaults(args.config, subparsers, args.command))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
-        code = exc.code
-        if isinstance(code, int):
-            return code if code in (EXIT_OK, EXIT_USAGE) else EXIT_USAGE
-        return EXIT_USAGE
-    try:
-        settings = _resolve_settings(args)
-        return _COMMANDS[args.command](settings)
+        # argparse exits after --help (0) or after printing a usage error
+        return exc.code if exc.code in (EXIT_OK, EXIT_USAGE) else EXIT_USAGE
     except _UsageError as exc:
         print(f"noonecp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,20 +15,18 @@ Three physical pieces live here:
   tell +phi from -phi.
 
 ``detect_photon`` projects on single-photon detector clicks and
-``phase_flip`` / ``negate_occupied`` are the local corrections applied after
-a click on the second detector.
+``negate_occupied`` is the local correction applied after a click on the
+second detector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .fock import (
     NORM_TOLERANCE,
-    PRUNE_THRESHOLD,
     BasisKet,
     ModeId,
     PureState,
@@ -136,58 +134,15 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
     return PureState(new_reg, out)
 
 
-class TaggedState:
-    """Pure state whose branches carry an accumulated probe phase.
+class TaggedState(NamedTuple):
+    """A pure state plus the probe phase (radians) each of its kets carries.
 
-    ``terms`` maps each occupation tuple to an (amplitude, probe_phase)
-    pair. The phase is a classical bookkeeping quantity (radians) written
-    by ``cross_kerr_tag`` and consumed by ``homodyne_partition``.
+    ``phases`` has one entry per ket of ``state``. It is written by
+    ``cross_kerr_tag`` and consumed by ``homodyne_partition``.
     """
 
-    __slots__ = ("_register", "_terms")
-
-    def __init__(
-        self,
-        register: Iterable[ModeId],
-        terms: Mapping[BasisKet, tuple[complex, float]],
-    ):
-        reg = tuple(register)
-        if not reg:
-            raise ValueError("register must contain at least one mode")
-        if len(set(reg)) != len(reg):
-            raise ValueError(f"duplicate mode labels in register {reg!r}")
-        width = len(reg)
-        kept: dict[BasisKet, tuple[complex, float]] = {}
-        for ket, (amp, phase) in terms.items():
-            kt = tuple(ket)
-            if len(kt) != width:
-                raise ValueError(
-                    f"occupation tuple {kt!r} does not match register width {width}"
-                )
-            if not math.isfinite(phase):
-                raise ValueError(f"probe phase must be finite, got {phase!r}")
-            a = complex(amp)
-            if abs(a) >= PRUNE_THRESHOLD:
-                kept[kt] = (a, float(phase))
-        self._register = reg
-        self._terms = kept
-
-    @property
-    def register(self) -> tuple[ModeId, ...]:
-        return self._register
-
-    @property
-    def terms(self) -> Mapping[BasisKet, tuple[complex, float]]:
-        return MappingProxyType(self._terms)
-
-    def __repr__(self) -> str:
-        labels = ",".join(self._register)
-        parts = []
-        for ket in sorted(self._terms):
-            amp, phase = self._terms[ket]
-            occ = ",".join(str(n) for n in ket)
-            parts.append(f"({amp:.6g})|{occ}>@{phase:.6g}rad")
-        return f"TaggedState[{labels}]({' + '.join(parts) if parts else '0'})"
+    state: PureState
+    phases: Mapping[BasisKet, float]
 
 
 def cross_kerr_tag(
@@ -200,18 +155,15 @@ def cross_kerr_tag(
     """
     if not math.isfinite(per_photon_phase):
         raise ValueError(f"per-photon phase must be finite, got {per_photon_phase!r}")
+    state, phases = state if isinstance(state, TaggedState) else (state, {})
     try:
         idx = state.register.index(mode)
     except ValueError:
         raise ValueError(f"mode {mode!r} not in register {state.register!r}") from None
-    out: dict[BasisKet, tuple[complex, float]] = {}
-    if isinstance(state, TaggedState):
-        for ket, (amp, phase) in state.terms.items():
-            out[ket] = (amp, phase + ket[idx] * per_photon_phase)
-    else:
-        for ket, amp in state.terms.items():
-            out[ket] = (amp, ket[idx] * per_photon_phase)
-    return TaggedState(state.register, out)
+    return TaggedState(
+        state,
+        {ket: phases.get(ket, 0.0) + ket[idx] * per_photon_phase for ket in state.terms},
+    )
 
 
 @dataclass(frozen=True)
@@ -236,12 +188,13 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     normalized. Outcomes come back sorted by phase class, probabilities
     summing to 1.
     """
-    total = sum(abs(a) ** 2 for a, _ in state.terms.values())
+    state, phases = state
+    total = norm_sq(state)
     if abs(total - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"homodyne readout expects a normalized state, norm^2={total}")
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
-    for ket, (amp, phase) in state.terms.items():
-        p = abs(phase)
+    for ket, amp in state.terms.items():
+        p = abs(phases[ket])
         for key, members in classes:
             if abs(p - key) < PHASE_CLASS_TOLERANCE:
                 members[ket] = members.get(ket, 0j) + amp
@@ -307,25 +260,12 @@ def detect_photon(
     return results
 
 
-def phase_flip(state: PureState, mode: ModeId) -> PureState:
-    """Per-photon pi phase on one mode: amplitudes scale by (-1)^occupation."""
-    try:
-        idx = state.register.index(mode)
-    except ValueError:
-        raise ValueError(f"mode {mode!r} not in register {state.register!r}") from None
-    out = {
-        ket: (-amp if ket[idx] % 2 else amp) for ket, amp in state.terms.items()
-    }
-    return PureState(state.register, out)
-
-
 def negate_occupied(state: PureState, mode: ModeId) -> PureState:
     """Negate every branch holding at least one photon in ``mode``.
 
     This is the sign correction after a second-detector click: it flips the
     relative sign between the component with all N photons in ``mode`` and
-    the empty component, for any N. For odd occupations it coincides with
-    ``phase_flip``; applied twice it is the identity.
+    the empty component, for any N; applied twice it is the identity.
     """
     try:
         idx = state.register.index(mode)

@@ -59,6 +59,16 @@ ECP2_DETECTORS = ("e1", "e2")
 _FOLD_TOLERANCE = 1e-10
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+
+
+def _check_count(value: int, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Everything one concentration run depends on.
@@ -81,13 +91,9 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        a = self.alpha
-        if not (isinstance(a, (int, float)) and math.isfinite(a) and 0.0 < a < 1.0):
-            raise ValueError(f"alpha must lie strictly inside (0, 1), got {a!r}")
-        if not isinstance(self.n_photons, int) or self.n_photons < 1:
-            raise ValueError(f"n_photons must be a positive integer, got {self.n_photons!r}")
-        if not isinstance(self.max_rounds, int) or self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be a positive integer, got {self.max_rounds!r}")
+        _check_alpha(self.alpha)
+        _check_count(self.n_photons, "n_photons")
+        _check_count(self.max_rounds, "max_rounds")
         th = self.theta
         if not (isinstance(th, (int, float)) and math.isfinite(th)):
             raise ValueError(f"theta must be a finite real, got {th!r}")
@@ -155,10 +161,8 @@ def prepare_less_entangled_noon(
     alpha: float, n_photons: int, modes: tuple[ModeId, ModeId] = SIGNAL_MODES
 ) -> PureState:
     """alpha|N,0> + sqrt(1-alpha^2)|0,N> on the two given modes."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    if not isinstance(n_photons, int) or n_photons < 1:
-        raise ValueError(f"n_photons must be a positive integer, got {n_photons!r}")
+    _check_alpha(alpha)
+    _check_count(n_photons, "n_photons")
     beta = math.sqrt(1.0 - alpha * alpha)
     n = n_photons
     return superpose(
@@ -173,8 +177,7 @@ def maximally_entangled_noon(
     n_photons: int, modes: tuple[ModeId, ModeId] = SIGNAL_MODES
 ) -> PureState:
     """The balanced target (|N,0> + |0,N>)/sqrt(2)."""
-    if not isinstance(n_photons, int) or n_photons < 1:
-        raise ValueError(f"n_photons must be a positive integer, got {n_photons!r}")
+    _check_count(n_photons, "n_photons")
     r = 1.0 / math.sqrt(2.0)
     n = n_photons
     return superpose(
@@ -224,10 +227,8 @@ def vbs_transmission(alpha: float, round_k: int) -> float:
     coefficients, so deep rounds cannot hit 0/0 underflow; exact 0.5 for
     the balanced state at any depth.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    if not isinstance(round_k, int) or round_k < 1:
-        raise ValueError(f"round index must be a positive integer, got {round_k!r}")
+    _check_alpha(alpha)
+    _check_count(round_k, "round index")
     x = alpha * alpha
     y = 1.0 - x
     if x == y:
@@ -333,8 +334,7 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     after the probe reading is deterministic in this idealized model, so
     the success probability equals the |theta| reading's probability.
     """
-    if not isinstance(round_k, int) or round_k < 1:
-        raise ValueError(f"round index must be a positive integer, got {round_k!r}")
+    _check_count(round_k, "round index")
     ca, cb, n = _noon_coefficients(state)
     if n != config.n_photons:
         raise ValueError(

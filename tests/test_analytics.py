@@ -85,7 +85,7 @@ def test_round_validation():
         p_round_closed_form(1.0, 1)
     with pytest.raises(ValueError):
         p_round_closed_form(0.6, 0)
-    for k_max in (0, -3, 2.0):
+    for k_max in (0, -3, 2.0, True):
         with pytest.raises(ValueError):
             p_total_closed_form(0.6, k_max)
 

@@ -324,6 +324,20 @@ def test_config_file_underscore_keys_accepted(tmp_path, capsys):
     assert "alpha_sq=0.5" in out.splitlines()[0]
 
 
+def test_config_file_ignores_keys_the_subcommand_has_no_flag_for(tmp_path, capsys):
+    # sweep has no --eta and compare-loss no --protocol: such keys are
+    # ignored, even with values the other subcommands would reject
+    args = ["sweep", "--grid", "0.4:0.6:2"]
+    plain = _run(capsys, args)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("eta = 7\n")
+    assert _run(capsys, args + ["--config", str(cfg)]) == plain
+    assert plain[0] == EXIT_OK
+    cmp = ["compare-loss", "--grid", "0.4:0.6:2", "--rounds", "2"]
+    cfg.write_text("protocol = ecp3\n")
+    assert _run(capsys, cmp + ["--config", str(cfg)]) == _run(capsys, cmp)
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("alpha-sq = 0.5\nshininess = 11\n")

@@ -20,7 +20,6 @@ from noonecp import (
     homodyne_partition,
     negate_occupied,
     norm_sq,
-    phase_flip,
     superpose,
     vacuum,
 )
@@ -210,12 +209,10 @@ def test_cross_kerr_tag_writes_occupation_phase():
         ]
     )
     tagged = cross_kerr_tag(st, "b", 0.1)
-    amp0, phase0 = tagged.terms[(3, 0)]
-    amp3, phase3 = tagged.terms[(0, 3)]
-    assert phase0 == pytest.approx(0.0, abs=1e-15)
-    assert phase3 == pytest.approx(0.3, abs=1e-12)
-    assert amp0 == pytest.approx(0.6, abs=1e-15)
-    assert amp3 == pytest.approx(0.8, abs=1e-15)
+    assert tagged.phases[(3, 0)] == pytest.approx(0.0, abs=1e-15)
+    assert tagged.phases[(0, 3)] == pytest.approx(0.3, abs=1e-12)
+    assert tagged.state.amplitude((3, 0)) == pytest.approx(0.6, abs=1e-15)
+    assert tagged.state.amplitude((0, 3)) == pytest.approx(0.8, abs=1e-15)
 
 
 def test_cross_kerr_tags_commute():
@@ -227,9 +224,10 @@ def test_cross_kerr_tags_commute():
     )
     ab = cross_kerr_tag(cross_kerr_tag(st, "a", 0.07), "b", -0.02)
     ba = cross_kerr_tag(cross_kerr_tag(st, "b", -0.02), "a", 0.07)
+    assert ab.state == ba.state == st
+    assert set(ab.phases) == set(ba.phases) == set(st.terms)
     for ket in st.terms:
-        assert ab.terms[ket][0] == ba.terms[ket][0]
-        assert ab.terms[ket][1] == pytest.approx(ba.terms[ket][1], abs=1e-15)
+        assert ab.phases[ket] == pytest.approx(ba.phases[ket], abs=1e-15)
 
 
 def test_cross_kerr_zero_phase_keeps_amplitudes():
@@ -240,8 +238,8 @@ def test_cross_kerr_zero_phase_keeps_amplitudes():
         ]
     )
     tagged = cross_kerr_tag(st, "a", 0.0)
-    for ket, amp in st.terms.items():
-        assert tagged.terms[ket] == (amp, 0.0)
+    assert tagged.state == st
+    assert tagged.phases == {ket: 0.0 for ket in st.terms}
 
 
 def test_cross_kerr_rejects_nonfinite_phase():
@@ -300,20 +298,24 @@ def test_homodyne_untagged_state_is_one_class():
 
 
 def test_homodyne_merges_opposite_phases():
-    tagged = TaggedState(
-        ("a", "b"),
-        {
-            (1, 0): (0.6, 0.1),
-            (0, 1): (0.8, -0.1),
-        },
+    st = superpose(
+        [
+            (0.6, basis_state(("a", "b"), (1, 0))),
+            (0.8, basis_state(("a", "b"), (0, 1))),
+        ]
     )
-    outcomes = homodyne_partition(tagged)
-    assert len(outcomes) == 1
-    assert outcomes[0].phase_class == pytest.approx(0.1, abs=1e-9)
+    for tagged in (
+        TaggedState(st, {(1, 0): 0.1, (0, 1): -0.1}),
+        cross_kerr_tag(cross_kerr_tag(st, "a", 0.1), "b", -0.1),
+    ):
+        outcomes = homodyne_partition(tagged)
+        assert len(outcomes) == 1
+        assert outcomes[0].phase_class == pytest.approx(0.1, abs=1e-9)
+        assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_homodyne_rejects_unnormalized_state():
-    tagged = TaggedState(("a",), {(1,): (0.5, 0.0)})
+    tagged = cross_kerr_tag(superpose([(0.5, basis_state(("a",), (1,)))]), "a", 0.0)
     with pytest.raises(ValueError):
         homodyne_partition(tagged)
 
@@ -398,35 +400,9 @@ def test_detect_photon_rejects_wrong_photon_count():
         detect_photon(empty, ["d1", "d2"])
 
 
-def test_phase_flip_on_odd_occupation():
-    st = superpose(
-        [
-            (0.8, basis_state(("a", "b"), (3, 0))),
-            (-0.6, basis_state(("a", "b"), (0, 3))),
-        ]
-    )
-    flipped = phase_flip(st, "b")
-    assert flipped.amplitude((3, 0)) == pytest.approx(0.8, abs=1e-15)
-    assert flipped.amplitude((0, 3)) == pytest.approx(0.6, abs=1e-15)
-
-
-def test_phase_flip_vacuum_unchanged():
-    v = vacuum(("a", "b"))
-    assert phase_flip(v, "a") == v
-
-
-def test_phase_flip_twice_is_identity():
-    st = superpose(
-        [
-            (0.6, basis_state(("a", "b"), (2, 1))),
-            (0.8, basis_state(("a", "b"), (1, 2))),
-        ]
-    )
-    assert phase_flip(phase_flip(st, "a"), "a") == st
-
-
 def test_negate_occupied_fixes_even_component_sign():
-    # phase_flip cannot touch an even occupation; the component negation can
+    # a per-photon pi phase, (-1)^n, cannot touch an even occupation; the
+    # component negation can
     n = 4
     st = superpose(
         [
@@ -434,7 +410,6 @@ def test_negate_occupied_fixes_even_component_sign():
             (-0.6, basis_state(("a", "b"), (0, n))),
         ]
     )
-    assert phase_flip(st, "b") == st
     fixed = negate_occupied(st, "b")
     assert fixed.amplitude((0, n)) == pytest.approx(0.6, abs=1e-15)
     assert fixed.amplitude((n, 0)) == pytest.approx(0.8, abs=1e-15)
@@ -447,7 +422,12 @@ def test_negate_occupied_matches_phase_flip_for_odd_n():
             (0.8, basis_state(("a", "b"), (0, 5))),
         ]
     )
-    assert negate_occupied(st, "b") == phase_flip(st, "b")
+    # for odd N the negation equals the per-photon pi phase (-1)^5 = -1
+    negated = negate_occupied(st, "b")
+    assert negated.register == ("a", "b")
+    assert negated.num_terms() == 2
+    assert negated.amplitude((5, 0)) == 0.6
+    assert negated.amplitude((0, 5)) == -0.8
 
 
 def test_negate_occupied_twice_is_identity():

@@ -162,6 +162,11 @@ def test_config_validation():
         _config(n=0)
     with pytest.raises(ValueError):
         _config(max_rounds=0)
+    # bool is an int subclass; True must not pass as N = 1 or K = 1
+    with pytest.raises(ValueError):
+        ProtocolConfig("ecp2", 0.5, n_photons=True)
+    with pytest.raises(ValueError):
+        ProtocolConfig("ecp2", 0.5, max_rounds=True)
     with pytest.raises(ValueError):
         _config(theta=0.0)
     with pytest.raises(ValueError):
