@@ -19,20 +19,16 @@ checked against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .protocols import _check_alpha, _check_count
+from .protocols import ProtocolConfig, run_schedule
+from .protocols import _check_alpha, _check_count, _imbalance, _ratio_power
 
 # Simulation and closed form must agree at least this tightly.
 ORACLE_MATCH_TOLERANCE = 1e-12
-
-# Veltkamp splitting constant 2^27 + 1: splits a double into two halves
-# whose products are exact.
-_SPLITTER = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -42,60 +38,23 @@ class SweepPoint:
     per_round_p: tuple[float, ...]
 
 
-def _imbalance(alpha: float) -> tuple[float, float, float]:
-    """(|x - y|, min(x, y), L = ln(max/min)) for x = alpha^2, y = 1 - x.
-
-    x is carried exactly as hi + lo (Dekker's two-product), so |x - y| and
-    min(x, y) are correct to an ulp even where 1 - x cancels. x = 1/2 is
-    unreachable: the square of a double is never exactly 1/2.
-    """
-    hi = alpha * alpha
-    c = _SPLITTER * alpha
-    a_hi = c - (c - alpha)
-    a_lo = alpha - a_hi
-    lo = ((a_hi * a_hi - hi) + 2.0 * a_hi * a_lo) + a_lo * a_lo
-    signed = (2.0 * hi - 1.0) + 2.0 * lo
-    small = hi + lo if signed < 0.0 else (1.0 - hi) - lo
-    diff = abs(signed)
-    if diff < 0.5:
-        # atanh is well conditioned here; ln(max/min) = 2 atanh|x - y|.
-        return diff, small, 2.0 * math.atanh(diff)
-    if small == 0.0:
-        return diff, small, math.inf
-    # Lopsided: atanh is ill-conditioned near 1, the logarithms are not.
-    return diff, small, math.log1p(-small) - math.log(small)
-
-
-def _ratio_power(log_ratio: float, k: int) -> tuple[float, float]:
-    """(R, 1 - R) for R = r^(2^k) = exp(-2^k L), L = log_ratio > 0.
-
-    Once 2^k L reaches 1024, exp has long underflowed, so R is returned as
-    exactly 0 without forming 2^k L (which leaves the float range for
-    large k).
-    """
-    if k + math.frexp(log_ratio)[1] > 10:
-        return 0.0, 1.0
-    t = math.ldexp(log_ratio, k)
-    return math.exp(-t), -math.expm1(-t)
-
-
 def p_round_closed_form(alpha: float, round_k: int) -> float:
     """Unconditional success probability of round K for initial alpha."""
     _check_alpha(alpha)
     _check_count(round_k, "round index")
-    diff, _, log_ratio = _imbalance(alpha)
+    signed, _, log_ratio = _imbalance(alpha)
     r_half, _ = _ratio_power(log_ratio, round_k - 1)
     _, one_minus_r = _ratio_power(log_ratio, round_k)
-    return 2.0 * diff * r_half / one_minus_r
+    return 2.0 * abs(signed) * r_half / one_minus_r
 
 
 def p_total_closed_form(alpha: float, k_max: int) -> float:
     """Total success probability of a k_max-round schedule."""
     _check_alpha(alpha)
     _check_count(k_max, "k_max")
-    diff, small, log_ratio = _imbalance(alpha)
+    signed, small, log_ratio = _imbalance(alpha)
     r_pow, one_minus_r = _ratio_power(log_ratio, k_max)
-    return 2.0 * small - 2.0 * diff * r_pow / one_minus_r
+    return 2.0 * small - 2.0 * abs(signed) * r_pow / one_minus_r
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -132,8 +91,6 @@ def figure3_sweep(
 
 
 def _check_against_engine(point: SweepPoint, n_photons: int, protocol: str) -> None:
-    from .protocols import ProtocolConfig, run_schedule
-
     config = ProtocolConfig(
         protocol=protocol,
         alpha=point.alpha,

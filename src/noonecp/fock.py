@@ -3,10 +3,14 @@
 A pure state is a sparse map from occupation-number tuples to complex
 amplitudes. The concentration protocols handled by this package keep at most
 a handful of branches alive at any photon number N, so sparse maps stay
-exact where dense mode tensors would grow as N^modes.
+exact where dense mode tensors would grow as N^modes. Every nonzero
+amplitude is kept, however small; only exact zeros are dropped.
 
 Every operation here is a pure function returning a new state. Instances are
-treated as immutable values and are safe to share between threads.
+treated as immutable values and are safe to share between threads. The
+registers and kets of a state built by ``PureState(...)`` are checked once
+there; the operations below derive their results from such states and build
+them without checking again.
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ from typing import Iterable, Mapping
 ModeId = str
 BasisKet = tuple[int, ...]
 
-# Amplitudes below this magnitude are dropped whenever a state is built.
-PRUNE_THRESHOLD = 1e-12
-
 # Tolerance for "this state must be normalized" preconditions.
 NORM_TOLERANCE = 1e-10
 
@@ -29,9 +30,8 @@ class PureState:
     """Pure bosonic state on a register of uniquely labeled modes.
 
     ``terms`` maps occupation tuples (one entry per register mode, in
-    register order) to complex amplitudes. Terms with magnitude below
-    ``PRUNE_THRESHOLD`` are dropped at construction, so floating-point dust
-    never accumulates across long pipelines.
+    register order) to complex amplitudes. Terms whose amplitude is exactly
+    zero are dropped at construction.
     """
 
     __slots__ = ("_register", "_terms")
@@ -54,10 +54,18 @@ class PureState:
                 if not isinstance(n, int) or n < 0:
                     raise ValueError(f"occupations must be non-negative ints, got {kt!r}")
             a = complex(amp)
-            if abs(a) >= PRUNE_THRESHOLD:
+            if a:
                 kept[kt] = a
         self._register = reg
         self._terms = kept
+
+    @classmethod
+    def _derived(cls, register: tuple[ModeId, ...], terms: dict[BasisKet, complex]) -> PureState:
+        """Unchecked state from kets derived from valid states; owns ``terms``, drops zeros."""
+        state = object.__new__(cls)
+        state._register = register
+        state._terms = {k: a for k, a in terms.items() if a} if 0 in terms.values() else terms
+        return state
 
     @property
     def register(self) -> tuple[ModeId, ...]:
@@ -131,7 +139,7 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
         factor = math.sqrt(math.factorial(m + n) / math.factorial(m))
         new_ket = ket[:idx] + (m + n,) + ket[idx + 1 :]
         out[new_ket] = out.get(new_ket, 0j) + amp * factor
-    return PureState(state.register, out)
+    return PureState._derived(state.register, out)
 
 
 def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
@@ -153,31 +161,36 @@ def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
         c = complex(coeff)
         for ket, amp in st.terms.items():
             acc[ket] = acc.get(ket, 0j) + c * amp
-    return PureState(reg, acc)
+    return PureState._derived(reg, acc)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product on the concatenated register; labels must not collide."""
-    reg = a.register + b.register
-    out: dict[BasisKet, complex] = {}
-    for ka, va in a.terms.items():
-        for kb, vb in b.terms.items():
-            out[ka + kb] = va * vb
-    return PureState(reg, out)
+    if set(a.register) & set(b.register):
+        raise ValueError(f"registers {a.register!r} and {b.register!r} share mode labels")
+    out = {ka + kb: va * vb for ka, va in a._terms.items() for kb, vb in b._terms.items()}
+    return PureState._derived(a.register + b.register, out)
 
 
 def norm_sq(state: PureState) -> float:
     """Sum of squared amplitude magnitudes."""
-    return sum(abs(a) ** 2 for a in state.terms.values())
+    return sum([abs(a) ** 2 for a in state._terms.values()])
 
 
 def normalized(state: PureState) -> PureState:
-    """Scale to unit norm; zero states cannot be normalized."""
-    n2 = norm_sq(state)
-    if n2 <= 0.0:
+    """Scale to unit norm; zero states cannot be normalized.
+
+    The norm comes from ``math.hypot``, which neither underflows nor
+    overflows, so a state of tiny nonzero amplitudes still normalizes.
+    """
+    terms = state._terms
+    norm = math.hypot(*map(abs, terms.values()))
+    if norm == 0.0:
         raise ValueError("cannot normalize a state with zero norm")
-    scale = 1.0 / math.sqrt(n2)
-    return PureState(state.register, {k: a * scale for k, a in state.terms.items()})
+    scale = 1.0 / norm
+    if math.isinf(scale):  # subnormal norm: divide, 1/norm overflows
+        return PureState._derived(state.register, {k: a / norm for k, a in terms.items()})
+    return PureState._derived(state.register, {k: a * scale for k, a in terms.items()})
 
 
 def inner(a: PureState, b: PureState) -> complex:

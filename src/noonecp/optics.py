@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .fock import (
@@ -38,6 +39,15 @@ from .fock import (
 PHASE_CLASS_TOLERANCE = 1e-9
 
 _CONVENTIONS = ("ecp1", "ecp2")
+
+
+def _finite_real(value: object) -> bool:
+    """A finite int or float; bool is an int subclass but never a real setting."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ class BeamSplitterSpec:
         if self.mode_out_1 == self.mode_out_2:
             raise ValueError("beam splitter output labels must differ")
         t = self.transmissivity
-        if not (isinstance(t, (int, float)) and math.isfinite(t) and 0.0 <= t <= 1.0):
+        if not (_finite_real(t) and 0.0 <= t <= 1.0):
             raise ValueError(f"transmissivity must lie in [0, 1], got {t!r}")
         if self.sign_convention not in _CONVENTIONS:
             raise ValueError(
@@ -77,12 +87,25 @@ class BeamSplitterSpec:
             )
 
 
-def _mode_matrix(spec: BeamSplitterSpec) -> tuple[tuple[float, float], tuple[float, float]]:
-    c = math.sqrt(1.0 - spec.transmissivity)
-    s = math.sqrt(spec.transmissivity)
-    if spec.sign_convention == "ecp1":
-        return ((c, -s), (s, c))
-    return ((c, s), (s, -c))
+@lru_cache(maxsize=1024)
+def _scatter(n1: int, n2: int, t: float, convention: str) -> tuple[tuple[int, int, float], ...]:
+    """(j, m, weight) for each way the splitter sends (n1, n2) photons out, in summing order."""
+    c, s = math.sqrt(1.0 - t), math.sqrt(t)
+    (u11, u12), (u21, u22) = ((c, -s), (s, c)) if convention == "ecp1" else ((c, s), (s, -c))
+    base = math.sqrt(math.factorial(n1) * math.factorial(n2))
+    out = []
+    for k1 in range(n1 + 1):
+        w1 = math.comb(n1, k1) * u11**k1 * u12 ** (n1 - k1)
+        if w1 == 0.0:
+            continue
+        for k2 in range(n2 + 1):
+            w2 = math.comb(n2, k2) * u21**k2 * u22 ** (n2 - k2)
+            if w2 == 0.0:
+                continue
+            j = k1 + k2
+            m = n1 + n2 - j
+            out.append((j, m, w1 * w2 * math.sqrt(math.factorial(j) * math.factorial(m)) / base))
+    return tuple(out)
 
 
 def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
@@ -102,36 +125,21 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
             f"splitter modes ({spec.mode_in_1!r}, {spec.mode_in_2!r}) "
             f"not both in register {reg!r}"
         ) from None
-    (u11, u12), (u21, u22) = _mode_matrix(spec)
-
     new_reg = list(reg)
-    new_reg[i1] = spec.mode_out_1
-    new_reg[i2] = spec.mode_out_2
+    new_reg[i1], new_reg[i2] = spec.mode_out_1, spec.mode_out_2
+    if len(set(new_reg)) != len(new_reg):
+        raise ValueError(f"splitter output labels collide with register {reg!r}")
 
     out: dict[BasisKet, complex] = {}
     for ket, amp in state.terms.items():
-        n1, n2 = ket[i1], ket[i2]
-        if n1 == 0 and n2 == 0:
-            out[ket] = out.get(ket, 0j) + amp
-            continue
-        base = math.sqrt(math.factorial(n1) * math.factorial(n2))
-        for k1 in range(n1 + 1):
-            w1 = math.comb(n1, k1) * u11**k1 * u12 ** (n1 - k1)
-            if w1 == 0.0:
-                continue
-            for k2 in range(n2 + 1):
-                w2 = math.comb(n2, k2) * u21**k2 * u22 ** (n2 - k2)
-                if w2 == 0.0:
-                    continue
-                j = k1 + k2
-                m = n1 + n2 - j
-                weight = w1 * w2 * math.sqrt(math.factorial(j) * math.factorial(m)) / base
-                new_ket = list(ket)
-                new_ket[i1] = j
-                new_ket[i2] = m
-                key = tuple(new_ket)
-                out[key] = out.get(key, 0j) + amp * weight
-    return PureState(new_reg, out)
+        for j, m, weight in _scatter(
+            ket[i1], ket[i2], spec.transmissivity, spec.sign_convention
+        ):
+            new_ket = list(ket)
+            new_ket[i1], new_ket[i2] = j, m
+            key = tuple(new_ket)
+            out[key] = out.get(key, 0j) + amp * weight
+    return PureState._derived(tuple(new_reg), out)
 
 
 class TaggedState(NamedTuple):
@@ -203,7 +211,7 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
             classes.append((p, {ket: amp}))
     outcomes = []
     for key, members in sorted(classes, key=lambda kv: kv[0]):
-        raw = PureState(state.register, members)
+        raw = PureState._derived(state.register, members)
         mass = norm_sq(raw)
         outcomes.append(HomodyneOutcome(key, normalized(raw), mass))
     return outcomes
@@ -228,8 +236,8 @@ def detect_photon(
             idxs.append(reg.index(m))
         except ValueError:
             raise ValueError(f"detector mode {m!r} not in register {reg!r}") from None
-    drop = set(idxs)
-    kept_reg = tuple(lbl for i, lbl in enumerate(reg) if i not in drop)
+    keep = [i for i in range(len(reg)) if i not in idxs]
+    kept_reg = tuple(reg[i] for i in keep)
     if not kept_reg:
         raise ValueError("detection would remove every mode in the register")
 
@@ -241,9 +249,8 @@ def detect_photon(
             raise ValueError(
                 f"branch {ket!r} holds {sum(occ)} photons across detectors, expected 1"
             )
-        fired = modes[occ.index(1)]
-        reduced = tuple(n for i, n in enumerate(ket) if i not in drop)
-        bucket = groups.setdefault(fired, {})
+        bucket = groups.setdefault(modes[occ.index(1)], {})
+        reduced = tuple([ket[i] for i in keep])
         bucket[reduced] = bucket.get(reduced, 0j) + amp
         total += abs(amp) ** 2
     if total <= 0.0:
@@ -254,7 +261,7 @@ def detect_photon(
         bucket = groups.get(m)
         if not bucket:
             continue
-        raw = PureState(kept_reg, bucket)
+        raw = PureState._derived(kept_reg, bucket)
         mass = norm_sq(raw)
         results.append((m, normalized(raw), mass / total))
     return results
@@ -274,4 +281,4 @@ def negate_occupied(state: PureState, mode: ModeId) -> PureState:
     out = {
         ket: (-amp if ket[idx] > 0 else amp) for ket, amp in state.terms.items()
     }
-    return PureState(state.register, out)
+    return PureState._derived(state.register, out)

@@ -8,7 +8,8 @@ superposition using one auxiliary photon per round:
   superposition across two spatial modes (it has to travel alongside the
   signal, which is why channel loss hits this scheme twice per round).
 * ``ecp2`` consumes a locally prepared auxiliary photon split on a variable
-  beam splitter whose transmissivity is retuned every round.
+  beam splitter whose transmissivity is retuned every round to the current
+  state's ca^2, so the photon is cb|1,0> + ca|0,1>.
 
 A round proceeds the same way in both schemes: tag the N-photon mode with
 a probe phase of -theta/N per photon and the auxiliary mode with +theta,
@@ -31,13 +32,14 @@ from .fock import (
     PureState,
     basis_state,
     fidelity_up_to_global_phase,
-    normalized,
+    inner,
     superpose,
     tensor,
 )
 from .optics import (
     PHASE_CLASS_TOLERANCE,
     BeamSplitterSpec,
+    _finite_real,
     beam_splitter,
     cross_kerr_tag,
     detect_photon,
@@ -58,6 +60,36 @@ ECP2_DETECTORS = ("e1", "e2")
 # Internal consistency checks on folded detector branches.
 _FOLD_TOLERANCE = 1e-10
 
+# Veltkamp splitting constant 2^27 + 1: splits a double into two halves
+# whose products are exact.
+_SPLITTER = 134217729.0
+
+
+class _Scheme(NamedTuple):
+    """Where one scheme's auxiliary photon lives and how it is read out.
+
+    ``swapped`` puts the signal's (ca, cb) on the auxiliary modes in reverse
+    order; ``mixer`` is the balanced splitter feeding the detectors.
+    """
+
+    aux_modes: tuple[ModeId, ModeId]
+    detectors: tuple[ModeId, ModeId]
+    tag_mode: ModeId
+    swapped: bool
+    mixer: BeamSplitterSpec
+
+
+_SCHEMES = {
+    "ecp1": _Scheme(
+        SHARED_AUX_MODES, ECP1_DETECTORS, SHARED_AUX_MODES[1], False,
+        BeamSplitterSpec(*SHARED_AUX_MODES, *ECP1_DETECTORS, 0.5, "ecp1"),
+    ),
+    "ecp2": _Scheme(
+        LOCAL_AUX_MODES, ECP2_DETECTORS, LOCAL_AUX_MODES[0], True,
+        BeamSplitterSpec(*LOCAL_AUX_MODES, *ECP2_DETECTORS, 0.5, "ecp2"),
+    ),
+}
+
 
 def _check_alpha(alpha: float) -> None:
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
@@ -67,6 +99,42 @@ def _check_alpha(alpha: float) -> None:
 def _check_count(value: int, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
+
+
+def _imbalance(alpha: float) -> tuple[float, float, float]:
+    """(x - y, min(x, y), L = ln(max/min)) for x = alpha^2, y = 1 - x.
+
+    x is carried exactly as hi + lo (Dekker's two-product), so x - y and
+    min(x, y) are correct to an ulp even where 1 - x cancels. x = 1/2 is
+    unreachable: the square of a double is never exactly 1/2.
+    """
+    hi = alpha * alpha
+    c = _SPLITTER * alpha
+    a_hi = c - (c - alpha)
+    a_lo = alpha - a_hi
+    lo = ((a_hi * a_hi - hi) + 2.0 * a_hi * a_lo) + a_lo * a_lo
+    signed = (2.0 * hi - 1.0) + 2.0 * lo
+    small = hi + lo if signed < 0.0 else (1.0 - hi) - lo
+    if abs(signed) < 0.5:
+        # atanh is well conditioned here; ln(max/min) = 2 atanh|x - y|.
+        return signed, small, 2.0 * math.atanh(abs(signed))
+    if small == 0.0:
+        return signed, small, math.inf
+    # Lopsided: atanh is ill-conditioned near 1, the logarithms are not.
+    return signed, small, math.log1p(-small) - math.log(small)
+
+
+def _ratio_power(log_ratio: float, k: int) -> tuple[float, float]:
+    """(R, 1 - R) for R = r^(2^k) = exp(-2^k L), L = log_ratio > 0.
+
+    Once 2^k L reaches 1024, exp has long underflowed, so R is returned as
+    exactly 0 without forming 2^k L (which leaves the float range for
+    large k).
+    """
+    if k + math.frexp(log_ratio)[1] > 10:
+        return 0.0, 1.0
+    t = math.ldexp(log_ratio, k)
+    return math.exp(-t), -math.expm1(-t)
 
 
 @dataclass(frozen=True)
@@ -95,7 +163,7 @@ class ProtocolConfig:
         _check_count(self.n_photons, "n_photons")
         _check_count(self.max_rounds, "max_rounds")
         th = self.theta
-        if not (isinstance(th, (int, float)) and math.isfinite(th)):
+        if not _finite_real(th):
             raise ValueError(f"theta must be a finite real, got {th!r}")
         if abs(math.remainder(th, math.tau)) <= PHASE_CLASS_TOLERANCE:
             raise ValueError(
@@ -103,7 +171,7 @@ class ProtocolConfig:
                 f"{PHASE_CLASS_TOLERANCE} from every multiple of 2*pi, got {th!r}"
             )
         eta = self.loss_eta
-        if not (isinstance(eta, (int, float)) and math.isfinite(eta) and 0.0 <= eta <= 1.0):
+        if not (_finite_real(eta) and 0.0 <= eta <= 1.0):
             raise ValueError(f"loss_eta must lie in [0, 1], got {eta!r}")
 
     @property
@@ -116,8 +184,8 @@ class RoundOutcome:
     """Both heralded branches of one round.
 
     success_state is the corrected post-detection state for the |theta|
-    probe reading (None when that reading has zero probability, which
-    happens only for degenerate single-component inputs). failure_state is
+    probe reading (None when that reading's probability is zero, or
+    underflows to zero after deep recycling). failure_state is
     the recycled squared-coefficient state for the 0 reading.
     corrections_applied records which detector clicks required the sign
     correction, as "branch:detector:negate(mode)" strings.
@@ -223,33 +291,25 @@ def prepare_aux_ecp2(
 def vbs_transmission(alpha: float, round_k: int) -> float:
     """Round-k transmissivity t_k = a^(2^k) / (a^(2^k) + b^(2^k)).
 
-    Evaluated through the ratio (min/max)^(2^(k-1)) of the squared
-    coefficients, so deep rounds cannot hit 0/0 underflow; exact 0.5 for
-    the balanced state at any depth.
+    With R = r^(2^(k-1)) for the ratio r of the smaller to the larger
+    squared coefficient, t_k is 1/(1+R) when a > b and R/(1+R) otherwise,
+    so deep rounds cannot hit 0/0 underflow and any depth is accepted.
+    ``run_round`` reads the same setting off the recycled state as ca^2.
     """
     _check_alpha(alpha)
     _check_count(round_k, "round index")
-    x = alpha * alpha
-    y = 1.0 - x
-    if x == y:
-        return 0.5
-    if round_k > 1024:
-        # 2^(k-1) no longer converts to float; r^(2^(k-1)) is exactly 0 here.
-        return 1.0 if x > y else 0.0
-    e = 2 ** (round_k - 1)
-    if x < y:
-        r = (x / y) ** e
-        return r / (1.0 + r)
-    r = (y / x) ** e
-    return 1.0 / (1.0 + r)
+    signed, _, log_ratio = _imbalance(alpha)
+    r_pow, _ = _ratio_power(log_ratio, round_k - 1)
+    return (1.0 if signed > 0.0 else r_pow) / (1.0 + r_pow)
 
 
 def _noon_coefficients(state: PureState) -> tuple[float, float, int]:
     """Validate a (possibly degenerate) NOON-form state and pull (ca, cb, N).
 
-    Accepts one or two terms shaped (N,0)/(0,N) with real non-negative
-    amplitudes on a two-mode register; a missing term counts as coefficient
-    zero (it may have been pruned after deep recycling).
+    Accepts one or two terms shaped (N,0)/(0,N) with exactly real,
+    non-negative amplitudes on a two-mode register (the engine keeps them
+    so); a missing term counts as coefficient zero (it may have underflowed
+    to zero after deep recycling).
     """
     if len(state.register) != 2:
         raise ValueError(
@@ -268,57 +328,41 @@ def _noon_coefficients(state: PureState) -> tuple[float, float, int]:
         n = occupied[0]
     ca = terms.get((n, 0), 0j)
     cb = terms.get((0, n), 0j)
-    if len(terms) == 2 and (ca == 0j or cb == 0j):
-        raise ValueError(f"expected components (N,0) and (0,N), got {state!r}")
     for c in (ca, cb):
-        if abs(c.imag) > 1e-9 or c.real < -1e-9:
+        if c.imag != 0.0 or c.real < 0.0:
             raise ValueError(
                 f"NOON coefficients must be real and non-negative, got {state!r}"
             )
-    return max(ca.real, 0.0), max(cb.real, 0.0), n
+    return ca.real, cb.real, n
 
 
 def _interfere_and_detect(
-    branch: PureState,
-    aux_modes: tuple[ModeId, ModeId],
-    detectors: tuple[ModeId, ModeId],
-    convention: str,
-    sign_mode: ModeId,
-    label: str,
-) -> tuple[PureState, list[str]]:
+    branch: PureState, scheme: _Scheme, sign_mode: ModeId, label: str, notes: list[str]
+) -> PureState:
     """Balanced splitter on the auxiliary pair, detect, correct, fold.
 
     Both detector outcomes are kept: a click on the second detector gets the
     sign correction on the N-photon mode, after which the two projected
     states agree up to a global phase. The first-detector branch (always
     present, with real non-negative amplitudes) is returned as the folded
-    state.
+    state; each correction is appended to ``notes``.
     """
-    spec = BeamSplitterSpec(
-        mode_in_1=aux_modes[0],
-        mode_in_2=aux_modes[1],
-        mode_out_1=detectors[0],
-        mode_out_2=detectors[1],
-        transmissivity=0.5,
-        sign_convention=convention,
-    )
-    mixed = beam_splitter(branch, spec)
-    clicks = detect_photon(mixed, detectors)
     corrected: list[PureState] = []
-    notes: list[str] = []
-    for fired, projected, _prob in clicks:
-        if fired == detectors[1]:
+    for fired, projected, _prob in detect_photon(
+        beam_splitter(branch, scheme.mixer), scheme.detectors
+    ):
+        if fired == scheme.detectors[1]:
             projected = negate_occupied(projected, sign_mode)
             notes.append(f"{label}:{fired}:negate({sign_mode})")
         corrected.append(projected)
-    folded = corrected[0]
     for other in corrected[1:]:
-        fid = fidelity_up_to_global_phase(folded, other)
+        # Both branches are normalized, so |<a|b>|^2 is their fidelity.
+        fid = abs(inner(corrected[0], other)) ** 2
         if abs(fid - 1.0) > _FOLD_TOLERANCE:
             raise ValueError(
                 f"detector branches disagree after correction (fidelity {fid})"
             )
-    return folded, notes
+    return corrected[0]
 
 
 def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOutcome:
@@ -327,7 +371,10 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     The input lives on two signal modes (register order fixes which mode
     carries the N-photon component of the first term). Auxiliary and
     detector modes use the package-default labels, so the signal register
-    must not collide with them.
+    must not collide with them. Both schemes build the auxiliary photon from
+    the input's own coefficients (ca, cb): ecp1 as ca|1,0> + cb|0,1>, ecp2 as
+    cb|1,0> + ca|0,1>, the variable splitter set to t = ca^2. round_k is only
+    validated and recorded.
 
     Returns both heralded branches; the failure branch always exists and
     carries the squared, renormalized coefficients of the input. Detection
@@ -340,39 +387,18 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
         raise ValueError(
             f"state carries N={n} photons but config expects N={config.n_photons}"
         )
-    sig_b = state.register[1]
-    theta = config.theta
-
-    if config.protocol == "ecp1":
-        aux_modes = SHARED_AUX_MODES
-        detectors = ECP1_DETECTORS
-        convention = "ecp1"
-        t_used: float | None = None
-        aux = superpose(
-            [
-                (ca, basis_state(aux_modes, (1, 0))),
-                (cb, basis_state(aux_modes, (0, 1))),
-            ]
-        )
-        tag_mode = aux_modes[1]
-    else:
-        aux_modes = LOCAL_AUX_MODES
-        detectors = ECP2_DETECTORS
-        convention = "ecp2"
-        t_used = vbs_transmission(config.alpha, round_k)
-        aux = prepare_aux_ecp2(t_used, aux_modes)
-        tag_mode = aux_modes[0]
-
-    for lbl in aux_modes + detectors:
+    scheme = _SCHEMES[config.protocol]
+    for lbl in scheme.aux_modes + scheme.detectors:
         if lbl in state.register:
             raise ValueError(
                 f"signal register {state.register!r} collides with reserved label {lbl!r}"
             )
-
-    joint = tensor(state, aux)
-    tagged = cross_kerr_tag(joint, sig_b, -theta / n)
-    tagged = cross_kerr_tag(tagged, tag_mode, theta)
-    readings = homodyne_partition(tagged)
+    sig_b = state.register[1]
+    theta = config.theta
+    first, second = (cb, ca) if scheme.swapped else (ca, cb)
+    aux = PureState(scheme.aux_modes, {(1, 0): first, (0, 1): second})
+    tagged = cross_kerr_tag(tensor(state, aux), sig_b, -theta / n)
+    readings = homodyne_partition(cross_kerr_tag(tagged, scheme.tag_mode, theta))
 
     success_reading = None
     failure_reading = None
@@ -389,28 +415,23 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
         raise ValueError("probe readout produced no recyclable branch")
 
     notes: list[str] = []
-    if success_reading is not None:
-        success_state, n1 = _interfere_and_detect(
-            success_reading.branch, aux_modes, detectors, convention, sig_b, "success"
+    # A reading whose probability underflowed to 0.0 counts as absent.
+    success_prob = 0.0 if success_reading is None else success_reading.probability
+    success_state = None
+    if success_prob > 0.0:
+        success_state = _interfere_and_detect(
+            success_reading.branch, scheme, sig_b, "success", notes
         )
-        success_prob = success_reading.probability
-        notes.extend(n1)
-    else:
-        success_state = None
-        success_prob = 0.0
-
-    failure_state, n2 = _interfere_and_detect(
-        failure_reading.branch, aux_modes, detectors, convention, sig_b, "failure"
+    failure_state = _interfere_and_detect(
+        failure_reading.branch, scheme, sig_b, "failure", notes
     )
-    notes.extend(n2)
-
     return RoundOutcome(
         round_index=round_k,
         success_state=success_state,
         success_prob=success_prob,
         failure_state=failure_state,
         failure_prob=failure_reading.probability,
-        vbs_transmission_used=t_used,
+        vbs_transmission_used=ca * ca if config.protocol == "ecp2" else None,
         corrections_applied=tuple(notes),
     )
 

@@ -16,26 +16,6 @@ from noonecp import (
 BALANCED = 1 / math.sqrt(2)
 
 
-def _reference_rounds(alpha, k_max):
-    """P_1..P_k_max at 60 digits by recycling the failure branch round by round.
-
-    Round k succeeds with 2 x_k y_k on the surviving branch; failure keeps
-    probability x_k^2 + y_k^2 and squares the renormalized coefficients.
-    Independent of the telescoped forms under test.
-    """
-    with mpmath.workdps(60):
-        x = mpmath.mpf(alpha) ** 2
-        y = 1 - x
-        survival = mpmath.mpf(1)
-        rounds = []
-        for _ in range(k_max):
-            rounds.append(2 * x * y * survival)
-            fail = x * x + y * y
-            survival *= fail
-            x, y = x * x / fail, y * y / fail
-        return rounds
-
-
 _REFERENCE_CASES = [(float(a), 30) for a in np.linspace(0.01, 0.999, 200)] + [
     (math.sqrt(alpha_sq), 1000)
     for alpha_sq in (0.5, 0.5 + 1e-15, 0.5 - 1e-15, 0.499999, 0.8, 1e-4)
@@ -124,10 +104,10 @@ def test_total_bounded_by_one():
             assert p_total_closed_form(alpha, k_max) <= 1.0
 
 
-def test_round_matches_mpmath_reference():
+def test_round_matches_mpmath_reference(reference_rounds):
     checked = 0
     for alpha, k_max in _REFERENCE_CASES:
-        for k, ref in enumerate(_reference_rounds(alpha, k_max), start=1):
+        for k, ref in enumerate(reference_rounds(alpha, k_max), start=1):
             if ref < 1e-300:
                 continue
             got = p_round_closed_form(alpha, k)
@@ -136,10 +116,10 @@ def test_round_matches_mpmath_reference():
     assert checked > 2000
 
 
-def test_total_matches_mpmath_reference():
+def test_total_matches_mpmath_reference(reference_rounds):
     for alpha, k_max in _REFERENCE_CASES:
         total = mpmath.mpf(0)
-        for k, ref in enumerate(_reference_rounds(alpha, k_max), start=1):
+        for k, ref in enumerate(reference_rounds(alpha, k_max), start=1):
             total += ref
             got = p_total_closed_form(alpha, k)
             assert abs(got - total) <= 1e-14 * total, (alpha, k, got, float(total))

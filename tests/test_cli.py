@@ -52,6 +52,23 @@ def test_run_values_match_closed_form(capsys):
     assert totals["max_round_delta"] < 1e-12
 
 
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_run_deep_rounds_match_oracle(tmp_path, capsys, protocol):
+    # the recycled small amplitude reaches ~1e-20 by round 6 and is kept
+    out_path = tmp_path / "run.csv"
+    argv = ["run", "--alpha-sq", "0.8", "--protocol", protocol, "--rounds", "40"]
+    code, _, _ = _run(capsys, argv + ["--out", str(out_path)])
+    assert code == EXIT_OK
+    _, rows = _csv_rows(out_path.read_text())
+    for row in rows[5:10]:
+        oracle, delta, fidelity = map(float, row[4:7])
+        assert oracle > 0.0
+        assert delta <= 1e-12 * oracle, row
+        assert fidelity == pytest.approx(1.0, abs=1e-12)
+    assert float(rows[10][3]) == 0.0
+    assert math.isnan(float(rows[10][6]))
+
+
 def test_run_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "run.csv"
     code, _, _ = _run(

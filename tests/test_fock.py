@@ -5,7 +5,6 @@ import math
 import pytest
 
 from noonecp import (
-    PRUNE_THRESHOLD,
     PureState,
     basis_state,
     create,
@@ -127,18 +126,10 @@ def test_norm_sq_failure_branch_weights():
     assert norm_sq(st) == pytest.approx(0.8**2 + 0.2**2, abs=1e-15)
 
 
-def test_pruning_keeps_norm_within_bound():
-    dusty = PureState(
-        ("a", "b"),
-        {
-            (1, 0): 0.8,
-            (0, 1): 0.6,
-            (2, 0): 1e-13,
-            (0, 2): -1e-14,
-        },
-    )
-    assert dusty.num_terms() == 2
-    assert abs(norm_sq(dusty) - 1.0) < 4 * PRUNE_THRESHOLD**2
+def test_state_keeps_every_nonzero_amplitude():
+    tiny = PureState(("a", "b"), {(1, 0): 1.0, (0, 1): 1e-300, (1, 1): 5e-324})
+    assert tiny.num_terms() == 3
+    assert tiny.amplitude((0, 1)) == 1e-300
 
 
 def test_fidelity_identical_states():
@@ -234,6 +225,19 @@ def test_normalized_scales_to_unit_norm():
     unit = normalized(st)
     assert norm_sq(unit) == pytest.approx(1.0, abs=1e-12)
     assert unit.amplitude((1, 0)) == pytest.approx(0.6, abs=1e-12)
+
+
+def test_normalized_survives_underflow():
+    # squaring these amplitudes underflows to zero, the norm itself does not
+    st = PureState(("a", "b"), {(1, 0): 3e-200, (0, 1): -4e-200j})
+    unit = normalized(st)
+    assert unit.amplitude((1, 0)) == pytest.approx(0.6, rel=1e-15)
+    assert unit.amplitude((0, 1)) == pytest.approx(-0.8j, rel=1e-15)
+    lopsided = normalized(PureState(("a", "b"), {(1, 0): 1.0, (0, 1): 1e-300}))
+    assert lopsided.amplitude((0, 1)) == 1e-300
+    # a subnormal norm, whose reciprocal overflows
+    sub = PureState(("a", "b"), {(1, 0): math.ldexp(3, -1070), (0, 1): math.ldexp(4, -1070)})
+    assert normalized(sub).amplitude((1, 0)) == pytest.approx(0.6, rel=1e-15)
 
 
 def test_normalized_rejects_zero_state():

@@ -199,6 +199,16 @@ def test_beam_splitter_spec_validation():
         _spec(0.5, "other")
     with pytest.raises(ValueError):
         BeamSplitterSpec("p", "p", "r", "s")
+    # bool is an int subclass; True must not pass as t = 1
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            _spec(flag, "ecp1")
+
+
+def test_beam_splitter_rejects_output_label_collision():
+    st = basis_state(("p", "q", "r"), (1, 0, 0))
+    with pytest.raises(ValueError):
+        beam_splitter(st, _spec(0.5, "ecp1"))
 
 
 def test_cross_kerr_tag_writes_occupation_phase():

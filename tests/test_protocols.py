@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from noonecp import (
     ProtocolConfig,
+    PureState,
     apply_loss_model,
     basis_state,
     fidelity_up_to_global_phase,
@@ -178,6 +180,12 @@ def test_config_validation():
         _config(loss_eta=-0.1)
     with pytest.raises(ValueError):
         _config(loss_eta=1.1)
+    # bool must not pass as theta = 1 rad or as eta = 1 / 0 either
+    with pytest.raises(ValueError):
+        ProtocolConfig("ecp1", 0.5, theta=True)
+    for eta in (True, False):
+        with pytest.raises(ValueError):
+            ProtocolConfig("ecp1", 0.5, loss_eta=eta)
 
 
 def test_config_accepts_readable_phases():
@@ -303,6 +311,10 @@ def test_round_rejects_non_noon_input():
     bad = basis_state(("a1", "b1"), (1, 1))
     with pytest.raises(ValueError):
         run_round(bad, cfg, 1)
+    # a tiny negative or imaginary coefficient is a phase, not a zero
+    for small in (-1e-12, 1e-12j):
+        with pytest.raises(ValueError):
+            run_round(PureState(("a1", "b1"), {(2, 0): 1.0, (0, 2): small}), cfg, 1)
 
 
 def test_round_rejects_bad_round_index():
@@ -313,10 +325,9 @@ def test_round_rejects_bad_round_index():
 
 
 def test_round_degenerate_recycled_input():
-    # deep recycling at extreme imbalance prunes one coefficient entirely;
-    # the matching round transmissivity is then so small that the success
-    # reading's amplitude falls below the prune floor and the round only
-    # returns the recyclable branch
+    # once deep recycling at extreme imbalance squares one coefficient to an
+    # exact zero, the input is a single basis ket; the auxiliary photon built
+    # from it is unentangled, so the round only returns the recyclable branch
     cfg = _config(protocol="ecp2", alpha_sq=0.1)
     collapsed = basis_state(("a1", "b1"), (0, 2))
     out = run_round(collapsed, cfg, 6)
@@ -372,14 +383,64 @@ def test_schedule_success_fidelity_is_unity():
         assert stats.success_fidelity == pytest.approx(1.0, abs=1e-10)
 
 
-def test_schedule_deep_rounds_handle_pruned_tail():
-    # extreme imbalance drives the recycled amplitude below the prune floor
+def test_schedule_deep_rounds_handle_pruned_tail(reference_rounds):
+    # the recycled small amplitude at round 8 is ~1e-61: it is kept, and the
+    # round still heralds the balanced target with the reference yield
     cfg = _config(protocol="ecp2", alpha_sq=0.1, max_rounds=8)
     schedule = run_schedule(cfg)
     assert len(schedule.per_round) == 8
     tail = schedule.per_round[-1]
-    assert tail.p_unconditional == pytest.approx(0.0, abs=1e-12)
-    assert math.isnan(tail.success_fidelity)
+    ref = reference_rounds(cfg.alpha, 8)[-1]
+    assert abs(tail.p_unconditional - ref) <= 1e-9 * ref
+    assert tail.success_fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+# Each recycle squares the coefficients, so the relative error of their
+# ratio doubles every round: at round k a double-precision engine is about
+# 2^k ulp off. Within 1e-14 of alpha^2 = 1/2 the yields stay above 1e-300
+# far beyond round 30, where that error passes 1e-9, so the grid keeps
+# |x - y| >= 1e-3. This is a precision limit of doubles, not a tolerance.
+_REFERENCE_ALPHA_SQ = (
+    1e-3, 0.1, 0.25, 0.4, 0.49, 0.499, 0.501, 0.51, 0.6, 0.8, 0.9, 0.999
+)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_engine_matches_mpmath_reference(protocol, reference_rounds):
+    checked = 0
+    for n in (1, 2, 3, 5):
+        for alpha_sq in _REFERENCE_ALPHA_SQ:
+            cfg = _config(protocol=protocol, alpha_sq=alpha_sq, n=n, max_rounds=40)
+            rows = run_schedule(cfg).per_round
+            for row, ref in zip(rows, reference_rounds(cfg.alpha, 40)):
+                if ref < 1e-300:
+                    continue
+                assert abs(row.p_unconditional - ref) <= 1e-9 * ref, (
+                    n, alpha_sq, row.round_index, row.p_unconditional, float(ref)
+                )
+                assert row.success_fidelity == pytest.approx(1.0, abs=1e-9)
+                checked += 1
+    assert checked == 556
+
+
+_STRESS_ALPHA_SQ = (
+    [10.0**e for e in np.linspace(-300, -1, 30)]
+    + [0.25, 0.4, 0.49, 0.4999, 0.5, 0.5001, 0.51, 0.6, 0.75]
+    + [1.0 - 10.0**e for e in np.linspace(-16, -1, 16)]
+)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_engine_stress_from_underflow_to_one(protocol):
+    # nothing raises, and every round that can succeed heralds the target
+    for n in (1, 2, 3, 100):
+        for alpha_sq in _STRESS_ALPHA_SQ:
+            cfg = _config(protocol=protocol, alpha_sq=alpha_sq, n=n, max_rounds=60)
+            for row in run_schedule(cfg).per_round:
+                if row.p_conditional > 0.0:
+                    assert abs(row.success_fidelity - 1.0) <= 1e-9, (
+                        n, alpha_sq, row.round_index, row.success_fidelity
+                    )
 
 
 def test_loss_model_identity_cases():
