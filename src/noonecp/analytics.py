@@ -20,9 +20,7 @@ checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from .protocols import ProtocolConfig, run_schedule
 from .protocols import _check_alpha, _check_count, _imbalance, _ratio_power
@@ -57,14 +55,24 @@ def p_total_closed_form(alpha: float, k_max: int) -> float:
     return 2.0 * small - 2.0 * abs(signed) * r_pow / one_minus_r
 
 
-def default_alpha_grid() -> np.ndarray:
-    """199 uniform alpha points spanning [0.01, 0.999]."""
-    return np.linspace(0.01, 0.999, 199)
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.linspace(start, stop, num)`` as a list of floats, bit for bit."""
+    if num < 2:
+        return [start] * num
+    div, delta = num - 1, stop - start
+    step = delta / div
+    # numpy scales by i / div instead where the step underflows to 0
+    return [i * step + start if step else i / div * delta + start for i in range(div)] + [stop]
+
+
+def default_alpha_grid() -> list[float]:
+    """199 uniform alpha points spanning [0.01, 0.999], as numpy.linspace spaces them."""
+    return _linspace(0.01, 0.999, 199)
 
 
 def figure3_sweep(
     k_max: int = 10,
-    grid: Sequence[float] | Iterable[float] | None = None,
+    grid: Iterable[float] | None = None,
     cross_check: bool = False,
     n_photons: int = 1,
     protocol: str = "ecp2",
@@ -76,9 +84,8 @@ def figure3_sweep(
     any unconditional round probability or on the total raises ValueError.
     """
     _check_count(k_max, "k_max")
-    alphas = default_alpha_grid() if grid is None else np.asarray(list(grid), dtype=float)
     points: list[SweepPoint] = []
-    for a in alphas:
+    for a in default_alpha_grid() if grid is None else grid:
         a = float(a)
         if not (0.0 < a < 1.0):
             raise ValueError(f"grid values must lie strictly inside (0, 1), got {a!r}")

@@ -22,9 +22,8 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from .analytics import (
+    _linspace,
     default_alpha_grid,
     p_round_closed_form,
     p_total_closed_form,
@@ -101,7 +100,7 @@ def _grid(text: str) -> list[float]:
         )
     if start > stop:
         raise argparse.ArgumentTypeError(f"start must not exceed stop, got {text!r}")
-    return [float(a) for a in np.linspace(start, stop, steps)]
+    return _linspace(start, stop, steps)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -119,14 +118,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         ),
     }
     p_run, p_sweep, p_cmp = subparsers.values()
-    default_grid = [float(a) for a in default_alpha_grid()]
 
     p_run.add_argument("--alpha-sq", type=_alpha_sq)
     for p in (p_run, p_cmp):
         p.add_argument("--eta", type=_unit_interval, default=1.0, help="channel transmission")
     for p in (p_sweep, p_cmp):
         p.add_argument(
-            "--grid", type=_grid, default=default_grid, help="alpha grid start:stop:steps"
+            "--grid", type=_grid, default=default_alpha_grid(), help="alpha grid start:stop:steps"
         )
     for p in (p_run, p_sweep):
         p.add_argument("--protocol", type=_protocol, default="ecp2", help="ecp1 or ecp2")

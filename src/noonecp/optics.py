@@ -3,10 +3,11 @@
 Three physical pieces live here:
 
 * ``beam_splitter`` rewrites the creation operators of two modes through a
-  2x2 unitary, expanding multi-photon occupations multinomially. Two sign
-  conventions are supported, one per concentration scheme, and a variable
-  transmissivity covers both the balanced mixers and the tunable splitter
-  used to prepare the local auxiliary photon.
+  2x2 unitary. Each output weight is an exact integer sum rounded once, so
+  it stays unitary at any photon number. Two sign conventions are supported,
+  one per concentration scheme, and a variable transmissivity covers both
+  the balanced mixers and the tunable splitter that prepares the local
+  auxiliary photon.
 * ``cross_kerr_tag`` models a nondemolition interaction with a coherent
   probe: each branch accumulates a phase proportional to the occupation of
   the tagged mode. No photon is absorbed.
@@ -89,22 +90,28 @@ class BeamSplitterSpec:
 
 @lru_cache(maxsize=1024)
 def _scatter(n1: int, n2: int, t: float, convention: str) -> tuple[tuple[int, int, float], ...]:
-    """(j, m, weight) for each way the splitter sends (n1, n2) photons out, in summing order."""
-    c, s = math.sqrt(1.0 - t), math.sqrt(t)
-    (u11, u12), (u21, u22) = ((c, -s), (s, c)) if convention == "ecp1" else ((c, s), (s, -c))
-    base = math.sqrt(math.factorial(n1) * math.factorial(n2))
+    """(j, m, weight) for every nonzero output of (n1, n2) photons, j ascending.
+
+    With t = p/d exactly, c^2 = q/d and s^2 = p/d for q = d - p. Every term of
+    output j carries c^a s^b with a = n2 + j and b = n1 + j (mod 2), so weight^2
+    is S^2 q^(a%2) p^(b%2) j! m! / (n1! n2! d^(n1+n2)) for an exact integer sum
+    S, rounded once by the int/int division.
+    """
+    p, d = t.as_integer_ratio()
+    q = d - p
+    scale = math.factorial(n1) * math.factorial(n2) * d ** (n1 + n2)
     out = []
-    for k1 in range(n1 + 1):
-        w1 = math.comb(n1, k1) * u11**k1 * u12 ** (n1 - k1)
-        if w1 == 0.0:
-            continue
-        for k2 in range(n2 + 1):
-            w2 = math.comb(n2, k2) * u21**k2 * u22 ** (n2 - k2)
-            if w2 == 0.0:
-                continue
-            j = k1 + k2
-            m = n1 + n2 - j
-            out.append((j, m, w1 * w2 * math.sqrt(math.factorial(j) * math.factorial(m)) / base))
+    for j in range(n1 + n2 + 1):
+        m = n1 + n2 - j
+        total = 0
+        for k1 in range(max(0, j - n2), min(n1, j) + 1):
+            a, b = 2 * k1 + n2 - j, n1 + j - 2 * k1
+            term = math.comb(n1, k1) * math.comb(n2, j - k1) * q ** (a // 2) * p ** (b // 2)
+            total += -term if (n1 - k1 if convention == "ecp1" else n2 - j + k1) % 2 else term
+        w_sq = total * total * q ** (a % 2) * p ** (b % 2) * math.factorial(j) * math.factorial(m)
+        weight = math.sqrt(w_sq / scale)
+        if weight:
+            out.append((j, m, weight if total > 0 else -weight))  # S may overflow a float
     return tuple(out)
 
 
@@ -112,9 +119,10 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
     """Scatter two modes of ``state`` through the splitter ``spec``.
 
     Each input term with occupations (n1, n2) on the splitter modes expands
-    into all distributions of the n1+n2 photons over the output modes, with
-    binomial weights and the bosonic sqrt(j! m! / (n1! n2!)) factors. Other
-    modes pass through untouched. Photon number and norm are conserved.
+    into all distributions of the n1+n2 photons over the output modes. Each
+    weight, binomial sum times sqrt(j! m! / (n1! n2!)), is an exact integer
+    sum rounded once, so photon number and norm are conserved at any photon
+    number. Other modes pass through untouched.
     """
     reg = state.register
     try:
@@ -242,7 +250,6 @@ def detect_photon(
         raise ValueError("detection would remove every mode in the register")
 
     groups: dict[ModeId, dict[BasisKet, complex]] = {}
-    total = 0.0
     for ket, amp in state.terms.items():
         occ = [ket[i] for i in idxs]
         if sum(occ) != 1:
@@ -252,19 +259,17 @@ def detect_photon(
         bucket = groups.setdefault(modes[occ.index(1)], {})
         reduced = tuple([ket[i] for i in keep])
         bucket[reduced] = bucket.get(reduced, 0j) + amp
-        total += abs(amp) ** 2
-    if total <= 0.0:
+    # hypot, as in normalized: amplitudes below ~1e-162 must not square to 0
+    norms = {m: math.hypot(*map(abs, bucket.values())) for m, bucket in groups.items()}
+    total = math.hypot(*norms.values())
+    if total == 0.0:
         raise ValueError("cannot detect on a state with zero norm")
 
-    results = []
-    for m in modes:
-        bucket = groups.get(m)
-        if not bucket:
-            continue
-        raw = PureState._derived(kept_reg, bucket)
-        mass = norm_sq(raw)
-        results.append((m, normalized(raw), mass / total))
-    return results
+    return [
+        (m, normalized(PureState._derived(kept_reg, groups[m])), (norms[m] / total) ** 2)
+        for m in modes
+        if m in groups
+    ]
 
 
 def negate_occupied(state: PureState, mode: ModeId) -> PureState:

@@ -164,7 +164,7 @@ def test_sweep_default_grid_peaks_at_balanced():
     grid = default_alpha_grid()
     peak = int(np.argmax(totals))
     assert abs(grid[peak] - BALANCED) == pytest.approx(
-        min(abs(grid - BALANCED)), abs=1e-15
+        min(abs(a - BALANCED) for a in grid), abs=1e-15
     )
     # unimodal: rises to the peak, falls after it
     assert np.all(np.diff(totals[: peak + 1]) > 0)

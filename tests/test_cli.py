@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line driver."""
 
 import math
+import random
 import subprocess
 import sys
+import textwrap
 
+import numpy as np
 import pytest
 
-from noonecp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from noonecp import default_alpha_grid
+from noonecp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _grid, main
 
 BALANCED_SQ = 0.5
 
@@ -268,6 +272,30 @@ def test_sweep_rejects_bad_grids(capsys):
         assert code == EXIT_USAGE, bad
 
 
+def _grid_cases():
+    rng = random.Random(20121209)
+    for _ in range(2000):
+        start, stop = sorted((rng.uniform(1e-6, 1.0 - 1e-6), rng.uniform(1e-6, 1.0 - 1e-6)))
+        yield start, stop, rng.randint(0, 300)
+    for _ in range(500):
+        # shaped like the benchmark's jittered 0.05:0.95 grids
+        start = float(f"{0.05 + rng.uniform(-0.01, 0.01):.4f}")
+        stop = float(f"{0.95 + rng.uniform(-0.01, 0.01):.4f}")
+        yield start, stop, rng.randint(180, 220)
+        yield start, stop, rng.choice((1, 2))
+        yield start, start, rng.randint(0, 300)
+    # subnormal endpoints, where numpy's step underflows to zero
+    for steps in range(8):
+        yield 5e-324, 1.5e-323, steps
+
+
+def test_grid_is_numpy_linspace_bit_for_bit():
+    for start, stop, steps in _grid_cases():
+        expected = [float(x) for x in np.linspace(start, stop, steps)]
+        assert _grid(f"{start!r}:{stop!r}:{steps}") == expected, (start, stop, steps)
+    assert default_alpha_grid() == [float(x) for x in np.linspace(0.01, 0.999, 199)]
+
+
 def test_compare_loss_zero_advantage_without_loss(capsys):
     code, out, _ = _run(capsys, ["compare-loss", "--grid", "0.3:0.8:5", "--rounds", "4"])
     assert code == EXIT_OK
@@ -397,3 +425,22 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "p_total" in proc.stdout
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import noonecp, noonecp.cli
+        code = noonecp.cli.main(
+            ["sweep", "--grid", "0.3:0.6:3", "--rounds", "2", "--out", {str(tmp_path / "s.csv")!r}]
+        )
+        loaded = [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")]
+        assert code == 0 and not loaded, (code, loaded)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "s.csv").read_text().count("\n") == 4

@@ -2,15 +2,18 @@
 
 The beam splitter is cross-checked against a brute-force oracle that
 expands the transformed creation operators one application at a time,
-independently of the multinomial closed form used by the implementation.
+independently of the exact integer sums used by the implementation, and,
+up to 40 photons per mode, against an 80-digit mpmath binomial sum.
 """
 
 import math
 
+import mpmath
 import pytest
 
 from noonecp import (
     BeamSplitterSpec,
+    PureState,
     TaggedState,
     basis_state,
     beam_splitter,
@@ -130,16 +133,52 @@ def test_beam_splitter_matches_bruteforce_oracle():
 
 
 def test_beam_splitter_conserves_norm_and_photons():
+    inputs = [(n1, n2) for n1 in range(7) for n2 in range(7)]
+    inputs += [(20, 20), (40, 40), (90, 90), (200, 0)]
     for convention in CONVENTIONS:
         for t in T_GRID:
-            for n1 in range(7):
-                for n2 in range(7):
+            for n1, n2 in inputs:
+                st = beam_splitter(
+                    basis_state(("p", "q"), (n1, n2)), _spec(t, convention)
+                )
+                assert abs(norm_sq(st) - 1.0) <= 1e-14, (convention, t, n1, n2)
+                for ket in st.terms:
+                    assert sum(ket) == n1 + n2
+
+
+def _mpmath_bs(n1, n2, t, convention):
+    """Output amplitudes by j at 80 digits: the binomial sum over (k1, k2)."""
+    with mpmath.workdps(80):
+        c, s = mpmath.sqrt(1 - mpmath.mpf(t)), mpmath.sqrt(mpmath.mpf(t))
+        (u11, u12), (u21, u22) = ((c, -s), (s, c)) if convention == "ecp1" else ((c, s), (s, -c))
+        w1 = [mpmath.binomial(n1, k) * u11**k * u12 ** (n1 - k) for k in range(n1 + 1)]
+        w2 = [mpmath.binomial(n2, k) * u21**k * u22 ** (n2 - k) for k in range(n2 + 1)]
+        sums = [mpmath.mpf(0)] * (n1 + n2 + 1)
+        for k1, a in enumerate(w1):
+            for k2, b in enumerate(w2):
+                sums[k1 + k2] += a * b
+        f = mpmath.factorial
+        return [
+            a * mpmath.sqrt(f(j) * f(n1 + n2 - j) / (f(n1) * f(n2))) for j, a in enumerate(sums)
+        ]
+
+
+def test_beam_splitter_matches_mpmath_up_to_forty_photons():
+    for convention in CONVENTIONS:
+        for t in (0.5, 0.3):
+            for n in range(41):
+                for n1, n2 in ((n, n), (n, 0)):
                     st = beam_splitter(
                         basis_state(("p", "q"), (n1, n2)), _spec(t, convention)
                     )
-                    assert norm_sq(st) == pytest.approx(1.0, abs=1e-10)
-                    for ket in st.terms:
-                        assert sum(ket) == n1 + n2
+                    for j, ref in enumerate(_mpmath_bs(n1, n2, t, convention)):
+                        key = (j, n1 + n2 - j)
+                        if abs(ref) < 1e-60:  # an exact zero, such as the HOM null
+                            assert key not in st.terms, (convention, t, n1, n2, j)
+                            continue
+                        got = st.amplitude(key)
+                        assert got.imag == 0.0
+                        assert abs((got.real - ref) / ref) <= 4e-16, (convention, t, n1, n2, j)
 
 
 def test_beam_splitter_other_modes_untouched():
@@ -399,6 +438,16 @@ def test_detect_photon_probabilities_sum_to_one():
     )
     results = detect_photon(st, ["d1", "d2"])
     assert sum(p for _, _, p in results) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_detect_photon_on_tiny_amplitudes():
+    # every |amp|^2 underflows to 0; the state is still nonzero
+    st = PureState(("a", "d1", "d2"), {(1, 1, 0): 1e-200, (0, 0, 1): 1e-200})
+    results = detect_photon(st, ["d1", "d2"])
+    assert [r[0] for r in results] == ["d1", "d2"]
+    for _mode, branch, prob in results:
+        assert prob == pytest.approx(0.5, abs=1e-15)
+        assert norm_sq(branch) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_detect_photon_rejects_wrong_photon_count():
