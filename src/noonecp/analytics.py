@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .protocols import ProtocolConfig, run_schedule
+from .protocols import ProtocolConfig, Schedule, run_schedules
 from .protocols import _check_alpha, _check_count, _imbalance, _ratio_power
 
 # Simulation and closed form must agree at least this tightly.
@@ -79,9 +79,10 @@ def figure3_sweep(
 ) -> list[SweepPoint]:
     """Closed-form total-success curve over an alpha grid.
 
-    With ``cross_check`` set, every point is also simulated with
-    ``run_schedule`` and a disagreement beyond ORACLE_MATCH_TOLERANCE on
-    any unconditional round probability or on the total raises ValueError.
+    With ``cross_check`` set, the whole grid is also simulated in one
+    ``run_schedules`` pass, and a disagreement beyond ORACLE_MATCH_TOLERANCE
+    on any unconditional round probability or on the total raises
+    ValueError.
     """
     _check_count(k_max, "k_max")
     points: list[SweepPoint] = []
@@ -90,21 +91,15 @@ def figure3_sweep(
         if not (0.0 < a < 1.0):
             raise ValueError(f"grid values must lie strictly inside (0, 1), got {a!r}")
         per_round = tuple(p_round_closed_form(a, k) for k in range(1, k_max + 1))
-        point = SweepPoint(alpha=a, p_total=sum(per_round), per_round_p=per_round)
-        if cross_check:
-            _check_against_engine(point, n_photons, protocol)
-        points.append(point)
+        points.append(SweepPoint(alpha=a, p_total=sum(per_round), per_round_p=per_round))
+    if cross_check:
+        configs = [ProtocolConfig(protocol, p.alpha, n_photons, k_max) for p in points]
+        for point, schedule in zip(points, run_schedules(configs)):
+            _check_against_engine(point, schedule)
     return points
 
 
-def _check_against_engine(point: SweepPoint, n_photons: int, protocol: str) -> None:
-    config = ProtocolConfig(
-        protocol=protocol,
-        alpha=point.alpha,
-        n_photons=n_photons,
-        max_rounds=len(point.per_round_p),
-    )
-    schedule = run_schedule(config)
+def _check_against_engine(point: SweepPoint, schedule: Schedule) -> None:
     for row, expected in zip(schedule.per_round, point.per_round_p):
         if abs(row.p_unconditional - expected) > ORACLE_MATCH_TOLERANCE:
             raise ValueError(

@@ -11,13 +11,23 @@ treated as immutable values and are safe to share between threads. The
 registers and kets of a state built by ``PureState(...)`` are checked once
 there; the operations below derive their results from such states and build
 them without checking again.
+
+The engine may also run a batch of inputs at once: every ket then carries a
+``_Batch`` of real amplitudes, one per input. Batches combine element by
+element under the usual operators, and the few places where a scalar and a
+batch differ (the norm, unit scaling, tolerance checks, absent readings and
+splitting a result per input) go through the number seam at the end of this
+module, so every element sees exactly the float operations of its own run.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
+from itertools import repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 ModeId = str
 BasisKet = tuple[int, ...]
@@ -30,8 +40,9 @@ class PureState:
     """Pure bosonic state on a register of uniquely labeled modes.
 
     ``terms`` maps occupation tuples (one entry per register mode, in
-    register order) to complex amplitudes. Terms whose amplitude is exactly
-    zero are dropped at construction.
+    register order) to finite complex amplitudes. Terms whose amplitude is
+    exactly zero are dropped at construction. States with batched
+    amplitudes are built only inside the engine, through ``_derived``.
     """
 
     __slots__ = ("_register", "_terms")
@@ -54,6 +65,8 @@ class PureState:
                 if not isinstance(n, int) or n < 0:
                     raise ValueError(f"occupations must be non-negative ints, got {kt!r}")
             a = complex(amp)
+            if not cmath.isfinite(a):
+                raise ValueError(f"amplitude of {kt!r} must be finite, got {amp!r}")
             if a:
                 kept[kt] = a
         self._register = reg
@@ -61,10 +74,13 @@ class PureState:
 
     @classmethod
     def _derived(cls, register: tuple[ModeId, ...], terms: dict[BasisKet, complex]) -> PureState:
-        """Unchecked state from kets derived from valid states; owns ``terms``, drops zeros."""
+        """Unchecked state from kets derived from valid states; owns ``terms``, drops zeros.
+
+        A batched ket is dropped only when every element is zero.
+        """
         state = object.__new__(cls)
         state._register = register
-        state._terms = {k: a for k, a in terms.items() if a} if 0 in terms.values() else terms
+        state._terms = terms if all(terms.values()) else {k: a for k, a in terms.items() if a}
         return state
 
     @property
@@ -117,7 +133,9 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
     """Apply the creation operator on ``mode`` n times.
 
     A term with occupation m in that mode picks up the bosonic factor
-    sqrt((m+n)! / m!), so n quanta on vacuum give amplitude sqrt(n!).
+    sqrt((m+n)! / m!), so n quanta on vacuum give amplitude sqrt(n!). The
+    factor is the exact integer (m+n)!/m! rounded once before the square
+    root; a factor beyond the float range raises ValueError.
 
     Args:
         state: input state.
@@ -134,11 +152,15 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
     except ValueError:
         raise ValueError(f"mode {mode!r} not in register {state.register!r}") from None
     out: dict[BasisKet, complex] = {}
-    for ket, amp in state.terms.items():
+    for ket, amp in state._terms.items():
         m = ket[idx]
-        factor = math.sqrt(math.factorial(m + n) / math.factorial(m))
-        new_ket = ket[:idx] + (m + n,) + ket[idx + 1 :]
-        out[new_ket] = out.get(new_ket, 0j) + amp * factor
+        try:
+            factor = _sqrt_ratio(math.perm(m + n, n), 1)
+        except OverflowError:
+            raise ValueError(
+                f"bosonic factor sqrt({m + n}!/{m}!) exceeds the float range"
+            ) from None
+        out[ket[:idx] + (m + n,) + ket[idx + 1 :]] = amp * factor
     return PureState._derived(state.register, out)
 
 
@@ -159,8 +181,8 @@ def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
                 f"register mismatch in superpose: {st.register!r} vs {reg!r}"
             )
         c = complex(coeff)
-        for ket, amp in st.terms.items():
-            acc[ket] = acc.get(ket, 0j) + c * amp
+        for ket, amp in st._terms.items():
+            _add_into(acc, ket, c * amp)
     return PureState._derived(reg, acc)
 
 
@@ -174,23 +196,20 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 def norm_sq(state: PureState) -> float:
     """Sum of squared amplitude magnitudes."""
-    return sum([abs(a) ** 2 for a in state._terms.values()])
+    return _sum_abs_sq(state._terms.values())
 
 
 def normalized(state: PureState) -> PureState:
     """Scale to unit norm; zero states cannot be normalized.
 
     The norm comes from ``math.hypot``, which neither underflows nor
-    overflows, so a state of tiny nonzero amplitudes still normalizes.
+    overflows, so a state of tiny nonzero amplitudes still normalizes. In a
+    batch, an element whose norm is zero comes out NaN.
     """
-    terms = state._terms
-    norm = math.hypot(*map(abs, terms.values()))
-    if norm == 0.0:
+    norm = _norm(state._terms.values())
+    if not norm:
         raise ValueError("cannot normalize a state with zero norm")
-    scale = 1.0 / norm
-    if math.isinf(scale):  # subnormal norm: divide, 1/norm overflows
-        return PureState._derived(state.register, {k: a / norm for k, a in terms.items()})
-    return PureState._derived(state.register, {k: a * scale for k, a in terms.items()})
+    return PureState._derived(state.register, _unit(state._terms, norm))
 
 
 def inner(a: PureState, b: PureState) -> complex:
@@ -198,24 +217,203 @@ def inner(a: PureState, b: PureState) -> complex:
     if a.register != b.register:
         raise ValueError(f"register mismatch: {a.register!r} vs {b.register!r}")
     small, large = (a, b) if a.num_terms() <= b.num_terms() else (b, a)
-    total = 0j
-    for ket, amp in small.terms.items():
-        other = large.terms.get(ket)
+    total = None
+    for ket, amp in small._terms.items():
+        other = large._terms.get(ket)
         if other is not None:
-            if small is a:
-                total += amp.conjugate() * other
-            else:
-                total += other.conjugate() * amp
-    return total
+            term = amp.conjugate() * other if small is a else other.conjugate() * amp
+            total = term if total is None else total + term
+    return 0j if total is None else total
 
 
 def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     """|<a|b>|^2, insensitive to any unit-modulus global factor.
 
-    Both inputs must already be normalized within NORM_TOLERANCE.
+    Both inputs must already be normalized within NORM_TOLERANCE (a NaN
+    element of a batch, an absent reading, passes and gives NaN).
     """
     for name, st in (("first", a), ("second", b)):
-        if abs(norm_sq(st) - 1.0) > NORM_TOLERANCE:
+        if _off(norm_sq(st), 1.0, NORM_TOLERANCE):
             raise ValueError(f"{name} argument is not normalized")
-    f = abs(inner(a, b)) ** 2
-    return min(max(f, 0.0), 1.0)
+    return _clip_unit(abs(inner(a, b)) ** 2)
+
+
+# --- Number seam: the only code that tells a plain amplitude from a batch. ---
+
+
+def _div_or_nan(x: float, y: float) -> float:
+    return x / y if y else math.nan
+
+
+class _Batch(tuple):
+    """The amplitudes of one ket across a batch of runs, one float per run.
+
+    Operators act element by element, and a plain number operand acts on
+    every element, so each element sees exactly the float operations of its
+    own scalar run. A batch is true when any element is nonzero; dividing by
+    a zero element gives NaN there. Amplitude elements are real floats (the
+    engine's amplitudes are exactly real), so ``conjugate`` is the identity;
+    only an inner product with a complex state holds complex elements.
+    """
+
+    __slots__ = ()
+
+    def _map(self, op: Callable, other: object) -> _Batch:
+        return _Batch(map(op, self, other if type(other) is _Batch else repeat(other)))
+
+    def _rmap(self, op: Callable, other: object) -> _Batch:
+        return _Batch(map(op, repeat(other), self))
+
+    def __add__(self, other: object) -> _Batch:
+        return self._map(operator.add, other)
+
+    def __radd__(self, other: object) -> _Batch:
+        return self._rmap(operator.add, other)
+
+    def __mul__(self, other: object) -> _Batch:
+        return self._map(operator.mul, other)
+
+    def __rmul__(self, other: object) -> _Batch:
+        return self._rmap(operator.mul, other)
+
+    def __pow__(self, other: object) -> _Batch:
+        return self._map(operator.pow, other)
+
+    def __truediv__(self, other: object) -> _Batch:
+        try:
+            return self._map(operator.truediv, other)
+        except ZeroDivisionError:
+            return self._map(_div_or_nan, other)
+
+    def __rtruediv__(self, other: object) -> _Batch:
+        try:
+            return self._rmap(operator.truediv, other)
+        except ZeroDivisionError:
+            return self._rmap(_div_or_nan, other)
+
+    def __neg__(self) -> _Batch:
+        return _Batch(map(operator.neg, self))
+
+    def __abs__(self) -> _Batch:
+        return _Batch(map(abs, self))
+
+    def __bool__(self) -> bool:
+        return any(self)
+
+    def conjugate(self) -> _Batch:
+        return self
+
+    def __format__(self, spec: str) -> str:
+        return "[" + ", ".join(format(x, spec) for x in self) + "]"
+
+
+def _batch(values: list[float]) -> complex | _Batch:
+    """One amplitude across a batch of runs; a batch of one is a plain complex."""
+    return complex(values[0]) if len(values) == 1 else _Batch(values)
+
+
+def _add_into(acc: dict, key: BasisKet, value) -> None:
+    """acc[key] += value, where an absent key counts as zero."""
+    acc[key] = acc[key] + value if key in acc else value
+
+
+def _batched(amps: Collection) -> bool:
+    """Whether a state's amplitudes are batches.
+
+    A state's amplitudes are all plain numbers or all batches of one size.
+    """
+    return type(next(iter(amps), None)) is _Batch
+
+
+def _norm(amps: Collection):
+    """hypot of the amplitudes' magnitudes, per element for a batch."""
+    if _batched(amps):
+        return _Batch(map(math.hypot, *amps))
+    return math.hypot(*map(abs, amps))
+
+
+def _unit(terms: Mapping[BasisKet, complex], norm) -> dict[BasisKet, complex]:
+    """``terms`` divided by their nonzero ``norm``.
+
+    Each amplitude is multiplied by 1/norm, or divided by norm where 1/norm
+    overflows (a subnormal norm). Batch elements with zero norm become NaN.
+    """
+    scale = 1.0 / norm
+    if type(scale) is _Batch:
+        if any(map(math.isinf, scale)):
+            return {
+                k: _Batch(x / n if math.isinf(s) else x * s for x, n, s in zip(a, norm, scale))
+                for k, a in terms.items()
+            }
+    elif math.isinf(scale):
+        return {k: a / norm for k, a in terms.items()}
+    return {k: a * scale for k, a in terms.items()}
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for non-negative ints, the ratio rounded once.
+
+    A ratio beyond the float range is scaled by an even power of two before
+    its one rounding; OverflowError if the root itself leaves the range.
+    """
+    try:
+        return math.sqrt(num / den)
+    except OverflowError:
+        half = (num.bit_length() - den.bit_length() - 1000) // 2
+        return math.ldexp(math.sqrt(num / (den << 2 * half)), half)
+
+
+def _off(value, expected: float, tolerance: float) -> bool:
+    """|value - expected| > tolerance for some element; NaN never is."""
+    if type(value) is _Batch:
+        return any(map(tolerance.__lt__, map(abs, map(operator.sub, value, repeat(expected)))))
+    return abs(value - expected) > tolerance
+
+
+def _nonnegative_real(amp):
+    """The real value of an exactly real, non-negative amplitude, else None."""
+    if type(amp) is _Batch:
+        return amp if all(map((0.0).__le__, amp)) else None
+    return amp.real if amp.imag == 0.0 and amp.real >= 0.0 else None
+
+
+def _sum_abs_sq(amps: Collection):
+    """The sum of abs(amp) ** 2 in order, per element for a batch.
+
+    A batch's real elements need no abs before the even power.
+    """
+    if _batched(amps):
+        return sum([_Batch(map(operator.pow, a, repeat(2))) for a in amps])
+    return sum([abs(a) ** 2 for a in amps])
+
+
+def _clip_unit(value):
+    """min(max(value, 0.0), 1.0), per element for a batch; NaN stays NaN."""
+    if type(value) is _Batch:
+        return _Batch(map(min, map(max, value, repeat(0.0)), repeat(1.0)))
+    return min(max(value, 0.0), 1.0)
+
+
+def _present(state: PureState, weight) -> PureState | None:
+    """``state`` where ``weight`` > 0: the per-element absent-reading mask.
+
+    None when no element has positive weight. A batch keeps its shape: the
+    elements without weight become NaN, which every tolerance check passes
+    and every result derived from them carries.
+    """
+    if type(weight) is not _Batch:
+        return state if weight > 0.0 else None
+    present = [w > 0.0 for w in weight]
+    if all(present):
+        return state
+    if not any(present):
+        return None
+    mask = _Batch(1.0 if p else math.nan for p in present)
+    return PureState._derived(state.register, {k: a * mask for k, a in state._terms.items()})
+
+
+def _per_element(values: tuple, size: int) -> list[tuple]:
+    """A tuple of plain numbers and batches, as one tuple per element of a batch."""
+    if size == 1:
+        return [values]
+    return list(zip(*(v if type(v) is _Batch else repeat(v, size) for v in values)))

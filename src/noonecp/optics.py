@@ -32,6 +32,11 @@ from .fock import (
     BasisKet,
     ModeId,
     PureState,
+    _add_into,
+    _norm,
+    _off,
+    _sqrt_ratio,
+    _unit,
     normalized,
     norm_sq,
 )
@@ -109,7 +114,7 @@ def _scatter(n1: int, n2: int, t: float, convention: str) -> tuple[tuple[int, in
             term = math.comb(n1, k1) * math.comb(n2, j - k1) * q ** (a // 2) * p ** (b // 2)
             total += -term if (n1 - k1 if convention == "ecp1" else n2 - j + k1) % 2 else term
         w_sq = total * total * q ** (a % 2) * p ** (b % 2) * math.factorial(j) * math.factorial(m)
-        weight = math.sqrt(w_sq / scale)
+        weight = _sqrt_ratio(w_sq, scale)
         if weight:
             out.append((j, m, weight if total > 0 else -weight))  # S may overflow a float
     return tuple(out)
@@ -139,14 +144,13 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
         raise ValueError(f"splitter output labels collide with register {reg!r}")
 
     out: dict[BasisKet, complex] = {}
-    for ket, amp in state.terms.items():
+    for ket, amp in state._terms.items():
         for j, m, weight in _scatter(
             ket[i1], ket[i2], spec.transmissivity, spec.sign_convention
         ):
             new_ket = list(ket)
             new_ket[i1], new_ket[i2] = j, m
-            key = tuple(new_ket)
-            out[key] = out.get(key, 0j) + amp * weight
+            _add_into(out, tuple(new_ket), amp * weight)
     return PureState._derived(tuple(new_reg), out)
 
 
@@ -206,22 +210,21 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     """
     state, phases = state
     total = norm_sq(state)
-    if abs(total - 1.0) > NORM_TOLERANCE:
+    if _off(total, 1.0, NORM_TOLERANCE):
         raise ValueError(f"homodyne readout expects a normalized state, norm^2={total}")
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
-    for ket, amp in state.terms.items():
+    for ket, amp in state._terms.items():
         p = abs(phases[ket])
         for key, members in classes:
             if abs(p - key) < PHASE_CLASS_TOLERANCE:
-                members[ket] = members.get(ket, 0j) + amp
+                members[ket] = amp
                 break
         else:
             classes.append((p, {ket: amp}))
     outcomes = []
     for key, members in sorted(classes, key=lambda kv: kv[0]):
         raw = PureState._derived(state.register, members)
-        mass = norm_sq(raw)
-        outcomes.append(HomodyneOutcome(key, normalized(raw), mass))
+        outcomes.append(HomodyneOutcome(key, normalized(raw), norm_sq(raw)))
     return outcomes
 
 
@@ -249,24 +252,24 @@ def detect_photon(
     if not kept_reg:
         raise ValueError("detection would remove every mode in the register")
 
+    # Within one detector's group every ket has the same detector occupations,
+    # so the reduced kets of a group are distinct.
     groups: dict[ModeId, dict[BasisKet, complex]] = {}
-    for ket, amp in state.terms.items():
+    for ket, amp in state._terms.items():
         occ = [ket[i] for i in idxs]
         if sum(occ) != 1:
             raise ValueError(
                 f"branch {ket!r} holds {sum(occ)} photons across detectors, expected 1"
             )
-        bucket = groups.setdefault(modes[occ.index(1)], {})
-        reduced = tuple([ket[i] for i in keep])
-        bucket[reduced] = bucket.get(reduced, 0j) + amp
+        groups.setdefault(modes[occ.index(1)], {})[tuple([ket[i] for i in keep])] = amp
     # hypot, as in normalized: amplitudes below ~1e-162 must not square to 0
-    norms = {m: math.hypot(*map(abs, bucket.values())) for m, bucket in groups.items()}
-    total = math.hypot(*norms.values())
-    if total == 0.0:
+    norms = {m: _norm(bucket.values()) for m, bucket in groups.items()}
+    total = _norm(norms.values())
+    if not total:
         raise ValueError("cannot detect on a state with zero norm")
 
     return [
-        (m, normalized(PureState._derived(kept_reg, groups[m])), (norms[m] / total) ** 2)
+        (m, PureState._derived(kept_reg, _unit(groups[m], norms[m])), (norms[m] / total) ** 2)
         for m in modes
         if m in groups
     ]
@@ -284,6 +287,6 @@ def negate_occupied(state: PureState, mode: ModeId) -> PureState:
     except ValueError:
         raise ValueError(f"mode {mode!r} not in register {state.register!r}") from None
     out = {
-        ket: (-amp if ket[idx] > 0 else amp) for ket, amp in state.terms.items()
+        ket: (-amp if ket[idx] > 0 else amp) for ket, amp in state._terms.items()
     }
     return PureState._derived(state.register, out)

@@ -24,12 +24,17 @@ lossless model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, NamedTuple
 
 from .fock import (
     ModeId,
     PureState,
+    _batch,
+    _nonnegative_real,
+    _off,
+    _per_element,
+    _present,
     basis_state,
     fidelity_up_to_global_phase,
     inner,
@@ -189,6 +194,10 @@ class RoundOutcome:
     the recycled squared-coefficient state for the 0 reading.
     corrections_applied records which detector clicks required the sign
     correction, as "branch:detector:negate(mode)" strings.
+
+    For a batched input state the probabilities and the VBS setting hold
+    one value per element, and success_state is NaN in the elements whose
+    success reading is absent.
     """
 
     round_index: int
@@ -326,14 +335,10 @@ def _noon_coefficients(state: PureState) -> tuple[float, float, int]:
         if n and occupied[0] != n:
             raise ValueError(f"mixed photon numbers in {state!r}")
         n = occupied[0]
-    ca = terms.get((n, 0), 0j)
-    cb = terms.get((0, n), 0j)
-    for c in (ca, cb):
-        if c.imag != 0.0 or c.real < 0.0:
-            raise ValueError(
-                f"NOON coefficients must be real and non-negative, got {state!r}"
-            )
-    return ca.real, cb.real, n
+    ca, cb = (_nonnegative_real(terms.get(ket, 0j)) for ket in ((n, 0), (0, n)))
+    if ca is None or cb is None:
+        raise ValueError(f"NOON coefficients must be real and non-negative, got {state!r}")
+    return ca, cb, n
 
 
 def _interfere_and_detect(
@@ -358,7 +363,7 @@ def _interfere_and_detect(
     for other in corrected[1:]:
         # Both branches are normalized, so |<a|b>|^2 is their fidelity.
         fid = abs(inner(corrected[0], other)) ** 2
-        if abs(fid - 1.0) > _FOLD_TOLERANCE:
+        if _off(fid, 1.0, _FOLD_TOLERANCE):
             raise ValueError(
                 f"detector branches disagree after correction (fidelity {fid})"
             )
@@ -396,7 +401,7 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     sig_b = state.register[1]
     theta = config.theta
     first, second = (cb, ca) if scheme.swapped else (ca, cb)
-    aux = PureState(scheme.aux_modes, {(1, 0): first, (0, 1): second})
+    aux = PureState._derived(scheme.aux_modes, {(1, 0): first, (0, 1): second})
     tagged = cross_kerr_tag(tensor(state, aux), sig_b, -theta / n)
     readings = homodyne_partition(cross_kerr_tag(tagged, scheme.tag_mode, theta))
 
@@ -415,13 +420,14 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
         raise ValueError("probe readout produced no recyclable branch")
 
     notes: list[str] = []
-    # A reading whose probability underflowed to 0.0 counts as absent.
-    success_prob = 0.0 if success_reading is None else success_reading.probability
+    success_prob = 0.0
     success_state = None
-    if success_prob > 0.0:
-        success_state = _interfere_and_detect(
-            success_reading.branch, scheme, sig_b, "success", notes
-        )
+    if success_reading is not None:
+        success_prob = success_reading.probability
+        # A reading whose probability underflowed to 0.0 counts as absent.
+        branch = _present(success_reading.branch, success_prob)
+        if branch is not None:
+            success_state = _interfere_and_detect(branch, scheme, sig_b, "success", notes)
     failure_state = _interfere_and_detect(
         failure_reading.branch, scheme, sig_b, "failure", notes
     )
@@ -444,37 +450,71 @@ def run_schedule(config: ProtocolConfig) -> Schedule:
     schedule is lossless; ``apply_loss_model`` folds channel transmission
     in afterwards.
     """
-    state = prepare_less_entangled_noon(config.alpha, config.n_photons, SIGNAL_MODES)
-    target = maximally_entangled_noon(config.n_photons, SIGNAL_MODES)
-    rows: list[RoundStats] = []
+    return run_schedules([config])[0]
+
+
+# Every ProtocolConfig field but alpha must agree across one batch.
+_SHARED_FIELDS = tuple(f.name for f in fields(ProtocolConfig) if f.name != "alpha")
+
+
+def run_schedules(configs: Iterable[ProtocolConfig]) -> list[Schedule]:
+    """``run_schedule`` of every config, as one engine pass over the batch.
+
+    The configs must agree on everything except alpha (ValueError
+    otherwise). At fixed N every alpha walks through the same kets, so each
+    round runs once with one amplitude batch per ket; every element sees
+    the float operations of its own scalar run, so each schedule equals
+    ``run_schedule`` of its config bit for bit.
+    """
+    configs = list(configs)
+    if not configs:
+        return []
+    first = configs[0]
+    shared = [getattr(first, name) for name in _SHARED_FIELDS]
+    for config in configs:
+        if [getattr(config, name) for name in _SHARED_FIELDS] != shared:
+            raise ValueError(
+                f"batched configs may differ only in alpha: {config!r} vs {first!r}"
+            )
+    n = first.n_photons
+    state = PureState._derived(
+        SIGNAL_MODES,
+        {
+            (n, 0): _batch([c.alpha for c in configs]),
+            (0, n): _batch([c.beta for c in configs]),
+        },
+    )
+    target = maximally_entangled_noon(n, SIGNAL_MODES)
+    rows = []
     survival = 1.0
     p_total = 0.0
-    for k in range(1, config.max_rounds + 1):
-        outcome = run_round(state, config, k)
+    for k in range(1, first.max_rounds + 1):
+        outcome = run_round(state, first, k)
         if outcome.success_state is not None:
             fidelity = fidelity_up_to_global_phase(outcome.success_state, target)
         else:
             fidelity = math.nan
         unconditional = outcome.success_prob * survival
         rows.append(
-            RoundStats(
-                round_index=k,
-                vbs_transmission=outcome.vbs_transmission_used,
-                p_conditional=outcome.success_prob,
-                p_unconditional=unconditional,
-                success_fidelity=fidelity,
-            )
+            (k, outcome.vbs_transmission_used, outcome.success_prob, unconditional, fidelity)
         )
         p_total += unconditional
         survival *= outcome.failure_prob
         state = outcome.failure_state
-    return Schedule(
-        protocol=config.protocol,
-        alpha=config.alpha,
-        n_photons=config.n_photons,
-        per_round=tuple(rows),
-        p_total=p_total,
-    )
+    size = len(configs)
+    per_round = [map(RoundStats._make, _per_element(row, size)) for row in rows]
+    return [
+        Schedule(
+            protocol=config.protocol,
+            alpha=config.alpha,
+            n_photons=config.n_photons,
+            per_round=stats,
+            p_total=total,
+        )
+        for config, stats, (total,) in zip(
+            configs, zip(*per_round), _per_element((p_total,), size)
+        )
+    ]
 
 
 def apply_loss_model(schedule: Schedule, config: ProtocolConfig) -> Schedule:

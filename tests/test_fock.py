@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from noonecp import (
@@ -68,6 +69,31 @@ def test_create_norm_is_factorial():
     for n in range(1, 7):
         st = create(vacuum(("m",)), "m", n)
         assert norm_sq(st) == pytest.approx(math.factorial(n), rel=1e-12)
+
+
+def test_create_factor_is_the_rounded_factorial_ratio():
+    # the one rounding of (m+n)!/m!, as the float division of the factorials gives it
+    for m in range(0, 40):
+        for n in range(1, 100):
+            got = create(basis_state(("m",), (m,)), "m", n).amplitude((m + n,))
+            assert got == math.sqrt(math.factorial(m + n) / math.factorial(m))
+
+
+@pytest.mark.parametrize("n", [171, 300])
+def test_create_beyond_factorial_float_range_matches_mpmath(n):
+    # n! overflows a double from n = 171, sqrt(n!) only from n = 301
+    got = create(vacuum(("m",)), "m", n).amplitude((n,))
+    assert got.imag == 0.0
+    with mpmath.workdps(60):
+        ref = mpmath.sqrt(mpmath.factorial(n))
+        assert abs(mpmath.mpf(got.real) - ref) <= mpmath.mpf(math.ulp(got.real))
+
+
+def test_create_rejects_factor_beyond_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        create(vacuum(("m",)), "m", 301)
+    with pytest.raises(ValueError, match="float range"):
+        create(basis_state(("m",), (1000,)), "m", 210)
 
 
 def test_superpose_noon_is_normalized():
@@ -273,3 +299,11 @@ def test_state_rejects_negative_occupation():
 def test_state_rejects_wrong_width_ket():
     with pytest.raises(ValueError):
         PureState(("a", "b"), {(1,): 1.0})
+
+
+@pytest.mark.parametrize(
+    "amp", [math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 0.0)]
+)
+def test_state_rejects_non_finite_amplitudes(amp):
+    with pytest.raises(ValueError, match="finite"):
+        PureState(("a", "b"), {(1, 0): amp, (0, 1): 1.0})

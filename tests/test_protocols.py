@@ -1,6 +1,7 @@
 """Tests for the concentration-round engine and schedule runner."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from noonecp import (
     prepare_less_entangled_noon,
     run_round,
     run_schedule,
+    run_schedules,
     superpose,
     vbs_transmission,
 )
@@ -490,3 +492,83 @@ def test_protocols_agree_for_all_photon_numbers(n):
         assert s1.p_total == pytest.approx(s2.p_total, abs=1e-12)
         for a, b in zip(s1.per_round, s2.per_round):
             assert a.p_unconditional == pytest.approx(b.p_unconditional, abs=1e-12)
+
+
+# alpha^2 = 1e-4 and 0.9999 lose their smaller coefficient to underflow
+# mid-run while the other elements keep both; 10^-2.5 and 1e-78 pass through
+# a subnormal branch norm; the rest sit near balance, repeat a value, or are
+# generic.
+_BATCH_ALPHA_SQ = (
+    1e-4, 0.9999, 0.5 + 1e-15, 0.5 - 1e-15, 0.5 + 1e-9, 0.5000001,
+    0.3, 0.3, 0.8, 1e-300, 1 - 1e-16, 0.12345, 10**-2.5, 1e-78, 1e-4,
+)
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _assert_batch_matches_scalar_runs(configs):
+    batch = run_schedules(configs)
+    assert len(batch) == len(configs)
+    for config, got in zip(configs, batch):
+        want = run_schedule(config)
+        assert (got.protocol, got.alpha, got.n_photons) == (
+            config.protocol, config.alpha, config.n_photons
+        )
+        assert _same_bits(got.p_total, want.p_total)
+        assert len(got.per_round) == len(want.per_round) == config.max_rounds
+        for got_row, want_row in zip(got.per_round, want.per_round):
+            assert got_row.round_index == want_row.round_index
+            for field in ("vbs_transmission", "p_conditional", "p_unconditional",
+                          "success_fidelity"):
+                assert _same_bits(getattr(got_row, field), getattr(want_row, field)), (
+                    config.alpha, got_row.round_index, field
+                )
+    return batch
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 100])
+@pytest.mark.parametrize("k_max", [1, 10, 60])
+def test_run_schedules_equals_scalar_runs_bit_for_bit(protocol, n, k_max):
+    configs = [_config(protocol, x, n, max_rounds=k_max) for x in _BATCH_ALPHA_SQ]
+    batch = _assert_batch_matches_scalar_runs(configs)
+    # the grid really mixes present and absent success readings in one round
+    absent = [{math.isnan(s.per_round[k].success_fidelity) for s in batch} for k in range(k_max)]
+    assert ({True, False} in absent) == (k_max > 1)
+
+
+def test_run_schedules_equals_scalar_runs_on_a_dense_grid():
+    # a last-bit slip in one element-wise operation (say x * x for abs(x) ** 2)
+    # changes about one round yield in a thousand, so this grid is dense
+    grid = np.random.default_rng(6).uniform(0.01, 0.99, 600)
+    _assert_batch_matches_scalar_runs([_config("ecp2", x, 1, max_rounds=10) for x in grid])
+
+
+def test_run_schedules_of_nothing_is_empty():
+    assert run_schedules([]) == []
+    assert run_schedules(iter(())) == []
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        {"protocol": "ecp2"},
+        {"n": 3},
+        {"theta": 0.2},
+        {"max_rounds": 11},
+        {"loss_eta": 0.9},
+    ],
+)
+def test_run_schedules_rejects_configs_differing_beyond_alpha(other):
+    base = _config("ecp1", 0.3, 2)
+    odd = _config(**{"protocol": "ecp1", "alpha_sq": 0.7, "n": 2, **other})
+    with pytest.raises(ValueError, match="only in alpha"):
+        run_schedules([base, odd])
+    with pytest.raises(ValueError, match="only in alpha"):
+        run_schedules([odd, base, base])
