@@ -150,7 +150,8 @@ class ProtocolConfig:
     |0,N> coefficient is sqrt(1 - alpha^2). theta is the probe phase per
     auxiliary photon (its sign and magnitude only need to keep the success
     and failure readings distinguishable, so it may not lie within
-    PHASE_CLASS_TOLERANCE of a multiple of 2*pi). loss_eta is the single-pass
+    PHASE_CLASS_TOLERANCE of a multiple of 2*pi, and N tags of -theta/N must
+    cancel it within that tolerance in doubles). loss_eta is the single-pass
     channel transmission used by ``apply_loss_model``.
     """
 
@@ -174,6 +175,16 @@ class ProtocolConfig:
             raise ValueError(
                 "theta must stay farther than the homodyne phase tolerance "
                 f"{PHASE_CLASS_TOLERANCE} from every multiple of 2*pi, got {th!r}"
+            )
+        # The failure reading's probe phase, as run_round's two tags add it up
+        # on |0,N> x aux photon in the tag mode; it must land in the 0 class.
+        n = self.n_photons
+        residual = (0.0 + n * (-th / n)) + th
+        if abs(residual) >= PHASE_CLASS_TOLERANCE:
+            raise ValueError(
+                f"theta={th!r} does not split into {n} per-photon tags that cancel "
+                f"it within {PHASE_CLASS_TOLERANCE} in double precision "
+                f"(residual {residual!r})"
             )
         eta = self.loss_eta
         if not (_finite_real(eta) and 0.0 <= eta <= 1.0):

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from noonecp import default_alpha_grid
+from noonecp import cli, default_alpha_grid
 from noonecp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _grid, main
 
 BALANCED_SQ = 0.5
@@ -188,6 +188,15 @@ def test_run_rejects_bad_numbers(capsys):
     assert _run(capsys, ["run", "--alpha-sq", "0.5", "--n", "0"])[0] == EXIT_USAGE
     assert _run(capsys, ["run", "--alpha-sq", "0.5", "--eta", "1.5"])[0] == EXIT_USAGE
     assert _run(capsys, ["run", "--alpha-sq", "0.5", "--theta", "0"])[0] == EXIT_USAGE
+    # N tags of -theta/N that do not cancel theta in doubles
+    for argv in (
+        ["run", "--alpha-sq", "0.3", "--n", "11", "--theta", "1e8"],
+        ["sweep", "--n", "19", "--theta", "1e7"],
+        ["compare-loss", "--n", "11", "--theta", "1e8"],
+    ):
+        code, _, err = _run(capsys, argv)
+        assert code == EXIT_USAGE, argv
+        assert "cancel" in err, argv
 
 
 def test_help_exits_zero(capsys):
@@ -264,6 +273,59 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
     assert _run(capsys, args + ["--out", str(a)])[0] == EXIT_OK
     assert _run(capsys, args + ["--out", str(b)])[0] == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def _spy_on_passes(monkeypatch):
+    """Record the number of configs of each ``run_schedules`` call the CLI makes."""
+    sizes = []
+    real = cli.run_schedules
+
+    def spy(configs):
+        sizes.append(len(configs))
+        return real(configs)
+
+    monkeypatch.setattr(cli, "run_schedules", spy)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--grid", "0.1:0.9:7", "--rounds", "10"],
+        ["compare-loss", "--grid", "0.1:0.9:7", "--rounds", "10", "--n", "3", "--eta", "0.9"],
+    ],
+)
+def test_ragged_passes_write_the_same_bytes(tmp_path, capsys, monkeypatch, argv):
+    whole = tmp_path / "whole.csv"
+    split = tmp_path / "split.csv"
+    assert _run(capsys, argv + ["--out", str(whole)])[0] == EXIT_OK
+    # 25 point-rounds at K = 10: two points per pass, one in the last
+    monkeypatch.setattr(cli, "_POINT_ROUNDS_PER_PASS", 25)
+    sizes = _spy_on_passes(monkeypatch)
+    assert _run(capsys, argv + ["--out", str(split)])[0] == EXIT_OK
+    assert sizes == [2, 2, 2, 1] * (2 if argv[0] == "compare-loss" else 1)
+    assert split.read_bytes() == whole.read_bytes()
+
+
+def test_sweep_runs_a_benchmark_sized_grid_in_one_pass(capsys, monkeypatch):
+    sizes = _spy_on_passes(monkeypatch)
+    code, _, err = _run(capsys, ["sweep", "--grid", "0.0478:0.9575:212", "--rounds", "10"])
+    assert code == EXIT_OK, err
+    assert sizes == [212]
+
+
+def test_compare_loss_runs_one_pass_per_protocol(capsys, monkeypatch):
+    sizes = _spy_on_passes(monkeypatch)
+    code, _, err = _run(capsys, ["compare-loss", "--eta", "0.9"])
+    assert code == EXIT_OK, err
+    assert sizes == [len(default_alpha_grid())] * 2
+
+
+def test_deep_sweep_passes_hold_at_most_eight_points(capsys, monkeypatch):
+    sizes = _spy_on_passes(monkeypatch)
+    code, _, err = _run(capsys, ["sweep", "--grid", "0.1:0.9:20", "--rounds", "1000"])
+    assert code == EXIT_OK, err
+    assert sizes == [8, 8, 4]
 
 
 def test_sweep_rejects_bad_grids(capsys):

@@ -178,6 +178,10 @@ def test_config_validation():
     for theta in (2 * math.pi, -4 * math.pi, 2 * math.pi + 1e-12):
         with pytest.raises(ValueError):
             _config(theta=theta)
+    # N tags of -theta/N must cancel theta in doubles
+    for n, theta in ((11, 1e8), (19, 1e7)):
+        with pytest.raises(ValueError, match="cancel"):
+            _config(n=n, theta=theta)
     with pytest.raises(ValueError):
         _config(loss_eta=-0.1)
     with pytest.raises(ValueError):
@@ -188,6 +192,30 @@ def test_config_validation():
     for eta in (True, False):
         with pytest.raises(ValueError):
             ProtocolConfig("ecp1", 0.5, loss_eta=eta)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_config_rejects_exactly_the_thetas_the_engine_cannot_read(protocol):
+    """ProtocolConfig refuses a (theta, N) exactly where run_round would raise."""
+    for n in (1, 2, 3, 5, 11, 19, 100):
+        for theta in (0.1, 1.0, -0.2, math.pi, 1e7, 1e8):
+            try:
+                _config(protocol, n=n, theta=theta)
+                refused = False
+            except ValueError:
+                refused = True
+            # force the setting past validation and ask the engine
+            config = _config(protocol, n=n, max_rounds=1)
+            object.__setattr__(config, "theta", theta)
+            try:
+                run_schedule(config)
+                unreadable = False
+            except ValueError as exc:
+                assert "unexpected probe phase class" in str(exc)
+                unreadable = True
+            assert refused == unreadable, (n, theta)
+            residual = (0.0 + n * (-theta / n)) + theta
+            assert refused == (abs(residual) >= 1e-9), (n, theta)
 
 
 def test_config_accepts_readable_phases():
