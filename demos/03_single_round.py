@@ -74,4 +74,3 @@ print("\nengine round 1:")
 print("  success probability:", out.success_prob, "(expected", 2 * alpha_sq * (1 - alpha_sq), ")")
 print("  success state:", out.success_state)
 print("  failure state:", out.failure_state)
-print("  corrections:", out.corrections_applied)

@@ -88,10 +88,8 @@ def figure3_sweep(
     points: list[SweepPoint] = []
     for a in default_alpha_grid() if grid is None else grid:
         a = float(a)
-        if not (0.0 < a < 1.0):
-            raise ValueError(f"grid values must lie strictly inside (0, 1), got {a!r}")
         per_round = tuple(p_round_closed_form(a, k) for k in range(1, k_max + 1))
-        points.append(SweepPoint(alpha=a, p_total=sum(per_round), per_round_p=per_round))
+        points.append(SweepPoint(a, p_total_closed_form(a, k_max), per_round))
     if cross_check:
         configs = [ProtocolConfig(protocol, p.alpha, n_photons, k_max) for p in points]
         for point, schedule in zip(points, run_schedules(configs)):

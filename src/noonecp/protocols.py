@@ -38,7 +38,6 @@ from .fock import (
     basis_state,
     fidelity_up_to_global_phase,
     inner,
-    superpose,
     tensor,
 )
 from .optics import (
@@ -203,8 +202,6 @@ class RoundOutcome:
     probe reading (None when that reading's probability is zero, or
     underflows to zero after deep recycling). failure_state is
     the recycled squared-coefficient state for the 0 reading.
-    corrections_applied records which detector clicks required the sign
-    correction, as "branch:detector:negate(mode)" strings.
 
     For a batched input state the probabilities and the VBS setting hold
     one value per element, and success_state is NaN in the elements whose
@@ -217,7 +214,6 @@ class RoundOutcome:
     failure_state: PureState
     failure_prob: float
     vbs_transmission_used: float | None
-    corrections_applied: tuple[str, ...]
 
 
 class RoundStats(NamedTuple):
@@ -251,14 +247,8 @@ def prepare_less_entangled_noon(
     """alpha|N,0> + sqrt(1-alpha^2)|0,N> on the two given modes."""
     _check_alpha(alpha)
     _check_count(n_photons, "n_photons")
-    beta = math.sqrt(1.0 - alpha * alpha)
     n = n_photons
-    return superpose(
-        [
-            (alpha, basis_state(modes, (n, 0))),
-            (beta, basis_state(modes, (0, n))),
-        ]
-    )
+    return PureState(modes, {(n, 0): alpha, (0, n): math.sqrt(1.0 - alpha * alpha)})
 
 
 def maximally_entangled_noon(
@@ -268,12 +258,7 @@ def maximally_entangled_noon(
     _check_count(n_photons, "n_photons")
     r = 1.0 / math.sqrt(2.0)
     n = n_photons
-    return superpose(
-        [
-            (r, basis_state(modes, (n, 0))),
-            (r, basis_state(modes, (0, n))),
-        ]
-    )
+    return PureState(modes, {(n, 0): r, (0, n): r})
 
 
 def prepare_aux_ecp1(
@@ -323,45 +308,31 @@ def vbs_transmission(alpha: float, round_k: int) -> float:
     return (1.0 if signed > 0.0 else r_pow) / (1.0 + r_pow)
 
 
-def _noon_coefficients(state: PureState) -> tuple[float, float, int]:
-    """Validate a (possibly degenerate) NOON-form state and pull (ca, cb, N).
+def _noon_coefficients(state: PureState, n: int) -> tuple[float, float]:
+    """(ca, cb) of a state ca|N,0> + cb|0,N> on a two-mode register, N = n.
 
-    Accepts one or two terms shaped (N,0)/(0,N) with exactly real,
-    non-negative amplitudes on a two-mode register (the engine keeps them
-    so); a missing term counts as coefficient zero (it may have underflowed
-    to zero after deep recycling).
+    The coefficients must be exactly real and non-negative (the engine keeps
+    them so); one of them may be missing, as after deep recycling squares
+    it to zero.
     """
-    if len(state.register) != 2:
-        raise ValueError(
-            f"expected a two-mode state, got register {state.register!r}"
-        )
-    terms = dict(state.terms)
-    if not 1 <= len(terms) <= 2:
-        raise ValueError(f"expected a NOON-form state, got {state!r}")
-    n = 0
-    for ket in terms:
-        occupied = [v for v in ket if v > 0]
-        if len(occupied) != 1:
-            raise ValueError(f"branch {ket!r} is not a NOON component")
-        if n and occupied[0] != n:
-            raise ValueError(f"mixed photon numbers in {state!r}")
-        n = occupied[0]
-    ca, cb = (_nonnegative_real(terms.get(ket, 0j)) for ket in ((n, 0), (0, n)))
+    terms = state.terms
+    kets = ((n, 0), (0, n))
+    if len(state.register) != 2 or not terms or not terms.keys() <= set(kets):
+        raise ValueError(f"expected a two-mode NOON state with N={n}, got {state!r}")
+    ca, cb = (_nonnegative_real(terms.get(ket, 0j)) for ket in kets)
     if ca is None or cb is None:
         raise ValueError(f"NOON coefficients must be real and non-negative, got {state!r}")
-    return ca, cb, n
+    return ca, cb
 
 
-def _interfere_and_detect(
-    branch: PureState, scheme: _Scheme, sign_mode: ModeId, label: str, notes: list[str]
-) -> PureState:
+def _interfere_and_detect(branch: PureState, scheme: _Scheme, sign_mode: ModeId) -> PureState:
     """Balanced splitter on the auxiliary pair, detect, correct, fold.
 
     Both detector outcomes are kept: a click on the second detector gets the
     sign correction on the N-photon mode, after which the two projected
     states agree up to a global phase. The first-detector branch (always
     present, with real non-negative amplitudes) is returned as the folded
-    state; each correction is appended to ``notes``.
+    state.
     """
     corrected: list[PureState] = []
     for fired, projected, _prob in detect_photon(
@@ -369,7 +340,6 @@ def _interfere_and_detect(
     ):
         if fired == scheme.detectors[1]:
             projected = negate_occupied(projected, sign_mode)
-            notes.append(f"{label}:{fired}:negate({sign_mode})")
         corrected.append(projected)
     for other in corrected[1:]:
         # Both branches are normalized, so |<a|b>|^2 is their fidelity.
@@ -384,13 +354,14 @@ def _interfere_and_detect(
 def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOutcome:
     """Execute one concentration round on a NOON-form input state.
 
-    The input lives on two signal modes (register order fixes which mode
-    carries the N-photon component of the first term). Auxiliary and
-    detector modes use the package-default labels, so the signal register
-    must not collide with them. Both schemes build the auxiliary photon from
-    the input's own coefficients (ca, cb): ecp1 as ca|1,0> + cb|0,1>, ecp2 as
-    cb|1,0> + ca|0,1>, the variable splitter set to t = ca^2. round_k is only
-    validated and recorded.
+    The input must be ca|N,0> + cb|0,N> on two signal modes, with N the
+    config's n_photons and ca, cb exactly real and non-negative (one may be
+    zero); anything else raises ValueError. Auxiliary and detector modes use
+    the package-default labels, so the signal register must not hold them
+    (``tensor`` and ``beam_splitter`` refuse the collision). Both schemes
+    build the auxiliary photon from the input's own coefficients: ecp1 as
+    ca|1,0> + cb|0,1>, ecp2 as cb|1,0> + ca|0,1>, the variable splitter set
+    to t = ca^2. round_k is only validated and recorded.
 
     Returns both heralded branches; the failure branch always exists and
     carries the squared, renormalized coefficients of the input. Detection
@@ -398,17 +369,9 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     the success probability equals the |theta| reading's probability.
     """
     _check_count(round_k, "round index")
-    ca, cb, n = _noon_coefficients(state)
-    if n != config.n_photons:
-        raise ValueError(
-            f"state carries N={n} photons but config expects N={config.n_photons}"
-        )
+    n = config.n_photons
+    ca, cb = _noon_coefficients(state, n)
     scheme = _SCHEMES[config.protocol]
-    for lbl in scheme.aux_modes + scheme.detectors:
-        if lbl in state.register:
-            raise ValueError(
-                f"signal register {state.register!r} collides with reserved label {lbl!r}"
-            )
     sig_b = state.register[1]
     theta = config.theta
     first, second = (cb, ca) if scheme.swapped else (ca, cb)
@@ -430,7 +393,6 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     if failure_reading is None:
         raise ValueError("probe readout produced no recyclable branch")
 
-    notes: list[str] = []
     success_prob = 0.0
     success_state = None
     if success_reading is not None:
@@ -438,10 +400,8 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
         # A reading whose probability underflowed to 0.0 counts as absent.
         branch = _present(success_reading.branch, success_prob)
         if branch is not None:
-            success_state = _interfere_and_detect(branch, scheme, sig_b, "success", notes)
-    failure_state = _interfere_and_detect(
-        failure_reading.branch, scheme, sig_b, "failure", notes
-    )
+            success_state = _interfere_and_detect(branch, scheme, sig_b)
+    failure_state = _interfere_and_detect(failure_reading.branch, scheme, sig_b)
     return RoundOutcome(
         round_index=round_k,
         success_state=success_state,
@@ -449,7 +409,6 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
         failure_state=failure_state,
         failure_prob=failure_reading.probability,
         vbs_transmission_used=ca * ca if config.protocol == "ecp2" else None,
-        corrections_applied=tuple(notes),
     )
 
 

@@ -1,12 +1,14 @@
 """Tests for the closed-form success probabilities and the sweep helper."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
 from noonecp import (
+    analytics,
     default_alpha_grid,
     figure3_sweep,
     p_round_closed_form,
@@ -184,6 +186,32 @@ def test_sweep_cross_check_both_protocols():
         assert points[0].p_total == pytest.approx(
             p_total_closed_form(0.6, 2), abs=1e-14
         )
+
+
+def _skew_round(schedule):
+    rows = list(schedule.per_round)
+    rows[1] = rows[1]._replace(p_unconditional=rows[1].p_unconditional + 1e-9)
+    return replace(schedule, per_round=tuple(rows))
+
+
+def _skew_total(schedule):
+    return replace(schedule, p_total=schedule.p_total + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "skew, message", [(_skew_round, "round 2 at alpha"), (_skew_total, "p_total at alpha")]
+)
+def test_sweep_cross_check_raises_when_the_engine_disagrees(monkeypatch, skew, message):
+    engine = analytics.run_schedules
+
+    def disagreeing(configs):
+        schedules = engine(configs)
+        schedules[1] = skew(schedules[1])
+        return schedules
+
+    monkeypatch.setattr(analytics, "run_schedules", disagreeing)
+    with pytest.raises(ValueError, match=message):
+        figure3_sweep(k_max=3, grid=[0.45, BALANCED, 0.9], cross_check=True)
 
 
 def test_sweep_rejects_out_of_range_grid():

@@ -489,6 +489,24 @@ def test_module_entry_point_runs():
     assert "p_total" in proc.stdout
 
 
+def test_module_entry_point_help_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, "-m", "noonecp", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "compare-loss" in proc.stdout
+
+
+def test_unknown_protocol_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["run", "--alpha-sq", "0.5", "--protocol", "ecp3"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "argument --protocol: must be one of ('ecp1', 'ecp2'), got 'ecp3'" in err
+
+
 def test_cli_runs_without_numpy(tmp_path):
     script = textwrap.dedent(
         f"""

@@ -17,6 +17,7 @@ from noonecp import (
     tensor,
     vacuum,
 )
+from noonecp.fock import _Batch
 
 
 def test_vacuum_single_mode():
@@ -307,3 +308,19 @@ def test_state_rejects_wrong_width_ket():
 def test_state_rejects_non_finite_amplitudes(amp):
     with pytest.raises(ValueError, match="finite"):
         PureState(("a", "b"), {(1, 0): amp, (0, 1): 1.0})
+
+
+def test_batch_division_by_a_zero_element_is_nan_there():
+    quotient = _Batch([1.0, 2.0, 3.0]) / _Batch([2.0, 0.0, 4.0])
+    assert type(quotient) is _Batch
+    assert quotient[0] == 0.5 and quotient[2] == 0.75
+    assert math.isnan(quotient[1])
+    reciprocal = 1.0 / _Batch([2.0, 0.0])
+    assert reciprocal[0] == 0.5 and math.isnan(reciprocal[1])
+
+
+def test_batched_state_repr_formats_each_element():
+    state = PureState._derived(
+        ("a1", "b1"), {(1, 0): _Batch([0.6, 0.8]), (0, 1): _Batch([0.8, 0.6])}
+    )
+    assert repr(state) == "PureState[a1,b1](([0.8, 0.6])|0,1> + ([0.6, 0.8])|1,0>)"

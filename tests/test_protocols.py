@@ -17,6 +17,7 @@ from noonecp import (
     prepare_aux_ecp1,
     prepare_aux_ecp2,
     prepare_less_entangled_noon,
+    protocols,
     run_round,
     run_schedule,
     run_schedules,
@@ -272,15 +273,6 @@ def test_round_records_vbs_transmission_only_for_ecp2():
     assert out2.vbs_transmission_used == pytest.approx(0.8, abs=1e-12)
 
 
-def test_round_corrections_note_second_detector():
-    cfg = _config(protocol="ecp1", alpha_sq=0.5)
-    out = run_round(prepare_less_entangled_noon(cfg.alpha, 2), cfg, 1)
-    assert any("d2" in note and "negate(b1)" in note for note in out.corrections_applied)
-    cfg2 = _config(protocol="ecp2", alpha_sq=0.5)
-    out2 = run_round(prepare_less_entangled_noon(cfg2.alpha, 2), cfg2, 1)
-    assert any("e2" in note for note in out2.corrections_applied)
-
-
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 def test_round_two_on_recycled_state(protocol):
     cfg = _config(protocol=protocol, alpha_sq=0.8)
@@ -345,6 +337,56 @@ def test_round_rejects_non_noon_input():
     for small in (-1e-12, 1e-12j):
         with pytest.raises(ValueError):
             run_round(PureState(("a1", "b1"), {(2, 0): 1.0, (0, 2): small}), cfg, 1)
+
+
+_AUX_LABEL = {"ecp1": "a2", "ecp2": "c1"}
+_DETECTOR_LABEL = {"ecp1": "d1", "ecp2": "e2"}
+_A, _B = math.sqrt(0.8), math.sqrt(0.2)
+_SIG = ("a1", "b1")
+# case -> (input state for a protocol, refused before the optics start)
+_REJECTED_INPUTS = {
+    "three-mode register": (
+        lambda p: PureState(("a1", "b1", "x1"), {(2, 0, 0): _A, (0, 2, 0): _B}),
+        True,
+    ),
+    "empty state": (lambda p: PureState(_SIG, {}), True),
+    "ket (1,1)": (lambda p: basis_state(_SIG, (1, 1)), True),
+    "mixed N": (lambda p: PureState(_SIG, {(2, 0): _A, (0, 3): _B}), True),
+    "wrong N": (lambda p: prepare_less_entangled_noon(_A, 3), True),
+    "vacuum ket": (lambda p: PureState(_SIG, {(2, 0): _A, (0, 0): _B}), True),
+    "negative coefficient": (lambda p: PureState(_SIG, {(2, 0): 1.0, (0, 2): -1e-12}), True),
+    "imaginary coefficient": (lambda p: PureState(_SIG, {(2, 0): 1.0, (0, 2): 1e-12j}), True),
+    # tensor refuses an auxiliary label, beam_splitter a detector label
+    "aux label first": (
+        lambda p: prepare_less_entangled_noon(_A, 2, (_AUX_LABEL[p], "b1")), False
+    ),
+    "aux label second": (
+        lambda p: prepare_less_entangled_noon(_A, 2, ("a1", _AUX_LABEL[p])), False
+    ),
+    "detector label first": (
+        lambda p: prepare_less_entangled_noon(_A, 2, (_DETECTOR_LABEL[p], "b1")), False
+    ),
+    "detector label second": (
+        lambda p: prepare_less_entangled_noon(_A, 2, ("a1", _DETECTOR_LABEL[p])), False
+    ),
+}
+
+
+def _optics_reached(*args):
+    raise AssertionError("a malformed input reached the optics")
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_INPUTS))
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_round_rejects_every_input_outside_its_noon_form(protocol, case, monkeypatch):
+    # an N=2 config takes only c_a|2,0> + c_b|0,2> with exactly real c >= 0 on
+    # two signal modes that are none of the scheme's auxiliary or detector labels
+    build, at_boundary = _REJECTED_INPUTS[case]
+    state = build(protocol)
+    if at_boundary:
+        monkeypatch.setattr(protocols, "tensor", _optics_reached)
+    with pytest.raises(ValueError):
+        run_round(state, _config(protocol=protocol, alpha_sq=0.8, n=2), 1)
 
 
 def test_round_rejects_bad_round_index():
