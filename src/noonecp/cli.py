@@ -100,8 +100,6 @@ def _grid(text: str) -> list[float]:
     steps = _number(parts[2], int, "an integer as steps")
     if steps < 0:
         raise argparse.ArgumentTypeError(f"steps must be >= 0, got {steps}")
-    if steps == 0:
-        return []
     if not (0.0 < start < 1.0 and 0.0 < stop < 1.0):
         raise argparse.ArgumentTypeError(
             f"endpoints must lie strictly inside (0, 1), got {text!r}"

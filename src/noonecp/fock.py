@@ -15,9 +15,12 @@ them without checking again.
 The engine may also run a batch of inputs at once: every ket then carries a
 ``_Batch`` of real amplitudes, one per input. Batches combine element by
 element under the usual operators, and the few places where a scalar and a
-batch differ (the norm, unit scaling, tolerance checks, absent readings and
-splitting a result per input) go through the number seam at the end of this
-module, so every element sees exactly the float operations of its own run.
+batch differ (the norm, unit scaling, tolerance checks and splitting a
+result per input) go through the number seam at the end of this module, so
+every element sees exactly the float operations of its own run. The seam
+does not decide which readings are absent: an element whose reading has
+zero probability runs on like the others, and the caller that splits a
+batch per input discards what it computed there.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import cmath
 import math
 import operator
 from itertools import repeat
+from numbers import Number
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping
 
@@ -62,11 +66,11 @@ class PureState:
                     f"occupation tuple {kt!r} does not match register width {width}"
                 )
             for n in kt:
-                if not isinstance(n, int) or n < 0:
+                if isinstance(n, bool) or not isinstance(n, int) or n < 0:
                     raise ValueError(f"occupations must be non-negative ints, got {kt!r}")
-            a = complex(amp)
-            if not cmath.isfinite(a):
-                raise ValueError(f"amplitude of {kt!r} must be finite, got {amp!r}")
+            a = _finite_number(amp)
+            if a is None:
+                raise ValueError(f"amplitude of {kt!r} must be a finite number, got {amp!r}")
             if a:
                 kept[kt] = a
         self._register = reg
@@ -117,6 +121,14 @@ class PureState:
         return f"PureState[{labels}]({body})"
 
 
+def _finite_number(value: object) -> complex | None:
+    """``value`` as a finite complex, or None; bool and str are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, Number):
+        return None
+    c = complex(value)
+    return c if cmath.isfinite(c) else None
+
+
 def vacuum(register: Iterable[ModeId]) -> PureState:
     """All modes empty, amplitude 1."""
     reg = tuple(register)
@@ -145,7 +157,7 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
     Returns:
         New state; the result is not renormalized.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"quanta count must be a positive integer, got {n!r}")
     try:
         idx = state.register.index(mode)
@@ -180,7 +192,9 @@ def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
             raise ValueError(
                 f"register mismatch in superpose: {st.register!r} vs {reg!r}"
             )
-        c = complex(coeff)
+        c = _finite_number(coeff)
+        if c is None:
+            raise ValueError(f"superpose coefficients must be finite numbers, got {coeff!r}")
         for ket, amp in st._terms.items():
             _add_into(acc, ket, c * amp)
     return PureState._derived(reg, acc)
@@ -195,8 +209,14 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 
 def norm_sq(state: PureState) -> float:
-    """Sum of squared amplitude magnitudes."""
-    return _sum_abs_sq(state._terms.values())
+    """Sum of squared amplitude magnitudes, in term order.
+
+    A batch's real elements need no abs before the even power.
+    """
+    amps = state._terms.values()
+    if _batched(amps):
+        return sum([_Batch(map(operator.pow, a, repeat(2))) for a in amps])
+    return sum([abs(a) ** 2 for a in amps])
 
 
 def normalized(state: PureState) -> PureState:
@@ -230,7 +250,7 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     """|<a|b>|^2, insensitive to any unit-modulus global factor.
 
     Both inputs must already be normalized within NORM_TOLERANCE (a NaN
-    element of a batch, an absent reading, passes and gives NaN).
+    element of a batch passes and gives NaN).
     """
     for name, st in (("first", a), ("second", b)):
         if _off(norm_sq(st), 1.0, NORM_TOLERANCE):
@@ -261,20 +281,15 @@ class _Batch(tuple):
     def _map(self, op: Callable, other: object) -> _Batch:
         return _Batch(map(op, self, other if type(other) is _Batch else repeat(other)))
 
-    def _rmap(self, op: Callable, other: object) -> _Batch:
-        return _Batch(map(op, repeat(other), self))
-
     def __add__(self, other: object) -> _Batch:
         return self._map(operator.add, other)
-
-    def __radd__(self, other: object) -> _Batch:
-        return self._rmap(operator.add, other)
 
     def __mul__(self, other: object) -> _Batch:
         return self._map(operator.mul, other)
 
-    def __rmul__(self, other: object) -> _Batch:
-        return self._rmap(operator.mul, other)
+    # IEEE + and * commute, so a plain left operand gives the same bits.
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     def __pow__(self, other: object) -> _Batch:
         return self._map(operator.pow, other)
@@ -287,9 +302,9 @@ class _Batch(tuple):
 
     def __rtruediv__(self, other: object) -> _Batch:
         try:
-            return self._rmap(operator.truediv, other)
+            return _Batch(map(operator.truediv, repeat(other), self))
         except ZeroDivisionError:
-            return self._rmap(_div_or_nan, other)
+            return _Batch(map(_div_or_nan, repeat(other), self))
 
     def __neg__(self) -> _Batch:
         return _Batch(map(operator.neg, self))
@@ -307,9 +322,9 @@ class _Batch(tuple):
         return "[" + ", ".join(format(x, spec) for x in self) + "]"
 
 
-def _batch(values: list[float]) -> complex | _Batch:
-    """One amplitude across a batch of runs; a batch of one is a plain complex."""
-    return complex(values[0]) if len(values) == 1 else _Batch(values)
+def _batch(values: list[float]) -> float | _Batch:
+    """One amplitude across a batch of runs; a batch of one is its plain float."""
+    return values[0] if len(values) == 1 else _Batch(values)
 
 
 def _add_into(acc: dict, key: BasisKet, value) -> None:
@@ -377,39 +392,11 @@ def _nonnegative_real(amp):
     return amp.real if amp.imag == 0.0 and amp.real >= 0.0 else None
 
 
-def _sum_abs_sq(amps: Collection):
-    """The sum of abs(amp) ** 2 in order, per element for a batch.
-
-    A batch's real elements need no abs before the even power.
-    """
-    if _batched(amps):
-        return sum([_Batch(map(operator.pow, a, repeat(2))) for a in amps])
-    return sum([abs(a) ** 2 for a in amps])
-
-
 def _clip_unit(value):
     """min(max(value, 0.0), 1.0), per element for a batch; NaN stays NaN."""
     if type(value) is _Batch:
         return _Batch(map(min, map(max, value, repeat(0.0)), repeat(1.0)))
     return min(max(value, 0.0), 1.0)
-
-
-def _present(state: PureState, weight) -> PureState | None:
-    """``state`` where ``weight`` > 0: the per-element absent-reading mask.
-
-    None when no element has positive weight. A batch keeps its shape: the
-    elements without weight become NaN, which every tolerance check passes
-    and every result derived from them carries.
-    """
-    if type(weight) is not _Batch:
-        return state if weight > 0.0 else None
-    present = [w > 0.0 for w in weight]
-    if all(present):
-        return state
-    if not any(present):
-        return None
-    mask = _Batch(1.0 if p else math.nan for p in present)
-    return PureState._derived(state.register, {k: a * mask for k, a in state._terms.items()})
 
 
 def _per_element(values: tuple, size: int) -> list[tuple]:

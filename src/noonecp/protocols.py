@@ -34,7 +34,6 @@ from .fock import (
     _nonnegative_real,
     _off,
     _per_element,
-    _present,
     basis_state,
     fidelity_up_to_global_phase,
     inner,
@@ -204,8 +203,12 @@ class RoundOutcome:
     the recycled squared-coefficient state for the 0 reading.
 
     For a batched input state the probabilities and the VBS setting hold
-    one value per element, and success_state is NaN in the elements whose
-    success reading is absent.
+    one value per element, and success_state is None only when
+    success_prob is 0 in every element. Where success_prob is 0 in some
+    elements, success_state still holds them, computed like the others from
+    an absent reading: NaN where the branch's norm is exactly zero, else the
+    branch rescaled from amplitudes whose squares underflow. Such elements
+    carry no physics; ``run_schedules`` reports their fidelity as NaN.
     """
 
     round_index: int
@@ -395,12 +398,10 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
 
     success_prob = 0.0
     success_state = None
-    if success_reading is not None:
+    # A reading whose probability underflowed to 0.0 in every run is absent.
+    if success_reading is not None and success_reading.probability:
         success_prob = success_reading.probability
-        # A reading whose probability underflowed to 0.0 counts as absent.
-        branch = _present(success_reading.branch, success_prob)
-        if branch is not None:
-            success_state = _interfere_and_detect(branch, scheme, sig_b)
+        success_state = _interfere_and_detect(success_reading.branch, scheme, sig_b)
     failure_state = _interfere_and_detect(failure_reading.branch, scheme, sig_b)
     return RoundOutcome(
         round_index=round_k,
@@ -472,7 +473,14 @@ def run_schedules(configs: Iterable[ProtocolConfig]) -> list[Schedule]:
         survival *= outcome.failure_prob
         state = outcome.failure_state
     size = len(configs)
-    per_round = [map(RoundStats._make, _per_element(row, size)) for row in rows]
+    # A success reading of zero probability is absent: its fidelity is NaN.
+    per_round = [
+        [
+            RoundStats(k, t, p, u, f if p > 0.0 else math.nan)
+            for k, t, p, u, f in _per_element(row, size)
+        ]
+        for row in rows
+    ]
     return [
         Schedule(
             protocol=config.protocol,

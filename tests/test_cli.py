@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line driver."""
 
 import math
+import os
 import random
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,16 @@ from noonecp import cli, default_alpha_grid
 from noonecp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _grid, main
 
 BALANCED_SQ = 0.5
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args):
+    """Run ``python args`` with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+    )
 
 
 def _run(capsys, argv):
@@ -329,7 +341,9 @@ def test_deep_sweep_passes_hold_at_most_eight_points(capsys, monkeypatch):
 
 
 def test_sweep_rejects_bad_grids(capsys):
-    for bad in ("0.5:0.9", "0:0.9:5", "0.1:1:5", "0.9:0.1:5", "a:b:c", "0.2:0.8:-1"):
+    for bad in (
+        "0.5:0.9", "0:0.9:5", "0.1:1:5", "0.9:0.1:5", "a:b:c", "0.2:0.8:-1", "5:7:0",
+    ):
         code, _, _ = _run(capsys, ["sweep", "--grid", bad])
         assert code == EXIT_USAGE, bad
 
@@ -479,23 +493,13 @@ def test_unwritable_out_is_io_error(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "noonecp", "run", "--alpha-sq", "0.8", "--rounds", "2"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _python("-m", "noonecp", "run", "--alpha-sq", "0.8", "--rounds", "2")
     assert proc.returncode == 0
     assert "p_total" in proc.stdout
 
 
 def test_module_entry_point_help_exits_zero():
-    proc = subprocess.run(
-        [sys.executable, "-m", "noonecp", "--help"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _python("-m", "noonecp", "--help")
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "compare-loss" in proc.stdout
 
@@ -519,8 +523,6 @@ def test_cli_runs_without_numpy(tmp_path):
         assert code == 0 and not loaded, (code, loaded)
         """
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
-    )
+    proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "s.csv").read_text().count("\n") == 4

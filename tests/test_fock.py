@@ -65,6 +65,12 @@ def test_create_rejects_nonpositive_count():
         create(vacuum(("m",)), "m", 0)
 
 
+def test_create_rejects_a_bool_count():
+    # True is an int subclass, but never a number of quanta
+    with pytest.raises(ValueError, match="quanta count"):
+        create(vacuum(("m",)), "m", True)
+
+
 def test_create_norm_is_factorial():
     # n quanta on vacuum must have squared norm n!
     for n in range(1, 7):
@@ -122,6 +128,12 @@ def test_superpose_prunes_zero_coefficient():
 def test_superpose_register_mismatch():
     with pytest.raises(ValueError):
         superpose([(1.0, vacuum(("a",))), (1.0, vacuum(("b",)))])
+
+
+@pytest.mark.parametrize("coeff", ["2", "0.6", True, False, math.inf, math.nan])
+def test_superpose_rejects_coefficients_that_are_not_finite_numbers(coeff):
+    with pytest.raises(ValueError, match="finite numbers"):
+        superpose([(coeff, basis_state(("a",), (1,)))])
 
 
 def test_superpose_merges_amplitudes():
@@ -297,13 +309,24 @@ def test_state_rejects_negative_occupation():
         PureState(("a",), {(-1,): 1.0})
 
 
+@pytest.mark.parametrize("ket", [(True, 0), (0, False), (True, True)])
+def test_state_rejects_bool_occupations(ket):
+    with pytest.raises(ValueError, match="occupations"):
+        PureState(("a", "b"), {ket: 1.0})
+
+
 def test_state_rejects_wrong_width_ket():
     with pytest.raises(ValueError):
         PureState(("a", "b"), {(1,): 1.0})
 
 
 @pytest.mark.parametrize(
-    "amp", [math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 0.0)]
+    "amp",
+    [
+        math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 0.0),
+        # bool and str are not numbers, even where complex() would take them
+        True, False, "0.6", "1j", b"1",
+    ],
 )
 def test_state_rejects_non_finite_amplitudes(amp):
     with pytest.raises(ValueError, match="finite"):

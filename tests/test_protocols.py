@@ -594,6 +594,11 @@ def _assert_batch_matches_scalar_runs(configs):
         assert len(got.per_round) == len(want.per_round) == config.max_rounds
         for got_row, want_row in zip(got.per_round, want.per_round):
             assert got_row.round_index == want_row.round_index
+            # a success reading is absent exactly where its probability is 0
+            for row in (got_row, want_row):
+                assert math.isnan(row.success_fidelity) == (row.p_conditional <= 0.0), (
+                    config.alpha, row
+                )
             for field in ("vbs_transmission", "p_conditional", "p_unconditional",
                           "success_fidelity"):
                 assert _same_bits(getattr(got_row, field), getattr(want_row, field)), (
