@@ -18,6 +18,7 @@ flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -304,14 +305,22 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """``build_parser()``, built once per process for calls without --config."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser, subparsers = build_parser()
+    parser, subparsers = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
             # Flag > file > built-in default: the file's values become the
             # subcommand's defaults, which argparse converts through each
-            # flag's type= on the second parse.
+            # flag's type= on the second parse. set_defaults changes the
+            # parser, so this call parses with a fresh one.
+            parser, subparsers = build_parser()
             chosen = subparsers[args.command]
             chosen.set_defaults(**_config_defaults(args.config, subparsers, args.command))
             args = parser.parse_args(argv)

@@ -160,9 +160,9 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"quanta count must be a positive integer, got {n!r}")
     try:
-        idx = state.register.index(mode)
+        idx = state._register.index(mode)
     except ValueError:
-        raise ValueError(f"mode {mode!r} not in register {state.register!r}") from None
+        raise ValueError(f"mode {mode!r} not in register {state._register!r}") from None
     out: dict[BasisKet, complex] = {}
     for ket, amp in state._terms.items():
         m = ket[idx]
@@ -173,7 +173,7 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
                 f"bosonic factor sqrt({m + n}!/{m}!) exceeds the float range"
             ) from None
         out[ket[:idx] + (m + n,) + ket[idx + 1 :]] = amp * factor
-    return PureState._derived(state.register, out)
+    return PureState._derived(state._register, out)
 
 
 def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
@@ -185,12 +185,12 @@ def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
     items = list(terms)
     if not items:
         raise ValueError("superpose needs at least one (coefficient, state) pair")
-    reg = items[0][1].register
+    reg = items[0][1]._register
     acc: dict[BasisKet, complex] = {}
     for coeff, st in items:
-        if st.register != reg:
+        if st._register != reg:
             raise ValueError(
-                f"register mismatch in superpose: {st.register!r} vs {reg!r}"
+                f"register mismatch in superpose: {st._register!r} vs {reg!r}"
             )
         c = _finite_number(coeff)
         if c is None:
@@ -202,10 +202,10 @@ def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product on the concatenated register; labels must not collide."""
-    if set(a.register) & set(b.register):
-        raise ValueError(f"registers {a.register!r} and {b.register!r} share mode labels")
+    if not set(a._register).isdisjoint(b._register):
+        raise ValueError(f"registers {a._register!r} and {b._register!r} share mode labels")
     out = {ka + kb: va * vb for ka, va in a._terms.items() for kb, vb in b._terms.items()}
-    return PureState._derived(a.register + b.register, out)
+    return PureState._derived(a._register + b._register, out)
 
 
 def norm_sq(state: PureState) -> float:
@@ -213,10 +213,7 @@ def norm_sq(state: PureState) -> float:
 
     A batch's real elements need no abs before the even power.
     """
-    amps = state._terms.values()
-    if _batched(amps):
-        return sum([_Batch(map(operator.pow, a, repeat(2))) for a in amps])
-    return sum([abs(a) ** 2 for a in amps])
+    return _norm_sq(state._terms.values())
 
 
 def normalized(state: PureState) -> PureState:
@@ -226,17 +223,14 @@ def normalized(state: PureState) -> PureState:
     overflows, so a state of tiny nonzero amplitudes still normalizes. In a
     batch, an element whose norm is zero comes out NaN.
     """
-    norm = _norm(state._terms.values())
-    if not norm:
-        raise ValueError("cannot normalize a state with zero norm")
-    return PureState._derived(state.register, _unit(state._terms, norm))
+    return PureState._derived(state._register, _normalized(state._terms))
 
 
 def inner(a: PureState, b: PureState) -> complex:
     """Inner product <a|b>; registers must match exactly."""
-    if a.register != b.register:
-        raise ValueError(f"register mismatch: {a.register!r} vs {b.register!r}")
-    small, large = (a, b) if a.num_terms() <= b.num_terms() else (b, a)
+    if a._register != b._register:
+        raise ValueError(f"register mismatch: {a._register!r} vs {b._register!r}")
+    small, large = (a, b) if len(a._terms) <= len(b._terms) else (b, a)
     total = None
     for ket, amp in small._terms.items():
         other = large._terms.get(ket)
@@ -340,11 +334,31 @@ def _batched(amps: Collection) -> bool:
     return type(next(iter(amps), None)) is _Batch
 
 
+def _norm_sq(amps: Collection):
+    """Sum of the amplitudes' squared magnitudes, in order.
+
+    A batch sum starts from its first square, not from 0: squares are >= +0,
+    so 0 + x is x, and that pass over the batch would change no bit.
+    """
+    if _batched(amps):
+        squares = [_Batch(map(operator.pow, a, repeat(2))) for a in amps]
+        return sum(squares[1:], squares[0])
+    return sum([abs(a) ** 2 for a in amps])
+
+
 def _norm(amps: Collection):
     """hypot of the amplitudes' magnitudes, per element for a batch."""
     if _batched(amps):
         return _Batch(map(math.hypot, *amps))
     return math.hypot(*map(abs, amps))
+
+
+def _normalized(terms: Mapping[BasisKet, complex]) -> dict[BasisKet, complex]:
+    """``terms`` scaled to unit hypot norm; ValueError if that norm is zero."""
+    norm = _norm(terms.values())
+    if not norm:
+        raise ValueError("cannot normalize a state with zero norm")
+    return _unit(terms, norm)
 
 
 def _unit(terms: Mapping[BasisKet, complex], norm) -> dict[BasisKet, complex]:

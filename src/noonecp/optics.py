@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .fock import (
@@ -34,10 +35,11 @@ from .fock import (
     PureState,
     _add_into,
     _norm,
+    _norm_sq,
+    _normalized,
     _off,
     _sqrt_ratio,
     _unit,
-    normalized,
     norm_sq,
 )
 
@@ -129,7 +131,7 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
     sum rounded once, so photon number and norm are conserved at any photon
     number. Other modes pass through untouched.
     """
-    reg = state.register
+    reg = state._register
     try:
         i1 = reg.index(spec.mode_in_1)
         i2 = reg.index(spec.mode_in_2)
@@ -143,12 +145,11 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
     if len(set(new_reg)) != len(new_reg):
         raise ValueError(f"splitter output labels collide with register {reg!r}")
 
+    t, convention = spec.transmissivity, spec.sign_convention
     out: dict[BasisKet, complex] = {}
     for ket, amp in state._terms.items():
-        for j, m, weight in _scatter(
-            ket[i1], ket[i2], spec.transmissivity, spec.sign_convention
-        ):
-            new_ket = list(ket)
+        new_ket = list(ket)
+        for j, m, weight in _scatter(ket[i1], ket[i2], t, convention):
             new_ket[i1], new_ket[i2] = j, m
             _add_into(out, tuple(new_ket), amp * weight)
     return PureState._derived(tuple(new_reg), out)
@@ -173,21 +174,20 @@ def cross_kerr_tag(
     Plain states enter with phase 0 on every branch. Amplitudes are never
     changed, so two tags on different modes commute exactly.
     """
-    if not math.isfinite(per_photon_phase):
-        raise ValueError(f"per-photon phase must be finite, got {per_photon_phase!r}")
+    if not _finite_real(per_photon_phase):
+        raise ValueError(f"per-photon phase must be a finite real, got {per_photon_phase!r}")
     state, phases = state if isinstance(state, TaggedState) else (state, {})
     try:
-        idx = state.register.index(mode)
+        idx = state._register.index(mode)
     except ValueError:
-        raise ValueError(f"mode {mode!r} not in register {state.register!r}") from None
+        raise ValueError(f"mode {mode!r} not in register {state._register!r}") from None
     return TaggedState(
         state,
-        {ket: phases.get(ket, 0.0) + ket[idx] * per_photon_phase for ket in state.terms},
+        {ket: phases.get(ket, 0.0) + ket[idx] * per_photon_phase for ket in state._terms},
     )
 
 
-@dataclass(frozen=True)
-class HomodyneOutcome:
+class HomodyneOutcome(NamedTuple):
     """One distinguishable probe reading.
 
     ``phase_class`` is the shared |probe phase| of the branches collapsed
@@ -221,11 +221,70 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
                 break
         else:
             classes.append((p, {ket: amp}))
-    outcomes = []
-    for key, members in sorted(classes, key=lambda kv: kv[0]):
-        raw = PureState._derived(state.register, members)
-        outcomes.append(HomodyneOutcome(key, normalized(raw), norm_sq(raw)))
-    return outcomes
+    classes.sort(key=itemgetter(0))
+    reg = state._register
+    return [
+        HomodyneOutcome(
+            key, PureState._derived(reg, _normalized(members)), _norm_sq(members.values())
+        )
+        for key, members in classes
+    ]
+
+
+def _picker(idxs: Sequence[int]):
+    """ket -> the tuple of ket[i] for i in ``idxs``."""
+    return itemgetter(*idxs) if len(idxs) > 1 else lambda ket: tuple([ket[i] for i in idxs])
+
+
+@lru_cache(maxsize=256)
+def _detector_layout(reg: tuple[ModeId, ...], modes: tuple[ModeId, ...]):
+    """Per-ket pickers of the detector occupations and of the kept modes, and
+    the kept register, for detecting ``modes`` on register ``reg``."""
+    idxs = []
+    for m in modes:
+        try:
+            idxs.append(reg.index(m))
+        except ValueError:
+            raise ValueError(f"detector mode {m!r} not in register {reg!r}") from None
+    keep = [i for i in range(len(reg)) if i not in idxs]
+    if not keep:
+        raise ValueError("detection would remove every mode in the register")
+    return _picker(idxs), _picker(keep), tuple([reg[i] for i in keep])
+
+
+def _detect(
+    state: PureState, modes: Sequence[ModeId]
+) -> tuple[list[tuple[ModeId, PureState, float]], dict[ModeId, float]]:
+    """``detect_photon`` with each branch's norm in place of its probability.
+
+    Returns the ``(fired_mode, projected_state, norm)`` triples in the order
+    of ``modes``, and the same norms by fired mode in the order the state's
+    kets first reach each detector (the order their total is taken in).
+    """
+    modes = tuple(modes)
+    det_occ, reduced, kept_reg = _detector_layout(state._register, modes)
+    # Within one detector's group every ket has the same detector occupations,
+    # so the reduced kets of a group are distinct.
+    groups: dict[ModeId, dict[BasisKet, complex]] = {}
+    for ket, amp in state._terms.items():
+        occ = det_occ(ket)
+        if sum(occ) != 1:
+            raise ValueError(
+                f"branch {ket!r} holds {sum(occ)} photons across detectors, expected 1"
+            )
+        groups.setdefault(modes[occ.index(1)], {})[reduced(ket)] = amp
+    # hypot, as in normalized: amplitudes below ~1e-162 must not square to 0
+    norms = {m: _norm(bucket.values()) for m, bucket in groups.items()}
+    # detect_photon's total, the hypot of these norms, is zero exactly where
+    # every norm is, so the check needs no hypot.
+    if not any(norms.values()):
+        raise ValueError("cannot detect on a state with zero norm")
+    branches = [
+        (m, PureState._derived(kept_reg, _unit(groups[m], norms[m])), norms[m])
+        for m in modes
+        if m in groups
+    ]
+    return branches, norms
 
 
 def detect_photon(
@@ -240,39 +299,9 @@ def detect_photon(
     projected register (the non-fired ones are empty there). Probabilities
     sum to 1.
     """
-    reg = state.register
-    idxs = []
-    for m in modes:
-        try:
-            idxs.append(reg.index(m))
-        except ValueError:
-            raise ValueError(f"detector mode {m!r} not in register {reg!r}") from None
-    keep = [i for i in range(len(reg)) if i not in idxs]
-    kept_reg = tuple(reg[i] for i in keep)
-    if not kept_reg:
-        raise ValueError("detection would remove every mode in the register")
-
-    # Within one detector's group every ket has the same detector occupations,
-    # so the reduced kets of a group are distinct.
-    groups: dict[ModeId, dict[BasisKet, complex]] = {}
-    for ket, amp in state._terms.items():
-        occ = [ket[i] for i in idxs]
-        if sum(occ) != 1:
-            raise ValueError(
-                f"branch {ket!r} holds {sum(occ)} photons across detectors, expected 1"
-            )
-        groups.setdefault(modes[occ.index(1)], {})[tuple([ket[i] for i in keep])] = amp
-    # hypot, as in normalized: amplitudes below ~1e-162 must not square to 0
-    norms = {m: _norm(bucket.values()) for m, bucket in groups.items()}
+    branches, norms = _detect(state, modes)
     total = _norm(norms.values())
-    if not total:
-        raise ValueError("cannot detect on a state with zero norm")
-
-    return [
-        (m, PureState._derived(kept_reg, _unit(groups[m], norms[m])), (norms[m] / total) ** 2)
-        for m in modes
-        if m in groups
-    ]
+    return [(m, projected, (norm / total) ** 2) for m, projected, norm in branches]
 
 
 def negate_occupied(state: PureState, mode: ModeId) -> PureState:
@@ -283,10 +312,10 @@ def negate_occupied(state: PureState, mode: ModeId) -> PureState:
     the empty component, for any N; applied twice it is the identity.
     """
     try:
-        idx = state.register.index(mode)
+        idx = state._register.index(mode)
     except ValueError:
-        raise ValueError(f"mode {mode!r} not in register {state.register!r}") from None
+        raise ValueError(f"mode {mode!r} not in register {state._register!r}") from None
     out = {
         ket: (-amp if ket[idx] > 0 else amp) for ket, amp in state._terms.items()
     }
-    return PureState._derived(state.register, out)
+    return PureState._derived(state._register, out)

@@ -42,10 +42,10 @@ from .fock import (
 from .optics import (
     PHASE_CLASS_TOLERANCE,
     BeamSplitterSpec,
+    _detect,
     _finite_real,
     beam_splitter,
     cross_kerr_tag,
-    detect_photon,
     homodyne_partition,
     negate_occupied,
 )
@@ -193,8 +193,7 @@ class ProtocolConfig:
         return math.sqrt(1.0 - self.alpha * self.alpha)
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
     """Both heralded branches of one round.
 
     success_state is the corrected post-detection state for the |theta|
@@ -318,11 +317,12 @@ def _noon_coefficients(state: PureState, n: int) -> tuple[float, float]:
     them so); one of them may be missing, as after deep recycling squares
     it to zero.
     """
-    terms = state.terms
-    kets = ((n, 0), (0, n))
-    if len(state.register) != 2 or not terms or not terms.keys() <= set(kets):
+    terms = state._terms
+    kets = {(n, 0), (0, n)}
+    if len(state._register) != 2 or not terms or not terms.keys() <= kets:
         raise ValueError(f"expected a two-mode NOON state with N={n}, got {state!r}")
-    ca, cb = (_nonnegative_real(terms.get(ket, 0j)) for ket in kets)
+    ca = _nonnegative_real(terms.get((n, 0), 0j))
+    cb = _nonnegative_real(terms.get((0, n), 0j))
     if ca is None or cb is None:
         raise ValueError(f"NOON coefficients must be real and non-negative, got {state!r}")
     return ca, cb
@@ -337,13 +337,11 @@ def _interfere_and_detect(branch: PureState, scheme: _Scheme, sign_mode: ModeId)
     present, with real non-negative amplitudes) is returned as the folded
     state.
     """
-    corrected: list[PureState] = []
-    for fired, projected, _prob in detect_photon(
-        beam_splitter(branch, scheme.mixer), scheme.detectors
-    ):
-        if fired == scheme.detectors[1]:
-            projected = negate_occupied(projected, sign_mode)
-        corrected.append(projected)
+    branches, _ = _detect(beam_splitter(branch, scheme.mixer), scheme.detectors)
+    corrected = [
+        negate_occupied(projected, sign_mode) if fired == scheme.detectors[1] else projected
+        for fired, projected, _norm in branches
+    ]
     for other in corrected[1:]:
         # Both branches are normalized, so |<a|b>|^2 is their fidelity.
         fid = abs(inner(corrected[0], other)) ** 2
@@ -375,7 +373,7 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     n = config.n_photons
     ca, cb = _noon_coefficients(state, n)
     scheme = _SCHEMES[config.protocol]
-    sig_b = state.register[1]
+    sig_b = state._register[1]
     theta = config.theta
     first, second = (cb, ca) if scheme.swapped else (ca, cb)
     aux = PureState._derived(scheme.aux_modes, {(1, 0): first, (0, 1): second})
@@ -512,13 +510,6 @@ def apply_loss_model(schedule: Schedule, config: ProtocolConfig) -> Schedule:
         return schedule
     f = config.loss_eta * config.loss_eta
     rows = tuple(
-        RoundStats(
-            round_index=r.round_index,
-            vbs_transmission=r.vbs_transmission,
-            p_conditional=r.p_conditional * f,
-            p_unconditional=r.p_unconditional * f,
-            success_fidelity=r.success_fidelity,
-        )
-        for r in schedule.per_round
+        RoundStats(k, t, p * f, u * f, fid) for k, t, p, u, fid in schedule.per_round
     )
     return replace(schedule, per_round=rows, p_total=schedule.p_total * f)

@@ -437,6 +437,26 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert "protocol=ecp1" in first
 
 
+def test_config_file_values_do_not_leak_into_later_calls(tmp_path, capsys):
+    # main() parses plain calls with one parser per process; a --config call
+    # must not leave its file's values behind as that parser's defaults
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("protocol = ecp1\nalpha-sq = 0.8\nrounds = 3\nn = 2\ntheta = 0.3\n")
+    code, out, _ = _run(capsys, ["run", "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert out.splitlines()[0].startswith("protocol=ecp1 alpha_sq=0.8 n=2 rounds=3 theta=0.3")
+    code, out, _ = _run(capsys, ["run", "--alpha-sq", "0.8"])
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "protocol=ecp2 alpha_sq=0.8 n=1 rounds=10 theta=0.1 eta=1"
+    cfg.write_text("rounds = 2\n")
+    assert _run(capsys, ["sweep", "--config", str(cfg), "--grid", "0.4:0.6:2"])[0] == EXIT_OK
+    code, out, _ = _run(capsys, ["sweep", "--grid", "0.4:0.6:2"])
+    assert code == EXIT_OK
+    assert {row[2] for row in _csv_rows(out)[1]} == {"10"}
+    # and a run without --alpha-sq still finds it missing
+    assert _run(capsys, ["run"])[0] == EXIT_USAGE
+
+
 def test_config_file_underscore_keys_accepted(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("ALPHA_SQ = 0.5\n")

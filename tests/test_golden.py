@@ -23,6 +23,10 @@ CASES = {
         "--grid", "0.01:0.99:150",
     ],
     "run_alpha_sq0.8_k40.csv": ["run", "--alpha-sq", "0.8", "--rounds", "40"],
+    # About 55 success rounds, then the failure branch repeats to K = 1000.
+    "run_ecp2_alpha_sq0.5000000000000052_k1000.csv": [
+        "run", "--protocol", "ecp2", "--rounds", "1000", "--alpha-sq", "0.5000000000000052",
+    ],
 }
 
 

@@ -296,6 +296,13 @@ def test_cross_kerr_rejects_nonfinite_phase():
         cross_kerr_tag(vacuum(("a",)), "a", math.inf)
 
 
+@pytest.mark.parametrize("phase", [True, "0.1", None, math.nan])
+def test_cross_kerr_rejects_phases_that_are_not_finite_reals(phase):
+    # bool is an int subclass, but True is no 1 rad setting
+    with pytest.raises(ValueError, match="finite real"):
+        cross_kerr_tag(basis_state(("a", "b"), (1, 0)), "a", phase)
+
+
 def _tagged_round_one(alpha_sq, theta=0.1, n=2):
     """Joint signal+shared-aux state after both probe tags."""
     alpha = math.sqrt(alpha_sq)
@@ -448,6 +455,32 @@ def test_detect_photon_on_tiny_amplitudes():
     for _mode, branch, prob in results:
         assert prob == pytest.approx(0.5, abs=1e-15)
         assert norm_sq(branch) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # the second detector's ket comes first, so the groups form out of
+        # mode order
+        {(1, 0, 1, 0): 0.6, (0, 1, 0, 0): 0.48, (2, 0, 0, 1): 0.64},
+        {(0, 0, 0, 1): 0.3, (1, 1, 0, 0): -0.2, (0, 0, 1, 0): 0.9, (3, 1, 0, 0): 0.1},
+        {(1, 0, 0, 1): 1e-200, (0, 1, 0, 0): 3e-201, (2, 0, 1, 0): 7e-200},
+    ],
+)
+def test_detect_photon_probability_is_squared_norm_ratio(terms):
+    # P(m) = (norm_m / total)^2, with norm_m the hypot of group m's amplitudes
+    # and total the hypot of the norms in the order the kets reach the groups
+    modes = ["d1", "d2", "d3"]
+    st = PureState(("x", *modes), terms)
+    groups = {}
+    for (_x, *occ), amp in terms.items():
+        groups.setdefault(modes[occ.index(1)], []).append(abs(amp))
+    norms = {m: math.hypot(*amps) for m, amps in groups.items()}
+    total = math.hypot(*norms.values())
+    results = detect_photon(st, modes)
+    assert [m for m, _, _ in results] == [m for m in modes if m in groups]
+    for m, _branch, prob in results:
+        assert prob == (norms[m] / total) ** 2, m
 
 
 def test_detect_photon_rejects_wrong_photon_count():

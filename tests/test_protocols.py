@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from noonecp import (
+    HomodyneOutcome,
     ProtocolConfig,
     PureState,
+    RoundOutcome,
     apply_loss_model,
     basis_state,
+    cross_kerr_tag,
     fidelity_up_to_global_phase,
+    homodyne_partition,
     maximally_entangled_noon,
     norm_sq,
     prepare_aux_ecp1,
@@ -22,6 +26,7 @@ from noonecp import (
     run_schedule,
     run_schedules,
     superpose,
+    tensor,
     vbs_transmission,
 )
 
@@ -271,6 +276,24 @@ def test_round_records_vbs_transmission_only_for_ecp2():
     cfg2 = _config(protocol="ecp2", alpha_sq=0.8)
     out2 = run_round(prepare_less_entangled_noon(cfg2.alpha, 2), cfg2, 1)
     assert out2.vbs_transmission_used == pytest.approx(0.8, abs=1e-12)
+
+
+def test_round_and_reading_records_have_fixed_fields_and_are_immutable():
+    cfg = _config(protocol="ecp2", alpha_sq=0.8)
+    state = prepare_less_entangled_noon(cfg.alpha, 2)
+    outcome = run_round(state, cfg, 1)
+    assert RoundOutcome._fields == (
+        "round_index", "success_state", "success_prob",
+        "failure_state", "failure_prob", "vbs_transmission_used",
+    )
+    assert tuple(outcome) == tuple(getattr(outcome, f) for f in RoundOutcome._fields)
+    aux = PureState(("c1", "c2"), {(1, 0): 0.6, (0, 1): 0.8})
+    readings = homodyne_partition(cross_kerr_tag(tensor(state, aux), "c1", 0.1))
+    assert HomodyneOutcome._fields == ("phase_class", "branch", "probability")
+    assert [type(r) for r in readings] == [HomodyneOutcome] * 2
+    for record, field in ((outcome, "success_prob"), (readings[0], "probability")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
 
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
