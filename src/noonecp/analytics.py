@@ -13,17 +13,20 @@ because the product telescopes: prod_{i=1..k-1} (1 + r^(2^i)) =
 
 At x = y these reduce to 2^-k and 1 - 2^-K. Both forms cost O(1) per call
 and accept any k: r^(2^k) is exp(-2^k L) with L = -ln r, which is exactly
-0 once it underflows. These forms are the oracle the simulation engine is
-checked against.
+0 once it underflows. ``run`` and ``figure3_sweep`` take P_1..P_K in one
+pass, where each round's r^(2^k) is the next round's r^(2^(k-1)). These
+forms are the oracle the simulation engine is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable
 
+from .fock import _check_count
 from .protocols import ProtocolConfig, Schedule, run_schedules
-from .protocols import _check_alpha, _check_count, _imbalance, _ratio_power
+from .protocols import _check_alpha, _imbalance, _ratio_power
 
 # Simulation and closed form must agree at least this tightly.
 ORACLE_MATCH_TOLERANCE = 1e-12
@@ -38,12 +41,25 @@ class SweepPoint:
 
 def p_round_closed_form(alpha: float, round_k: int) -> float:
     """Unconditional success probability of round K for initial alpha."""
+    return _round_yields(alpha, round_k, round_k)[0]
+
+
+def _round_yields(alpha: float, first: int, last: int) -> list[float]:
+    """P_first..P_last for initial alpha, validating and splitting alpha once.
+
+    Round k's R = r^(2^k) is round k + 1's r_half = r^(2^(k-1)), so each
+    power is formed once.
+    """
     _check_alpha(alpha)
-    _check_count(round_k, "round index")
+    _check_count(first, "round index")
     signed, _, log_ratio = _imbalance(alpha)
-    r_half, _ = _ratio_power(log_ratio, round_k - 1)
-    _, one_minus_r = _ratio_power(log_ratio, round_k)
-    return 2.0 * abs(signed) * r_half / one_minus_r
+    r_half, _ = _ratio_power(log_ratio, first - 1)
+    yields = []
+    for k in range(first, last + 1):
+        r_pow, one_minus_r = _ratio_power(log_ratio, k)
+        yields.append(2.0 * abs(signed) * r_half / one_minus_r)
+        r_half = r_pow
+    return yields
 
 
 def p_total_closed_form(alpha: float, k_max: int) -> float:
@@ -87,8 +103,10 @@ def figure3_sweep(
     _check_count(k_max, "k_max")
     points: list[SweepPoint] = []
     for a in default_alpha_grid() if grid is None else grid:
+        if isinstance(a, bool) or not isinstance(a, Real):
+            raise ValueError(f"grid entries must be real numbers, got {a!r}")
         a = float(a)
-        per_round = tuple(p_round_closed_form(a, k) for k in range(1, k_max + 1))
+        per_round = tuple(_round_yields(a, 1, k_max))
         points.append(SweepPoint(a, p_total_closed_form(a, k_max), per_round))
     if cross_check:
         configs = [ProtocolConfig(protocol, p.alpha, n_photons, k_max) for p in points]

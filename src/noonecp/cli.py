@@ -25,8 +25,8 @@ import time
 
 from .analytics import (
     _linspace,
+    _round_yields,
     default_alpha_grid,
-    p_round_closed_form,
     p_total_closed_form,
 )
 from .protocols import (
@@ -229,7 +229,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _make_config(args, args.protocol, math.sqrt(args.alpha_sq))
     started = time.perf_counter()
     schedule = run_schedule(config)
-    oracle = [p_round_closed_form(config.alpha, k) for k in range(1, config.max_rounds + 1)]
+    oracle = _round_yields(config.alpha, 1, config.max_rounds)
     wall = time.perf_counter() - started
     deltas = [abs(row.p_unconditional - o) for row, o in zip(schedule.per_round, oracle)]
     rows = [

@@ -129,6 +129,11 @@ def _finite_number(value: object) -> complex | None:
     return c if cmath.isfinite(c) else None
 
 
+def _check_count(value: int, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+
+
 def vacuum(register: Iterable[ModeId]) -> PureState:
     """All modes empty, amplitude 1."""
     reg = tuple(register)
@@ -157,8 +162,7 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
     Returns:
         New state; the result is not renormalized.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"quanta count must be a positive integer, got {n!r}")
+    _check_count(n, "quanta count")
     try:
         idx = state._register.index(mode)
     except ValueError:

@@ -31,6 +31,7 @@ from .fock import (
     ModeId,
     PureState,
     _batch,
+    _check_count,
     _nonnegative_real,
     _off,
     _per_element,
@@ -97,11 +98,6 @@ _SCHEMES = {
 def _check_alpha(alpha: float) -> None:
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-
-
-def _check_count(value: int, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
 def _imbalance(alpha: float) -> tuple[float, float, float]:

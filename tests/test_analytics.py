@@ -141,6 +141,29 @@ def test_alpha_squaring_to_zero_gives_zero_yield():
     assert p_total_closed_form(1e-200, 10) == 0.0
 
 
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+def test_one_pass_yields_are_the_per_round_yields_bit_for_bit():
+    extra = [(math.sqrt(0.8), 2000), (BALANCED, 2000), (1e-200, 60)]
+    for alpha, k_max in _REFERENCE_CASES + extra:
+        one_pass = analytics._round_yields(alpha, 1, k_max)
+        per_round = [p_round_closed_form(alpha, k) for k in range(1, k_max + 1)]
+        assert _bits(one_pass) == _bits(per_round), (alpha, k_max)
+
+
+@pytest.mark.parametrize("alpha_sq", [0.5, 0.5 + 5e-15, 0.8, 1e-4, 1 - 1e-8])
+def test_a_pass_may_start_at_any_round(alpha_sq):
+    alpha = math.sqrt(alpha_sq)
+    deep = analytics._round_yields(alpha, 1, 1025)
+    for k in (1, 1024, 1025):
+        assert _bits(analytics._round_yields(alpha, k, k)) == _bits(deep[k - 1 : k])
+    k = 10**6
+    window = analytics._round_yields(alpha, k - 2, k)
+    assert _bits(analytics._round_yields(alpha, k, k)) == _bits(window[-1:])
+
+
 def test_default_grid_shape():
     grid = default_alpha_grid()
     assert len(grid) == 199
@@ -221,3 +244,13 @@ def test_sweep_rejects_out_of_range_grid():
         figure3_sweep(k_max=3, grid=np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         figure3_sweep(k_max=0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["0.5", b"0.5", True, np.bool_(True), 0.5 + 0j, None],
+    ids=["str", "bytes", "bool", "numpy-bool", "complex", "None"],
+)
+def test_sweep_rejects_grid_entries_that_are_not_real_numbers(entry):
+    with pytest.raises(ValueError, match="real numbers"):
+        figure3_sweep(k_max=3, grid=[0.5, entry])

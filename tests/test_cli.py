@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noonecp import cli, default_alpha_grid
+from noonecp import analytics, cli, default_alpha_grid
 from noonecp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _grid, main
 
 BALANCED_SQ = 0.5
@@ -169,6 +169,20 @@ def test_run_balanced_ten_rounds_total(capsys):
     assert code == EXIT_OK
     line = next(l for l in out.splitlines() if l.startswith("p_total "))
     assert float(line.split("=")[1]) == pytest.approx(0.9990234375, abs=1e-12)
+
+
+def test_run_takes_its_oracle_yields_in_one_pass(capsys, monkeypatch):
+    imbalance = analytics._imbalance
+    calls = []
+
+    def spy(alpha):
+        calls.append(alpha)
+        return imbalance(alpha)
+
+    monkeypatch.setattr(analytics, "_imbalance", spy)
+    code, _, _ = _run(capsys, ["run", "--alpha-sq", "0.8", "--rounds", "1000"])
+    assert code == EXIT_OK
+    assert calls == [math.sqrt(0.8)]
 
 
 def test_run_requires_alpha_sq(capsys):
