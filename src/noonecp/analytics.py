@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable
 
-from .fock import _check_count
-from .protocols import ProtocolConfig, Schedule, run_schedules
-from .protocols import _check_alpha, _imbalance, _ratio_power
+from .fock import _check_alpha, _check_count
+from .protocols import ProtocolConfig, Schedule, _imbalance, _ratio_power, run_schedules
 
 # Simulation and closed form must agree at least this tightly.
 ORACLE_MATCH_TOLERANCE = 1e-12
@@ -105,7 +104,10 @@ def figure3_sweep(
     for a in default_alpha_grid() if grid is None else grid:
         if isinstance(a, bool) or not isinstance(a, Real):
             raise ValueError(f"grid entries must be real numbers, got {a!r}")
-        a = float(a)
+        try:
+            a = float(a)
+        except OverflowError:
+            raise ValueError(f"alpha must lie strictly inside (0, 1), got {a!r}") from None
         per_round = tuple(_round_yields(a, 1, k_max))
         points.append(SweepPoint(a, p_total_closed_form(a, k_max), per_round))
     if cross_check:

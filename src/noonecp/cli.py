@@ -157,8 +157,11 @@ def _config_defaults(
         name: set(vars(p.parse_args([]))) - {"config"} for name, p in subparsers.items()
     }
     known = set().union(*flags.values())
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -121,17 +121,44 @@ class PureState:
         return f"PureState[{labels}]({body})"
 
 
+# --- Input checks shared by every layer's public boundary. ---
+
+
 def _finite_number(value: object) -> complex | None:
     """``value`` as a finite complex, or None; bool and str are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, Number):
         return None
-    c = complex(value)
+    try:
+        c = complex(value)
+    except OverflowError:  # an int beyond the float range
+        return None
     return c if cmath.isfinite(c) else None
+
+
+def _finite_real(value: object) -> bool:
+    """A finite int or float; bool is an int subclass but never a real setting."""
+    try:
+        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _check_count(value: int, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (_finite_real(alpha) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+
+
+def _mode_index(register: tuple[ModeId, ...], mode: ModeId) -> int:
+    """Position of ``mode`` in ``register``; ValueError if it is absent."""
+    try:
+        return register.index(mode)
+    except ValueError:
+        raise ValueError(f"mode {mode!r} not in register {register!r}") from None
 
 
 def vacuum(register: Iterable[ModeId]) -> PureState:
@@ -163,10 +190,7 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
         New state; the result is not renormalized.
     """
     _check_count(n, "quanta count")
-    try:
-        idx = state._register.index(mode)
-    except ValueError:
-        raise ValueError(f"mode {mode!r} not in register {state._register!r}") from None
+    idx = _mode_index(state._register, mode)
     out: dict[BasisKet, complex] = {}
     for ket, amp in state._terms.items():
         m = ket[idx]
@@ -268,10 +292,11 @@ class _Batch(tuple):
 
     Operators act element by element, and a plain number operand acts on
     every element, so each element sees exactly the float operations of its
-    own scalar run. A batch is true when any element is nonzero; dividing by
-    a zero element gives NaN there. Amplitude elements are real floats (the
-    engine's amplitudes are exactly real), so ``conjugate`` is the identity;
-    only an inner product with a complex state holds complex elements.
+    own scalar run. A batch is true when any element is nonzero; a plain
+    number divided by a zero element gives NaN there. Amplitude elements are
+    real floats (the engine's amplitudes are exactly real), so ``conjugate``
+    is the identity; only an inner product with a complex state holds complex
+    elements.
     """
 
     __slots__ = ()
@@ -291,12 +316,6 @@ class _Batch(tuple):
 
     def __pow__(self, other: object) -> _Batch:
         return self._map(operator.pow, other)
-
-    def __truediv__(self, other: object) -> _Batch:
-        try:
-            return self._map(operator.truediv, other)
-        except ZeroDivisionError:
-            return self._map(_div_or_nan, other)
 
     def __rtruediv__(self, other: object) -> _Batch:
         try:

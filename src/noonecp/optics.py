@@ -34,6 +34,8 @@ from .fock import (
     ModeId,
     PureState,
     _add_into,
+    _finite_real,
+    _mode_index,
     _norm,
     _norm_sq,
     _normalized,
@@ -47,15 +49,6 @@ from .fock import (
 PHASE_CLASS_TOLERANCE = 1e-9
 
 _CONVENTIONS = ("ecp1", "ecp2")
-
-
-def _finite_real(value: object) -> bool:
-    """A finite int or float; bool is an int subclass but never a real setting."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
 
 
 @dataclass(frozen=True)
@@ -132,14 +125,7 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
     number. Other modes pass through untouched.
     """
     reg = state._register
-    try:
-        i1 = reg.index(spec.mode_in_1)
-        i2 = reg.index(spec.mode_in_2)
-    except ValueError:
-        raise ValueError(
-            f"splitter modes ({spec.mode_in_1!r}, {spec.mode_in_2!r}) "
-            f"not both in register {reg!r}"
-        ) from None
+    i1, i2 = _mode_index(reg, spec.mode_in_1), _mode_index(reg, spec.mode_in_2)
     new_reg = list(reg)
     new_reg[i1], new_reg[i2] = spec.mode_out_1, spec.mode_out_2
     if len(set(new_reg)) != len(new_reg):
@@ -177,10 +163,7 @@ def cross_kerr_tag(
     if not _finite_real(per_photon_phase):
         raise ValueError(f"per-photon phase must be a finite real, got {per_photon_phase!r}")
     state, phases = state if isinstance(state, TaggedState) else (state, {})
-    try:
-        idx = state._register.index(mode)
-    except ValueError:
-        raise ValueError(f"mode {mode!r} not in register {state._register!r}") from None
+    idx = _mode_index(state._register, mode)
     return TaggedState(
         state,
         {ket: phases.get(ket, 0.0) + ket[idx] * per_photon_phase for ket in state._terms},
@@ -240,12 +223,7 @@ def _picker(idxs: Sequence[int]):
 def _detector_layout(reg: tuple[ModeId, ...], modes: tuple[ModeId, ...]):
     """Per-ket pickers of the detector occupations and of the kept modes, and
     the kept register, for detecting ``modes`` on register ``reg``."""
-    idxs = []
-    for m in modes:
-        try:
-            idxs.append(reg.index(m))
-        except ValueError:
-            raise ValueError(f"detector mode {m!r} not in register {reg!r}") from None
+    idxs = [_mode_index(reg, m) for m in modes]
     keep = [i for i in range(len(reg)) if i not in idxs]
     if not keep:
         raise ValueError("detection would remove every mode in the register")
@@ -311,10 +289,7 @@ def negate_occupied(state: PureState, mode: ModeId) -> PureState:
     relative sign between the component with all N photons in ``mode`` and
     the empty component, for any N; applied twice it is the identity.
     """
-    try:
-        idx = state._register.index(mode)
-    except ValueError:
-        raise ValueError(f"mode {mode!r} not in register {state._register!r}") from None
+    idx = _mode_index(state._register, mode)
     out = {
         ket: (-amp if ket[idx] > 0 else amp) for ket, amp in state._terms.items()
     }

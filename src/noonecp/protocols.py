@@ -31,7 +31,9 @@ from .fock import (
     ModeId,
     PureState,
     _batch,
+    _check_alpha,
     _check_count,
+    _finite_real,
     _nonnegative_real,
     _off,
     _per_element,
@@ -44,7 +46,6 @@ from .optics import (
     PHASE_CLASS_TOLERANCE,
     BeamSplitterSpec,
     _detect,
-    _finite_real,
     beam_splitter,
     cross_kerr_tag,
     homodyne_partition,
@@ -93,11 +94,6 @@ _SCHEMES = {
         BeamSplitterSpec(*LOCAL_AUX_MODES, *ECP2_DETECTORS, 0.5, "ecp2"),
     ),
 }
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
 
 
 def _imbalance(alpha: float) -> tuple[float, float, float]:
@@ -173,7 +169,10 @@ class ProtocolConfig:
         # The failure reading's probe phase, as run_round's two tags add it up
         # on |0,N> x aux photon in the tag mode; it must land in the 0 class.
         n = self.n_photons
-        residual = (0.0 + n * (-th / n)) + th
+        try:
+            residual = (0.0 + n * (-th / n)) + th
+        except OverflowError:  # an N beyond the float range has no tag -theta/N
+            residual = math.inf
         if abs(residual) >= PHASE_CLASS_TOLERANCE:
             raise ValueError(
                 f"theta={th!r} does not split into {n} per-photon tags that cancel "

@@ -509,6 +509,14 @@ def test_config_file_bad_syntax(tmp_path, capsys):
     assert "key=value" in err
 
 
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_bytes(b"rounds = 1\xff\n")
+    code, out, err = _run(capsys, ["run", "--config", str(cfg)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert str(cfg) in err and "UTF-8" in err
+
+
 def test_missing_config_file_is_io_error(tmp_path, capsys):
     code, _, err = _run(
         capsys, ["run", "--alpha-sq", "0.5", "--config", str(tmp_path / "absent.cfg")]

@@ -1,7 +1,8 @@
-"""The engine never imports the closed form it is checked against, nor the CLI.
+"""The engine never imports the closed form it is checked against, nor the CLI,
+and the input checks every layer shares are defined in ``fock`` alone.
 
-``fock``, ``optics`` and ``protocols`` are parsed, not imported, so a
-function-level import is caught as well as a module-level one.
+Modules are parsed, not imported, so a function-level import or definition
+is caught as well as a module-level one.
 """
 
 import ast
@@ -12,6 +13,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "noonecp"
 ENGINE = ("fock.py", "optics.py", "protocols.py")
 FORBIDDEN = {"noonecp.analytics", "noonecp.cli"}
+SHARED_CHECKS = {"_finite_real", "_finite_number", "_check_count", "_check_alpha", "_mode_index"}
+ABOVE_FOCK = ("optics.py", "protocols.py", "analytics.py", "cli.py")
 
 
 def _imported_modules(tree):
@@ -53,3 +56,34 @@ def test_engine_module_imports_neither_oracle_nor_cli(module):
 )
 def test_the_guard_sees_each_import_form(line):
     assert _forbidden_imports(line) != []
+
+
+def _defined_names(source):
+    """Every name a def, class or assignment in ``source`` binds, at any depth."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def test_fock_defines_every_shared_check():
+    assert SHARED_CHECKS <= set(_defined_names((PACKAGE / "fock.py").read_text()))
+
+
+@pytest.mark.parametrize("module", ABOVE_FOCK)
+def test_no_layer_above_fock_defines_its_own_copy_of_a_shared_check(module):
+    assert SHARED_CHECKS.isdisjoint(_defined_names((PACKAGE / module).read_text()))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _finite_real(value):\n    return True",
+        "class C:\n    def _mode_index(self, register, mode):\n        pass",
+        "def f():\n    def _check_alpha(alpha):\n        pass",
+        "_check_count = lambda value, what: None",
+    ],
+)
+def test_the_guard_sees_each_definition_form(source):
+    assert not SHARED_CHECKS.isdisjoint(_defined_names(source))
