@@ -15,8 +15,8 @@ them without checking again.
 The engine may also run a batch of inputs at once: every ket then carries a
 ``_Batch`` of real amplitudes, one per input. Batches combine element by
 element under the usual operators, and the few places where a scalar and a
-batch differ (the norm, unit scaling, tolerance checks and splitting a
-result per input) go through the number seam at the end of this module, so
+batch differ (normalization, tolerance checks and splitting a result per
+input) go through the number seam at the end of this module, so
 every element sees exactly the float operations of its own run. The seam
 does not decide which readings are absent: an element whose reading has
 zero probability runs on like the others, and the caller that splits a
@@ -248,10 +248,9 @@ def normalized(state: PureState) -> PureState:
     """Scale to unit norm; zero states cannot be normalized.
 
     The norm comes from ``math.hypot``, which neither underflows nor
-    overflows, so a state of tiny nonzero amplitudes still normalizes. In a
-    batch, an element whose norm is zero comes out NaN.
+    overflows, so a state of tiny nonzero amplitudes still normalizes.
     """
-    return PureState._derived(state._register, _normalized(state._terms))
+    return PureState._derived(state._register, _normalized(state._terms)[0])
 
 
 def inner(a: PureState, b: PureState) -> complex:
@@ -283,20 +282,15 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
 # --- Number seam: the only code that tells a plain amplitude from a batch. ---
 
 
-def _div_or_nan(x: float, y: float) -> float:
-    return x / y if y else math.nan
-
-
 class _Batch(tuple):
     """The amplitudes of one ket across a batch of runs, one float per run.
 
     Operators act element by element, and a plain number operand acts on
     every element, so each element sees exactly the float operations of its
-    own scalar run. A batch is true when any element is nonzero; a plain
-    number divided by a zero element gives NaN there. Amplitude elements are
-    real floats (the engine's amplitudes are exactly real), so ``conjugate``
-    is the identity; only an inner product with a complex state holds complex
-    elements.
+    own scalar run. A batch is true when any element is nonzero. Amplitude
+    elements are real floats (the engine's amplitudes are exactly real), so
+    ``conjugate`` is the identity; only an inner product with a complex state
+    holds complex elements.
     """
 
     __slots__ = ()
@@ -316,12 +310,6 @@ class _Batch(tuple):
 
     def __pow__(self, other: object) -> _Batch:
         return self._map(operator.pow, other)
-
-    def __rtruediv__(self, other: object) -> _Batch:
-        try:
-            return _Batch(map(operator.truediv, repeat(other), self))
-        except ZeroDivisionError:
-            return _Batch(map(_div_or_nan, repeat(other), self))
 
     def __neg__(self) -> _Batch:
         return _Batch(map(operator.neg, self))
@@ -369,37 +357,31 @@ def _norm_sq(amps: Collection):
     return sum([abs(a) ** 2 for a in amps])
 
 
-def _norm(amps: Collection):
-    """hypot of the amplitudes' magnitudes, per element for a batch."""
-    if _batched(amps):
-        return _Batch(map(math.hypot, *amps))
-    return math.hypot(*map(abs, amps))
+def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, complex], float]:
+    """``terms`` scaled to unit norm, and that norm; ValueError if it is zero.
 
-
-def _normalized(terms: Mapping[BasisKet, complex]) -> dict[BasisKet, complex]:
-    """``terms`` scaled to unit hypot norm; ValueError if that norm is zero."""
-    norm = _norm(terms.values())
+    The one normalization in the package. The norm is the hypot of the
+    magnitudes, which neither underflows nor overflows. Each amplitude is
+    multiplied by 1/norm, or divided by norm where 1/norm overflows (a
+    subnormal norm). A batch element whose norm is zero comes out NaN.
+    """
+    amps = terms.values()
+    batched = _batched(amps)
+    norm = _Batch(map(math.hypot, *amps)) if batched else math.hypot(*map(abs, amps))
     if not norm:
         raise ValueError("cannot normalize a state with zero norm")
-    return _unit(terms, norm)
-
-
-def _unit(terms: Mapping[BasisKet, complex], norm) -> dict[BasisKet, complex]:
-    """``terms`` divided by their nonzero ``norm``.
-
-    Each amplitude is multiplied by 1/norm, or divided by norm where 1/norm
-    overflows (a subnormal norm). Batch elements with zero norm become NaN.
-    """
-    scale = 1.0 / norm
-    if type(scale) is _Batch:
+    if not batched:
+        scale = 1.0 / norm
+        if math.isinf(scale):
+            return {k: a / norm for k, a in terms.items()}, norm
+    else:
+        scale = _Batch([1.0 / n if n else math.nan for n in norm])
         if any(map(math.isinf, scale)):
             return {
                 k: _Batch(x / n if math.isinf(s) else x * s for x, n, s in zip(a, norm, scale))
                 for k, a in terms.items()
-            }
-    elif math.isinf(scale):
-        return {k: a / norm for k, a in terms.items()}
-    return {k: a * scale for k, a in terms.items()}
+            }, norm
+    return {k: a * scale for k, a in terms.items()}, norm
 
 
 def _sqrt_ratio(num: int, den: int) -> float:

@@ -36,12 +36,10 @@ from .fock import (
     _add_into,
     _finite_real,
     _mode_index,
-    _norm,
     _norm_sq,
     _normalized,
     _off,
     _sqrt_ratio,
-    _unit,
     norm_sq,
 )
 
@@ -196,19 +194,22 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     if _off(total, 1.0, NORM_TOLERANCE):
         raise ValueError(f"homodyne readout expects a normalized state, norm^2={total}")
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
-    for ket, amp in state._terms.items():
-        p = abs(phases[ket])
-        for key, members in classes:
-            if abs(p - key) < PHASE_CLASS_TOLERANCE:
-                members[ket] = amp
-                break
-        else:
-            classes.append((p, {ket: amp}))
+    try:
+        for ket, amp in state._terms.items():
+            p = abs(phases[ket])
+            for key, members in classes:
+                if abs(p - key) < PHASE_CLASS_TOLERANCE:
+                    members[ket] = amp
+                    break
+            else:
+                classes.append((p, {ket: amp}))
+    except KeyError as missing:
+        raise ValueError(f"ket {missing.args[0]!r} has no probe phase") from None
     classes.sort(key=itemgetter(0))
     reg = state._register
     return [
         HomodyneOutcome(
-            key, PureState._derived(reg, _normalized(members)), _norm_sq(members.values())
+            key, PureState._derived(reg, _normalized(members)[0]), _norm_sq(members.values())
         )
         for key, members in classes
     ]
@@ -223,6 +224,9 @@ def _picker(idxs: Sequence[int]):
 def _detector_layout(reg: tuple[ModeId, ...], modes: tuple[ModeId, ...]):
     """Per-ket pickers of the detector occupations and of the kept modes, and
     the kept register, for detecting ``modes`` on register ``reg``."""
+    for i, m in enumerate(modes):
+        if m in modes[:i]:
+            raise ValueError(f"detector mode {m!r} is listed more than once")
     idxs = [_mode_index(reg, m) for m in modes]
     keep = [i for i in range(len(reg)) if i not in idxs]
     if not keep:
@@ -230,15 +234,8 @@ def _detector_layout(reg: tuple[ModeId, ...], modes: tuple[ModeId, ...]):
     return _picker(idxs), _picker(keep), tuple([reg[i] for i in keep])
 
 
-def _detect(
-    state: PureState, modes: Sequence[ModeId]
-) -> tuple[list[tuple[ModeId, PureState, float]], dict[ModeId, float]]:
-    """``detect_photon`` with each branch's norm in place of its probability.
-
-    Returns the ``(fired_mode, projected_state, norm)`` triples in the order
-    of ``modes``, and the same norms by fired mode in the order the state's
-    kets first reach each detector (the order their total is taken in).
-    """
+def _detect(state: PureState, modes: Sequence[ModeId]) -> list[tuple[ModeId, PureState, float]]:
+    """``detect_photon`` with each branch's norm in place of its probability."""
     modes = tuple(modes)
     det_occ, reduced, kept_reg = _detector_layout(state._register, modes)
     # Within one detector's group every ket has the same detector occupations,
@@ -251,18 +248,14 @@ def _detect(
                 f"branch {ket!r} holds {sum(occ)} photons across detectors, expected 1"
             )
         groups.setdefault(modes[occ.index(1)], {})[reduced(ket)] = amp
-    # hypot, as in normalized: amplitudes below ~1e-162 must not square to 0
-    norms = {m: _norm(bucket.values()) for m, bucket in groups.items()}
-    # detect_photon's total, the hypot of these norms, is zero exactly where
-    # every norm is, so the check needs no hypot.
-    if not any(norms.values()):
-        raise ValueError("cannot detect on a state with zero norm")
-    branches = [
-        (m, PureState._derived(kept_reg, _unit(groups[m], norms[m])), norms[m])
-        for m in modes
-        if m in groups
-    ]
-    return branches, norms
+    if not groups:
+        raise ValueError("cannot detect on a state with zero norm: no kets reached any detector")
+    branches = []
+    for m in modes:
+        if m in groups:
+            unit, norm = _normalized(groups[m])
+            branches.append((m, PureState._derived(kept_reg, unit), norm))
+    return branches
 
 
 def detect_photon(
@@ -277,8 +270,10 @@ def detect_photon(
     projected register (the non-fired ones are empty there). Probabilities
     sum to 1.
     """
-    branches, norms = _detect(state, modes)
-    total = _norm(norms.values())
+    branches = _detect(state, modes)
+    # Public states hold plain numbers, and hypot does not depend on the
+    # order of its arguments, so the total is the same in any mode order.
+    total = math.hypot(*[norm for _, _, norm in branches])
     return [(m, projected, (norm / total) ** 2) for m, projected, norm in branches]
 
 

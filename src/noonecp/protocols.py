@@ -332,7 +332,7 @@ def _interfere_and_detect(branch: PureState, scheme: _Scheme, sign_mode: ModeId)
     present, with real non-negative amplitudes) is returned as the folded
     state.
     """
-    branches, _ = _detect(beam_splitter(branch, scheme.mixer), scheme.detectors)
+    branches = _detect(beam_splitter(branch, scheme.mixer), scheme.detectors)
     corrected = [
         negate_occupied(projected, sign_mode) if fired == scheme.detectors[1] else projected
         for fired, projected, _norm in branches

@@ -246,6 +246,20 @@ def test_sweep_rejects_out_of_range_grid():
         figure3_sweep(k_max=0)
 
 
+@pytest.mark.parametrize("cross_check", [False, True])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"protocol": "bogus"}, "protocol must be one of"),
+        ({"n_photons": 0}, "n_photons must be a positive integer"),
+        ({"n_photons": True}, "n_photons must be a positive integer"),
+    ],
+)
+def test_sweep_refuses_bad_settings_whether_or_not_it_cross_checks(setting, message, cross_check):
+    with pytest.raises(ValueError, match=message):
+        figure3_sweep(k_max=2, grid=[0.5], cross_check=cross_check, **setting)
+
+
 @pytest.mark.parametrize(
     "entry",
     ["0.5", b"0.5", True, np.bool_(True), 0.5 + 0j, None],

@@ -25,7 +25,7 @@ from noonecp import (
     tensor,
     vacuum,
 )
-from noonecp.fock import _Batch
+from noonecp.fock import _Batch, _normalized
 
 
 def test_vacuum_single_mode():
@@ -342,8 +342,22 @@ def test_state_rejects_non_finite_amplitudes(amp):
 
 
 def test_batch_division_by_a_zero_element_is_nan_there():
-    reciprocal = 1.0 / _Batch([2.0, 0.0])
-    assert reciprocal[0] == 0.5 and math.isnan(reciprocal[1])
+    # one batch of three runs: a normal norm, a subnormal norm whose
+    # reciprocal overflows, and a zero norm
+    tiny = math.ldexp(1.0, -1070)
+    runs = [(3.0, -4.0), (3 * tiny, 4 * tiny), (0.0, 0.0)]
+    kets = [(1, 0), (0, 1)]
+    unit, norm = _normalized({ket: _Batch(run[i] for run in runs) for i, ket in enumerate(kets)})
+    assert math.isinf(1.0 / norm[1])
+    for element, run in enumerate(runs[:2]):
+        scalar_unit, scalar_norm = _normalized(dict(zip(kets, run)))
+        assert norm[element].hex() == scalar_norm.hex()
+        for ket in kets:
+            assert unit[ket][element].hex() == scalar_unit[ket].hex()
+    assert norm[2] == 0.0
+    assert all(math.isnan(unit[ket][2]) for ket in kets)
+    with pytest.raises(ValueError, match="zero norm"):
+        _normalized({(1, 0): _Batch([0.0, 0.0])})
 
 
 def test_batched_state_repr_formats_each_element():

@@ -1,5 +1,6 @@
 """The engine never imports the closed form it is checked against, nor the CLI,
-and the input checks every layer shares are defined in ``fock`` alone.
+the input checks every layer shares are defined in ``fock`` alone, and so is
+the one normalization.
 
 Modules are parsed, not imported, so a function-level import or definition
 is caught as well as a module-level one.
@@ -15,6 +16,9 @@ ENGINE = ("fock.py", "optics.py", "protocols.py")
 FORBIDDEN = {"noonecp.analytics", "noonecp.cli"}
 SHARED_CHECKS = {"_finite_real", "_finite_number", "_check_count", "_check_alpha", "_mode_index"}
 ABOVE_FOCK = ("optics.py", "protocols.py", "analytics.py", "cli.py")
+# The functions that may use math.hypot: the normalization, and the total of
+# the detector branches' norms.
+HYPOT_USERS = {"fock.py": {"_normalized"}, "optics.py": {"detect_photon"}}
 
 
 def _imported_modules(tree):
@@ -87,3 +91,47 @@ def test_no_layer_above_fock_defines_its_own_copy_of_a_shared_check(module):
 )
 def test_the_guard_sees_each_definition_form(source):
     assert not SHARED_CHECKS.isdisjoint(_defined_names(source))
+
+
+def _hypot_users(source):
+    """The outermost function around each use of ``math.hypot`` in ``source``.
+
+    A use is any ``<module>.hypot`` attribute, called or passed on, and any
+    ``from math import hypot``; None stands for module level.
+    """
+    users = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner or child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "hypot":
+                users.add(owner)
+            elif isinstance(child, ast.ImportFrom) and child.module == "math":
+                if any(alias.name == "hypot" for alias in child.names):
+                    users.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return users
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_math_hypot_is_used_only_by_the_normalization_and_the_detector_total(module):
+    assert _hypot_users((PACKAGE / module).read_text()) <= HYPOT_USERS.get(module, set())
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _norm(amps):\n    return math.hypot(*amps)",
+        "def _norm(amps):\n    return list(map(math.hypot, *amps))",
+        "class C:\n    def norm(self):\n        return math.hypot(3.0, 4.0)",
+        "def f():\n    def g():\n        import math as m\n        return m.hypot(1.0)",
+        "UNIT = math.hypot(3.0, 4.0)",
+        "from math import hypot",
+    ],
+)
+def test_the_guard_sees_each_hypot_use(source):
+    assert not _hypot_users(source) <= HYPOT_USERS["fock.py"]

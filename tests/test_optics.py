@@ -6,7 +6,9 @@ independently of the exact integer sums used by the implementation, and,
 up to 40 photons per mode, against an 80-digit mpmath binomial sum.
 """
 
+import itertools
 import math
+import random
 
 import mpmath
 import pytest
@@ -469,7 +471,8 @@ def test_detect_photon_on_tiny_amplitudes():
 )
 def test_detect_photon_probability_is_squared_norm_ratio(terms):
     # P(m) = (norm_m / total)^2, with norm_m the hypot of group m's amplitudes
-    # and total the hypot of the norms in the order the kets reach the groups
+    # and total the hypot of the norms, here taken in the order the kets reach
+    # the groups rather than in the order of modes
     modes = ["d1", "d2", "d3"]
     st = PureState(("x", *modes), terms)
     groups = {}
@@ -490,6 +493,69 @@ def test_detect_photon_rejects_wrong_photon_count():
     empty = basis_state(("a", "d1", "d2"), (1, 0, 0))
     with pytest.raises(ValueError):
         detect_photon(empty, ["d1", "d2"])
+
+
+def test_detect_photon_refuses_a_state_without_kets():
+    with pytest.raises(ValueError, match="no kets reached any detector"):
+        detect_photon(PureState(("a", "d1", "d2"), {}), ["d1", "d2"])
+
+
+def test_detect_photon_refuses_a_repeated_detector_mode():
+    with pytest.raises(ValueError, match="detector mode 'a' is listed more than once"):
+        detect_photon(basis_state(("a", "b"), (1, 0)), ["a", "a"])
+    with pytest.raises(ValueError, match="detector mode 'd1' is listed more than once"):
+        detect_photon(basis_state(("x", "d1", "d2"), (0, 1, 0)), ["d1", "d2", "d1"])
+
+
+def _random_detector_states(count):
+    """Seeded states on (x, d1, d2[, d3]) whose first ket reaches the last detector."""
+    rng = random.Random(2012)
+    for _ in range(count):
+        modes = ("d1", "d2", "d3")[: rng.choice((2, 3))]
+        scale = 10.0 ** rng.uniform(-300, 0)
+        terms = {}
+        for fired in (len(modes) - 1, *(rng.randrange(len(modes)) for _ in range(5))):
+            occ = [0] * len(modes)
+            occ[fired] = 1
+            terms[(rng.randrange(4), *occ)] = scale * rng.uniform(-1.0, 1.0)
+        yield PureState(("x", *modes), terms), modes
+
+
+def _assert_mode_order_free(state, modes):
+    reference = {m: (branch, p) for m, branch, p in detect_photon(state, modes)}
+    for order in itertools.permutations(modes):
+        results = detect_photon(state, order)
+        assert [m for m, _, _ in results] == [m for m in order if m in reference]
+        for m, branch, p in results:
+            assert p.hex() == reference[m][1].hex(), (order, m)
+            assert branch == reference[m][0]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # the kets reach d2 before d1
+        {(1, 0, 1): 0.6, (2, 1, 0): -0.8},
+        {(0, 0, 1): 1e-200, (3, 1, 0): 7e-201, (1, 0, 1): 2e-200},
+        # the kets reach d3, d1, d2 in turn
+        {(1, 0, 0, 1): 0.3, (0, 1, 0, 0): 0.5, (2, 0, 1, 0): -0.1, (3, 0, 0, 1): 0.2},
+        {(0, 0, 0, 1): 1e-200, (1, 1, 0, 0): 7e-201, (2, 0, 1, 0): -3e-200},
+    ],
+)
+def test_detect_photon_probabilities_do_not_depend_on_mode_order(terms):
+    modes = ("d1", "d2", "d3")[: len(next(iter(terms))) - 1]
+    _assert_mode_order_free(PureState(("x", *modes), terms), modes)
+
+
+def test_detect_photon_probabilities_do_not_depend_on_mode_order_on_random_states():
+    for state, modes in _random_detector_states(300):
+        _assert_mode_order_free(state, modes)
+
+
+def test_homodyne_names_a_ket_without_probe_phase():
+    st = basis_state(("a", "b"), (1, 0))
+    with pytest.raises(ValueError, match=r"ket \(1, 0\) has no probe phase"):
+        homodyne_partition(TaggedState(st, {}))
 
 
 def test_negate_occupied_fixes_even_component_sign():
