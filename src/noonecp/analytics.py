@@ -20,7 +20,7 @@ forms are the oracle the simulation engine is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Iterable
 
@@ -94,13 +94,14 @@ def figure3_sweep(
 ) -> list[SweepPoint]:
     """Closed-form total-success curve over an alpha grid.
 
-    Every grid point's settings are checked as a ``ProtocolConfig``. With
-    ``cross_check`` set, the whole grid is also simulated in one
-    ``run_schedules`` pass, and a disagreement beyond ORACLE_MATCH_TOLERANCE
-    on any unconditional round probability or on the total raises
-    ValueError.
+    The settings are checked as a ``ProtocolConfig`` even for an empty
+    grid, and again with each grid point's alpha. With ``cross_check`` set,
+    the whole grid is also simulated in one ``run_schedules`` pass, and a
+    disagreement beyond ORACLE_MATCH_TOLERANCE on any unconditional round
+    probability or on the total raises ValueError.
     """
     _check_count(k_max, "k_max")
+    settings = ProtocolConfig(protocol, 0.5, n_photons, k_max)  # any alpha in (0, 1)
     points: list[SweepPoint] = []
     configs: list[ProtocolConfig] = []
     for a in default_alpha_grid() if grid is None else grid:
@@ -110,7 +111,7 @@ def figure3_sweep(
             a = float(a)
         except OverflowError:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {a!r}") from None
-        configs.append(ProtocolConfig(protocol, a, n_photons, k_max))
+        configs.append(replace(settings, alpha=a))
         per_round = tuple(_round_yields(a, 1, k_max))
         points.append(SweepPoint(a, p_total_closed_form(a, k_max), per_round))
     if cross_check:

@@ -22,6 +22,7 @@ import functools
 import math
 import sys
 import time
+from dataclasses import replace
 
 from .analytics import (
     _linspace,
@@ -199,12 +200,13 @@ def _simulated_totals(args: argparse.Namespace, protocol: str) -> list[float]:
     The grid goes through ``run_schedules`` in passes of at most
     _POINT_ROUNDS_PER_PASS point-rounds (and at least one point).
     """
+    # Checked here so that an empty grid cannot skip the check; any alpha in
+    # (0, 1) will do, as _grid has checked the grid's own.
+    settings = _make_config(args, protocol, 0.5)
     per_pass = max(1, _POINT_ROUNDS_PER_PASS // args.rounds)
     totals = []
     for start in range(0, len(args.grid), per_pass):
-        configs = [
-            _make_config(args, protocol, alpha) for alpha in args.grid[start : start + per_pass]
-        ]
+        configs = [replace(settings, alpha=alpha) for alpha in args.grid[start : start + per_pass]]
         totals += [
             apply_loss_model(schedule, config).p_total
             for schedule, config in zip(run_schedules(configs), configs)

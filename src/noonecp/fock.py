@@ -349,12 +349,16 @@ def _norm_sq(amps: Collection):
     """Sum of the amplitudes' squared magnitudes, in order.
 
     A batch sum starts from its first square, not from 0: squares are >= +0,
-    so 0 + x is x, and that pass over the batch would change no bit.
+    so 0 + x is x, and that pass over the batch would change no bit. A
+    plain square beyond the float range makes the sum inf.
     """
     if _batched(amps):
         squares = [_Batch(map(operator.pow, a, repeat(2))) for a in amps]
         return sum(squares[1:], squares[0])
-    return sum([abs(a) ** 2 for a in amps])
+    try:
+        return sum([abs(a) ** 2 for a in amps])
+    except OverflowError:
+        return math.inf
 
 
 def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, complex], float]:

@@ -9,16 +9,16 @@ superposition using one auxiliary photon per round:
   signal, which is why channel loss hits this scheme twice per round).
 * ``ecp2`` consumes a locally prepared auxiliary photon split on a variable
   beam splitter whose transmissivity is retuned every round to the current
-  state's ca^2, so the photon is cb|1,0> + ca|0,1>.
+  state's ca^2, so the photon is cb|1,0> + ca|0,1> on (c1, c2): the same
+  photon as ecp1's, ca|1,0> + cb|0,1>, on the labels (c2, c1).
 
-A round proceeds the same way in both schemes: tag the N-photon mode with
-a probe phase of -theta/N per photon and the auxiliary mode with +theta,
-read the probe out, mix the auxiliary modes on a balanced splitter and
-detect the photon. The |theta| reading heralds success (balanced output
+Both schemes run one circuit on their own labels: tag the N-photon mode
+with a probe phase of -theta/N per photon and the auxiliary pair's second
+mode with +theta, read the probe out, mix the pair on a balanced splitter
+and detect the photon. The |theta| reading heralds success (balanced output
 after a sign correction on second-detector clicks); the 0 reading leaves a
 squared-coefficient copy of the input, which is recycled into the next
-round. Success probabilities are identical between the schemes in the
-lossless model.
+round. Lossless yields agree bit for bit between the schemes.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Iterable, NamedTuple
 
 from .fock import (
+    NORM_TOLERANCE,
     ModeId,
     PureState,
     _batch,
@@ -52,8 +53,6 @@ from .optics import (
     negate_occupied,
 )
 
-PROTOCOLS = ("ecp1", "ecp2")
-
 # Default mode labels: signal pair, shared-scheme auxiliary pair, local-scheme
 # auxiliary pair, and the detector labels each scheme's final splitter feeds.
 SIGNAL_MODES = ("a1", "b1")
@@ -61,9 +60,6 @@ SHARED_AUX_MODES = ("a2", "b2")
 LOCAL_AUX_MODES = ("c1", "c2")
 ECP1_DETECTORS = ("d1", "d2")
 ECP2_DETECTORS = ("e1", "e2")
-
-# Internal consistency checks on folded detector branches.
-_FOLD_TOLERANCE = 1e-10
 
 # Veltkamp splitting constant 2^27 + 1: splits a double into two halves
 # whose products are exact.
@@ -73,27 +69,26 @@ _SPLITTER = 134217729.0
 class _Scheme(NamedTuple):
     """Where one scheme's auxiliary photon lives and how it is read out.
 
-    ``swapped`` puts the signal's (ca, cb) on the auxiliary modes in reverse
-    order; ``mixer`` is the balanced splitter feeding the detectors.
+    The photon is ca|1,0> + cb|0,1> on ``aux_modes``, tagged on
+    ``aux_modes[1]``; ``mixer`` is the balanced splitter feeding the
+    detectors. ``local`` marks a photon that never crosses the channel.
     """
 
     aux_modes: tuple[ModeId, ModeId]
     detectors: tuple[ModeId, ModeId]
-    tag_mode: ModeId
-    swapped: bool
+    local: bool
     mixer: BeamSplitterSpec
 
 
+# ecp2 labels its local pair (c2, c1), so that its photon is ecp1's.
 _SCHEMES = {
-    "ecp1": _Scheme(
-        SHARED_AUX_MODES, ECP1_DETECTORS, SHARED_AUX_MODES[1], False,
-        BeamSplitterSpec(*SHARED_AUX_MODES, *ECP1_DETECTORS, 0.5, "ecp1"),
-    ),
-    "ecp2": _Scheme(
-        LOCAL_AUX_MODES, ECP2_DETECTORS, LOCAL_AUX_MODES[0], True,
-        BeamSplitterSpec(*LOCAL_AUX_MODES, *ECP2_DETECTORS, 0.5, "ecp2"),
-    ),
+    name: _Scheme(aux_modes, detectors, local, BeamSplitterSpec(*aux_modes, *detectors))
+    for name, aux_modes, detectors, local in (
+        ("ecp1", SHARED_AUX_MODES, ECP1_DETECTORS, False),
+        ("ecp2", LOCAL_AUX_MODES[::-1], ECP2_DETECTORS, True),
+    )
 }
+PROTOCOLS = tuple(_SCHEMES)
 
 
 def _imbalance(alpha: float) -> tuple[float, float, float]:
@@ -340,7 +335,7 @@ def _interfere_and_detect(branch: PureState, scheme: _Scheme, sign_mode: ModeId)
     for other in corrected[1:]:
         # Both branches are normalized, so |<a|b>|^2 is their fidelity.
         fid = abs(inner(corrected[0], other)) ** 2
-        if _off(fid, 1.0, _FOLD_TOLERANCE):
+        if _off(fid, 1.0, NORM_TOLERANCE):
             raise ValueError(
                 f"detector branches disagree after correction (fidelity {fid})"
             )
@@ -355,9 +350,10 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     zero); anything else raises ValueError. Auxiliary and detector modes use
     the package-default labels, so the signal register must not hold them
     (``tensor`` and ``beam_splitter`` refuse the collision). Both schemes
-    build the auxiliary photon from the input's own coefficients: ecp1 as
-    ca|1,0> + cb|0,1>, ecp2 as cb|1,0> + ca|0,1>, the variable splitter set
-    to t = ca^2. round_k is only validated and recorded.
+    build the auxiliary photon from the input's own coefficients, as
+    ca|1,0> + cb|0,1> on the scheme's auxiliary pair: (a2, b2) for ecp1 and
+    (c2, c1) for ecp2, whose variable splitter is set to t = ca^2. round_k
+    is only validated and recorded.
 
     Returns both heralded branches; the failure branch always exists and
     carries the squared, renormalized coefficients of the input. Detection
@@ -370,10 +366,9 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     scheme = _SCHEMES[config.protocol]
     sig_b = state._register[1]
     theta = config.theta
-    first, second = (cb, ca) if scheme.swapped else (ca, cb)
-    aux = PureState._derived(scheme.aux_modes, {(1, 0): first, (0, 1): second})
+    aux = PureState._derived(scheme.aux_modes, {(1, 0): ca, (0, 1): cb})
     tagged = cross_kerr_tag(tensor(state, aux), sig_b, -theta / n)
-    readings = homodyne_partition(cross_kerr_tag(tagged, scheme.tag_mode, theta))
+    readings = homodyne_partition(cross_kerr_tag(tagged, scheme.aux_modes[1], theta))
 
     success_reading = None
     failure_reading = None
@@ -402,7 +397,7 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
         success_prob=success_prob,
         failure_state=failure_state,
         failure_prob=failure_reading.probability,
-        vbs_transmission_used=ca * ca if config.protocol == "ecp2" else None,
+        vbs_transmission_used=ca * ca if scheme.local else None,
     )
 
 
@@ -501,7 +496,7 @@ def apply_loss_model(schedule: Schedule, config: ProtocolConfig) -> Schedule:
         raise ValueError(
             f"schedule is for {schedule.protocol!r} but config says {config.protocol!r}"
         )
-    if config.protocol == "ecp2" or config.loss_eta == 1.0:
+    if _SCHEMES[config.protocol].local or config.loss_eta == 1.0:
         return schedule
     f = config.loss_eta * config.loss_eta
     rows = tuple(

@@ -246,18 +246,28 @@ def test_sweep_rejects_out_of_range_grid():
         figure3_sweep(k_max=0)
 
 
+BAD_SETTINGS = [
+    ({"protocol": "bogus"}, "protocol must be one of"),
+    ({"n_photons": 0}, "n_photons must be a positive integer"),
+    ({"n_photons": True}, "n_photons must be a positive integer"),
+]
+
+
 @pytest.mark.parametrize("cross_check", [False, True])
-@pytest.mark.parametrize(
-    "setting, message",
-    [
-        ({"protocol": "bogus"}, "protocol must be one of"),
-        ({"n_photons": 0}, "n_photons must be a positive integer"),
-        ({"n_photons": True}, "n_photons must be a positive integer"),
-    ],
-)
+@pytest.mark.parametrize("setting, message", BAD_SETTINGS)
 def test_sweep_refuses_bad_settings_whether_or_not_it_cross_checks(setting, message, cross_check):
     with pytest.raises(ValueError, match=message):
         figure3_sweep(k_max=2, grid=[0.5], cross_check=cross_check, **setting)
+
+
+@pytest.mark.parametrize("setting, message", BAD_SETTINGS)
+def test_sweep_refuses_bad_settings_on_an_empty_grid(setting, message):
+    with pytest.raises(ValueError, match=message):
+        figure3_sweep(k_max=2, grid=[], **setting)
+
+
+def test_sweep_of_an_empty_grid_with_valid_settings_is_empty():
+    assert figure3_sweep(k_max=2, grid=[], cross_check=True, protocol="ecp1") == []
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -223,6 +224,32 @@ def test_run_rejects_bad_numbers(capsys):
         code, _, err = _run(capsys, argv)
         assert code == EXIT_USAGE, argv
         assert "cancel" in err, argv
+
+
+@pytest.mark.parametrize("grid", ["0.3:0.4:0", "0.3:0.4:1"], ids=["empty", "one-point"])
+@pytest.mark.parametrize("command", ["sweep", "compare-loss"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theta", "0"], "multiple of 2[*]pi"),
+        (["--theta", "nan"], "finite real"),
+        (["--n", "19", "--theta", "1e7"], "cancel"),
+    ],
+)
+def test_grid_commands_check_settings_whatever_the_grid_length(
+    capsys, grid, command, flags, message
+):
+    code, out, err = _run(capsys, [command, "--grid", grid, *flags])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert re.search(message, err)
+
+
+def test_compare_loss_empty_grid_writes_header_only(tmp_path, capsys):
+    out_path = tmp_path / "empty.csv"
+    code, _, _ = _run(capsys, ["compare-loss", "--grid", "0.3:0.4:0", "--out", str(out_path)])
+    assert code == EXIT_OK
+    assert out_path.read_text() == "alpha,eta,p_total_ecp1,p_total_ecp2,advantage\n"
 
 
 def test_help_exits_zero(capsys):

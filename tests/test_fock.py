@@ -16,6 +16,7 @@ from noonecp import (
     detect_photon,
     fidelity_up_to_global_phase,
     figure3_sweep,
+    homodyne_partition,
     inner,
     negate_occupied,
     norm_sq,
@@ -171,6 +172,18 @@ def test_norm_sq_failure_branch_weights():
         ]
     )
     assert norm_sq(st) == pytest.approx(0.8**2 + 0.2**2, abs=1e-15)
+
+
+@pytest.mark.parametrize("amp", [1e308, -1e200, 1e308j, complex(1e308, 1e308)])
+def test_norm_sq_of_a_finite_state_beyond_the_float_range_is_inf(amp):
+    # each square leaves the float range; the normalization checks built on
+    # norm_sq must refuse such a state as unnormalized, not overflow
+    st = PureState(("a",), {(0,): amp})
+    assert norm_sq(st) == math.inf
+    with pytest.raises(ValueError, match="not normalized"):
+        fidelity_up_to_global_phase(st, st)
+    with pytest.raises(ValueError, match="normalized state, norm\\^2=inf"):
+        homodyne_partition(cross_kerr_tag(st, "a", 0.1))
 
 
 def test_state_keeps_every_nonzero_amplitude():

@@ -1,6 +1,7 @@
 """The engine never imports the closed form it is checked against, nor the CLI,
 the input checks every layer shares are defined in ``fock`` alone, and so is
-the one normalization.
+the one normalization; ``protocols`` tells its two schemes apart only through
+its scheme table, never by testing a protocol's name.
 
 Modules are parsed, not imported, so a function-level import or definition
 is caught as well as a module-level one.
@@ -135,3 +136,59 @@ def test_math_hypot_is_used_only_by_the_normalization_and_the_detector_total(mod
 )
 def test_the_guard_sees_each_hypot_use(source):
     assert not _hypot_users(source) <= HYPOT_USERS["fock.py"]
+
+
+PROTOCOL_NAMES = {"ecp1", "ecp2"}
+NAME_TESTS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def _protocol_name_tests(source):
+    """Line of every ==, !=, in or not in that has a protocol name as an operand.
+
+    An operand counts when it is the name itself or a tuple, list or set
+    literal holding it.
+    """
+
+    def names(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return {n for elt in node.elts for n in names(elt)}
+        return {node.value} if isinstance(node, ast.Constant) else set()
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, NAME_TESTS) for op in node.ops)
+        and any(names(operand) & PROTOCOL_NAMES for operand in [node.left, *node.comparators])
+    ]
+
+
+def test_protocols_keeps_scheme_facts_in_the_scheme_table():
+    # what sets ecp1 and ecp2 apart lives in _SCHEMES, not in tests on their names
+    assert _protocol_name_tests((PACKAGE / "protocols.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "t = ca * ca if config.protocol == 'ecp2' else None",
+        "if 'ecp1' != protocol:\n    pass",
+        "def f(config):\n    return config.protocol in ('ecp2',) or config.loss_eta == 1.0",
+        "ok = protocol not in {'ecp1', 'bogus'}",
+        "class C:\n    def local(self):\n        return self.name in ['ecp2']",
+    ],
+)
+def test_the_guard_sees_each_protocol_name_test(source):
+    assert _protocol_name_tests(source) != []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "spec = BeamSplitterSpec('c1', 'c2', 'e1', 'e2', 0.5, sign_convention='ecp2')",
+        "_SCHEMES = {'ecp1': 1, 'ecp2': 2}",
+        "ok = protocol in PROTOCOLS",
+    ],
+)
+def test_the_guard_lets_scheme_names_appear_outside_tests(source):
+    assert _protocol_name_tests(source) == []

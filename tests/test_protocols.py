@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 from noonecp import (
+    BeamSplitterSpec,
     HomodyneOutcome,
     ProtocolConfig,
     PureState,
     RoundOutcome,
     apply_loss_model,
     basis_state,
+    beam_splitter,
     cross_kerr_tag,
+    detect_photon,
     fidelity_up_to_global_phase,
     homodyne_partition,
     maximally_entangled_noon,
+    negate_occupied,
     norm_sq,
     prepare_aux_ecp1,
     prepare_aux_ecp2,
@@ -585,6 +589,74 @@ def test_protocols_agree_for_all_photon_numbers(n):
         assert s1.p_total == pytest.approx(s2.p_total, abs=1e-12)
         for a, b in zip(s1.per_round, s2.per_round):
             assert a.p_unconditional == pytest.approx(b.p_unconditional, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100])
+@pytest.mark.parametrize("k_max", [10, 60])
+def test_protocols_give_bit_identical_lossless_yields(n, k_max):
+    # ecp2 is ecp1 with the auxiliary photon kept local: the same yields, bit for bit
+    grid = [*_BATCH_ALPHA_SQ, *np.linspace(0.01, 0.99, 41)]
+    ecp1, ecp2 = (
+        run_schedules([_config(protocol, x, n, max_rounds=k_max) for x in grid])
+        for protocol in ("ecp1", "ecp2")
+    )
+    for a, b in zip(ecp1, ecp2):
+        assert _same_bits(a.p_total, b.p_total), a.alpha
+        for row_a, row_b in zip(a.per_round, b.per_round):
+            for field in ("p_conditional", "p_unconditional"):
+                assert _same_bits(getattr(row_a, field), getattr(row_b, field)), (
+                    a.alpha, row_a.round_index, field
+                )
+
+
+# Each scheme in the paper's own labels: auxiliary modes, the coefficient
+# order of its photon, the mode its probe tags, and its mixer onto the detectors.
+_PAPER_SCHEMES = {
+    "ecp1": (("a2", "b2"), False, "b2", BeamSplitterSpec("a2", "b2", "d1", "d2", 0.5, "ecp1")),
+    "ecp2": (("c1", "c2"), True, "c1", BeamSplitterSpec("c1", "c2", "e1", "e2", 0.5, "ecp2")),
+}
+
+
+def _paper_round(state, protocol, n, theta):
+    """One round rebuilt from public primitives: (p_success, success, p_fail, failure)."""
+    aux_modes, swapped, tag_mode, mixer = _PAPER_SCHEMES[protocol]
+    ca, cb = state.amplitude((n, 0)).real, state.amplitude((0, n)).real
+    photon = dict(zip([(1, 0), (0, 1)], (cb, ca) if swapped else (ca, cb)))
+    tagged = cross_kerr_tag(tensor(state, PureState(aux_modes, photon)), "b1", -theta / n)
+    # sorted by phase class: the 0 (failure) reading, then the |theta| one
+    failure, success = homodyne_partition(cross_kerr_tag(tagged, tag_mode, theta))
+    detectors = [mixer.mode_out_1, mixer.mode_out_2]
+    folded = []
+    for reading in (success, failure):
+        branches = detect_photon(beam_splitter(reading.branch, mixer), detectors)
+        fired, branch, _ = branches[0]
+        assert fired == detectors[0]
+        for _, other, _ in branches[1:]:
+            other = negate_occupied(other, "b1")
+            assert fidelity_up_to_global_phase(branch, other) == pytest.approx(1.0)
+        folded += [reading.probability, branch]
+    return tuple(folded)
+
+
+def _hex_real_amplitudes(state):
+    assert all(amp.imag == 0.0 for amp in state.terms.values())
+    return state.register, {ket: amp.real.hex() for ket, amp in state.terms.items()}
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("alpha_sq", [0.2, 0.5 + 5.2e-15, 0.734521, 0.8])
+def test_round_matches_the_paper_circuit_rebuilt_from_primitives(protocol, n, alpha_sq):
+    config = _config(protocol, alpha_sq, n, theta=0.1)
+    engine = rebuilt = prepare_less_entangled_noon(config.alpha, n)
+    for k in (1, 2, 3):
+        outcome = run_round(engine, config, k)
+        p_success, success, p_failure, rebuilt = _paper_round(rebuilt, protocol, n, 0.1)
+        assert outcome.success_prob.hex() == p_success.hex()
+        assert outcome.failure_prob.hex() == p_failure.hex()
+        assert _hex_real_amplitudes(outcome.success_state) == _hex_real_amplitudes(success)
+        assert _hex_real_amplitudes(outcome.failure_state) == _hex_real_amplitudes(rebuilt)
+        engine = outcome.failure_state
 
 
 # alpha^2 = 1e-4 and 0.9999 lose their smaller coefficient to underflow
