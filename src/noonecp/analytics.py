@@ -95,15 +95,14 @@ def figure3_sweep(
     """Closed-form total-success curve over an alpha grid.
 
     The settings are checked as a ``ProtocolConfig`` even for an empty
-    grid, and again with each grid point's alpha. With ``cross_check`` set,
-    the whole grid is also simulated in one ``run_schedules`` pass, and a
-    disagreement beyond ORACLE_MATCH_TOLERANCE on any unconditional round
-    probability or on the total raises ValueError.
+    grid, and each grid point's alpha by the closed form. With
+    ``cross_check`` set, the whole grid is also simulated in one
+    ``run_schedules`` pass, and a disagreement beyond ORACLE_MATCH_TOLERANCE
+    on any unconditional round probability or on the total raises ValueError.
     """
     _check_count(k_max, "k_max")
     settings = ProtocolConfig(protocol, 0.5, n_photons, k_max)  # any alpha in (0, 1)
     points: list[SweepPoint] = []
-    configs: list[ProtocolConfig] = []
     for a in default_alpha_grid() if grid is None else grid:
         if isinstance(a, bool) or not isinstance(a, Real):
             raise ValueError(f"grid entries must be real numbers, got {a!r}")
@@ -111,10 +110,10 @@ def figure3_sweep(
             a = float(a)
         except OverflowError:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {a!r}") from None
-        configs.append(replace(settings, alpha=a))
         per_round = tuple(_round_yields(a, 1, k_max))
         points.append(SweepPoint(a, p_total_closed_form(a, k_max), per_round))
     if cross_check:
+        configs = [replace(settings, alpha=point.alpha) for point in points]
         for point, schedule in zip(points, run_schedules(configs)):
             _check_against_engine(point, schedule)
     return points

@@ -10,9 +10,10 @@ Three subcommands:
 Exit codes: 0 on success, 2 on usage errors, 3 on I/O errors. A flat
 key=value config file can supply the value of any of the chosen
 subcommand's flags; explicit flags win, and keys the subcommand has no
-flag for are ignored. CSV output uses 12 significant digits, '.' decimals
-and LF line endings, and is byte-identical across runs with identical
-flags.
+flag for are ignored. Every CSV cell goes through ``_fmt``: a round or K
+is an integer, ecp1's vbs_t is empty (ecp1 has no variable beam splitter)
+and any other number has 12 significant digits and '.' decimals. Lines
+end in LF; output is byte-identical across runs with identical flags.
 """
 
 from __future__ import annotations
@@ -54,8 +55,15 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+def _fmt(x: float | int | None) -> str:
+    """One CSV cell: empty for None, an int as written, any other number to 12 digits."""
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, int) else format(x, ".12g")
+
+
+def _row(*cells: float | int | None) -> str:
+    return ",".join(map(_fmt, cells))
 
 
 def _number(text: str, kind: type, what: str) -> int | float:
@@ -63,6 +71,9 @@ def _number(text: str, kind: type, what: str) -> int | float:
         return kind(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects {what}, got {text!r}") from None
+
+
+_real = functools.partial(_number, kind=float, what="a number")
 
 
 def _protocol(text: str) -> str:
@@ -80,14 +91,14 @@ def _positive_int(text: str) -> int:
 
 
 def _unit_interval(text: str) -> float:
-    value = _number(text, float, "a number")
+    value = _real(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
     return value
 
 
 def _alpha_sq(text: str) -> float:
-    value = _number(text, float, "a number")
+    value = _real(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must lie strictly inside (0, 1), got {value}")
     return value
@@ -139,7 +150,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     for p in subparsers.values():
         p.add_argument("--n", type=_positive_int, default=1, help="photon number N")
         p.add_argument("--rounds", type=_positive_int, default=10, help="rounds to run")
-        p.add_argument("--theta", type=float, default=0.1, help="probe phase (rad)")
+        p.add_argument("--theta", type=_real, default=0.1, help="probe phase (rad)")
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--config", help="flat key=value config file")
     return parser, subparsers
@@ -159,7 +170,7 @@ def _config_defaults(
     }
     known = set().union(*flags.values())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = fh.read()
     except UnicodeDecodeError as exc:
         raise _UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
@@ -238,18 +249,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - started
     deltas = [abs(row.p_unconditional - o) for row, o in zip(schedule.per_round, oracle)]
     rows = [
-        ",".join(
-            [
-                str(row.round_index),
-                "" if row.vbs_transmission is None else _fmt(row.vbs_transmission),
-                _fmt(row.p_conditional),
-                _fmt(row.p_unconditional),
-                _fmt(o),
-                _fmt(delta),
-                _fmt(row.success_fidelity),
-            ]
-        )
-        for row, o, delta in zip(schedule.per_round, oracle, deltas)
+        _row(k, t, p, u, o, delta, fidelity)
+        for (k, t, p, u, fidelity), o, delta in zip(schedule.per_round, oracle, deltas)
     ]
     print(
         f"protocol={config.protocol} alpha_sq={_fmt(args.alpha_sq)} "
@@ -276,18 +277,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for alpha, simulated in zip(args.grid, _simulated_totals(args, args.protocol)):
         oracle = p_total_closed_form(alpha, args.rounds)
-        rows.append(
-            ",".join(
-                [
-                    _fmt(alpha),
-                    _fmt(alpha * alpha),
-                    str(args.rounds),
-                    _fmt(simulated),
-                    _fmt(oracle),
-                    _fmt(abs(simulated - oracle)),
-                ]
-            )
-        )
+        delta = abs(simulated - oracle)
+        rows.append(_row(alpha, alpha * alpha, args.rounds, simulated, oracle, delta))
     _write_csv(args.out, header, rows)
     return EXIT_OK
 
@@ -296,7 +287,7 @@ def cmd_compare_loss(args: argparse.Namespace) -> int:
     header = "alpha,eta,p_total_ecp1,p_total_ecp2,advantage"
     lossy = {protocol: _simulated_totals(args, protocol) for protocol in PROTOCOLS}
     rows = [
-        ",".join([_fmt(alpha), _fmt(args.eta), _fmt(ecp1), _fmt(ecp2), _fmt(ecp2 - ecp1)])
+        _row(alpha, args.eta, ecp1, ecp2, ecp2 - ecp1)
         for alpha, ecp1, ecp2 in zip(args.grid, lossy["ecp1"], lossy["ecp2"])
     ]
     _write_csv(args.out, header, rows)

@@ -54,6 +54,16 @@ def test_run_prints_summary_and_table(capsys):
     assert any(line.startswith("wall_time_s") for line in lines)
 
 
+def test_readme_run_example_is_the_real_output(capsys):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    command = "$ noonecp run --alpha-sq 0.8 --protocol ecp2 --rounds 4\n"
+    shown = readme.split(command, 1)[1].split("```", 1)[0].splitlines()
+    code, out, _ = _run(capsys, command.split()[2:])
+    assert code == EXIT_OK
+    assert out.splitlines()[: len(shown)] == shown
+    assert len(shown) == 7
+
+
 def test_run_values_match_closed_form(capsys):
     code, out, _ = _run(
         capsys, ["run", "--alpha-sq", "0.8", "--protocol", "ecp1", "--rounds", "1"]
@@ -224,6 +234,14 @@ def test_run_rejects_bad_numbers(capsys):
         code, _, err = _run(capsys, argv)
         assert code == EXIT_USAGE, argv
         assert "cancel" in err, argv
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--eta", "--alpha-sq"])
+def test_numeric_flags_report_a_non_number_alike(capsys, flag):
+    argv = ["run", "--alpha-sq", "0.5", flag, "abc"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"argument {flag}: expects a number, got 'abc'" in err
 
 
 @pytest.mark.parametrize("grid", ["0.3:0.4:0", "0.3:0.4:1"], ids=["empty", "one-point"])
@@ -542,6 +560,15 @@ def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     code, out, err = _run(capsys, ["run", "--config", str(cfg)])
     assert (code, out) == (EXIT_USAGE, "")
     assert str(cfg) in err and "UTF-8" in err
+
+
+def test_config_file_saved_with_a_byte_order_mark(tmp_path, capsys):
+    # editors on Windows often start a UTF-8 file with U+FEFF
+    cfg = tmp_path / "job.cfg"
+    cfg.write_bytes("alpha_sq = 0.8\nrounds = 2\n".encode("utf-8-sig"))
+    code, out, err = _run(capsys, ["run", "--config", str(cfg)])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0].startswith("protocol=ecp2 alpha_sq=0.8 n=1 rounds=2")
 
 
 def test_missing_config_file_is_io_error(tmp_path, capsys):

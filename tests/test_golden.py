@@ -23,6 +23,11 @@ CASES = {
         "--grid", "0.01:0.99:150",
     ],
     "run_alpha_sq0.8_k40.csv": ["run", "--alpha-sq", "0.8", "--rounds", "40"],
+    # ecp1 has no variable beam splitter, so every vbs_t cell is empty; the
+    # success branch dies after round 10 and rows 11-60 read 0 and nan.
+    "run_ecp1_n2_alpha_sq0.3_k60.csv": [
+        "run", "--protocol", "ecp1", "--alpha-sq", "0.3", "--n", "2", "--rounds", "60",
+    ],
     # About 55 success rounds, then the failure branch repeats to K = 1000.
     "run_ecp2_alpha_sq0.5000000000000052_k1000.csv": [
         "run", "--protocol", "ecp2", "--rounds", "1000", "--alpha-sq", "0.5000000000000052",

@@ -1,7 +1,8 @@
 """The engine never imports the closed form it is checked against, nor the CLI,
 the input checks every layer shares are defined in ``fock`` alone, and so is
 the one normalization; ``protocols`` tells its two schemes apart only through
-its scheme table, never by testing a protocol's name.
+its scheme table, never by testing a protocol's name; and the CLI writes
+every CSV cell through ``cli._fmt``.
 
 Modules are parsed, not imported, so a function-level import or definition
 is caught as well as a module-level one.
@@ -192,3 +193,82 @@ def test_the_guard_sees_each_protocol_name_test(source):
 )
 def test_the_guard_lets_scheme_names_appear_outside_tests(source):
     assert _protocol_name_tests(source) == []
+
+
+def _csv_cell_breaches(source):
+    """Line of every ".12g" spec outside ``_fmt``, and of every ","-join whose
+    cells are not ``_fmt``'s output.
+
+    A join's cells count as ``_fmt``'s output when they are ``map(_fmt, ...)``,
+    a list or tuple of ``_fmt(...)`` calls, or a comprehension of one.
+    """
+
+    def formatted(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fmt"
+
+    def cells_formatted(node):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map":
+            return getattr(node.args[0], "id", None) == "_fmt"
+        if isinstance(node, (ast.List, ast.Tuple)):
+            return all(map(formatted, node.elts))
+        return isinstance(node, (ast.ListComp, ast.GeneratorExp)) and formatted(node.elt)
+
+    breaches = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner or child.name)
+                continue
+            if isinstance(child, ast.Constant) and ".12g" in str(child.value):
+                if owner != "_fmt":
+                    breaches.append(child.lineno)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "join"
+                and isinstance(child.func.value, ast.Constant)
+                and child.func.value.value == ","
+                and not (len(child.args) == 1 and cells_formatted(child.args[0]))
+            ):
+                breaches.append(child.lineno)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return breaches
+
+
+def test_cli_formats_every_csv_cell_through_fmt():
+    assert _csv_cell_breaches((PACKAGE / "cli.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _pct(x):\n    return format(float(x), '.12g')",
+        "line = f'p_total = {p:.12g}'",
+        "def f(x):\n    return '%.12g' % x",
+        "def f(x):\n    return '{:.12g}'.format(x)",
+        "row = ','.join([str(k), '' if t is None else _fmt(t), _fmt(p)])",
+        "def f(cells):\n    return ','.join(map(str, cells))",
+        "row = ','.join(str(c) for c in cells)",
+        "row = ','.join(cells)",
+    ],
+)
+def test_the_guard_sees_each_csv_cell_written_outside_fmt(source):
+    assert _csv_cell_breaches(source) != []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _fmt(x):\n    return '' if x is None else format(x, '.12g')",
+        "def _row(*cells):\n    return ','.join(map(_fmt, cells))",
+        "row = ','.join([_fmt(alpha), _fmt(eta)])",
+        "row = ','.join(_fmt(c) for c in cells)",
+        "text = '\\n'.join([header, *rows])",
+        "print(f'wall_time_s = {wall:.6f}')",
+    ],
+)
+def test_the_guard_lets_fmt_and_other_text_through(source):
+    assert _csv_cell_breaches(source) == []
