@@ -20,7 +20,7 @@ forms are the oracle the simulation engine is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable
 
@@ -113,8 +113,8 @@ def figure3_sweep(
         per_round = tuple(_round_yields(a, 1, k_max))
         points.append(SweepPoint(a, p_total_closed_form(a, k_max), per_round))
     if cross_check:
-        configs = [replace(settings, alpha=point.alpha) for point in points]
-        for point, schedule in zip(points, run_schedules(configs)):
+        schedules = run_schedules(settings, [point.alpha for point in points])
+        for point, schedule in zip(points, schedules):
             _check_against_engine(point, schedule)
     return points
 

@@ -23,7 +23,6 @@ import functools
 import math
 import sys
 import time
-from dataclasses import replace
 
 from .analytics import (
     _linspace,
@@ -94,7 +93,7 @@ def _unit_interval(text: str) -> float:
     value = _real(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
-    return value
+    return value + 0.0  # -0.0 is the channel 0
 
 
 def _alpha_sq(text: str) -> float:
@@ -212,16 +211,13 @@ def _simulated_totals(args: argparse.Namespace, protocol: str) -> list[float]:
     _POINT_ROUNDS_PER_PASS point-rounds (and at least one point).
     """
     # Checked here so that an empty grid cannot skip the check; any alpha in
-    # (0, 1) will do, as _grid has checked the grid's own.
+    # (0, 1) will do, as run_schedules takes the grid's alphas instead.
     settings = _make_config(args, protocol, 0.5)
     per_pass = max(1, _POINT_ROUNDS_PER_PASS // args.rounds)
     totals = []
     for start in range(0, len(args.grid), per_pass):
-        configs = [replace(settings, alpha=alpha) for alpha in args.grid[start : start + per_pass]]
-        totals += [
-            apply_loss_model(schedule, config).p_total
-            for schedule, config in zip(run_schedules(configs), configs)
-        ]
+        schedules = run_schedules(settings, args.grid[start : start + per_pass])
+        totals += [apply_loss_model(schedule, settings).p_total for schedule in schedules]
     return totals
 
 

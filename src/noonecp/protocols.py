@@ -24,7 +24,7 @@ round. Lossless yields agree bit for bit between the schemes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .fock import (
@@ -127,6 +127,11 @@ def _ratio_power(log_ratio: float, k: int) -> tuple[float, float]:
     return math.exp(-t), -math.expm1(-t)
 
 
+def _beta(alpha: float) -> float:
+    """The |0,N> coefficient sqrt(1 - alpha^2) that goes with alpha|N,0>."""
+    return math.sqrt(1.0 - alpha * alpha)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Everything one concentration run depends on.
@@ -180,7 +185,7 @@ class ProtocolConfig:
 
     @property
     def beta(self) -> float:
-        return math.sqrt(1.0 - self.alpha * self.alpha)
+        return _beta(self.alpha)
 
 
 class RoundOutcome(NamedTuple):
@@ -240,7 +245,7 @@ def prepare_less_entangled_noon(
     _check_alpha(alpha)
     _check_count(n_photons, "n_photons")
     n = n_photons
-    return PureState(modes, {(n, 0): alpha, (0, n): math.sqrt(1.0 - alpha * alpha)})
+    return PureState(modes, {(n, 0): alpha, (0, n): _beta(alpha)})
 
 
 def maximally_entangled_noon(
@@ -409,46 +414,35 @@ def run_schedule(config: ProtocolConfig) -> Schedule:
     schedule is lossless; ``apply_loss_model`` folds channel transmission
     in afterwards.
     """
-    return run_schedules([config])[0]
+    return run_schedules(config, [config.alpha])[0]
 
 
-# Every ProtocolConfig field but alpha must agree across one batch.
-_SHARED_FIELDS = tuple(f.name for f in fields(ProtocolConfig) if f.name != "alpha")
+def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Schedule]:
+    """``run_schedule`` of ``config`` at each of ``alphas``, as one engine pass.
 
-
-def run_schedules(configs: Iterable[ProtocolConfig]) -> list[Schedule]:
-    """``run_schedule`` of every config, as one engine pass over the batch.
-
-    The configs must agree on everything except alpha (ValueError
-    otherwise). At fixed N every alpha walks through the same kets, so each
-    round runs once with one amplitude batch per ket; every element sees
-    the float operations of its own scalar run, so each schedule equals
-    ``run_schedule`` of its config bit for bit.
+    Every setting but alpha comes from ``config``; config.alpha is not used.
+    Each alpha must lie strictly inside (0, 1) (ValueError otherwise). At
+    fixed N every alpha walks through the same kets, so each round runs once
+    with one amplitude batch per ket; every element sees the float
+    operations of its own scalar run, so each schedule equals
+    ``run_schedule`` of the config with that alpha, bit for bit.
     """
-    configs = list(configs)
-    if not configs:
+    alphas = list(alphas)
+    for alpha in alphas:
+        _check_alpha(alpha)
+    if not alphas:
         return []
-    first = configs[0]
-    shared = [getattr(first, name) for name in _SHARED_FIELDS]
-    for config in configs:
-        if [getattr(config, name) for name in _SHARED_FIELDS] != shared:
-            raise ValueError(
-                f"batched configs may differ only in alpha: {config!r} vs {first!r}"
-            )
-    n = first.n_photons
+    n = config.n_photons
     state = PureState._derived(
         SIGNAL_MODES,
-        {
-            (n, 0): _batch([c.alpha for c in configs]),
-            (0, n): _batch([c.beta for c in configs]),
-        },
+        {(n, 0): _batch(alphas), (0, n): _batch([_beta(alpha) for alpha in alphas])},
     )
     target = maximally_entangled_noon(n, SIGNAL_MODES)
     rows = []
     survival = 1.0
     p_total = 0.0
-    for k in range(1, first.max_rounds + 1):
-        outcome = run_round(state, first, k)
+    for k in range(1, config.max_rounds + 1):
+        outcome = run_round(state, config, k)
         if outcome.success_state is not None:
             fidelity = fidelity_up_to_global_phase(outcome.success_state, target)
         else:
@@ -460,7 +454,7 @@ def run_schedules(configs: Iterable[ProtocolConfig]) -> list[Schedule]:
         p_total += unconditional
         survival *= outcome.failure_prob
         state = outcome.failure_state
-    size = len(configs)
+    size = len(alphas)
     # A success reading of zero probability is absent: its fidelity is NaN.
     per_round = [
         [
@@ -472,14 +466,12 @@ def run_schedules(configs: Iterable[ProtocolConfig]) -> list[Schedule]:
     return [
         Schedule(
             protocol=config.protocol,
-            alpha=config.alpha,
+            alpha=alpha,
             n_photons=config.n_photons,
             per_round=stats,
             p_total=total,
         )
-        for config, stats, (total,) in zip(
-            configs, zip(*per_round), _per_element((p_total,), size)
-        )
+        for alpha, stats, (total,) in zip(alphas, zip(*per_round), _per_element((p_total,), size))
     ]
 
 

@@ -227,8 +227,8 @@ def _skew_total(schedule):
 def test_sweep_cross_check_raises_when_the_engine_disagrees(monkeypatch, skew, message):
     engine = analytics.run_schedules
 
-    def disagreeing(configs):
-        schedules = engine(configs)
+    def disagreeing(config, alphas):
+        schedules = engine(config, alphas)
         schedules[1] = skew(schedules[1])
         return schedules
 

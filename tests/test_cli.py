@@ -347,13 +347,13 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
 
 
 def _spy_on_passes(monkeypatch):
-    """Record the number of configs of each ``run_schedules`` call the CLI makes."""
+    """Record the number of alphas of each ``run_schedules`` call the CLI makes."""
     sizes = []
     real = cli.run_schedules
 
-    def spy(configs):
-        sizes.append(len(configs))
-        return real(configs)
+    def spy(config, alphas):
+        sizes.append(len(alphas))
+        return real(config, alphas)
 
     monkeypatch.setattr(cli, "run_schedules", spy)
     return sizes
@@ -471,6 +471,15 @@ def test_compare_loss_dead_channel(capsys):
         assert float(r[3]) == pytest.approx(
             p_total_closed_form(float(r[0]), 2), abs=1e-12
         )
+
+
+def test_minus_zero_eta_is_the_dead_channel(capsys):
+    argv = ["compare-loss", "--grid", "0.4:0.8:3", "--rounds", "2", "--eta"]
+    assert _run(capsys, argv + ["-0.0"]) == _run(capsys, argv + ["0"])
+    code, out, _ = _run(capsys, ["run", "--alpha-sq", "0.8", "--eta", "-0.0"])
+    assert code == EXIT_OK
+    assert out.splitlines()[0].endswith(" eta=0")
+    assert "(eta=0)" in out
 
 
 def test_config_file_supplies_values(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The engine never imports the closed form it is checked against, nor the CLI,
 the input checks every layer shares are defined in ``fock`` alone, and so is
 the one normalization; ``protocols`` tells its two schemes apart only through
-its scheme table, never by testing a protocol's name; and the CLI writes
-every CSV cell through ``cli._fmt``.
+its scheme table, never by testing a protocol's name; the CLI writes
+every CSV cell through ``cli._fmt``; and a grid is one config plus its
+alphas, never a config built per point in a loop.
 
 Modules are parsed, not imported, so a function-level import or definition
 is caught as well as a module-level one.
@@ -272,3 +273,85 @@ def test_the_guard_sees_each_csv_cell_written_outside_fmt(source):
 )
 def test_the_guard_lets_fmt_and_other_text_through(source):
     assert _csv_cell_breaches(source) == []
+
+
+GRID_CALLERS = ("cli.py", "analytics.py")
+CONFIG_BUILDERS = {"ProtocolConfig", "replace", "_make_config"}
+
+
+def _per_point_configs(source):
+    """Line of every ProtocolConfig, dataclasses replace or _make_config call
+    that runs once per iteration of a for or while loop or a comprehension.
+
+    The iterable of a for loop and the outermost iterable of a comprehension
+    run once, so they do not count; ``str.replace`` is not a config builder.
+    """
+
+    def builds_config(node):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in CONFIG_BUILDERS
+        if not isinstance(func, ast.Attribute):
+            return False
+        if func.attr == "replace":
+            return getattr(func.value, "id", None) == "dataclasses"
+        return func.attr in CONFIG_BUILDERS
+
+    def repeated_parts(loop):
+        if isinstance(loop, (ast.For, ast.AsyncFor)):
+            return loop.body
+        if isinstance(loop, ast.While):
+            return [loop.test, *loop.body]
+        first, *rest = loop.generators
+        elts = [loop.key, loop.value] if isinstance(loop, ast.DictComp) else [loop.elt]
+        return [*elts, first.target, *first.ifs, *rest]
+
+    loops = (
+        ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+        ast.GeneratorExp,
+    )
+    return sorted({
+        node.lineno
+        for loop in ast.walk(ast.parse(source))
+        if isinstance(loop, loops)
+        for part in repeated_parts(loop)
+        for node in ast.walk(part)
+        if isinstance(node, ast.Call) and builds_config(node)
+    })
+
+
+@pytest.mark.parametrize("module", GRID_CALLERS)
+def test_grid_callers_build_one_config_not_one_per_point(module):
+    assert _per_point_configs((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "configs = [replace(settings, alpha=a) for a in grid]",
+        "for a in grid:\n    configs.append(replace(settings, alpha=a))",
+        "configs = [ProtocolConfig('ecp2', a) for a in grid]",
+        "while todo:\n    cfg = _make_config(args, 'ecp1', todo.pop())",
+        "runs = {a: run_schedule(dataclasses.replace(cfg, alpha=a)) for a in grid}",
+        "total = sum(run_schedule(noonecp.ProtocolConfig('ecp1', a)).p_total for a in grid)",
+        "def f(grid):\n    for a in grid:\n        if a:\n            yield _make_config(args, 'ecp1', a)",
+        "pairs = [(a, b) for a in grid for b in [ProtocolConfig('ecp1', a)]]",
+    ],
+)
+def test_the_guard_sees_each_per_point_config(source):
+    assert _per_point_configs(source) != []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "settings = _make_config(args, protocol, 0.5)",
+        "cfg = replace(settings, alpha=0.3)",
+        "for schedule in run_schedules(ProtocolConfig('ecp2', 0.5), grid):\n    print(schedule)",
+        "totals = [s.p_total for s in run_schedules(_make_config(args, 'ecp1', 0.5), grid)]",
+        "for line in rows:\n    print(line.replace(',', '  '))",
+        "keys = [key.replace('-', '_') for key in raw]",
+    ],
+)
+def test_the_guard_lets_one_config_per_grid_through(source):
+    assert _per_point_configs(source) == []

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -597,7 +598,7 @@ def test_protocols_give_bit_identical_lossless_yields(n, k_max):
     # ecp2 is ecp1 with the auxiliary photon kept local: the same yields, bit for bit
     grid = [*_BATCH_ALPHA_SQ, *np.linspace(0.01, 0.99, 41)]
     ecp1, ecp2 = (
-        run_schedules([_config(protocol, x, n, max_rounds=k_max) for x in grid])
+        run_schedules(_config(protocol, n=n, max_rounds=k_max), [math.sqrt(x) for x in grid])
         for protocol in ("ecp1", "ecp2")
     )
     for a, b in zip(ecp1, ecp2):
@@ -677,10 +678,13 @@ def _same_bits(a, b):
     return type(a) is type(b) and struct.pack("<d", a) == struct.pack("<d", b)
 
 
-def _assert_batch_matches_scalar_runs(configs):
-    batch = run_schedules(configs)
-    assert len(batch) == len(configs)
-    for config, got in zip(configs, batch):
+def _assert_batch_matches_scalar_runs(settings, alphas):
+    # settings' own alpha is not in the batch, so the batch cannot be using it
+    assert settings.alpha not in alphas
+    batch = run_schedules(settings, alphas)
+    assert len(batch) == len(alphas)
+    for alpha, got in zip(alphas, batch):
+        config = replace(settings, alpha=alpha)
         want = run_schedule(config)
         assert (got.protocol, got.alpha, got.n_photons) == (
             config.protocol, config.alpha, config.n_photons
@@ -706,8 +710,8 @@ def _assert_batch_matches_scalar_runs(configs):
 @pytest.mark.parametrize("n", [1, 2, 3, 100])
 @pytest.mark.parametrize("k_max", [1, 10, 60])
 def test_run_schedules_equals_scalar_runs_bit_for_bit(protocol, n, k_max):
-    configs = [_config(protocol, x, n, max_rounds=k_max) for x in _BATCH_ALPHA_SQ]
-    batch = _assert_batch_matches_scalar_runs(configs)
+    settings = _config(protocol, 0.77, n, max_rounds=k_max)
+    batch = _assert_batch_matches_scalar_runs(settings, [math.sqrt(x) for x in _BATCH_ALPHA_SQ])
     # the grid really mixes present and absent success readings in one round
     absent = [{math.isnan(s.per_round[k].success_fidelity) for s in batch} for k in range(k_max)]
     assert ({True, False} in absent) == (k_max > 1)
@@ -717,28 +721,16 @@ def test_run_schedules_equals_scalar_runs_on_a_dense_grid():
     # a last-bit slip in one element-wise operation (say x * x for abs(x) ** 2)
     # changes about one round yield in a thousand, so this grid is dense
     grid = np.random.default_rng(6).uniform(0.01, 0.99, 600)
-    _assert_batch_matches_scalar_runs([_config("ecp2", x, 1, max_rounds=10) for x in grid])
+    settings = _config("ecp2", 0.77, 1, max_rounds=10)
+    _assert_batch_matches_scalar_runs(settings, [math.sqrt(x) for x in grid])
 
 
 def test_run_schedules_of_nothing_is_empty():
-    assert run_schedules([]) == []
-    assert run_schedules(iter(())) == []
+    assert run_schedules(_config(), []) == []
+    assert run_schedules(_config(), iter(())) == []
 
 
-@pytest.mark.parametrize(
-    "other",
-    [
-        {"protocol": "ecp2"},
-        {"n": 3},
-        {"theta": 0.2},
-        {"max_rounds": 11},
-        {"loss_eta": 0.9},
-    ],
-)
-def test_run_schedules_rejects_configs_differing_beyond_alpha(other):
-    base = _config("ecp1", 0.3, 2)
-    odd = _config(**{"protocol": "ecp1", "alpha_sq": 0.7, "n": 2, **other})
-    with pytest.raises(ValueError, match="only in alpha"):
-        run_schedules([base, odd])
-    with pytest.raises(ValueError, match="only in alpha"):
-        run_schedules([odd, base, base])
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan, math.inf, True, "0.5", 10**400])
+def test_run_schedules_rejects_an_alpha_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match="alpha must lie strictly inside"):
+        run_schedules(_config(), [0.6, bad])
