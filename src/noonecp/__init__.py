@@ -6,110 +6,12 @@ round by round with failure recycling, and verifies the simulated success
 probabilities against closed forms.
 """
 
-from .analytics import (
-    ORACLE_MATCH_TOLERANCE,
-    SweepPoint,
-    default_alpha_grid,
-    figure3_sweep,
-    p_round_closed_form,
-    p_total_closed_form,
-)
-from .fock import (
-    NORM_TOLERANCE,
-    BasisKet,
-    ModeId,
-    PureState,
-    basis_state,
-    create,
-    fidelity_up_to_global_phase,
-    inner,
-    normalized,
-    norm_sq,
-    superpose,
-    tensor,
-    vacuum,
-)
-from .optics import (
-    PHASE_CLASS_TOLERANCE,
-    BeamSplitterSpec,
-    HomodyneOutcome,
-    TaggedState,
-    beam_splitter,
-    cross_kerr_tag,
-    detect_photon,
-    homodyne_partition,
-    negate_occupied,
-)
-from .protocols import (
-    ECP1_DETECTORS,
-    ECP2_DETECTORS,
-    LOCAL_AUX_MODES,
-    PROTOCOLS,
-    SHARED_AUX_MODES,
-    SIGNAL_MODES,
-    ProtocolConfig,
-    RoundOutcome,
-    RoundStats,
-    Schedule,
-    apply_loss_model,
-    maximally_entangled_noon,
-    prepare_aux_ecp1,
-    prepare_aux_ecp2,
-    prepare_less_entangled_noon,
-    run_round,
-    run_schedule,
-    run_schedules,
-    vbs_transmission,
-)
+from . import analytics, fock, optics, protocols
+from .analytics import *
+from .fock import *
+from .optics import *
+from .protocols import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisKet",
-    "BeamSplitterSpec",
-    "HomodyneOutcome",
-    "ModeId",
-    "ORACLE_MATCH_TOLERANCE",
-    "NORM_TOLERANCE",
-    "PHASE_CLASS_TOLERANCE",
-    "PROTOCOLS",
-    "ProtocolConfig",
-    "PureState",
-    "RoundOutcome",
-    "RoundStats",
-    "Schedule",
-    "SweepPoint",
-    "TaggedState",
-    "apply_loss_model",
-    "basis_state",
-    "beam_splitter",
-    "create",
-    "cross_kerr_tag",
-    "default_alpha_grid",
-    "detect_photon",
-    "fidelity_up_to_global_phase",
-    "figure3_sweep",
-    "homodyne_partition",
-    "inner",
-    "maximally_entangled_noon",
-    "negate_occupied",
-    "normalized",
-    "norm_sq",
-    "p_round_closed_form",
-    "p_total_closed_form",
-    "prepare_aux_ecp1",
-    "prepare_aux_ecp2",
-    "prepare_less_entangled_noon",
-    "run_round",
-    "run_schedule",
-    "run_schedules",
-    "superpose",
-    "tensor",
-    "vacuum",
-    "vbs_transmission",
-    "ECP1_DETECTORS",
-    "ECP2_DETECTORS",
-    "LOCAL_AUX_MODES",
-    "SHARED_AUX_MODES",
-    "SIGNAL_MODES",
-]
+__all__ = fock.__all__ + optics.__all__ + protocols.__all__ + analytics.__all__

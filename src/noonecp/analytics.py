@@ -27,6 +27,15 @@ from typing import Iterable
 from .fock import _check_alpha, _check_count
 from .protocols import ProtocolConfig, Schedule, _imbalance, _ratio_power, run_schedules
 
+__all__ = [
+    "ORACLE_MATCH_TOLERANCE",
+    "SweepPoint",
+    "p_round_closed_form",
+    "p_total_closed_form",
+    "default_alpha_grid",
+    "figure3_sweep",
+]
+
 # Simulation and closed form must agree at least this tightly.
 ORACLE_MATCH_TOLERANCE = 1e-12
 

@@ -33,6 +33,22 @@ from numbers import Number
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Mapping
 
+__all__ = [
+    "ModeId",
+    "BasisKet",
+    "NORM_TOLERANCE",
+    "PureState",
+    "vacuum",
+    "basis_state",
+    "create",
+    "superpose",
+    "tensor",
+    "norm_sq",
+    "normalized",
+    "inner",
+    "fidelity_up_to_global_phase",
+]
+
 ModeId = str
 BasisKet = tuple[int, ...]
 

@@ -43,6 +43,18 @@ from .fock import (
     norm_sq,
 )
 
+__all__ = [
+    "PHASE_CLASS_TOLERANCE",
+    "BeamSplitterSpec",
+    "beam_splitter",
+    "TaggedState",
+    "cross_kerr_tag",
+    "HomodyneOutcome",
+    "homodyne_partition",
+    "detect_photon",
+    "negate_occupied",
+]
+
 # Probe phases closer than this are read out as the same homodyne class.
 PHASE_CLASS_TOLERANCE = 1e-9
 

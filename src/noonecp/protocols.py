@@ -53,6 +53,28 @@ from .optics import (
     negate_occupied,
 )
 
+__all__ = [
+    "SIGNAL_MODES",
+    "SHARED_AUX_MODES",
+    "LOCAL_AUX_MODES",
+    "ECP1_DETECTORS",
+    "ECP2_DETECTORS",
+    "PROTOCOLS",
+    "ProtocolConfig",
+    "RoundOutcome",
+    "RoundStats",
+    "Schedule",
+    "prepare_less_entangled_noon",
+    "maximally_entangled_noon",
+    "prepare_aux_ecp1",
+    "prepare_aux_ecp2",
+    "vbs_transmission",
+    "run_round",
+    "run_schedule",
+    "run_schedules",
+    "apply_loss_model",
+]
+
 # Default mode labels: signal pair, shared-scheme auxiliary pair, local-scheme
 # auxiliary pair, and the detector labels each scheme's final splitter feeds.
 SIGNAL_MODES = ("a1", "b1")

@@ -139,6 +139,11 @@ def test_superpose_register_mismatch():
         superpose([(1.0, vacuum(("a",))), (1.0, vacuum(("b",)))])
 
 
+def test_superpose_of_nothing_is_refused():
+    with pytest.raises(ValueError, match="at least one"):
+        superpose([])
+
+
 @pytest.mark.parametrize("coeff", ["2", "0.6", True, False, math.inf, math.nan])
 def test_superpose_rejects_coefficients_that_are_not_finite_numbers(coeff):
     with pytest.raises(ValueError, match="finite numbers"):
@@ -328,6 +333,14 @@ def test_tensor_rejects_label_collision():
 def test_state_rejects_negative_occupation():
     with pytest.raises(ValueError):
         PureState(("a",), {(-1,): 1.0})
+
+
+def test_a_state_never_equals_a_non_state():
+    st = basis_state(("a",), (1,))
+    assert st.__eq__({(1,): 1.0}) is NotImplemented
+    assert not st == 1.0
+    assert st != "PureState[a]((1+0j)|1>)"
+    assert st == basis_state(("a",), (1,))
 
 
 @pytest.mark.parametrize("ket", [(True, 0), (0, False), (True, True)])

@@ -2,11 +2,14 @@
 the input checks every layer shares are defined in ``fock`` alone, and so is
 the one normalization; ``protocols`` tells its two schemes apart only through
 its scheme table, never by testing a protocol's name; the CLI writes
-every CSV cell through ``cli._fmt``; and a grid is one config plus its
-alphas, never a config built per point in a loop.
+every CSV cell through ``cli._fmt``; a grid is one config plus its
+alphas, never a config built per point in a loop; each public name is
+declared once, in the ``__all__`` of the module that defines it; and no
+function the engine reaches computes the closed form.
 
 Modules are parsed, not imported, so a function-level import or definition
-is caught as well as a module-level one.
+is caught as well as a module-level one; only the check of what the package
+exports imports it.
 """
 
 import ast
@@ -355,3 +358,197 @@ def test_the_guard_sees_each_per_point_config(source):
 )
 def test_the_guard_lets_one_config_per_grid_through(source):
     assert _per_point_configs(source) == []
+
+
+LIBRARY = ("fock.py", "optics.py", "protocols.py", "analytics.py")
+
+
+def _export_breaches(source):
+    """Every way the ``__all__`` of a module with ``source`` misstates its names.
+
+    A public name is one a top-level def, class or assignment binds without
+    a leading underscore; an imported name is not the module's own. Each
+    public name must be listed in ``__all__`` exactly once, and ``__all__``
+    may list nothing else.
+    """
+    defined, listed = set(), None
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+            }
+            if "__all__" in names:
+                listed = list(ast.literal_eval(node.value))
+            defined |= names
+    if listed is None:
+        return ["no __all__"]
+    public = {name for name in defined if not name.startswith("_")}
+    return (
+        [f"not in __all__: {name}" for name in sorted(public - set(listed))]
+        + [f"not a public name defined here: {name}" for name in sorted(set(listed) - public)]
+        + [f"listed twice: {name}" for name in sorted({n for n in listed if listed.count(n) > 1})]
+    )
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_each_library_module_lists_exactly_its_public_names_in_all(module):
+    assert _export_breaches((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def run():\n    pass",
+        "__all__ = ['a']\na = 1\nb = 2",
+        "__all__ = ['f']\ndef f():\n    pass\nclass C:\n    pass",
+        "__all__ = ['x']\nx, Y = 1, 2",
+        "__all__ = ['a', 'c']\na = 1",
+        "from .fock import PureState\n__all__ = ['PureState']",
+        "__all__ = ['_helper']\ndef _helper():\n    pass",
+        "__all__ = ['a', 'a']\na = 1",
+    ],
+)
+def test_the_guard_sees_each_misstated_all(source):
+    assert _export_breaches(source) != []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "__all__ = ['a', 'f']\na: int = 1\ndef f():\n    b = 2\n    return b",
+        "from math import pi\n__all__ = ['C']\nclass C:\n    x = 1\n_private = 2",
+        "__all__ = ('T', 'g')\nT = tuple[int, ...]\nasync def g():\n    pass",
+    ],
+)
+def test_the_guard_lets_a_true_all_through(source):
+    assert _export_breaches(source) == []
+
+
+def test_the_package_republishes_each_module_list_once():
+    import noonecp
+
+    modules = [getattr(noonecp, module[:-3]) for module in LIBRARY]
+    assert noonecp.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(noonecp.__all__)) == len(noonecp.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(noonecp, name) is getattr(module, name), name
+    namespace = {}
+    exec("from noonecp import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(noonecp.__all__)
+
+
+def test_the_package_init_lists_no_names_of_its_own():
+    # it republishes each module with a wildcard import, so a public name is
+    # declared once, next to its definition
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    named_imports = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+        if alias.name != "*"
+    ]
+    assert named_imports == []
+    name_lists = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.List, ast.Tuple, ast.Set))
+        and any(isinstance(elt, ast.Constant) for elt in node.elts)
+    ]
+    assert name_lists == []
+
+
+ENGINE_ENTRIES = ("run_round", "run_schedule", "run_schedules")
+# The closed form's helpers, and the math functions only the closed form needs.
+ORACLE_HELPERS = {"_imbalance", "_ratio_power", "_SPLITTER", "vbs_transmission"}
+ORACLE_MATH = {"exp", "expm1", "log", "log1p", "atanh"}
+
+
+def _oracle_uses_in_engine(source):
+    """(function, name) for each oracle name in a function the engine reaches.
+
+    The walk starts at the engine entries that ``source`` defines and follows
+    every top-level function or class of ``source`` that a reached body
+    names; a reached class brings in all its methods. A helper counts where
+    a body reads its name, and a math function also as an attribute
+    (``math.log``); a field named like a helper is not a use.
+    """
+    defs = {
+        node.name: node
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    todo = [name for name in ENGINE_ENTRIES if name in defs]
+    reached = set(todo)
+    uses = set()
+    while todo:
+        owner = todo.pop()
+        for node in (n for stmt in defs[owner].body for n in ast.walk(stmt)):
+            if isinstance(node, ast.Attribute) and node.attr in ORACLE_MATH:
+                uses.add((owner, node.attr))
+            elif not (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)):
+                continue
+            elif node.id in ORACLE_HELPERS | ORACLE_MATH:
+                uses.add((owner, node.id))
+            elif node.id in defs and node.id not in reached:
+                reached.add(node.id)
+                todo.append(node.id)
+    return sorted(uses)
+
+
+def test_the_engine_reaches_no_closed_form():
+    # run_round and the schedules must check the closed form independently,
+    # so nothing they call may compute it
+    source = (PACKAGE / "protocols.py").read_text()
+    assert set(ENGINE_ENTRIES) <= set(_defined_names(source))
+    assert _oracle_uses_in_engine(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def run_round(state, config, round_k):\n    return _imbalance(config.alpha)",
+        "def run_round(state, config, round_k):\n    return _SPLITTER * config.alpha",
+        "def run_round(state, config, round_k):\n    r_pow, _ = _ratio_power(1.0, round_k)\n"
+        "    return r_pow",
+        "def run_schedule(config):\n    return math.log(config.alpha)",
+        "def run_schedules(config, alphas):\n    return list(map(math.exp, alphas))",
+        "def run_round(state, config, round_k):\n    from math import atanh\n"
+        "    return atanh(0.5)",
+        "def _tail(x):\n    return math.log1p(-x)\n\n"
+        "def run_round(state, config, round_k):\n    return _tail(0.5)",
+        "def run_schedule(config):\n    return run_schedules(config, [config.alpha])\n\n"
+        "def run_schedules(config, alphas):\n    return [_t(a) for a in alphas]\n\n"
+        "def _t(a):\n    return vbs_transmission(a, 1)",
+        "class _Fold:\n    def value(self):\n        return m.expm1(1.0)\n\n"
+        "def run_round(state, config, round_k):\n    return _Fold().value()",
+    ],
+)
+def test_the_guard_sees_each_oracle_use_the_engine_reaches(source):
+    assert _oracle_uses_in_engine(source) != []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def vbs_transmission(alpha, round_k):\n    return _imbalance(alpha)[0]\n\n"
+        "def run_round(state, config, round_k):\n    return state",
+        "def _imbalance(alpha):\n    return math.log(alpha)\n\n"
+        "def run_schedules(config, alphas):\n    return [math.sqrt(a) for a in alphas]",
+        "class _Oracle:\n    def p(self):\n        return math.exp(-1.0)\n\n"
+        "def run_round(state, config, round_k):\n    return state",
+        "def run_round(state, config, round_k):\n"
+        "    return math.ldexp(math.frexp(config.theta)[0], round_k)",
+        "class RoundStats(NamedTuple):\n    vbs_transmission: float\n\n"
+        "def run_round(state, config, round_k):\n    return RoundStats(0.5).vbs_transmission",
+    ],
+)
+def test_the_guard_lets_oracle_code_the_engine_never_reaches_through(source):
+    assert _oracle_uses_in_engine(source) == []

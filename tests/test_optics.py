@@ -240,6 +240,8 @@ def test_beam_splitter_spec_validation():
         _spec(0.5, "other")
     with pytest.raises(ValueError):
         BeamSplitterSpec("p", "p", "r", "s")
+    with pytest.raises(ValueError, match="output labels must differ"):
+        BeamSplitterSpec("a", "b", "c", "c")
     # bool is an int subclass; True must not pass as t = 1
     for flag in (True, False):
         with pytest.raises(ValueError):
@@ -505,6 +507,11 @@ def test_detect_photon_refuses_a_repeated_detector_mode():
         detect_photon(basis_state(("a", "b"), (1, 0)), ["a", "a"])
     with pytest.raises(ValueError, match="detector mode 'd1' is listed more than once"):
         detect_photon(basis_state(("x", "d1", "d2"), (0, 1, 0)), ["d1", "d2", "d1"])
+
+
+def test_detect_photon_refuses_to_remove_every_mode():
+    with pytest.raises(ValueError, match="remove every mode"):
+        detect_photon(basis_state(("d1", "d2"), (1, 0)), ["d1", "d2"])
 
 
 def _random_detector_states(count):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from noonecp import (
+    PHASE_CLASS_TOLERANCE,
     BeamSplitterSpec,
     HomodyneOutcome,
     ProtocolConfig,
@@ -435,6 +436,28 @@ def test_round_degenerate_recycled_input():
     assert out.success_prob == 0.0
     assert out.failure_prob == pytest.approx(1.0, abs=1e-12)
     assert out.failure_state.amplitude((0, 2)) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_round_refuses_detector_branches_that_disagree(protocol, monkeypatch):
+    # without the sign correction a second-detector click leaves the relative
+    # minus sign in place, so the two branches cannot be folded into one
+    monkeypatch.setattr(protocols, "negate_occupied", lambda state, mode: state)
+    cfg = _config(protocol=protocol, alpha_sq=0.8)
+    with pytest.raises(ValueError, match="detector branches disagree"):
+        run_round(prepare_less_entangled_noon(cfg.alpha, 2), cfg, 1)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_round_refuses_a_readout_without_the_failure_reading(protocol, monkeypatch):
+    def success_reading_only(tagged):
+        readings = homodyne_partition(tagged)
+        return [r for r in readings if r.phase_class >= PHASE_CLASS_TOLERANCE]
+
+    monkeypatch.setattr(protocols, "homodyne_partition", success_reading_only)
+    cfg = _config(protocol=protocol, alpha_sq=0.8)
+    with pytest.raises(ValueError, match="no recyclable branch"):
+        run_round(prepare_less_entangled_noon(cfg.alpha, 2), cfg, 1)
 
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
