@@ -25,7 +25,7 @@ from numbers import Real
 from typing import Iterable
 
 from .fock import _check_alpha, _check_count
-from .protocols import ProtocolConfig, Schedule, _imbalance, _ratio_power, run_schedules
+from .protocols import ProtocolConfig, Schedule, _imbalance, _ratio_power, _schedules_in_passes
 
 __all__ = [
     "ORACLE_MATCH_TOLERANCE",
@@ -105,9 +105,9 @@ def figure3_sweep(
 
     The settings are checked as a ``ProtocolConfig`` even for an empty
     grid, and each grid point's alpha by the closed form. With
-    ``cross_check`` set, the whole grid is also simulated in one
-    ``run_schedules`` pass, and a disagreement beyond ORACLE_MATCH_TOLERANCE
-    on any unconditional round probability or on the total raises ValueError.
+    ``cross_check`` set, the grid is also simulated in the engine's bounded
+    passes, and the first point whose unconditional round probability or total
+    disagrees beyond ORACLE_MATCH_TOLERANCE raises ValueError.
     """
     _check_count(k_max, "k_max")
     settings = ProtocolConfig(protocol, 0.5, n_photons, k_max)  # any alpha in (0, 1)
@@ -122,7 +122,7 @@ def figure3_sweep(
         per_round = tuple(_round_yields(a, 1, k_max))
         points.append(SweepPoint(a, p_total_closed_form(a, k_max), per_round))
     if cross_check:
-        schedules = run_schedules(settings, [point.alpha for point in points])
+        schedules = _schedules_in_passes(settings, [point.alpha for point in points])
         for point, schedule in zip(points, schedules):
             _check_against_engine(point, schedule)
     return points

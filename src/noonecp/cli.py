@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import sys
 import time
 
@@ -33,21 +34,14 @@ from .analytics import (
 from .protocols import (
     PROTOCOLS,
     ProtocolConfig,
+    _schedules_in_passes,
     apply_loss_model,
     run_schedule,
-    run_schedules,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-# Point-rounds per batched engine pass. A pass holds the round statistics of
-# all its points at once, about 300 B per point-round, so this caps a pass
-# near 2.5 MB: a K = 10 grid of up to 819 points runs in one pass, while at
-# K >= 1024 a pass holds 8 points or fewer. Larger passes run faster per
-# point (about 13 us per point-round at 212 points, 45 us at 8).
-_POINT_ROUNDS_PER_PASS = 8192
 
 
 class _UsageError(Exception):
@@ -205,20 +199,12 @@ def _make_config(args: argparse.Namespace, protocol: str, alpha: float) -> Proto
 
 
 def _simulated_totals(args: argparse.Namespace, protocol: str) -> list[float]:
-    """Simulated p_total, after ``apply_loss_model``, at each grid point in order.
-
-    The grid goes through ``run_schedules`` in passes of at most
-    _POINT_ROUNDS_PER_PASS point-rounds (and at least one point).
-    """
+    """Simulated p_total, after ``apply_loss_model``, at each grid point, in bounded passes."""
     # Checked here so that an empty grid cannot skip the check; any alpha in
-    # (0, 1) will do, as run_schedules takes the grid's alphas instead.
+    # (0, 1) will do, as the engine takes the grid's alphas instead.
     settings = _make_config(args, protocol, 0.5)
-    per_pass = max(1, _POINT_ROUNDS_PER_PASS // args.rounds)
-    totals = []
-    for start in range(0, len(args.grid), per_pass):
-        schedules = run_schedules(settings, args.grid[start : start + per_pass])
-        totals += [apply_loss_model(schedule, settings).p_total for schedule in schedules]
-    return totals
+    schedules = _schedules_in_passes(settings, args.grid)
+    return [apply_loss_model(schedule, settings).p_total for schedule in schedules]
 
 
 def _write_csv(out: str | None, header: str, rows: list[str]) -> None:
@@ -257,7 +243,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for line in rows:
         print(line.replace(",", "  "))
     print(f"p_total          = {_fmt(schedule.p_total)}")
-    print(f"p_total_oracle   = {_fmt(sum(oracle))}")
+    print(f"p_total_oracle   = {_fmt(functools.reduce(operator.add, oracle))}")
     print(f"max_round_delta  = {_fmt(max(deltas))}")
     if config.loss_eta < 1.0:
         lossy = apply_loss_model(schedule, config).p_total
@@ -326,7 +312,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"noonecp: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from functools import reduce
 from itertools import repeat
 from numbers import Number
 from types import MappingProxyType
@@ -362,19 +363,18 @@ def _batched(amps: Collection) -> bool:
 
 
 def _norm_sq(amps: Collection):
-    """Sum of the amplitudes' squared magnitudes, in order.
+    """Sum of the amplitudes' squared magnitudes, added left to right.
 
-    A batch sum starts from its first square, not from 0: squares are >= +0,
-    so 0 + x is x, and that pass over the batch would change no bit. A
-    plain square beyond the float range makes the sum inf.
+    Plain and batched amplitudes share this one fold (``sum`` compensates
+    floats since Python 3.12), so a batch element adds as its scalar run
+    does. A batch's real elements square without abs, to the same bits. A
+    square beyond the float range gives inf; no kets give 0.
     """
-    if _batched(amps):
-        squares = [_Batch(map(operator.pow, a, repeat(2))) for a in amps]
-        return sum(squares[1:], squares[0])
     try:
-        return sum([abs(a) ** 2 for a in amps])
+        squares = [a**2 for a in amps] if _batched(amps) else [abs(a) ** 2 for a in amps]
     except OverflowError:
         return math.inf
+    return reduce(operator.add, squares) if squares else 0
 
 
 def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, complex], float]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fock import (
     NORM_TOLERANCE,
@@ -82,6 +82,11 @@ SHARED_AUX_MODES = ("a2", "b2")
 LOCAL_AUX_MODES = ("c1", "c2")
 ECP1_DETECTORS = ("d1", "d2")
 ECP2_DETECTORS = ("e1", "e2")
+
+# Point-rounds per batched engine pass. A pass holds the round statistics of
+# all its points, about 300 B per point-round, so this caps it near 2.5 MB:
+# 819 points share a pass at K = 10, and 8 or fewer at K >= 1024.
+_POINT_ROUNDS_PER_PASS = 8192
 
 # Veltkamp splitting constant 2^27 + 1: splits a double into two halves
 # whose products are exact.
@@ -495,6 +500,16 @@ def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Sched
         )
         for alpha, stats, (total,) in zip(alphas, zip(*per_round), _per_element((p_total,), size))
     ]
+
+
+def _schedules_in_passes(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[Schedule]:
+    """Each schedule of ``run_schedules(config, alphas)``, in grid order.
+
+    A pass runs at most _POINT_ROUNDS_PER_PASS point-rounds and at least one point.
+    """
+    per_pass = max(1, _POINT_ROUNDS_PER_PASS // config.max_rounds)
+    for start in range(0, len(alphas), per_pass):
+        yield from run_schedules(config, alphas[start : start + per_pass])
 
 
 def apply_loss_model(schedule: Schedule, config: ProtocolConfig) -> Schedule:

@@ -1,6 +1,7 @@
 """Tests for the closed-form success probabilities and the sweep helper."""
 
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -10,6 +11,7 @@ import pytest
 from noonecp import (
     analytics,
     default_alpha_grid,
+    protocols,
     figure3_sweep,
     p_round_closed_form,
     p_total_closed_form,
@@ -225,16 +227,71 @@ def _skew_total(schedule):
     "skew, message", [(_skew_round, "round 2 at alpha"), (_skew_total, "p_total at alpha")]
 )
 def test_sweep_cross_check_raises_when_the_engine_disagrees(monkeypatch, skew, message):
-    engine = analytics.run_schedules
+    engine = protocols.run_schedules
 
     def disagreeing(config, alphas):
         schedules = engine(config, alphas)
         schedules[1] = skew(schedules[1])
         return schedules
 
-    monkeypatch.setattr(analytics, "run_schedules", disagreeing)
+    monkeypatch.setattr(protocols, "run_schedules", disagreeing)
     with pytest.raises(ValueError, match=message):
         figure3_sweep(k_max=3, grid=[0.45, BALANCED, 0.9], cross_check=True)
+
+
+def _spy_on_passes(monkeypatch):
+    """Record the number of alphas of each engine pass."""
+    sizes = []
+    engine = protocols.run_schedules
+
+    def spy(config, alphas):
+        sizes.append(len(alphas))
+        return engine(config, alphas)
+
+    monkeypatch.setattr(protocols, "run_schedules", spy)
+    return sizes
+
+
+RAGGED_GRID = [0.15, 0.3, 0.45, BALANCED, 0.75, 0.9, 0.95]
+
+
+@pytest.mark.parametrize("grid", [None, RAGGED_GRID], ids=["default", "ragged"])
+def test_sweep_cross_check_returns_the_closed_form_points(grid):
+    assert figure3_sweep(grid=grid, cross_check=True) == figure3_sweep(grid=grid)
+
+
+def test_sweep_cross_check_in_ragged_passes_returns_the_one_pass_points(monkeypatch):
+    one_pass = figure3_sweep(grid=RAGGED_GRID, cross_check=True)
+    # 25 point-rounds at K = 10: two points per pass, one in the last
+    monkeypatch.setattr(protocols, "_POINT_ROUNDS_PER_PASS", 25)
+    sizes = _spy_on_passes(monkeypatch)
+    assert figure3_sweep(grid=RAGGED_GRID, cross_check=True) == one_pass
+    assert sizes == [2, 2, 2, 1]
+
+
+def test_sweep_cross_check_raises_in_a_later_pass_before_running_the_rest(monkeypatch):
+    monkeypatch.setattr(protocols, "_POINT_ROUNDS_PER_PASS", 25)
+    engine = protocols.run_schedules
+    sizes = []
+
+    def disagreeing(config, alphas):
+        schedules = engine(config, alphas)
+        sizes.append(len(alphas))
+        if len(sizes) == 2:
+            schedules[1] = _skew_round(schedules[1])
+        return schedules
+
+    monkeypatch.setattr(protocols, "run_schedules", disagreeing)
+    with pytest.raises(ValueError, match=re.escape(f"round 2 at alpha={RAGGED_GRID[3]}:")):
+        figure3_sweep(grid=RAGGED_GRID, cross_check=True)
+    assert sizes == [2, 2]
+
+
+def test_deep_sweep_cross_check_passes_hold_at_most_eight_points(monkeypatch):
+    sizes = _spy_on_passes(monkeypatch)
+    grid = [0.1 * i for i in range(1, 10)]
+    assert len(figure3_sweep(k_max=1000, grid=grid, cross_check=True)) == 9
+    assert sizes == [8, 1]
 
 
 def test_sweep_rejects_out_of_range_grid():

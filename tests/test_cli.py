@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noonecp import analytics, cli, default_alpha_grid
+from noonecp import analytics, default_alpha_grid, protocols
 from noonecp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _grid, main
 
 BALANCED_SQ = 0.5
@@ -349,13 +349,13 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
 def _spy_on_passes(monkeypatch):
     """Record the number of alphas of each ``run_schedules`` call the CLI makes."""
     sizes = []
-    real = cli.run_schedules
+    real = protocols.run_schedules
 
     def spy(config, alphas):
         sizes.append(len(alphas))
         return real(config, alphas)
 
-    monkeypatch.setattr(cli, "run_schedules", spy)
+    monkeypatch.setattr(protocols, "run_schedules", spy)
     return sizes
 
 
@@ -371,7 +371,7 @@ def test_ragged_passes_write_the_same_bytes(tmp_path, capsys, monkeypatch, argv)
     split = tmp_path / "split.csv"
     assert _run(capsys, argv + ["--out", str(whole)])[0] == EXIT_OK
     # 25 point-rounds at K = 10: two points per pass, one in the last
-    monkeypatch.setattr(cli, "_POINT_ROUNDS_PER_PASS", 25)
+    monkeypatch.setattr(protocols, "_POINT_ROUNDS_PER_PASS", 25)
     sizes = _spy_on_passes(monkeypatch)
     assert _run(capsys, argv + ["--out", str(split)])[0] == EXIT_OK
     assert sizes == [2, 2, 2, 1] * (2 if argv[0] == "compare-loss" else 1)

@@ -26,7 +26,8 @@ from noonecp import (
     tensor,
     vacuum,
 )
-from noonecp.fock import _Batch, _normalized
+from noonecp import fock
+from noonecp.fock import _Batch, _norm_sq, _normalized
 
 
 def test_vacuum_single_mode():
@@ -189,6 +190,18 @@ def test_norm_sq_of_a_finite_state_beyond_the_float_range_is_inf(amp):
         fidelity_up_to_global_phase(st, st)
     with pytest.raises(ValueError, match="normalized state, norm\\^2=inf"):
         homodyne_partition(cross_kerr_tag(st, "a", 0.1))
+
+
+def test_norm_sq_adds_left_to_right_in_a_state_and_in_a_batch_element(monkeypatch):
+    # 1 + 4 * 2^-54 is 1.0 added left to right, but 1.0000000000000002 added
+    # with compensation, as Python 3.12's sum adds floats. math.fsum stands in
+    # for that sum, so the test means the same on every Python.
+    compensated = lambda values, start=0: math.fsum([start, *values])  # noqa: E731
+    monkeypatch.setattr(fock, "sum", compensated, raising=False)
+    amps = [1.0] + [2.0**-27] * 4
+    kets = [(n,) for n in range(len(amps))]
+    assert norm_sq(PureState(("a",), dict(zip(kets, amps)))) == 1.0
+    assert _norm_sq([_Batch([a, 0.5]) for a in amps])[0] == 1.0
 
 
 def test_state_keeps_every_nonzero_amplitude():

@@ -4,8 +4,9 @@ the one normalization; ``protocols`` tells its two schemes apart only through
 its scheme table, never by testing a protocol's name; the CLI writes
 every CSV cell through ``cli._fmt``; a grid is one config plus its
 alphas, never a config built per point in a loop; each public name is
-declared once, in the ``__all__`` of the module that defines it; and no
-function the engine reaches computes the closed form.
+declared once, in the ``__all__`` of the module that defines it; no
+function the engine reaches computes the closed form; and ``__main__.py`` is
+the package's one script entry.
 
 Modules are parsed, not imported, so a function-level import or definition
 is caught as well as a module-level one; only the check of what the package
@@ -465,7 +466,7 @@ def test_the_package_init_lists_no_names_of_its_own():
     assert name_lists == []
 
 
-ENGINE_ENTRIES = ("run_round", "run_schedule", "run_schedules")
+ENGINE_ENTRIES = ("run_round", "run_schedule", "run_schedules", "_schedules_in_passes")
 # The closed form's helpers, and the math functions only the closed form needs.
 ORACLE_HELPERS = {"_imbalance", "_ratio_power", "_SPLITTER", "vbs_transmission"}
 ORACLE_MATH = {"exp", "expm1", "log", "log1p", "atanh"}
@@ -552,3 +553,36 @@ def test_the_guard_sees_each_oracle_use_the_engine_reaches(source):
 )
 def test_the_guard_lets_oracle_code_the_engine_never_reaches_through(source):
     assert _oracle_uses_in_engine(source) == []
+
+
+def _script_entries(source):
+    """Line of every comparison of ``__name__`` with "__main__"."""
+
+    def operands(node):
+        return {
+            n.id if isinstance(n, ast.Name) else n.value
+            for n in [node.left, *node.comparators]
+            if isinstance(n, (ast.Name, ast.Constant))
+        }
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare) and {"__name__", "__main__"} <= operands(node)
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__main__.py")
+)
+def test_only_the_package_main_is_a_script_entry(module):
+    # ``python -m noonecp`` and the console script are the entries
+    assert _script_entries((PACKAGE / module).read_text()) == []
+
+
+def test_the_guard_sees_a_script_entry():
+    assert _script_entries('if __name__ == "__main__":\n    sys.exit(main())') != []
+
+
+def test_the_guard_lets_other_uses_of_the_module_name_through():
+    assert _script_entries("log = logging.getLogger(__name__)\nok = __name__ == 'noonecp'") == []
