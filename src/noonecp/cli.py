@@ -34,7 +34,7 @@ from .analytics import (
 from .protocols import (
     PROTOCOLS,
     ProtocolConfig,
-    _schedules_in_passes,
+    _totals_in_passes,
     apply_loss_model,
     run_schedule,
 )
@@ -199,12 +199,15 @@ def _make_config(args: argparse.Namespace, protocol: str, alpha: float) -> Proto
 
 
 def _simulated_totals(args: argparse.Namespace, protocol: str) -> list[float]:
-    """Simulated p_total, after ``apply_loss_model``, at each grid point, in bounded passes."""
+    """Simulated p_total at each grid point, scaled as ``apply_loss_model`` scales it.
+
+    The engine runs the grid in bounded passes and hands back only each
+    pass's p_total column: no per-round rows or fidelities are formed.
+    """
     # Checked here so that an empty grid cannot skip the check; any alpha in
     # (0, 1) will do, as the engine takes the grid's alphas instead.
     settings = _make_config(args, protocol, 0.5)
-    schedules = _schedules_in_passes(settings, args.grid)
-    return [apply_loss_model(schedule, settings).p_total for schedule in schedules]
+    return list(_totals_in_passes(settings, args.grid))
 
 
 def _write_csv(out: str | None, header: str, rows: list[str]) -> None:

@@ -347,15 +347,15 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
 
 
 def _spy_on_passes(monkeypatch):
-    """Record the number of alphas of each ``run_schedules`` call the CLI makes."""
+    """Record the number of alphas of each engine pass the CLI makes."""
     sizes = []
-    real = protocols.run_schedules
+    real = protocols._run_pass
 
     def spy(config, alphas):
         sizes.append(len(alphas))
         return real(config, alphas)
 
-    monkeypatch.setattr(protocols, "run_schedules", spy)
+    monkeypatch.setattr(protocols, "_run_pass", spy)
     return sizes
 
 

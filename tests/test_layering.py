@@ -466,7 +466,9 @@ def test_the_package_init_lists_no_names_of_its_own():
     assert name_lists == []
 
 
-ENGINE_ENTRIES = ("run_round", "run_schedule", "run_schedules", "_schedules_in_passes")
+ENGINE_ENTRIES = (
+    "run_round", "run_schedule", "run_schedules", "_schedules_in_passes", "_totals_in_passes"
+)
 # The closed form's helpers, and the math functions only the closed form needs.
 ORACLE_HELPERS = {"_imbalance", "_ratio_power", "_SPLITTER", "vbs_transmission"}
 ORACLE_MATH = {"exp", "expm1", "log", "log1p", "atanh"}

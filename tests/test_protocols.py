@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from noonecp import (
+    NORM_TOLERANCE,
     PHASE_CLASS_TOLERANCE,
     BeamSplitterSpec,
     HomodyneOutcome,
@@ -757,3 +758,72 @@ def test_run_schedules_of_nothing_is_empty():
 def test_run_schedules_rejects_an_alpha_outside_the_unit_interval(bad):
     with pytest.raises(ValueError, match="alpha must lie strictly inside"):
         run_schedules(_config(), [0.6, bad])
+
+
+# alpha^2 = 1e-4 and 0.9999 lose their success reading mid-schedule at K >= 10;
+# seven points make ragged passes of [2, 2, 2, 1] at 25 point-rounds and K = 10.
+_TOTALS_ALPHA_SQ = (1e-4, 0.3, 0.5 + 1e-15, 0.8, 0.9999, 0.12345, 0.3)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 100])
+@pytest.mark.parametrize("k_max", [1, 10, 1000])
+def test_grid_totals_equal_per_point_runs_bit_for_bit(monkeypatch, protocol, n, k_max):
+    monkeypatch.setattr(protocols, "_POINT_ROUNDS_PER_PASS", 25)
+    # at K = 1000 every pass holds one point, so three points will do
+    grid = [math.sqrt(x) for x in _TOTALS_ALPHA_SQ[: 3 if k_max == 1000 else None]]
+    settings = _config(protocol, 0.77, n, max_rounds=k_max)
+    lossless = [run_schedule(replace(settings, alpha=a)) for a in grid]
+    if k_max > 1:
+        # some point's success reading underflows after it has been present
+        assert any(
+            s.per_round[0].p_conditional > 0.0 and s.per_round[-1].p_conditional == 0.0
+            for s in lossless
+        )
+    for eta in (1.0, 0.9, 0.0):
+        cfg = replace(settings, loss_eta=eta)
+        want = [apply_loss_model(s, cfg).p_total.hex() for s in lossless]
+        assert [t.hex() for t in protocols._totals_in_passes(cfg, grid)] == want, eta
+        assert list(protocols._totals_in_passes(cfg, [])) == []
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_deferred_fidelity_column_is_the_eager_one(protocol):
+    n, k_max = 2, 12
+    grid = [math.sqrt(x) for x in _BATCH_ALPHA_SQ]
+    target = maximally_entangled_noon(n)
+    batch = run_schedules(_config(protocol, 0.77, n, max_rounds=k_max), grid)
+    absent = 0
+    for alpha, schedule in zip(grid, batch):
+        config = _config(protocol, alpha * alpha, n, max_rounds=k_max)
+        state = prepare_less_entangled_noon(alpha, n)
+        for k, row in enumerate(schedule.per_round, start=1):
+            outcome = run_round(state, config, k)
+            if outcome.success_prob > 0.0:
+                want = fidelity_up_to_global_phase(outcome.success_state, target)
+            else:
+                want = math.nan
+                absent += 1
+            assert math.isnan(row.success_fidelity) == (row.p_conditional == 0.0)
+            assert _same_bits(row.success_fidelity, want), (alpha, k)
+            state = outcome.failure_state
+    assert absent > 0
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 100])
+def test_a_grid_pass_keeps_only_normalized_success_states(protocol, n):
+    # The grid totals never form a fidelity, so nothing at run time checks
+    # that a kept success state is normalized; this pins it.
+    grid = [math.sqrt(x) for x in np.linspace(0.001, 0.999, 200)]
+    rows, _ = protocols._run_pass(_config(protocol, 0.77, n), grid)
+    absent = 0
+    for k, _t, probs, _u, success in rows:
+        assert success is not None, k
+        for p, x in zip(probs, norm_sq(success)):
+            if p == 0.0:
+                absent += 1
+                assert math.isnan(x) or abs(x - 1.0) <= NORM_TOLERANCE, (k, x)
+            else:
+                assert abs(x - 1.0) <= NORM_TOLERANCE, (k, p, x)
+    assert absent > 0
