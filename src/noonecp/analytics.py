@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable
 
-from .fock import _check_alpha, _check_count
-from .protocols import ProtocolConfig, Schedule, _imbalance, _ratio_power, _schedules_in_passes
+from .fock import _check_alpha, _check_count, _per_element
+from .protocols import ProtocolConfig, _imbalance, _ratio_power, _rounds
 
 __all__ = [
     "ORACLE_MATCH_TOLERANCE",
@@ -105,9 +105,12 @@ def figure3_sweep(
 
     The settings are checked as a ``ProtocolConfig`` even for an empty
     grid, and each grid point's alpha by the closed form. With
-    ``cross_check`` set, the grid is also simulated in the engine's bounded
-    passes, and the first point whose unconditional round probability or total
-    disagrees beyond ORACLE_MATCH_TOLERANCE raises ValueError.
+    ``cross_check`` set, the whole grid is also simulated in one engine pass
+    whose rounds are checked as they stream: each round's unconditional
+    probabilities, then, after the last round, the totals. A disagreement
+    beyond ORACLE_MATCH_TOLERANCE raises ValueError at the first round that
+    has one (no later round runs), and within that round at the first point
+    in grid order.
     """
     _check_count(k_max, "k_max")
     settings = ProtocolConfig(protocol, 0.5, n_photons, k_max)  # any alpha in (0, 1)
@@ -122,21 +125,19 @@ def figure3_sweep(
         per_round = tuple(_round_yields(a, 1, k_max))
         points.append(SweepPoint(a, p_total_closed_form(a, k_max), per_round))
     if cross_check:
-        schedules = _schedules_in_passes(settings, [point.alpha for point in points])
-        for point, schedule in zip(points, schedules):
-            _check_against_engine(point, schedule)
+        size = len(points)
+        p_total = 0.0
+        for k, *_, u, _success_state in _rounds(settings, [point.alpha for point in points]):
+            for point, (got,) in zip(points, _per_element((u,), size)):
+                _check_against_engine(f"round {k}", point.alpha, got, point.per_round_p[k - 1])
+            p_total += u
+        for point, (got,) in zip(points, _per_element((p_total,), size)):
+            _check_against_engine("p_total", point.alpha, got, point.p_total)
     return points
 
 
-def _check_against_engine(point: SweepPoint, schedule: Schedule) -> None:
-    for row, expected in zip(schedule.per_round, point.per_round_p):
-        if abs(row.p_unconditional - expected) > ORACLE_MATCH_TOLERANCE:
-            raise ValueError(
-                f"round {row.round_index} at alpha={point.alpha}: simulated "
-                f"{row.p_unconditional} vs closed form {expected}"
-            )
-    if abs(schedule.p_total - point.p_total) > ORACLE_MATCH_TOLERANCE:
+def _check_against_engine(what: str, alpha: float, simulated: float, expected: float) -> None:
+    if abs(simulated - expected) > ORACLE_MATCH_TOLERANCE:
         raise ValueError(
-            f"p_total at alpha={point.alpha}: simulated {schedule.p_total} "
-            f"vs closed form {point.p_total}"
+            f"{what} at alpha={alpha}: simulated {simulated} vs closed form {expected}"
         )

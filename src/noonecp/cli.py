@@ -34,7 +34,7 @@ from .analytics import (
 from .protocols import (
     PROTOCOLS,
     ProtocolConfig,
-    _totals_in_passes,
+    _grid_totals,
     apply_loss_model,
     run_schedule,
 )
@@ -201,13 +201,14 @@ def _make_config(args: argparse.Namespace, protocol: str, alpha: float) -> Proto
 def _simulated_totals(args: argparse.Namespace, protocol: str) -> list[float]:
     """Simulated p_total at each grid point, scaled as ``apply_loss_model`` scales it.
 
-    The engine runs the grid in bounded passes and hands back only each
-    pass's p_total column: no per-round rows or fidelities are formed.
+    The engine runs the whole grid in one pass and folds only the
+    unconditional column as its rounds stream by: no per-round rows or
+    fidelities are formed or kept.
     """
     # Checked here so that an empty grid cannot skip the check; any alpha in
     # (0, 1) will do, as the engine takes the grid's alphas instead.
     settings = _make_config(args, protocol, 0.5)
-    return list(_totals_in_passes(settings, args.grid))
+    return _grid_totals(settings, args.grid)
 
 
 def _write_csv(out: str | None, header: str, rows: list[str]) -> None:

@@ -31,7 +31,6 @@ from .fock import (
     NORM_TOLERANCE,
     ModeId,
     PureState,
-    _Batch,
     _batch,
     _check_alpha,
     _check_count,
@@ -83,13 +82,6 @@ SHARED_AUX_MODES = ("a2", "b2")
 LOCAL_AUX_MODES = ("c1", "c2")
 ECP1_DETECTORS = ("d1", "d2")
 ECP2_DETECTORS = ("e1", "e2")
-
-# Point-rounds per batched engine pass. A pass keeps each round's columns for
-# all its points: traced at 819 ecp2 points and K = 10, about 240 B per
-# point-round for grid totals and 310 B where it is split into schedules. So
-# this caps a pass near 2.5 MB: 819 points share a pass at K = 10, and 8 or
-# fewer at K >= 1024.
-_POINT_ROUNDS_PER_PASS = 8192
 
 # Veltkamp splitting constant 2^27 + 1: splits a double into two halves
 # whose products are exact.
@@ -458,56 +450,11 @@ def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Sched
     ``run_schedule`` of the config with that alpha, bit for bit.
     """
     alphas = list(alphas)
-    return _split_pass(config, alphas, *_run_pass(config, alphas))
-
-
-def _run_pass(
-    config: ProtocolConfig, alphas: Sequence[float]
-) -> tuple[list[tuple], float | _Batch]:
-    """One engine pass over ``alphas``, kept as batch columns.
-
-    Returns each round's (k, t, p, u, success_state) and the pass's p_total,
-    each number a batch over ``alphas`` (a plain float for one alpha): the
-    VBS setting, the success probability, its share after the earlier
-    rounds' failures, and the success reading's state (None where every
-    element's reading is absent). Each alpha is checked as in
-    ``run_schedules``.
-    """
-    for alpha in alphas:
-        _check_alpha(alpha)
-    if not alphas:
-        return [], 0.0
-    n = config.n_photons
-    state = PureState._derived(
-        SIGNAL_MODES,
-        {(n, 0): _batch(alphas), (0, n): _batch([_beta(alpha) for alpha in alphas])},
-    )
-    rows = []
-    survival = 1.0
-    p_total = 0.0
-    for k in range(1, config.max_rounds + 1):
-        outcome = run_round(state, config, k)
-        p = outcome.success_prob
-        unconditional = p * survival
-        rows.append((k, outcome.vbs_transmission_used, p, unconditional, outcome.success_state))
-        p_total += unconditional
-        survival *= outcome.failure_prob
-        state = outcome.failure_state
-    return rows, p_total
-
-
-def _split_pass(
-    config: ProtocolConfig, alphas: list[float], rows: list[tuple], p_total: float | _Batch
-) -> list[Schedule]:
-    """A pass of ``_run_pass`` as one ``Schedule`` per alpha.
-
-    Each round's success fidelity against the balanced target is formed
-    here, in one batched call per round.
-    """
     size = len(alphas)
     target = maximally_entangled_noon(config.n_photons, SIGNAL_MODES)
     per_round = []
-    for *numbers, success_state in rows:
+    p_total = 0.0
+    for k, t, p, u, success_state in _rounds(config, alphas):
         if success_state is not None:
             fidelity = fidelity_up_to_global_phase(success_state, target)
         else:
@@ -516,9 +463,10 @@ def _split_pass(
         per_round.append(
             [
                 RoundStats(k, t, p, u, f if p > 0.0 else math.nan)
-                for k, t, p, u, f in _per_element((*numbers, fidelity), size)
+                for k, t, p, u, f in _per_element((k, t, p, u, fidelity), size)
             ]
         )
+        p_total += u
     return [
         Schedule(
             protocol=config.protocol,
@@ -531,32 +479,45 @@ def _split_pass(
     ]
 
 
-def _pass_slices(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[Sequence[float]]:
-    """``alphas`` in grid order, in slices of at most _POINT_ROUNDS_PER_PASS point-rounds.
+def _grid_totals(config: ProtocolConfig, alphas: Sequence[float]) -> list[float]:
+    """Each p_total of ``run_schedules(config, alphas)`` after ``apply_loss_model``.
 
-    Each slice holds at least one point.
+    Folds only the unconditional column as the rounds stream by; no
+    schedule or fidelity is formed, and no round is kept.
     """
-    per_pass = max(1, _POINT_ROUNDS_PER_PASS // config.max_rounds)
-    for start in range(0, len(alphas), per_pass):
-        yield alphas[start : start + per_pass]
-
-
-def _schedules_in_passes(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[Schedule]:
-    """Each schedule of ``run_schedules(config, alphas)``, in grid order, in bounded passes."""
-    for chunk in _pass_slices(config, alphas):
-        yield from run_schedules(config, chunk)
-
-
-def _totals_in_passes(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[float]:
-    """Each p_total of ``_schedules_in_passes`` after ``apply_loss_model``, in grid order.
-
-    Read off each pass's p_total column; no schedule or fidelity is formed.
-    """
+    p_total = 0.0
+    for *_, u, _success_state in _rounds(config, alphas):
+        p_total += u
     factor = _loss_factor(config)
-    for chunk in _pass_slices(config, alphas):
-        _, p_total = _run_pass(config, chunk)
-        for (total,) in _per_element((p_total,), len(chunk)):
-            yield total * factor
+    return [total * factor for (total,) in _per_element((p_total,), len(alphas))]
+
+
+def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:
+    """The engine's recycling loop over ``alphas``, one round at a time.
+
+    Yields each round's (k, t, p, u, success_state), each number a batch
+    over ``alphas`` (a plain float for one alpha): the VBS setting, the
+    success probability, its share after the earlier rounds' failures, and
+    the success reading's state (None where every element's reading is
+    absent). Past rounds are not kept: only the recycled state carries over.
+    Each alpha is checked as in ``run_schedules`` before the first round.
+    """
+    for alpha in alphas:
+        _check_alpha(alpha)
+    if not alphas:
+        return
+    n = config.n_photons
+    state = PureState._derived(
+        SIGNAL_MODES,
+        {(n, 0): _batch(alphas), (0, n): _batch([_beta(alpha) for alpha in alphas])},
+    )
+    survival = 1.0
+    for k in range(1, config.max_rounds + 1):
+        outcome = run_round(state, config, k)
+        p = outcome.success_prob
+        yield k, outcome.vbs_transmission_used, p, p * survival, outcome.success_state
+        survival *= outcome.failure_prob
+        state = outcome.failure_state
 
 
 def _loss_factor(config: ProtocolConfig) -> float:

@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -16,6 +15,7 @@ from noonecp import (
     p_round_closed_form,
     p_total_closed_form,
 )
+from noonecp.fock import _Batch
 
 BALANCED = 1 / math.sqrt(2)
 
@@ -213,85 +213,78 @@ def test_sweep_cross_check_both_protocols():
         )
 
 
-def _skew_round(schedule):
-    rows = list(schedule.per_round)
-    rows[1] = rows[1]._replace(p_unconditional=rows[1].p_unconditional + 1e-9)
-    return replace(schedule, per_round=tuple(rows))
+def _skew_rounds(monkeypatch, skew):
+    """Make the engine's rounds report skew(k, u) for point 1's u of round k."""
+    engine = protocols._rounds
+
+    def disagreeing(config, alphas):
+        for k, t, p, u, success_state in engine(config, alphas):
+            u = list(u)
+            u[1] = skew(k, u[1])
+            yield k, t, p, _Batch(u), success_state
+
+    monkeypatch.setattr(analytics, "_rounds", disagreeing)
 
 
-def _skew_total(schedule):
-    return replace(schedule, p_total=schedule.p_total + 1e-9)
+def _skew_round(k, u):
+    return u + 1e-9 if k == 2 else u
+
+
+def _skew_total(k, u):
+    # within the tolerance in every round, beyond it once three rounds add up
+    return u + 0.6 * analytics.ORACLE_MATCH_TOLERANCE
 
 
 @pytest.mark.parametrize(
     "skew, message", [(_skew_round, "round 2 at alpha"), (_skew_total, "p_total at alpha")]
 )
 def test_sweep_cross_check_raises_when_the_engine_disagrees(monkeypatch, skew, message):
-    engine = protocols.run_schedules
-
-    def disagreeing(config, alphas):
-        schedules = engine(config, alphas)
-        schedules[1] = skew(schedules[1])
-        return schedules
-
-    monkeypatch.setattr(protocols, "run_schedules", disagreeing)
+    _skew_rounds(monkeypatch, skew)
     with pytest.raises(ValueError, match=message):
         figure3_sweep(k_max=3, grid=[0.45, BALANCED, 0.9], cross_check=True)
+
+
+SEVEN_POINTS = [0.15, 0.3, 0.45, BALANCED, 0.75, 0.9, 0.95]
+
+
+def test_sweep_cross_check_stops_at_the_first_round_that_disagrees(monkeypatch):
+    engine_round = protocols.run_round
+    rounds_run = []
+
+    def counting(state, config, round_k):
+        rounds_run.append(round_k)
+        return engine_round(state, config, round_k)
+
+    monkeypatch.setattr(protocols, "run_round", counting)
+    _skew_rounds(monkeypatch, _skew_round)
+    with pytest.raises(ValueError, match=re.escape(f"round 2 at alpha={SEVEN_POINTS[1]}:")):
+        figure3_sweep(k_max=10, grid=SEVEN_POINTS, cross_check=True)
+    assert rounds_run == [1, 2]
 
 
 def _spy_on_passes(monkeypatch):
     """Record the number of alphas of each engine pass."""
     sizes = []
-    engine = protocols.run_schedules
+    engine = protocols._rounds
 
     def spy(config, alphas):
         sizes.append(len(alphas))
         return engine(config, alphas)
 
-    monkeypatch.setattr(protocols, "run_schedules", spy)
+    monkeypatch.setattr(analytics, "_rounds", spy)
     return sizes
 
 
-RAGGED_GRID = [0.15, 0.3, 0.45, BALANCED, 0.75, 0.9, 0.95]
-
-
-@pytest.mark.parametrize("grid", [None, RAGGED_GRID], ids=["default", "ragged"])
+@pytest.mark.parametrize("grid", [None, SEVEN_POINTS], ids=["default", "seven-points"])
 def test_sweep_cross_check_returns_the_closed_form_points(grid):
     assert figure3_sweep(grid=grid, cross_check=True) == figure3_sweep(grid=grid)
 
 
-def test_sweep_cross_check_in_ragged_passes_returns_the_one_pass_points(monkeypatch):
-    one_pass = figure3_sweep(grid=RAGGED_GRID, cross_check=True)
-    # 25 point-rounds at K = 10: two points per pass, one in the last
-    monkeypatch.setattr(protocols, "_POINT_ROUNDS_PER_PASS", 25)
-    sizes = _spy_on_passes(monkeypatch)
-    assert figure3_sweep(grid=RAGGED_GRID, cross_check=True) == one_pass
-    assert sizes == [2, 2, 2, 1]
-
-
-def test_sweep_cross_check_raises_in_a_later_pass_before_running_the_rest(monkeypatch):
-    monkeypatch.setattr(protocols, "_POINT_ROUNDS_PER_PASS", 25)
-    engine = protocols.run_schedules
-    sizes = []
-
-    def disagreeing(config, alphas):
-        schedules = engine(config, alphas)
-        sizes.append(len(alphas))
-        if len(sizes) == 2:
-            schedules[1] = _skew_round(schedules[1])
-        return schedules
-
-    monkeypatch.setattr(protocols, "run_schedules", disagreeing)
-    with pytest.raises(ValueError, match=re.escape(f"round 2 at alpha={RAGGED_GRID[3]}:")):
-        figure3_sweep(grid=RAGGED_GRID, cross_check=True)
-    assert sizes == [2, 2]
-
-
-def test_deep_sweep_cross_check_passes_hold_at_most_eight_points(monkeypatch):
+def test_deep_sweep_cross_check_runs_the_whole_grid_in_one_pass(monkeypatch):
     sizes = _spy_on_passes(monkeypatch)
     grid = [0.1 * i for i in range(1, 10)]
     assert len(figure3_sweep(k_max=1000, grid=grid, cross_check=True)) == 9
-    assert sizes == [8, 1]
+    assert sizes == [9]
 
 
 def test_sweep_rejects_out_of_range_grid():

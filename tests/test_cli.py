@@ -349,33 +349,14 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
 def _spy_on_passes(monkeypatch):
     """Record the number of alphas of each engine pass the CLI makes."""
     sizes = []
-    real = protocols._run_pass
+    real = protocols._rounds
 
     def spy(config, alphas):
         sizes.append(len(alphas))
         return real(config, alphas)
 
-    monkeypatch.setattr(protocols, "_run_pass", spy)
+    monkeypatch.setattr(protocols, "_rounds", spy)
     return sizes
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "--grid", "0.1:0.9:7", "--rounds", "10"],
-        ["compare-loss", "--grid", "0.1:0.9:7", "--rounds", "10", "--n", "3", "--eta", "0.9"],
-    ],
-)
-def test_ragged_passes_write_the_same_bytes(tmp_path, capsys, monkeypatch, argv):
-    whole = tmp_path / "whole.csv"
-    split = tmp_path / "split.csv"
-    assert _run(capsys, argv + ["--out", str(whole)])[0] == EXIT_OK
-    # 25 point-rounds at K = 10: two points per pass, one in the last
-    monkeypatch.setattr(protocols, "_POINT_ROUNDS_PER_PASS", 25)
-    sizes = _spy_on_passes(monkeypatch)
-    assert _run(capsys, argv + ["--out", str(split)])[0] == EXIT_OK
-    assert sizes == [2, 2, 2, 1] * (2 if argv[0] == "compare-loss" else 1)
-    assert split.read_bytes() == whole.read_bytes()
 
 
 def test_sweep_runs_a_benchmark_sized_grid_in_one_pass(capsys, monkeypatch):
@@ -392,11 +373,11 @@ def test_compare_loss_runs_one_pass_per_protocol(capsys, monkeypatch):
     assert sizes == [len(default_alpha_grid())] * 2
 
 
-def test_deep_sweep_passes_hold_at_most_eight_points(capsys, monkeypatch):
+def test_deep_sweep_runs_the_whole_grid_in_one_pass(capsys, monkeypatch):
     sizes = _spy_on_passes(monkeypatch)
     code, _, err = _run(capsys, ["sweep", "--grid", "0.1:0.9:20", "--rounds", "1000"])
     assert code == EXIT_OK, err
-    assert sizes == [8, 8, 4]
+    assert sizes == [20]
 
 
 def test_sweep_rejects_bad_grids(capsys):

@@ -5,8 +5,9 @@ its scheme table, never by testing a protocol's name; the CLI writes
 every CSV cell through ``cli._fmt``; a grid is one config plus its
 alphas, never a config built per point in a loop; each public name is
 declared once, in the ``__all__`` of the module that defines it; no
-function the engine reaches computes the closed form; and ``__main__.py`` is
-the package's one script entry.
+function the engine reaches computes the closed form; ``protocols._rounds``
+is the one function that runs rounds; and ``__main__.py`` is the package's
+one script entry.
 
 Modules are parsed, not imported, so a function-level import or definition
 is caught as well as a module-level one; only the check of what the package
@@ -466,9 +467,7 @@ def test_the_package_init_lists_no_names_of_its_own():
     assert name_lists == []
 
 
-ENGINE_ENTRIES = (
-    "run_round", "run_schedule", "run_schedules", "_schedules_in_passes", "_totals_in_passes"
-)
+ENGINE_ENTRIES = ("run_round", "run_schedule", "run_schedules", "_grid_totals", "_rounds")
 # The closed form's helpers, and the math functions only the closed form needs.
 ORACLE_HELPERS = {"_imbalance", "_ratio_power", "_SPLITTER", "vbs_transmission"}
 ORACLE_MATH = {"exp", "expm1", "log", "log1p", "atanh"}
@@ -555,6 +554,77 @@ def test_the_guard_sees_each_oracle_use_the_engine_reaches(source):
 )
 def test_the_guard_lets_oracle_code_the_engine_never_reaches_through(source):
     assert _oracle_uses_in_engine(source) == []
+
+
+def _round_runners(source):
+    """The outermost function around each use of ``run_round`` in ``source``.
+
+    A use is any name or attribute ``run_round`` that is read, called or
+    passed on, and any import that binds it; None stands for module level.
+    The def of ``run_round`` itself is not a use.
+    """
+    users = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner or child.name)
+                continue
+            if (
+                (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+                 and child.id == "run_round")
+                or (isinstance(child, ast.Attribute) and child.attr == "run_round")
+                or (isinstance(child, ast.ImportFrom)
+                    and any(alias.name == "run_round" for alias in child.names))
+            ):
+                users.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return users
+
+
+def test_one_generator_runs_every_round():
+    # _rounds is the engine's one recycling loop; every grid, schedule and
+    # cross-check folds what it streams
+    runners = {
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in _round_runners(path.read_text())
+    }
+    assert runners == {("protocols.py", "_rounds")}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def run_schedule(config):\n    return run_round(state, config, 1)",
+        "outcome = run_round(state, config, 1)",
+        "def _grid(config, states):\n    return list(map(run_round, states, repeat(config)))",
+        "class _Pass:\n    def step(self, k):\n        return protocols.run_round(self.s, self.c, k)",
+        "def f():\n    from .protocols import run_round as step\n    return step",
+        "def f(states):\n    return [run_round(s, c, 1) for s in states]",
+    ],
+)
+def test_the_guard_sees_each_round_runner(source):
+    assert _round_runners(source) - {"_rounds"} != set()
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _rounds(config, alphas):\n    outcome = run_round(state, config, 1)\n"
+        "    yield outcome",
+        "def _rounds(config, alphas):\n    def step(k):\n        return run_round(s, config, k)\n"
+        "    yield step(1)",
+        "def run_round(state, config, round_k):\n    return state",
+        "__all__ = ['run_round', 'run_schedules']",
+        "def run_schedule(config):\n    \"\"\"Calls ``run_round`` through _rounds.\"\"\"\n"
+        "    return outcome.round_index",
+    ],
+)
+def test_the_guard_lets_the_round_generator_through(source):
+    assert _round_runners(source) <= {"_rounds"}
 
 
 def _script_entries(source):

@@ -1,7 +1,9 @@
 """Tests for the concentration-round engine and schedule runner."""
 
+import gc
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -760,17 +762,15 @@ def test_run_schedules_rejects_an_alpha_outside_the_unit_interval(bad):
         run_schedules(_config(), [0.6, bad])
 
 
-# alpha^2 = 1e-4 and 0.9999 lose their success reading mid-schedule at K >= 10;
-# seven points make ragged passes of [2, 2, 2, 1] at 25 point-rounds and K = 10.
+# alpha^2 = 1e-4 and 0.9999 lose their success reading mid-schedule at K >= 10.
 _TOTALS_ALPHA_SQ = (1e-4, 0.3, 0.5 + 1e-15, 0.8, 0.9999, 0.12345, 0.3)
 
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 @pytest.mark.parametrize("n", [1, 100])
 @pytest.mark.parametrize("k_max", [1, 10, 1000])
-def test_grid_totals_equal_per_point_runs_bit_for_bit(monkeypatch, protocol, n, k_max):
-    monkeypatch.setattr(protocols, "_POINT_ROUNDS_PER_PASS", 25)
-    # at K = 1000 every pass holds one point, so three points will do
+def test_grid_totals_equal_per_point_runs_bit_for_bit(protocol, n, k_max):
+    # at K = 1000 three points keep the per-point runs short
     grid = [math.sqrt(x) for x in _TOTALS_ALPHA_SQ[: 3 if k_max == 1000 else None]]
     settings = _config(protocol, 0.77, n, max_rounds=k_max)
     lossless = [run_schedule(replace(settings, alpha=a)) for a in grid]
@@ -783,8 +783,8 @@ def test_grid_totals_equal_per_point_runs_bit_for_bit(monkeypatch, protocol, n, 
     for eta in (1.0, 0.9, 0.0):
         cfg = replace(settings, loss_eta=eta)
         want = [apply_loss_model(s, cfg).p_total.hex() for s in lossless]
-        assert [t.hex() for t in protocols._totals_in_passes(cfg, grid)] == want, eta
-        assert list(protocols._totals_in_passes(cfg, [])) == []
+        assert [t.hex() for t in protocols._grid_totals(cfg, grid)] == want, eta
+        assert protocols._grid_totals(cfg, []) == []
 
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
@@ -814,11 +814,10 @@ def test_deferred_fidelity_column_is_the_eager_one(protocol):
 @pytest.mark.parametrize("n", [1, 100])
 def test_a_grid_pass_keeps_only_normalized_success_states(protocol, n):
     # The grid totals never form a fidelity, so nothing at run time checks
-    # that a kept success state is normalized; this pins it.
+    # that a streamed success state is normalized; this pins it.
     grid = [math.sqrt(x) for x in np.linspace(0.001, 0.999, 200)]
-    rows, _ = protocols._run_pass(_config(protocol, 0.77, n), grid)
     absent = 0
-    for k, _t, probs, _u, success in rows:
+    for k, _t, probs, _u, success in protocols._rounds(_config(protocol, 0.77, n), grid):
         assert success is not None, k
         for p, x in zip(probs, norm_sq(success)):
             if p == 0.0:
@@ -827,3 +826,29 @@ def test_a_grid_pass_keeps_only_normalized_success_states(protocol, n):
             else:
                 assert abs(x - 1.0) <= NORM_TOLERANCE, (k, p, x)
     assert absent > 0
+
+
+def _traced_peak(call):
+    """Peak memory traced while ``call()`` runs, above what was traced before.
+
+    The collector stays off: a full collection empties the interpreter's
+    free lists, whose refilling would be traced as growth.
+    """
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_grid_totals_keep_no_state_per_round():
+    grid = [math.sqrt(x) for x in np.linspace(0.05, 0.95, 8)]
+    shallow, deep = (_config("ecp2", 0.77, 1, max_rounds=k) for k in (10, 1000))
+    # a deep run first fills the free lists, so that reusing them traces nothing
+    protocols._grid_totals(deep, grid)
+    peaks = [_traced_peak(lambda: protocols._grid_totals(c, grid)) for c in (shallow, deep)]
+    assert peaks[1] <= 1.5 * peaks[0], peaks
