@@ -12,8 +12,8 @@ Three physical pieces live here:
   probe: each branch accumulates a phase proportional to the occupation of
   the tagged mode. No photon is absorbed.
 * ``homodyne_partition`` models the ideal probe readout: branches are
-  grouped by |accumulated phase|, since a quadrature measurement cannot
-  tell +phi from -phi.
+  grouped by |accumulated phase| modulo 2*pi, since a quadrature
+  measurement cannot tell +phi from -phi, nor phi from phi + 2*pi.
 
 ``detect_photon`` projects on single-photon detector clicks and
 ``negate_occupied`` is the local correction applied after a click on the
@@ -168,24 +168,29 @@ def cross_kerr_tag(
     """Add occupation(mode) * per_photon_phase to every branch's probe phase.
 
     Plain states enter with phase 0 on every branch. Amplitudes are never
-    changed, so two tags on different modes commute exactly.
+    changed, so two tags on different modes commute exactly. A branch whose
+    phase would leave the float range is refused.
     """
     if not _finite_real(per_photon_phase):
         raise ValueError(f"per-photon phase must be a finite real, got {per_photon_phase!r}")
     state, phases = state if isinstance(state, TaggedState) else (state, {})
     idx = _mode_index(state._register, mode)
-    return TaggedState(
-        state,
-        {ket: phases.get(ket, 0.0) + ket[idx] * per_photon_phase for ket in state._terms},
-    )
+    tagged = {ket: phases.get(ket, 0.0) + ket[idx] * per_photon_phase for ket in state._terms}
+    if not all(map(math.isfinite, tagged.values())):
+        raise ValueError(
+            f"tagging mode {mode!r} with phase {per_photon_phase!r} per photon "
+            "gives a branch a probe phase that is not finite"
+        )
+    return TaggedState(state, tagged)
 
 
 class HomodyneOutcome(NamedTuple):
     """One distinguishable probe reading.
 
     ``phase_class`` is the shared |probe phase| of the branches collapsed
-    into this outcome, ``branch`` the renormalized post-measurement state,
-    ``probability`` the collapsed squared mass.
+    into this outcome, folded into [0, pi] modulo 2*pi, ``branch`` the
+    renormalized post-measurement state, ``probability`` the collapsed
+    squared mass.
     """
 
     phase_class: float
@@ -194,12 +199,12 @@ class HomodyneOutcome(NamedTuple):
 
 
 def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
-    """Read out the probe, splitting branches by |probe phase|.
+    """Read out the probe, splitting branches by |probe phase| modulo 2*pi.
 
     Phases matching within PHASE_CLASS_TOLERANCE fall into one class;
-    +phi and -phi are indistinguishable by construction. The input must be
-    normalized. Outcomes come back sorted by phase class, probabilities
-    summing to 1.
+    +phi, -phi and phi + 2*pi are indistinguishable by construction. The
+    input must be normalized. Outcomes come back sorted by phase class,
+    probabilities summing to 1.
     """
     state, phases = state
     total = norm_sq(state)
@@ -208,7 +213,7 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
     try:
         for ket, amp in state._terms.items():
-            p = abs(phases[ket])
+            p = abs(math.remainder(phases[ket], math.tau))
             for key, members in classes:
                 if abs(p - key) < PHASE_CLASS_TOLERANCE:
                     members[ket] = amp

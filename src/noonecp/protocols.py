@@ -385,7 +385,8 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     Returns both heralded branches; the failure branch always exists and
     carries the squared, renormalized coefficients of the input. Detection
     after the probe reading is deterministic in this idealized model, so
-    the success probability equals the |theta| reading's probability.
+    the success probability equals the probability of the reading at
+    |theta| modulo 2*pi.
     """
     _check_count(round_k, "round index")
     n = config.n_photons
@@ -397,12 +398,13 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     tagged = cross_kerr_tag(tensor(state, aux), sig_b, -theta / n)
     readings = homodyne_partition(cross_kerr_tag(tagged, scheme.aux_modes[1], theta))
 
+    success_class = abs(math.remainder(theta, math.tau))
     success_reading = None
     failure_reading = None
     for reading in readings:
         if reading.phase_class < PHASE_CLASS_TOLERANCE:
             failure_reading = reading
-        elif abs(reading.phase_class - abs(theta)) < PHASE_CLASS_TOLERANCE:
+        elif abs(reading.phase_class - success_class) < PHASE_CLASS_TOLERANCE:
             success_reading = reading
         else:
             raise ValueError(

@@ -1,73 +1,128 @@
-"""The engine never imports the closed form it is checked against, nor the CLI,
-the input checks every layer shares are defined in ``fock`` alone, and so is
-the one normalization; ``protocols`` tells its two schemes apart only through
-its scheme table, never by testing a protocol's name; the CLI writes
-every CSV cell through ``cli._fmt``; a grid is one config plus its
-alphas, never a config built per point in a loop; each public name is
-declared once, in the ``__all__`` of the module that defines it; no
-function the engine reaches computes the closed form; ``protocols._rounds``
-is the one function that runs rounds; and ``__main__.py`` is the package's
-one script entry.
+"""Layering guards, read from the package's source.
 
-Modules are parsed, not imported, so a function-level import or definition
-is caught as well as a module-level one; only the check of what the package
-exports imports it.
+Most rules confine a name: ``CONFINED`` lists the functions of each module
+that name it, and ``_namers`` finds who does. Next to each rule sit snippets
+that must breach it and snippets that must not, so a guard that goes blind
+shows. The walkers after the table check rules of other kinds. Modules are
+parsed, not imported, so a function-level import or definition is caught as
+well as a module-level one; only the check of what the package exports
+imports it.
 """
 
 import ast
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "noonecp"
-ENGINE = ("fock.py", "optics.py", "protocols.py")
-FORBIDDEN = {"noonecp.analytics", "noonecp.cli"}
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 SHARED_CHECKS = {"_finite_real", "_finite_number", "_check_count", "_check_alpha", "_mode_index"}
 ABOVE_FOCK = ("optics.py", "protocols.py", "analytics.py", "cli.py")
-# The functions that may use math.hypot: the normalization, and the total of
-# the detector branches' norms.
-HYPOT_USERS = {"fock.py": {"_normalized"}, "optics.py": {"detect_photon"}}
 
 
-def _imported_modules(tree):
-    """Absolute names of every module an import statement in ``tree`` binds."""
-    for node in ast.walk(tree):
+def _namers(source, dotted_name):
+    """The outermost function around each use of ``dotted_name`` in ``source``
+    (None for module level). A use reads, calls or passes on the name's last
+    part, bare or as an attribute, or imports it or a name within it, under any
+    alias and from any module; relative imports resolve against ``noonecp``. A
+    def, a string or a docstring is not a use.
+    """
+    last, within = dotted_name.rpartition(".")[2], f"{dotted_name}."
+
+    def uses(node):
+        if isinstance(node, ast.Name):
+            return isinstance(node.ctx, ast.Load) and node.id == last
+        if isinstance(node, ast.Attribute):
+            return node.attr == last
         if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
+            bound = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            # relative imports inside the package resolve against ``noonecp``
-            base = "noonecp" if node.level else ""
-            module = ".".join(filter(None, [base, node.module]))
-            yield module
-            yield from (f"{module}.{alias.name}" for alias in node.names)
+            module = ".".join(filter(None, ["noonecp" if node.level else "", node.module]))
+            bound = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            return False
+        return any(n.rpartition(".")[2] == last or f"{n}.".startswith(within) for n in bound)
+
+    def namers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+                yield from namers(child, child.name)
+                continue
+            if uses(child):
+                yield owner
+            yield from namers(child, owner)
+
+    return set(namers(ast.parse(source), None))
 
 
-def _forbidden_imports(source):
-    return sorted(
-        name
-        for name in _imported_modules(ast.parse(source))
-        if any(name == f or name.startswith(f + ".") for f in FORBIDDEN)
-    )
+class Confined(NamedTuple):
+    owners: dict  # module -> the functions that name it; a module left out may not
+    read_as: str  # the module each snippet below is read as
+    sees: tuple  # snippets that breach the rule
+    lets: tuple = ()  # snippets that keep it
 
 
-@pytest.mark.parametrize("module", ENGINE)
-def test_engine_module_imports_neither_oracle_nor_cli(module):
-    assert _forbidden_imports((PACKAGE / module).read_text()) == []
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
+CONFINED = {
+    # the one normalization, and the total of the detector branches' norms
+    "math.hypot": Confined({"fock.py": {"_normalized"}, "optics.py": {"detect_photon"}}, "fock.py", (
+        "def _norm(amps):\n    return math.hypot(*amps)",
+        "def _norm(amps):\n    return list(map(math.hypot, *amps))",
+        "class C:\n    def norm(self):\n        return math.hypot(3.0, 4.0)",
+        "def f():\n    def g():\n        import math as m\n        return m.hypot(1.0)",
+        "UNIT = math.hypot(3.0, 4.0)",
+        "from math import hypot",
+    )),
+    # the engine's one recycling loop; every grid, schedule and cross-check folds what it streams
+    "noonecp.protocols.run_round": Confined({"protocols.py": {"_rounds"}}, "protocols.py", (
+        "def run_schedule(config):\n    return run_round(state, config, 1)",
+        "outcome = run_round(state, config, 1)",
+        "def _grid(config, states):\n    return list(map(run_round, states, repeat(config)))",
+        "class _Pass:\n    def step(self, k):\n        return protocols.run_round(self.s, self.c, k)",
+        "def f():\n    from .protocols import run_round as step\n    return step",
+        "def f(states):\n    return [run_round(s, c, 1) for s in states]",
+        "def f():\n    from noonecp import run_round as step\n    return step",
+    ), (
+        "def _rounds(config, alphas):\n    outcome = run_round(state, config, 1)\n"
+        "    yield outcome",
+        "def _rounds(config, alphas):\n    def step(k):\n        return run_round(s, config, k)\n"
+        "    yield step(1)",
+        "def run_round(state, config, round_k):\n    return state",
+        "__all__ = ['run_round', 'run_schedules']",
+        "def run_schedule(config):\n    \"\"\"Calls ``run_round`` through _rounds.\"\"\"\n"
+        "    return outcome.round_index",
+    )),
+    # the engine imports neither the closed form it is checked against nor the CLI
+    "noonecp.analytics": Confined({"cli.py": {None}, "__init__.py": {None}}, "protocols.py", (
         "from .analytics import p_round_closed_form",
-        "from . import cli",
         "import noonecp.analytics",
         "from noonecp import analytics",
-        "from noonecp.cli import main",
         "def f():\n    from .analytics import _round_yields",
-    ],
-)
-def test_the_guard_sees_each_import_form(line):
-    assert _forbidden_imports(line) != []
+    )),
+    "noonecp.cli": Confined({"__main__.py": {None}}, "protocols.py", (
+        "from . import cli",
+        "from noonecp.cli import main",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", CONFINED)
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_names_a_confined_name_just_where_the_table_says(module, name):
+    # equal, not only within: a function that stops naming it leaves the table too
+    assert _namers((PACKAGE / module).read_text(), name) == CONFINED[name].owners.get(module, set())
+
+
+@pytest.mark.parametrize("name, source", [(n, s) for n in CONFINED for s in CONFINED[n].sees])
+def test_the_guard_sees_each_breach_of_a_confinement(name, source):
+    rule = CONFINED[name]
+    assert not _namers(source, name) <= rule.owners.get(rule.read_as, set())
+
+
+@pytest.mark.parametrize("name, source", [(n, s) for n in CONFINED for s in CONFINED[n].lets])
+def test_the_guard_lets_each_confined_use_through(name, source):
+    rule = CONFINED[name]
+    assert _namers(source, name) <= rule.owners.get(rule.read_as, set())
 
 
 def _defined_names(source):
@@ -99,50 +154,6 @@ def test_no_layer_above_fock_defines_its_own_copy_of_a_shared_check(module):
 )
 def test_the_guard_sees_each_definition_form(source):
     assert not SHARED_CHECKS.isdisjoint(_defined_names(source))
-
-
-def _hypot_users(source):
-    """The outermost function around each use of ``math.hypot`` in ``source``.
-
-    A use is any ``<module>.hypot`` attribute, called or passed on, and any
-    ``from math import hypot``; None stands for module level.
-    """
-    users = set()
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, owner or child.name)
-                continue
-            if isinstance(child, ast.Attribute) and child.attr == "hypot":
-                users.add(owner)
-            elif isinstance(child, ast.ImportFrom) and child.module == "math":
-                if any(alias.name == "hypot" for alias in child.names):
-                    users.add(owner)
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
-    return users
-
-
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
-def test_math_hypot_is_used_only_by_the_normalization_and_the_detector_total(module):
-    assert _hypot_users((PACKAGE / module).read_text()) <= HYPOT_USERS.get(module, set())
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
-        "def _norm(amps):\n    return math.hypot(*amps)",
-        "def _norm(amps):\n    return list(map(math.hypot, *amps))",
-        "class C:\n    def norm(self):\n        return math.hypot(3.0, 4.0)",
-        "def f():\n    def g():\n        import math as m\n        return m.hypot(1.0)",
-        "UNIT = math.hypot(3.0, 4.0)",
-        "from math import hypot",
-    ],
-)
-def test_the_guard_sees_each_hypot_use(source):
-    assert not _hypot_users(source) <= HYPOT_USERS["fock.py"]
 
 
 PROTOCOL_NAMES = {"ecp1", "ecp2"}
@@ -556,77 +567,6 @@ def test_the_guard_lets_oracle_code_the_engine_never_reaches_through(source):
     assert _oracle_uses_in_engine(source) == []
 
 
-def _round_runners(source):
-    """The outermost function around each use of ``run_round`` in ``source``.
-
-    A use is any name or attribute ``run_round`` that is read, called or
-    passed on, and any import that binds it; None stands for module level.
-    The def of ``run_round`` itself is not a use.
-    """
-    users = set()
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, owner or child.name)
-                continue
-            if (
-                (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
-                 and child.id == "run_round")
-                or (isinstance(child, ast.Attribute) and child.attr == "run_round")
-                or (isinstance(child, ast.ImportFrom)
-                    and any(alias.name == "run_round" for alias in child.names))
-            ):
-                users.add(owner)
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
-    return users
-
-
-def test_one_generator_runs_every_round():
-    # _rounds is the engine's one recycling loop; every grid, schedule and
-    # cross-check folds what it streams
-    runners = {
-        (path.name, owner)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for owner in _round_runners(path.read_text())
-    }
-    assert runners == {("protocols.py", "_rounds")}
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
-        "def run_schedule(config):\n    return run_round(state, config, 1)",
-        "outcome = run_round(state, config, 1)",
-        "def _grid(config, states):\n    return list(map(run_round, states, repeat(config)))",
-        "class _Pass:\n    def step(self, k):\n        return protocols.run_round(self.s, self.c, k)",
-        "def f():\n    from .protocols import run_round as step\n    return step",
-        "def f(states):\n    return [run_round(s, c, 1) for s in states]",
-    ],
-)
-def test_the_guard_sees_each_round_runner(source):
-    assert _round_runners(source) - {"_rounds"} != set()
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
-        "def _rounds(config, alphas):\n    outcome = run_round(state, config, 1)\n"
-        "    yield outcome",
-        "def _rounds(config, alphas):\n    def step(k):\n        return run_round(s, config, k)\n"
-        "    yield step(1)",
-        "def run_round(state, config, round_k):\n    return state",
-        "__all__ = ['run_round', 'run_schedules']",
-        "def run_schedule(config):\n    \"\"\"Calls ``run_round`` through _rounds.\"\"\"\n"
-        "    return outcome.round_index",
-    ],
-)
-def test_the_guard_lets_the_round_generator_through(source):
-    assert _round_runners(source) <= {"_rounds"}
-
-
 def _script_entries(source):
     """Line of every comparison of ``__name__`` with "__main__"."""
 
@@ -644,9 +584,7 @@ def _script_entries(source):
     ]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__main__.py")
-)
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__main__.py"])
 def test_only_the_package_main_is_a_script_entry(module):
     # ``python -m noonecp`` and the console script are the entries
     assert _script_entries((PACKAGE / module).read_text()) == []

@@ -374,6 +374,25 @@ def test_homodyne_merges_opposite_phases():
         assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("phases", [(0.0, 2 * math.pi), (0.1, 2 * math.pi - 0.1)])
+def test_homodyne_reads_phases_a_turn_apart_as_one_class(phases):
+    st = superpose(
+        [
+            (0.6, basis_state(("a", "b"), (1, 0))),
+            (0.8, basis_state(("a", "b"), (0, 1))),
+        ]
+    )
+    outcomes = homodyne_partition(TaggedState(st, dict(zip([(1, 0), (0, 1)], phases))))
+    assert len(outcomes) == 1
+    assert outcomes[0].phase_class == pytest.approx(phases[0], abs=1e-9)
+    assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cross_kerr_refuses_a_finite_phase_that_tags_a_branch_with_inf():
+    with pytest.raises(ValueError, match=r"'a'.*1e\+308.*not finite"):
+        cross_kerr_tag(basis_state(("a", "b"), (2, 0)), "a", 1e308)
+
+
 def test_homodyne_rejects_unnormalized_state():
     tagged = cross_kerr_tag(superpose([(0.5, basis_state(("a",), (1,)))]), "a", 0.0)
     with pytest.raises(ValueError):

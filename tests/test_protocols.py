@@ -636,6 +636,25 @@ def test_protocols_give_bit_identical_lossless_yields(n, k_max):
                 )
 
 
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_yields_do_not_depend_on_the_probe_phase(protocol, n):
+    # the readings fold theta modulo 2*pi, so |theta| > pi reads like its image
+    alphas = [math.sqrt(x) for x in (0.1, 0.5 + 5.2e-15, 0.8)]
+    thetas = (0.1, -0.2, 2, math.pi, 4.0, -4.0, 2 * math.pi - 0.1, 1e7)
+    runs = [
+        run_schedules(_config(protocol, n=n, max_rounds=40, theta=theta), alphas)
+        for theta in thetas
+    ]
+    for theta, schedules in zip(thetas[1:], runs[1:]):
+        for want, got in zip(runs[0], schedules):
+            for row_w, row_g in zip(want.per_round, got.per_round):
+                for field in ("p_conditional", "p_unconditional"):
+                    assert _same_bits(getattr(row_w, field), getattr(row_g, field)), (
+                        theta, got.alpha, row_g.round_index, field
+                    )
+
+
 # Each scheme in the paper's own labels: auxiliary modes, the coefficient
 # order of its photon, the mode its probe tags, and its mixer onto the detectors.
 _PAPER_SCHEMES = {
