@@ -8,12 +8,13 @@ Three subcommands:
 * ``compare-loss``: lossy ecp1 vs ecp2 totals over an alpha grid, as CSV.
 
 Exit codes: 0 on success, 2 on usage errors, 3 on I/O errors. A flat
-key=value config file can supply the value of any of the chosen
-subcommand's flags; explicit flags win, and keys the subcommand has no
-flag for are ignored. Every CSV cell goes through ``_fmt``: a round or K
-is an integer, ecp1's vbs_t is empty (ecp1 has no variable beam splitter)
-and any other number has 12 significant digits and '.' decimals. Lines
-end in LF; output is byte-identical across runs with identical flags.
+key=value config file's values are read as the chosen subcommand's flags:
+an explicit flag wins, every file value is checked, and keys the
+subcommand has no flag for are ignored. Every CSV cell goes through
+``_fmt``: a round or K is an integer, ecp1's vbs_t is empty (ecp1 has no
+variable beam splitter) and any other number has 12 significant digits
+and '.' decimals. Lines end in LF; output is byte-identical across runs
+with identical flags.
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ def _grid(text: str) -> list[float]:
     return _linspace(start, stop, steps)
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and, by name, the parser of each subcommand."""
+    """The top-level parser and each subcommand's by name; one shared set, never changed."""
     parser = argparse.ArgumentParser(
         prog="noonecp",
         description="Simulate iterated entanglement concentration of NOON states.",
@@ -149,25 +151,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subparsers
 
 
-def _config_defaults(
+def _config_flags(
     path: str, subparsers: dict[str, argparse.ArgumentParser], command: str
-) -> dict[str, str]:
-    """The config file's values for the flags of ``command``, by dest.
+) -> list[str]:
+    """The config file's values for the flags of ``command``, one ``--flag=value`` each.
 
     Flat key=value file; '#' starts a comment, blank lines are skipped.
     Keys match flag names case-insensitively, with '-' and '_'
     interchangeable. A key that no subcommand has a flag for is an error.
+    The '=' keeps a value such as -0.2 from reading as a flag of its own.
     """
-    flags = {
-        name: set(vars(p.parse_args([]))) - {"config"} for name, p in subparsers.items()
-    }
+    flags = {name: set(vars(p.parse_args([]))) - {"config"} for name, p in subparsers.items()}
     known = set().union(*flags.values())
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             raw = fh.read()
     except UnicodeDecodeError as exc:
         raise _UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    values: dict[str, str] = {}
+    tokens: list[str] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -179,8 +180,8 @@ def _config_defaults(
         if key not in known:
             raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in flags[command]:
-            values[key] = value.strip()
-    return values
+            tokens.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return tokens
 
 
 def _make_config(args: argparse.Namespace, protocol: str, alpha: float) -> ProtocolConfig:
@@ -287,24 +288,15 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """``build_parser()``, built once per process for calls without --config."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser, subparsers = _shared_parser()
+    parser, subparsers = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            # Flag > file > built-in default: the file's values become the
-            # subcommand's defaults, which argparse converts through each
-            # flag's type= on the second parse. set_defaults changes the
-            # parser, so this call parses with a fresh one.
-            parser, subparsers = build_parser()
-            chosen = subparsers[args.command]
-            chosen.set_defaults(**_config_defaults(args.config, subparsers, args.command))
+            # the file's flags go right after the subcommand, so explicit ones win
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_flags(args.config, subparsers, args.command)
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:

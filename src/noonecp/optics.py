@@ -203,8 +203,8 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
 
     Phases matching within PHASE_CLASS_TOLERANCE fall into one class;
     +phi, -phi and phi + 2*pi are indistinguishable by construction. The
-    input must be normalized. Outcomes come back sorted by phase class,
-    probabilities summing to 1.
+    input must be normalized, with a finite real phase on every ket.
+    Outcomes come back sorted by phase class, probabilities summing to 1.
     """
     state, phases = state
     total = norm_sq(state)
@@ -213,7 +213,10 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
     try:
         for ket, amp in state._terms.items():
-            p = abs(math.remainder(phases[ket], math.tau))
+            phase = phases[ket]
+            if not _finite_real(phase):
+                raise ValueError(f"ket {ket!r} has probe phase {phase!r}, not a finite real")
+            p = abs(math.remainder(phase, math.tau))
             for key, members in classes:
                 if abs(p - key) < PHASE_CLASS_TOLERANCE:
                     members[ket] = amp

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from noonecp import analytics, default_alpha_grid, protocols
-from noonecp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _grid, main
+from noonecp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _grid, build_parser, main
 
 BALANCED_SQ = 0.5
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -487,8 +487,8 @@ def test_flags_override_config_file(tmp_path, capsys):
 
 
 def test_config_file_values_do_not_leak_into_later_calls(tmp_path, capsys):
-    # main() parses plain calls with one parser per process; a --config call
-    # must not leave its file's values behind as that parser's defaults
+    # main() parses every call, --config or not, with one parser per process;
+    # a --config call must not leave its file's values behind in that parser
     cfg = tmp_path / "job.cfg"
     cfg.write_text("protocol = ecp1\nalpha-sq = 0.8\nrounds = 3\nn = 2\ntheta = 0.3\n")
     code, out, _ = _run(capsys, ["run", "--config", str(cfg)])
@@ -504,6 +504,29 @@ def test_config_file_values_do_not_leak_into_later_calls(tmp_path, capsys):
     assert {row[2] for row in _csv_rows(out)[1]} == {"10"}
     # and a run without --alpha-sq still finds it missing
     assert _run(capsys, ["run"])[0] == EXIT_USAGE
+
+
+def test_config_file_call_leaves_the_parser_defaults_as_built(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("alpha-sq = 0.8\nrounds = 3\n")
+    assert _run(capsys, ["run", "--config", str(cfg)])[0] == EXIT_OK
+    assert build_parser()[1]["run"].get_default("rounds") == 10
+
+
+def test_config_file_value_is_checked_even_when_a_flag_overrides_it(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("alpha-sq = 0.8\nrounds = abc\n")
+    code, out, err = _run(capsys, ["run", "--config", str(cfg), "--rounds", "2"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --rounds: expects an integer, got 'abc'" in err
+
+
+def test_config_file_negative_value_is_read_as_that_number(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("alpha-sq = 0.8\ntheta = -0.2\nrounds = 1\n")
+    code, out, err = _run(capsys, ["run", "--config", str(cfg)])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[0] == "protocol=ecp2 alpha_sq=0.8 n=1 rounds=1 theta=-0.2 eta=1"
 
 
 def test_config_file_underscore_keys_accepted(tmp_path, capsys):

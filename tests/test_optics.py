@@ -9,6 +9,7 @@ up to 40 photons per mode, against an 80-digit mpmath binomial sum.
 import itertools
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -582,6 +583,31 @@ def test_homodyne_names_a_ket_without_probe_phase():
     st = basis_state(("a", "b"), (1, 0))
     with pytest.raises(ValueError, match=r"ket \(1, 0\) has no probe phase"):
         homodyne_partition(TaggedState(st, {}))
+
+
+@pytest.mark.parametrize(
+    "phases, ket, shown",
+    [
+        ((math.nan, math.nan), (1, 0), "nan"),
+        ((0.0, math.inf), (0, 1), "inf"),
+        ((-math.inf, 0.0), (1, 0), "-inf"),
+        ((10**400, 0.0), (1, 0), str(10**400)),
+        (("x", 0.0), (1, 0), "'x'"),
+        ((0.0, None), (0, 1), "None"),
+        ((True, 0.0), (1, 0), "True"),
+    ],
+    ids=["nan", "inf", "-inf", "int-beyond-float", "str", "none", "bool"],
+)
+def test_homodyne_refuses_a_probe_phase_that_is_not_a_finite_real(phases, ket, shown):
+    st = superpose(
+        [
+            (0.6, basis_state(("a", "b"), (1, 0))),
+            (0.8, basis_state(("a", "b"), (0, 1))),
+        ]
+    )
+    tagged = TaggedState(st, dict(zip([(1, 0), (0, 1)], phases)))
+    with pytest.raises(ValueError, match=re.escape(f"ket {ket!r} has probe phase {shown}")):
+        homodyne_partition(tagged)
 
 
 def test_negate_occupied_fixes_even_component_sign():
