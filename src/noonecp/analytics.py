@@ -127,7 +127,7 @@ def figure3_sweep(
     if cross_check:
         size = len(points)
         p_total = 0.0
-        for k, *_, u, _success_state in _rounds(settings, [point.alpha for point in points]):
+        for k, *_, u, _success_branch in _rounds(settings, [point.alpha for point in points]):
             for point, (got,) in zip(points, _per_element((u,), size)):
                 _check_against_engine(f"round {k}", point.alpha, got, point.per_round_p[k - 1])
             p_total += u

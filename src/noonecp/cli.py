@@ -98,6 +98,12 @@ def _alpha_sq(text: str) -> float:
     return value
 
 
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expects a file path, got ''")
+    return text
+
+
 def _grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -146,7 +152,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--n", type=_positive_int, default=1, help="photon number N")
         p.add_argument("--rounds", type=_positive_int, default=10, help="rounds to run")
         p.add_argument("--theta", type=_real, default=0.1, help="probe phase (rad)")
-        p.add_argument("--out", help="output CSV path")
+        p.add_argument("--out", type=_out_path, help="output CSV path")
         p.add_argument("--config", help="flat key=value config file")
     return parser, subparsers
 

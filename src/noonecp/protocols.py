@@ -369,26 +369,17 @@ def _interfere_and_detect(branch: PureState, scheme: _Scheme, sign_mode: ModeId)
     return corrected[0]
 
 
-def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOutcome:
-    """Execute one concentration round on a NOON-form input state.
+def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
+    """``run_round`` up to the probe readout, with the failure branch detected.
 
-    The input must be ca|N,0> + cb|0,N> on two signal modes, with N the
-    config's n_photons and ca, cb exactly real and non-negative (one may be
-    zero); anything else raises ValueError. Auxiliary and detector modes use
-    the package-default labels, so the signal register must not hold them
-    (``tensor`` and ``beam_splitter`` refuse the collision). Both schemes
-    build the auxiliary photon from the input's own coefficients, as
-    ca|1,0> + cb|0,1> on the scheme's auxiliary pair: (a2, b2) for ecp1 and
-    (c2, c1) for ecp2, whose variable splitter is set to t = ca^2. round_k
-    is only validated and recorded.
-
-    Returns both heralded branches; the failure branch always exists and
-    carries the squared, renormalized coefficients of the input. Detection
-    after the probe reading is deterministic in this idealized model, so
-    the success probability equals the probability of the reading at
-    |theta| modulo 2*pi.
+    The input is checked as ``run_round`` documents. Returns (t,
+    success_prob, success_branch, failure_state, failure_prob): the VBS
+    setting (None for ecp1), the |theta| reading's probability and its
+    branch, still undetected (None where the reading is absent in every
+    element), and the 0 reading's branch after ``_interfere_and_detect``,
+    since it is recycled, with its probability. The success branch's
+    detection is left to the callers that form a success state.
     """
-    _check_count(round_k, "round index")
     n = config.n_photons
     ca, cb = _noon_coefficients(state, n)
     scheme = _SCHEMES[config.protocol]
@@ -414,19 +405,52 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
         raise ValueError("probe readout produced no recyclable branch")
 
     success_prob = 0.0
-    success_state = None
+    success_branch = None
     # A reading whose probability underflowed to 0.0 in every run is absent.
     if success_reading is not None and success_reading.probability:
         success_prob = success_reading.probability
-        success_state = _interfere_and_detect(success_reading.branch, scheme, sig_b)
-    failure_state = _interfere_and_detect(failure_reading.branch, scheme, sig_b)
+        success_branch = success_reading.branch
+    return (
+        ca * ca if scheme.local else None,
+        success_prob,
+        success_branch,
+        _interfere_and_detect(failure_reading.branch, scheme, sig_b),
+        failure_reading.probability,
+    )
+
+
+def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOutcome:
+    """Execute one concentration round on a NOON-form input state.
+
+    The input must be ca|N,0> + cb|0,N> on two signal modes, with N the
+    config's n_photons and ca, cb exactly real and non-negative (one may be
+    zero); anything else raises ValueError. Auxiliary and detector modes use
+    the package-default labels, so the signal register must not hold them
+    (``tensor`` and ``beam_splitter`` refuse the collision). Both schemes
+    build the auxiliary photon from the input's own coefficients, as
+    ca|1,0> + cb|0,1> on the scheme's auxiliary pair: (a2, b2) for ecp1 and
+    (c2, c1) for ecp2, whose variable splitter is set to t = ca^2. round_k
+    is only validated and recorded.
+
+    Returns both heralded branches; the failure branch always exists and
+    carries the squared, renormalized coefficients of the input. Detection
+    after the probe reading is deterministic in this idealized model, so
+    the success probability equals the probability of the reading at
+    |theta| modulo 2*pi.
+    """
+    _check_count(round_k, "round index")
+    t, success_prob, success_branch, failure_state, failure_prob = _probe_round(state, config)
+    success_state = None
+    if success_branch is not None:
+        scheme = _SCHEMES[config.protocol]
+        success_state = _interfere_and_detect(success_branch, scheme, state._register[1])
     return RoundOutcome(
         round_index=round_k,
         success_state=success_state,
         success_prob=success_prob,
         failure_state=failure_state,
-        failure_prob=failure_reading.probability,
-        vbs_transmission_used=ca * ca if scheme.local else None,
+        failure_prob=failure_prob,
+        vbs_transmission_used=t,
     )
 
 
@@ -449,15 +473,19 @@ def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Sched
     fixed N every alpha walks through the same kets, so each round runs once
     with one amplitude batch per ket; every element sees the float
     operations of its own scalar run, so each schedule equals
-    ``run_schedule`` of the config with that alpha, bit for bit.
+    ``run_schedule`` of the config with that alpha, bit for bit. This is the
+    one consumer of ``_rounds`` that detects the success branch, to take
+    the fidelity column, so the detector-fold check runs on it here.
     """
     alphas = list(alphas)
     size = len(alphas)
     target = maximally_entangled_noon(config.n_photons, SIGNAL_MODES)
+    scheme = _SCHEMES[config.protocol]
     per_round = []
     p_total = 0.0
-    for k, t, p, u, success_state in _rounds(config, alphas):
-        if success_state is not None:
+    for k, t, p, u, success_branch in _rounds(config, alphas):
+        if success_branch is not None:
+            success_state = _interfere_and_detect(success_branch, scheme, SIGNAL_MODES[1])
             fidelity = fidelity_up_to_global_phase(success_state, target)
         else:
             fidelity = math.nan
@@ -485,10 +513,10 @@ def _grid_totals(config: ProtocolConfig, alphas: Sequence[float]) -> list[float]
     """Each p_total of ``run_schedules(config, alphas)`` after ``apply_loss_model``.
 
     Folds only the unconditional column as the rounds stream by; no
-    schedule or fidelity is formed, and no round is kept.
+    success state, schedule or fidelity is formed, and no round is kept.
     """
     p_total = 0.0
-    for *_, u, _success_state in _rounds(config, alphas):
+    for *_, u, _success_branch in _rounds(config, alphas):
         p_total += u
     factor = _loss_factor(config)
     return [total * factor for (total,) in _per_element((p_total,), len(alphas))]
@@ -497,12 +525,16 @@ def _grid_totals(config: ProtocolConfig, alphas: Sequence[float]) -> list[float]
 def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:
     """The engine's recycling loop over ``alphas``, one round at a time.
 
-    Yields each round's (k, t, p, u, success_state), each number a batch
+    Yields each round's (k, t, p, u, success_branch), each number a batch
     over ``alphas`` (a plain float for one alpha): the VBS setting, the
     success probability, its share after the earlier rounds' failures, and
-    the success reading's state (None where every element's reading is
-    absent). Past rounds are not kept: only the recycled state carries over.
-    Each alpha is checked as in ``run_schedules`` before the first round.
+    the success reading's branch as ``_probe_round`` leaves it, before the
+    final splitter and detection (None where every element's reading is
+    absent). Each round runs ``_probe_round``, which detects only the
+    recycled failure branch; a consumer that prints a fidelity detects the
+    success branch itself. Past rounds are not kept: only the recycled
+    state carries over. Each alpha is checked as in ``run_schedules``
+    before the first round.
     """
     for alpha in alphas:
         _check_alpha(alpha)
@@ -515,11 +547,9 @@ def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:
     )
     survival = 1.0
     for k in range(1, config.max_rounds + 1):
-        outcome = run_round(state, config, k)
-        p = outcome.success_prob
-        yield k, outcome.vbs_transmission_used, p, p * survival, outcome.success_state
-        survival *= outcome.failure_prob
-        state = outcome.failure_state
+        t, p, success_branch, state, failure_prob = _probe_round(state, config)
+        yield k, t, p, p * survival, success_branch
+        survival *= failure_prob
 
 
 def _loss_factor(config: ProtocolConfig) -> float:

@@ -218,10 +218,10 @@ def _skew_rounds(monkeypatch, skew):
     engine = protocols._rounds
 
     def disagreeing(config, alphas):
-        for k, t, p, u, success_state in engine(config, alphas):
+        for k, t, p, u, success_branch in engine(config, alphas):
             u = list(u)
             u[1] = skew(k, u[1])
-            yield k, t, p, _Batch(u), success_state
+            yield k, t, p, _Batch(u), success_branch
 
     monkeypatch.setattr(analytics, "_rounds", disagreeing)
 
@@ -248,14 +248,14 @@ SEVEN_POINTS = [0.15, 0.3, 0.45, BALANCED, 0.75, 0.9, 0.95]
 
 
 def test_sweep_cross_check_stops_at_the_first_round_that_disagrees(monkeypatch):
-    engine_round = protocols.run_round
+    engine_round = protocols._probe_round
     rounds_run = []
 
-    def counting(state, config, round_k):
-        rounds_run.append(round_k)
-        return engine_round(state, config, round_k)
+    def counting(state, config):
+        rounds_run.append(len(rounds_run) + 1)
+        return engine_round(state, config)
 
-    monkeypatch.setattr(protocols, "run_round", counting)
+    monkeypatch.setattr(protocols, "_probe_round", counting)
     _skew_rounds(monkeypatch, _skew_round)
     with pytest.raises(ValueError, match=re.escape(f"round 2 at alpha={SEVEN_POINTS[1]}:")):
         figure3_sweep(k_max=10, grid=SEVEN_POINTS, cross_check=True)

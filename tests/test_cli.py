@@ -601,6 +601,28 @@ def test_unwritable_out_is_io_error(tmp_path, capsys):
     assert "i/o error" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--alpha-sq", "0.8"], ["sweep", "--grid", "0.4:0.6:3"], ["compare-loss"],
+])
+def test_empty_out_path_is_a_usage_error_before_any_work(command, capsys, monkeypatch):
+    monkeypatch.setattr(protocols, "_rounds", None)  # any engine work would raise TypeError
+    code, out, err = _run(capsys, [*command, "--out", ""])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --out: expects a file path, got ''" in err
+
+
+@pytest.mark.parametrize("line", ["out =", "out = ", "OUT=  # no path"])
+def test_config_file_empty_out_is_a_usage_error_before_any_work(
+    line, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(protocols, "_rounds", None)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"alpha-sq = 0.8\n{line}\n")
+    code, out, err = _run(capsys, ["run", "--config", str(cfg)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --out: expects a file path, got ''" in err
+
+
 def test_module_entry_point_runs():
     proc = _python("-m", "noonecp", "run", "--alpha-sq", "0.8", "--rounds", "2")
     assert proc.returncode == 0

@@ -73,9 +73,11 @@ CONFINED = {
         "UNIT = math.hypot(3.0, 4.0)",
         "from math import hypot",
     )),
-    # the engine's one recycling loop; every grid, schedule and cross-check folds what it streams
-    "noonecp.protocols.run_round": Confined({"protocols.py": {"_rounds"}}, "protocols.py", (
+    # the public round is the two stages below; the package runs the stages, never the round
+    "noonecp.protocols.run_round": Confined({}, "protocols.py", (
         "def run_schedule(config):\n    return run_round(state, config, 1)",
+        "def _rounds(config, alphas):\n    outcome = run_round(state, config, 1)\n"
+        "    yield outcome",
         "outcome = run_round(state, config, 1)",
         "def _grid(config, states):\n    return list(map(run_round, states, repeat(config)))",
         "class _Pass:\n    def step(self, k):\n        return protocols.run_round(self.s, self.c, k)",
@@ -83,16 +85,44 @@ CONFINED = {
         "def f(states):\n    return [run_round(s, c, 1) for s in states]",
         "def f():\n    from noonecp import run_round as step\n    return step",
     ), (
-        "def _rounds(config, alphas):\n    outcome = run_round(state, config, 1)\n"
-        "    yield outcome",
-        "def _rounds(config, alphas):\n    def step(k):\n        return run_round(s, config, k)\n"
-        "    yield step(1)",
         "def run_round(state, config, round_k):\n    return state",
         "__all__ = ['run_round', 'run_schedules']",
         "def run_schedule(config):\n    \"\"\"Calls ``run_round`` through _rounds.\"\"\"\n"
         "    return outcome.round_index",
     )),
-    # the engine imports neither the closed form it is checked against nor the CLI
+    # the probe stage: the public round, and the engine's one recycling loop, whose
+    # consumers (every grid, schedule and cross-check) fold what it streams
+    "noonecp.protocols._probe_round": Confined(
+        {"protocols.py": {"run_round", "_rounds"}}, "protocols.py", (
+            "def run_schedules(config, alphas):\n    return _probe_round(state, config)",
+            "def _grid(config, states):\n    return list(map(_probe_round, states, repeat(config)))",
+            "class _Pass:\n    def step(self):\n        return protocols._probe_round(self.s, self.c)",
+            "def f():\n    from .protocols import _probe_round as step\n    return step",
+            "probed = _probe_round(state, config)",
+        ), (
+            "def _rounds(config, alphas):\n    t, p, b, state, f = _probe_round(state, config)\n"
+            "    yield t",
+            "def _rounds(config, alphas):\n    def step():\n        return _probe_round(s, config)\n"
+            "    yield step()",
+            "def run_round(state, config, round_k):\n    return _probe_round(state, config)",
+        ),
+    ),
+    # the detection stage: the recycled failure branch, and the success branch only
+    # where a success state is formed (never on the grid totals or the cross-check)
+    "noonecp.protocols._interfere_and_detect": Confined(
+        {"protocols.py": {"_probe_round", "run_round", "run_schedules"}}, "protocols.py", (
+            "def _grid_totals(config, alphas):\n"
+            "    return [_interfere_and_detect(b, s, m) for *_, b in _rounds(config, alphas)]",
+            "def _rounds(config, alphas):\n    yield _interfere_and_detect(branch, scheme, mode)",
+            "def f():\n    from .protocols import _interfere_and_detect as detect\n    return detect",
+            "class _Pass:\n    def fold(self, b):\n        return protocols._interfere_and_detect(b, s, m)",
+        ), (
+            "def run_schedules(config, alphas):\n"
+            "    for *_, b in _rounds(config, alphas):\n"
+            "        state = _interfere_and_detect(b, scheme, mode)",
+            "def _interfere_and_detect(branch, scheme, sign_mode):\n    return branch",
+        ),
+    ),
     "noonecp.analytics": Confined({"cli.py": {None}, "__init__.py": {None}}, "protocols.py", (
         "from .analytics import p_round_closed_form",
         "import noonecp.analytics",

@@ -38,6 +38,7 @@ from noonecp import (
     tensor,
     vbs_transmission,
 )
+from noonecp.fock import _per_element
 
 ALPHA_GRID = (0.1, 0.25, 0.5, 0.8, 0.9)
 
@@ -829,22 +830,89 @@ def test_deferred_fidelity_column_is_the_eager_one(protocol):
     assert absent > 0
 
 
+def _assert_normalized_where_present(probs, state, where):
+    absent = 0
+    for p, x in zip(probs, norm_sq(state)):
+        if p == 0.0:
+            absent += 1
+            assert math.isnan(x) or abs(x - 1.0) <= NORM_TOLERANCE, (where, x)
+        else:
+            assert abs(x - 1.0) <= NORM_TOLERANCE, (where, p, x)
+    return absent
+
+
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 @pytest.mark.parametrize("n", [1, 100])
 def test_a_grid_pass_keeps_only_normalized_success_states(protocol, n):
-    # The grid totals never form a fidelity, so nothing at run time checks
-    # that a streamed success state is normalized; this pins it.
+    # The grid totals never detect the streamed success branch, so nothing at
+    # run time checks that it, or the success state it heralds, is normalized;
+    # this pins both.
     grid = [math.sqrt(x) for x in np.linspace(0.001, 0.999, 200)]
+    scheme = protocols._SCHEMES[protocol]
     absent = 0
-    for k, _t, probs, _u, success in protocols._rounds(_config(protocol, 0.77, n), grid):
-        assert success is not None, k
-        for p, x in zip(probs, norm_sq(success)):
-            if p == 0.0:
-                absent += 1
-                assert math.isnan(x) or abs(x - 1.0) <= NORM_TOLERANCE, (k, x)
-            else:
-                assert abs(x - 1.0) <= NORM_TOLERANCE, (k, p, x)
+    for k, _t, probs, _u, branch in protocols._rounds(_config(protocol, 0.77, n), grid):
+        assert branch is not None, k
+        _assert_normalized_where_present(probs, branch, k)
+        success = protocols._interfere_and_detect(branch, scheme, "b1")
+        absent += _assert_normalized_where_present(probs, success, k)
     assert absent > 0
+
+
+# In 12 rounds the two lopsided points keep their success reading up to round
+# 7, the others up to round 9 or 10, so rounds 8-10 mix present and absent
+# readings and rounds 11-12 have none.
+_LOPSIDED_ALPHA_SQ = (1e-4, 0.9999)
+_STREAM_ALPHA_SQ = (*_LOPSIDED_ALPHA_SQ, 0.3, 0.8, 0.12345)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 100])
+def test_the_engine_stream_equals_a_run_round_loop_bit_for_bit(protocol, n):
+    k_max = 12
+    grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
+    stream = list(protocols._rounds(_config(protocol, 0.77, n, max_rounds=k_max), grid))
+    assert [row[0] for row in stream] == list(range(1, k_max + 1))
+    columns = [
+        list(_per_element((t, p, u), len(grid))) for _k, t, p, u, _branch in stream
+    ]
+    absent = 0
+    for i, alpha in enumerate(grid):
+        config = _config(protocol, alpha * alpha, n, max_rounds=k_max)
+        state, survival = prepare_less_entangled_noon(alpha, n), 1.0
+        for k, row in enumerate(columns, start=1):
+            outcome = run_round(state, config, k)
+            want = (outcome.vbs_transmission_used, outcome.success_prob,
+                    outcome.success_prob * survival)
+            assert all(map(_same_bits, row[i], want)), (alpha, k, row[i], want)
+            absent += outcome.success_state is None
+            survival *= outcome.failure_prob
+            state = outcome.failure_state
+    assert absent > 0
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_only_a_schedule_detects_the_success_branch(protocol, monkeypatch):
+    k_max = 12
+    config = _config(protocol, 0.77, 1, max_rounds=k_max)
+    grid = [math.sqrt(x) for x in _LOPSIDED_ALPHA_SQ]
+    present = sum(
+        any(s.per_round[k].p_conditional > 0.0 for s in run_schedules(config, grid))
+        for k in range(k_max)
+    )
+    assert 0 < present < k_max
+    calls = []
+    detect = protocols._interfere_and_detect
+
+    def counting(branch, scheme, sign_mode):
+        calls.append(branch)
+        return detect(branch, scheme, sign_mode)
+
+    monkeypatch.setattr(protocols, "_interfere_and_detect", counting)
+    protocols._grid_totals(config, grid)
+    assert len(calls) == k_max
+    calls.clear()
+    run_schedules(config, grid)
+    assert len(calls) == k_max + present
 
 
 def _traced_peak(call):
