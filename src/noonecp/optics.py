@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import add, itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .fock import (
@@ -40,7 +40,6 @@ from .fock import (
     _normalized,
     _off,
     _sqrt_ratio,
-    norm_sq,
 )
 
 __all__ = [
@@ -198,18 +197,14 @@ class HomodyneOutcome(NamedTuple):
     probability: float
 
 
-def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
-    """Read out the probe, splitting branches by |probe phase| modulo 2*pi.
+def _partition(state: TaggedState) -> list[tuple[float, dict[BasisKet, complex], float]]:
+    """``homodyne_partition`` with each class's kets left as they are.
 
-    Phases matching within PHASE_CLASS_TOLERANCE fall into one class;
-    +phi, -phi and phi + 2*pi are indistinguishable by construction. The
-    input must be normalized, with a finite real phase on every ket.
-    Outcomes come back sorted by phase class, probabilities summing to 1.
+    Returns (phase class, the class's kets, its squared mass) per class,
+    sorted by phase class. The input's norm is checked as the sum of the
+    class masses, so no ket is squared twice.
     """
     state, phases = state
-    total = norm_sq(state)
-    if _off(total, 1.0, NORM_TOLERANCE):
-        raise ValueError(f"homodyne readout expects a normalized state, norm^2={total}")
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
     try:
         for ket, amp in state._terms.items():
@@ -226,12 +221,25 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     except KeyError as missing:
         raise ValueError(f"ket {missing.args[0]!r} has no probe phase") from None
     classes.sort(key=itemgetter(0))
-    reg = state._register
+    weighed = [(key, members, _norm_sq(members.values())) for key, members in classes]
+    total = reduce(add, [mass for *_, mass in weighed]) if weighed else 0
+    if _off(total, 1.0, NORM_TOLERANCE):
+        raise ValueError(f"homodyne readout expects a normalized state, norm^2={total}")
+    return weighed
+
+
+def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
+    """Read out the probe, splitting branches by |probe phase| modulo 2*pi.
+
+    Phases matching within PHASE_CLASS_TOLERANCE fall into one class;
+    +phi, -phi and phi + 2*pi are indistinguishable by construction. The
+    input must be normalized, with a finite real phase on every ket.
+    Outcomes come back sorted by phase class, probabilities summing to 1.
+    """
+    reg = state.state._register
     return [
-        HomodyneOutcome(
-            key, PureState._derived(reg, _normalized(members)[0]), _norm_sq(members.values())
-        )
-        for key, members in classes
+        HomodyneOutcome(key, PureState._derived(reg, _normalized(members)[0]), mass)
+        for key, members, mass in _partition(state)
     ]
 
 

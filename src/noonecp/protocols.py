@@ -36,6 +36,7 @@ from .fock import (
     _check_count,
     _finite_real,
     _nonnegative_real,
+    _normalized,
     _off,
     _per_element,
     basis_state,
@@ -47,9 +48,9 @@ from .optics import (
     PHASE_CLASS_TOLERANCE,
     BeamSplitterSpec,
     _detect,
+    _partition,
     beam_splitter,
     cross_kerr_tag,
-    homodyne_partition,
     negate_occupied,
 )
 
@@ -346,15 +347,18 @@ def _noon_coefficients(state: PureState, n: int) -> tuple[float, float]:
 
 
 def _interfere_and_detect(branch: PureState, scheme: _Scheme, sign_mode: ModeId) -> PureState:
-    """Balanced splitter on the auxiliary pair, detect, correct, fold.
+    """Normalize, balanced splitter on the auxiliary pair, detect, correct, fold.
 
-    Both detector outcomes are kept: a click on the second detector gets the
-    sign correction on the N-photon mode, after which the two projected
-    states agree up to a global phase. The first-detector branch (always
-    present, with real non-negative amplitudes) is returned as the folded
-    state.
+    ``branch`` is a probe reading's kets as the readout leaves them, not
+    normalized; this is the one place in the engine where a branch is
+    normalized. Both detector outcomes are kept: a click on the second
+    detector gets the sign correction on the N-photon mode, after which the
+    two projected states agree up to a global phase. The first-detector
+    branch (always present, with real non-negative amplitudes) is returned
+    as the folded state.
     """
-    branches = _detect(beam_splitter(branch, scheme.mixer), scheme.detectors)
+    unit = PureState._derived(branch._register, _normalized(branch._terms)[0])
+    branches = _detect(beam_splitter(unit, scheme.mixer), scheme.detectors)
     corrected = [
         negate_occupied(projected, sign_mode) if fired == scheme.detectors[1] else projected
         for fired, projected, _norm in branches
@@ -375,10 +379,11 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     The input is checked as ``run_round`` documents. Returns (t,
     success_prob, success_branch, failure_state, failure_prob): the VBS
     setting (None for ecp1), the |theta| reading's probability and its
-    branch, still undetected (None where the reading is absent in every
-    element), and the 0 reading's branch after ``_interfere_and_detect``,
-    since it is recycled, with its probability. The success branch's
-    detection is left to the callers that form a success state.
+    branch as the readout weighed it, neither normalized nor detected (None
+    where the reading is absent in every element), and the 0 reading's
+    branch after ``_interfere_and_detect``, since it is recycled, with its
+    probability. The success branch's normalization and detection are left
+    to the callers that form a success state.
     """
     n = config.n_photons
     ca, cb = _noon_coefficients(state, n)
@@ -387,35 +392,35 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     theta = config.theta
     aux = PureState._derived(scheme.aux_modes, {(1, 0): ca, (0, 1): cb})
     tagged = cross_kerr_tag(tensor(state, aux), sig_b, -theta / n)
-    readings = homodyne_partition(cross_kerr_tag(tagged, scheme.aux_modes[1], theta))
+    tagged = cross_kerr_tag(tagged, scheme.aux_modes[1], theta)
 
     success_class = abs(math.remainder(theta, math.tau))
     success_reading = None
     failure_reading = None
-    for reading in readings:
-        if reading.phase_class < PHASE_CLASS_TOLERANCE:
-            failure_reading = reading
-        elif abs(reading.phase_class - success_class) < PHASE_CLASS_TOLERANCE:
-            success_reading = reading
+    for phase_class, members, mass in _partition(tagged):
+        if phase_class < PHASE_CLASS_TOLERANCE:
+            failure_reading = members, mass
+        elif abs(phase_class - success_class) < PHASE_CLASS_TOLERANCE:
+            success_reading = members, mass
         else:
-            raise ValueError(
-                f"unexpected probe phase class {reading.phase_class!r}"
-            )
+            raise ValueError(f"unexpected probe phase class {phase_class!r}")
     if failure_reading is None:
         raise ValueError("probe readout produced no recyclable branch")
 
+    reg = tagged.state._register
     success_prob = 0.0
     success_branch = None
     # A reading whose probability underflowed to 0.0 in every run is absent.
-    if success_reading is not None and success_reading.probability:
-        success_prob = success_reading.probability
-        success_branch = success_reading.branch
+    if success_reading is not None and success_reading[1]:
+        members, success_prob = success_reading
+        success_branch = PureState._derived(reg, members)
+    members, failure_prob = failure_reading
     return (
         ca * ca if scheme.local else None,
         success_prob,
         success_branch,
-        _interfere_and_detect(failure_reading.branch, scheme, sig_b),
-        failure_reading.probability,
+        _interfere_and_detect(PureState._derived(reg, members), scheme, sig_b),
+        failure_prob,
     )
 
 
@@ -513,7 +518,8 @@ def _grid_totals(config: ProtocolConfig, alphas: Sequence[float]) -> list[float]
     """Each p_total of ``run_schedules(config, alphas)`` after ``apply_loss_model``.
 
     Folds only the unconditional column as the rounds stream by; no
-    success state, schedule or fidelity is formed, and no round is kept.
+    success branch is normalized, no success state, schedule or fidelity
+    is formed, and no round is kept.
     """
     p_total = 0.0
     for *_, u, _success_branch in _rounds(config, alphas):
@@ -528,13 +534,14 @@ def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:
     Yields each round's (k, t, p, u, success_branch), each number a batch
     over ``alphas`` (a plain float for one alpha): the VBS setting, the
     success probability, its share after the earlier rounds' failures, and
-    the success reading's branch as ``_probe_round`` leaves it, before the
-    final splitter and detection (None where every element's reading is
-    absent). Each round runs ``_probe_round``, which detects only the
-    recycled failure branch; a consumer that prints a fidelity detects the
-    success branch itself. Past rounds are not kept: only the recycled
-    state carries over. Each alpha is checked as in ``run_schedules``
-    before the first round.
+    the success reading's branch as ``_probe_round`` leaves it: its norm^2
+    is p, and it is neither normalized nor run through the final splitter
+    and detection (None where every element's reading is absent). Each
+    round runs ``_probe_round``, which detects only the recycled failure
+    branch; a consumer that prints a fidelity detects the success branch
+    itself, and ``_interfere_and_detect`` normalizes it there. Past rounds
+    are not kept: only the recycled state carries over. Each alpha is
+    checked as in ``run_schedules`` before the first round.
     """
     for alpha in alphas:
         _check_alpha(alpha)

@@ -123,6 +123,44 @@ CONFINED = {
             "def _interfere_and_detect(branch, scheme, sign_mode):\n    return branch",
         ),
     ),
+    # the readout's core weighs its classes unnormalized: the public readout
+    # normalizes them, the probe stage hands them to the detection stage
+    "noonecp.optics._partition": Confined(
+        {"optics.py": {"homodyne_partition"}, "protocols.py": {None, "_probe_round"}},
+        "protocols.py", (
+            "def _rounds(config, alphas):\n    for reading in _partition(tagged):\n"
+            "        yield reading",
+            "def run_schedules(config, alphas):\n    return optics._partition(tagged)",
+            "def f():\n    from .optics import _partition as weigh\n    return weigh",
+            "class _Pass:\n    def read(self, tagged):\n        return _partition(tagged)",
+        ), (
+            "def _probe_round(state, config):\n"
+            "    for phase_class, members, mass in _partition(tagged):\n        pass",
+            "def _rounds(config, alphas):\n    \"\"\"Streams what ``_partition`` weighs.\"\"\"\n"
+            "    yield k",
+        ),
+    ),
+    # the one normalization: in the engine, only the detection stage normalizes a
+    # branch, once before its splitter and once per detector group
+    "noonecp.fock._normalized": Confined(
+        {
+            "fock.py": {"normalized"},
+            "optics.py": {None, "homodyne_partition", "_detect"},
+            "protocols.py": {None, "_interfere_and_detect"},
+        },
+        "protocols.py", (
+            "def _probe_round(state, config):\n    unit, norm = _normalized(members)",
+            "def _rounds(config, alphas):\n    yield fock._normalized(branch._terms)",
+            "def run_schedules(config, alphas):\n"
+            "    from .fock import _normalized as unit\n    return unit",
+            "class _Pass:\n    def unit(self, branch):\n        return _normalized(branch._terms)",
+        ), (
+            "def _interfere_and_detect(branch, scheme, sign_mode):\n"
+            "    unit = PureState._derived(branch._register, _normalized(branch._terms)[0])",
+            "def _rounds(config, alphas):\n"
+            "    \"\"\"Leaves ``_normalized`` to the detection stage.\"\"\"\n    yield k",
+        ),
+    ),
     "noonecp.analytics": Confined({"cli.py": {None}, "__init__.py": {None}}, "protocols.py", (
         "from .analytics import p_round_closed_form",
         "import noonecp.analytics",

@@ -26,9 +26,12 @@ from noonecp import (
     homodyne_partition,
     negate_occupied,
     norm_sq,
+    normalized,
+    optics,
     superpose,
     vacuum,
 )
+from noonecp.fock import _Batch
 
 T_GRID = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)
 CONVENTIONS = ("ecp1", "ecp2")
@@ -398,6 +401,38 @@ def test_homodyne_rejects_unnormalized_state():
     tagged = cross_kerr_tag(superpose([(0.5, basis_state(("a",), (1,)))]), "a", 0.0)
     with pytest.raises(ValueError):
         homodyne_partition(tagged)
+
+
+def test_homodyne_checks_the_norm_as_the_sum_of_the_class_masses():
+    # 0.9 * (0.6|1,0> + 0.8|0,1>) has norm^2 0.81, split 0.2916 : 0.5184 over
+    # two classes; neither class alone tells that it is off
+    st = PureState(("a", "b"), {(1, 0): 0.9 * 0.6, (0, 1): 0.9 * 0.8})
+    with pytest.raises(ValueError, match=r"normalized state, norm\^2=0\.81"):
+        homodyne_partition(cross_kerr_tag(st, "a", 0.1))
+
+
+def test_the_readout_core_refuses_a_batch_with_one_element_off():
+    # the first element is normalized, the second has norm^2 0.85
+    st = PureState._derived(("a", "b"), {(1, 0): _Batch([0.6, 0.6]), (0, 1): _Batch([0.8, 0.7])})
+    with pytest.raises(ValueError, match=r"normalized state, norm\^2=\[1\.0, 0\.8"):
+        optics._partition(cross_kerr_tag(st, "a", 0.1))
+
+
+def test_homodyne_partition_is_the_core_with_each_class_normalized():
+    batched = PureState._derived(
+        ("a", "b"), {(1, 0): _Batch([0.6, 0.8]), (0, 1): _Batch([0.8, 0.6])}
+    )
+    for tagged in (
+        *(_tagged_round_one(alpha_sq, n=3) for alpha_sq in (0.1, 0.5, 0.8)),
+        cross_kerr_tag(batched, "a", 0.1),
+    ):
+        reg = tagged.state.register
+        want = [
+            (key, normalized(PureState._derived(reg, members)), mass)
+            for key, members, mass in optics._partition(tagged)
+        ]
+        assert len(want) == 2
+        assert homodyne_partition(tagged) == want
 
 
 def test_detect_photon_on_balanced_interference():

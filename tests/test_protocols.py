@@ -3,6 +3,7 @@
 import gc
 import math
 import struct
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from noonecp import (
     cross_kerr_tag,
     detect_photon,
     fidelity_up_to_global_phase,
+    fock,
     homodyne_partition,
     maximally_entangled_noon,
     negate_occupied,
@@ -454,11 +456,12 @@ def test_round_refuses_detector_branches_that_disagree(protocol, monkeypatch):
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 def test_round_refuses_a_readout_without_the_failure_reading(protocol, monkeypatch):
-    def success_reading_only(tagged):
-        readings = homodyne_partition(tagged)
-        return [r for r in readings if r.phase_class >= PHASE_CLASS_TOLERANCE]
+    partition = protocols._partition
 
-    monkeypatch.setattr(protocols, "homodyne_partition", success_reading_only)
+    def success_reading_only(tagged):
+        return [r for r in partition(tagged) if r[0] >= PHASE_CLASS_TOLERANCE]
+
+    monkeypatch.setattr(protocols, "_partition", success_reading_only)
     cfg = _config(protocol=protocol, alpha_sq=0.8)
     with pytest.raises(ValueError, match="no recyclable branch"):
         run_round(prepare_less_entangled_noon(cfg.alpha, 2), cfg, 1)
@@ -844,15 +847,16 @@ def _assert_normalized_where_present(probs, state, where):
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 @pytest.mark.parametrize("n", [1, 100])
 def test_a_grid_pass_keeps_only_normalized_success_states(protocol, n):
-    # The grid totals never detect the streamed success branch, so nothing at
-    # run time checks that it, or the success state it heralds, is normalized;
-    # this pins both.
+    # The grid totals neither normalize nor detect the streamed success branch,
+    # so nothing at run time checks that its mass is the probability streamed
+    # with it, or that the success state it heralds is normalized; this pins both.
     grid = [math.sqrt(x) for x in np.linspace(0.001, 0.999, 200)]
     scheme = protocols._SCHEMES[protocol]
     absent = 0
     for k, _t, probs, _u, branch in protocols._rounds(_config(protocol, 0.77, n), grid):
         assert branch is not None, k
-        _assert_normalized_where_present(probs, branch, k)
+        for p, x in zip(probs, norm_sq(branch)):
+            assert abs(x - p) <= NORM_TOLERANCE, (k, p, x)
         success = protocols._interfere_and_detect(branch, scheme, "b1")
         absent += _assert_normalized_where_present(probs, success, k)
     assert absent > 0
@@ -913,6 +917,47 @@ def test_only_a_schedule_detects_the_success_branch(protocol, monkeypatch):
     calls.clear()
     run_schedules(config, grid)
     assert len(calls) == k_max + present
+
+
+def _spy_on_every_binding(monkeypatch, original):
+    """The kets ``original`` is called on through every ``noonecp`` module that
+    binds it, and the names of those modules."""
+    calls = []
+
+    def spy(terms):
+        calls.append(tuple(terms))
+        return original(terms)
+
+    bound = []
+    for name, module in list(sys.modules.items()):
+        if name == "noonecp" or name.startswith("noonecp."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+                    bound.append(name)
+    return calls, bound
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 100])
+def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, monkeypatch):
+    # The readout weighs its classes unnormalized; each detection normalizes
+    # its branch once and then each of its two detector groups.
+    k_max = 12
+    config = _config(protocol, 0.77, n, max_rounds=k_max)
+    grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
+    present = sum(
+        any(s.per_round[k].p_conditional > 0.0 for s in run_schedules(config, grid))
+        for k in range(k_max)
+    )
+    assert 0 < present < k_max
+    calls, bound = _spy_on_every_binding(monkeypatch, fock._normalized)
+    assert {"noonecp.fock", "noonecp.optics", "noonecp.protocols"} <= set(bound)
+    protocols._grid_totals(config, grid)
+    assert len(calls) == 3 * k_max
+    calls.clear()
+    run_schedules(config, grid)
+    assert len(calls) == 3 * k_max + 3 * present
 
 
 def _traced_peak(call):
