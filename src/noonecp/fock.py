@@ -152,6 +152,10 @@ def _finite_number(value: object) -> complex | None:
     return c if cmath.isfinite(c) else None
 
 
+# What ``_finite_real`` accepts, as every refusal that rests on it states it.
+_REAL_RULE = "a finite real (an int or float, not a bool)"
+
+
 def _finite_real(value: object) -> bool:
     """A finite int or float; bool is an int subclass but never a real setting."""
     try:
@@ -167,7 +171,7 @@ def _check_count(value: int, what: str) -> None:
 
 def _check_alpha(alpha: float) -> None:
     if not (_finite_real(alpha) and 0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+        raise ValueError(f"alpha must lie strictly inside (0, 1) as {_REAL_RULE}, got {alpha!r}")
 
 
 def _mode_index(register: tuple[ModeId, ...], mode: ModeId) -> int:

@@ -30,6 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .fock import (
     NORM_TOLERANCE,
+    _REAL_RULE,
     BasisKet,
     ModeId,
     PureState,
@@ -40,6 +41,7 @@ from .fock import (
     _normalized,
     _off,
     _sqrt_ratio,
+    normalized,
 )
 
 __all__ = [
@@ -89,7 +91,7 @@ class BeamSplitterSpec:
             raise ValueError("beam splitter output labels must differ")
         t = self.transmissivity
         if not (_finite_real(t) and 0.0 <= t <= 1.0):
-            raise ValueError(f"transmissivity must lie in [0, 1], got {t!r}")
+            raise ValueError(f"transmissivity must lie in [0, 1] as {_REAL_RULE}, got {t!r}")
         if self.sign_convention not in _CONVENTIONS:
             raise ValueError(
                 f"unknown sign convention {self.sign_convention!r}, "
@@ -171,7 +173,7 @@ def cross_kerr_tag(
     phase would leave the float range is refused.
     """
     if not _finite_real(per_photon_phase):
-        raise ValueError(f"per-photon phase must be a finite real, got {per_photon_phase!r}")
+        raise ValueError(f"per-photon phase must be {_REAL_RULE}, got {per_photon_phase!r}")
     state, phases = state if isinstance(state, TaggedState) else (state, {})
     idx = _mode_index(state._register, mode)
     tagged = {ket: phases.get(ket, 0.0) + ket[idx] * per_photon_phase for ket in state._terms}
@@ -197,12 +199,12 @@ class HomodyneOutcome(NamedTuple):
     probability: float
 
 
-def _partition(state: TaggedState) -> list[tuple[float, dict[BasisKet, complex], float]]:
-    """``homodyne_partition`` with each class's kets left as they are.
+def _partition(state: TaggedState) -> list[tuple[float, PureState, float]]:
+    """``homodyne_partition`` with each class's branch left unnormalized.
 
-    Returns (phase class, the class's kets, its squared mass) per class,
-    sorted by phase class. The input's norm is checked as the sum of the
-    class masses, so no ket is squared twice.
+    Returns (phase class, branch, squared mass) per class, sorted by phase
+    class, the branch holding the class's kets as they are on the tagged
+    register. The input's norm is checked as the sum of the class masses.
     """
     state, phases = state
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
@@ -210,7 +212,7 @@ def _partition(state: TaggedState) -> list[tuple[float, dict[BasisKet, complex],
         for ket, amp in state._terms.items():
             phase = phases[ket]
             if not _finite_real(phase):
-                raise ValueError(f"ket {ket!r} has probe phase {phase!r}, not a finite real")
+                raise ValueError(f"ket {ket!r} has probe phase {phase!r}, not {_REAL_RULE}")
             p = abs(math.remainder(phase, math.tau))
             for key, members in classes:
                 if abs(p - key) < PHASE_CLASS_TOLERANCE:
@@ -220,8 +222,10 @@ def _partition(state: TaggedState) -> list[tuple[float, dict[BasisKet, complex],
                 classes.append((p, {ket: amp}))
     except KeyError as missing:
         raise ValueError(f"ket {missing.args[0]!r} has no probe phase") from None
-    classes.sort(key=itemgetter(0))
-    weighed = [(key, members, _norm_sq(members.values())) for key, members in classes]
+    weighed = [
+        (key, PureState._derived(state._register, members), _norm_sq(members.values()))
+        for key, members in sorted(classes, key=itemgetter(0))
+    ]
     total = reduce(add, [mass for *_, mass in weighed]) if weighed else 0
     if _off(total, 1.0, NORM_TOLERANCE):
         raise ValueError(f"homodyne readout expects a normalized state, norm^2={total}")
@@ -236,11 +240,7 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     input must be normalized, with a finite real phase on every ket.
     Outcomes come back sorted by phase class, probabilities summing to 1.
     """
-    reg = state.state._register
-    return [
-        HomodyneOutcome(key, PureState._derived(reg, _normalized(members)[0]), mass)
-        for key, members, mass in _partition(state)
-    ]
+    return [HomodyneOutcome(key, normalized(branch), p) for key, branch, p in _partition(state)]
 
 
 def _picker(idxs: Sequence[int]):

@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fock import (
     NORM_TOLERANCE,
+    _REAL_RULE,
     ModeId,
     PureState,
     _batch,
@@ -36,12 +37,12 @@ from .fock import (
     _check_count,
     _finite_real,
     _nonnegative_real,
-    _normalized,
     _off,
     _per_element,
     basis_state,
     fidelity_up_to_global_phase,
     inner,
+    normalized,
     tensor,
 )
 from .optics import (
@@ -161,11 +162,16 @@ class ProtocolConfig:
 
     alpha is the real positive coefficient of the |N,0> component; the
     |0,N> coefficient is sqrt(1 - alpha^2). theta is the probe phase per
-    auxiliary photon (its sign and magnitude only need to keep the success
-    and failure readings distinguishable, so it may not lie within
-    PHASE_CLASS_TOLERANCE of a multiple of 2*pi, and N tags of -theta/N must
-    cancel it within that tolerance in doubles). loss_eta is the single-pass
-    channel transmission used by ``apply_loss_model``.
+    auxiliary photon. Its sign and magnitude only need to keep the success
+    and failure readings apart, so each of a round's four kets must read
+    out, within PHASE_CLASS_TOLERANCE and modulo 2*pi, as its reading says:
+    |N,0> with the auxiliary photon out of the tag mode reads 0 by
+    construction; theta itself, on |N,0> with the photon in it, must not
+    read as 0; N tags of -theta/N on |0,N> must not read as 0 either, and
+    adding theta to them must give 0, both in doubles. loss_eta is the
+    single-pass channel transmission: ``apply_loss_model`` and the
+    ``compare-loss`` command's ecp1 column scale by it, through
+    ``_loss_factor``.
     """
 
     protocol: str
@@ -183,28 +189,36 @@ class ProtocolConfig:
         _check_count(self.max_rounds, "max_rounds")
         th = self.theta
         if not _finite_real(th):
-            raise ValueError(f"theta must be a finite real, got {th!r}")
+            raise ValueError(f"theta must be {_REAL_RULE}, got {th!r}")
         if abs(math.remainder(th, math.tau)) <= PHASE_CLASS_TOLERANCE:
             raise ValueError(
                 "theta must stay farther than the homodyne phase tolerance "
                 f"{PHASE_CLASS_TOLERANCE} from every multiple of 2*pi, got {th!r}"
             )
-        # The failure reading's probe phase, as run_round's two tags add it up
-        # on |0,N> x aux photon in the tag mode; it must land in the 0 class.
+        # The probe phases run_round's two tags give |0,N>: ``success`` with the
+        # aux photon out of the tag mode, which must read apart from 0, and
+        # ``residual`` with it in the tag mode, which must read as 0.
         n = self.n_photons
         try:
-            residual = (0.0 + n * (-th / n)) + th
+            success = 0.0 + n * (-th / n)
         except OverflowError:  # an N beyond the float range has no tag -theta/N
-            residual = math.inf
+            success = math.inf
+        residual = success + th
         if abs(residual) >= PHASE_CLASS_TOLERANCE:
             raise ValueError(
                 f"theta={th!r} does not split into {n} per-photon tags that cancel "
                 f"it within {PHASE_CLASS_TOLERANCE} in double precision "
                 f"(residual {residual!r})"
             )
+        if abs(math.remainder(success, math.tau)) < PHASE_CLASS_TOLERANCE:
+            raise ValueError(
+                f"theta={th!r} split into {n} per-photon tags puts the success reading "
+                f"at probe phase {success!r}, within {PHASE_CLASS_TOLERANCE} of the "
+                "failure reading's 0 modulo 2*pi"
+            )
         eta = self.loss_eta
         if not (_finite_real(eta) and 0.0 <= eta <= 1.0):
-            raise ValueError(f"loss_eta must lie in [0, 1], got {eta!r}")
+            raise ValueError(f"loss_eta must lie in [0, 1] as {_REAL_RULE}, got {eta!r}")
 
     @property
     def beta(self) -> float:
@@ -218,14 +232,6 @@ class RoundOutcome(NamedTuple):
     probe reading (None when that reading's probability is zero, or
     underflows to zero after deep recycling). failure_state is
     the recycled squared-coefficient state for the 0 reading.
-
-    For a batched input state the probabilities and the VBS setting hold
-    one value per element, and success_state is None only when
-    success_prob is 0 in every element. Where success_prob is 0 in some
-    elements, success_state still holds them, computed like the others from
-    an absent reading: NaN where the branch's norm is exactly zero, else the
-    branch rescaled from amplitudes whose squares underflow. Such elements
-    carry no physics; ``run_schedules`` reports their fidelity as NaN.
     """
 
     round_index: int
@@ -346,22 +352,22 @@ def _noon_coefficients(state: PureState, n: int) -> tuple[float, float]:
     return ca, cb
 
 
-def _interfere_and_detect(branch: PureState, scheme: _Scheme, sign_mode: ModeId) -> PureState:
+def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureState:
     """Normalize, balanced splitter on the auxiliary pair, detect, correct, fold.
 
-    ``branch`` is a probe reading's kets as the readout leaves them, not
-    normalized; this is the one place in the engine where a branch is
-    normalized. Both detector outcomes are kept: a click on the second
-    detector gets the sign correction on the N-photon mode, after which the
+    ``branch`` is a probe reading's branch from ``_probe_round``, not
+    normalized, on the signal pair and then the config's auxiliary pair;
+    this is the one place in the engine where a branch is normalized. Both
+    detector outcomes are kept: a click on the second detector gets the sign
+    correction on the N-photon mode, the register's second, after which the
     two projected states agree up to a global phase. The first-detector
-    branch (always present, with real non-negative amplitudes) is returned
-    as the folded state.
+    branch (always present, with real non-negative amplitudes) is returned.
     """
-    unit = PureState._derived(branch._register, _normalized(branch._terms)[0])
-    branches = _detect(beam_splitter(unit, scheme.mixer), scheme.detectors)
+    scheme = _SCHEMES[config.protocol]
+    branches = _detect(beam_splitter(normalized(branch), scheme.mixer), scheme.detectors)
     corrected = [
-        negate_occupied(projected, sign_mode) if fired == scheme.detectors[1] else projected
-        for fired, projected, _norm in branches
+        negate_occupied(state, branch._register[1]) if fired == scheme.detectors[1] else state
+        for fired, state, _norm in branches
     ]
     for other in corrected[1:]:
         # Both branches are normalized, so |<a|b>|^2 is their fidelity.
@@ -376,50 +382,45 @@ def _interfere_and_detect(branch: PureState, scheme: _Scheme, sign_mode: ModeId)
 def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     """``run_round`` up to the probe readout, with the failure branch detected.
 
-    The input is checked as ``run_round`` documents. Returns (t,
-    success_prob, success_branch, failure_state, failure_prob): the VBS
-    setting (None for ecp1), the |theta| reading's probability and its
-    branch as the readout weighed it, neither normalized nor detected (None
-    where the reading is absent in every element), and the 0 reading's
-    branch after ``_interfere_and_detect``, since it is recycled, with its
-    probability. The success branch's normalization and detection are left
-    to the callers that form a success state.
+    The input is checked as ``run_round`` documents, and may be a batch (see
+    ``_rounds``). Returns (t, success_prob, success_branch, failure_state,
+    failure_prob): the VBS setting (None for ecp1), the |theta| reading's
+    probability and its branch as the readout leaves it, neither normalized
+    nor detected (None where the reading is absent in every element), and
+    the 0 reading's branch after ``_interfere_and_detect``, since it is
+    recycled, with its probability. The success branch is detected only by
+    the callers that form a success state.
     """
     n = config.n_photons
     ca, cb = _noon_coefficients(state, n)
     scheme = _SCHEMES[config.protocol]
-    sig_b = state._register[1]
     theta = config.theta
     aux = PureState._derived(scheme.aux_modes, {(1, 0): ca, (0, 1): cb})
-    tagged = cross_kerr_tag(tensor(state, aux), sig_b, -theta / n)
+    tagged = cross_kerr_tag(tensor(state, aux), state._register[1], -theta / n)
     tagged = cross_kerr_tag(tagged, scheme.aux_modes[1], theta)
 
     success_class = abs(math.remainder(theta, math.tau))
-    success_reading = None
-    failure_reading = None
-    for phase_class, members, mass in _partition(tagged):
+    success_reading = failure_reading = None
+    for phase_class, branch, mass in _partition(tagged):
         if phase_class < PHASE_CLASS_TOLERANCE:
-            failure_reading = members, mass
+            failure_reading = branch, mass
         elif abs(phase_class - success_class) < PHASE_CLASS_TOLERANCE:
-            success_reading = members, mass
+            success_reading = branch, mass
         else:
             raise ValueError(f"unexpected probe phase class {phase_class!r}")
     if failure_reading is None:
         raise ValueError("probe readout produced no recyclable branch")
 
-    reg = tagged.state._register
-    success_prob = 0.0
-    success_branch = None
+    success_branch, success_prob = None, 0.0
     # A reading whose probability underflowed to 0.0 in every run is absent.
     if success_reading is not None and success_reading[1]:
-        members, success_prob = success_reading
-        success_branch = PureState._derived(reg, members)
-    members, failure_prob = failure_reading
+        success_branch, success_prob = success_reading
+    failure_branch, failure_prob = failure_reading
     return (
         ca * ca if scheme.local else None,
         success_prob,
         success_branch,
-        _interfere_and_detect(PureState._derived(reg, members), scheme, sig_b),
+        _interfere_and_detect(failure_branch, config),
         failure_prob,
     )
 
@@ -447,8 +448,7 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     t, success_prob, success_branch, failure_state, failure_prob = _probe_round(state, config)
     success_state = None
     if success_branch is not None:
-        scheme = _SCHEMES[config.protocol]
-        success_state = _interfere_and_detect(success_branch, scheme, state._register[1])
+        success_state = _interfere_and_detect(success_branch, config)
     return RoundOutcome(
         round_index=round_k,
         success_state=success_state,
@@ -485,12 +485,11 @@ def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Sched
     alphas = list(alphas)
     size = len(alphas)
     target = maximally_entangled_noon(config.n_photons, SIGNAL_MODES)
-    scheme = _SCHEMES[config.protocol]
     per_round = []
     p_total = 0.0
     for k, t, p, u, success_branch in _rounds(config, alphas):
         if success_branch is not None:
-            success_state = _interfere_and_detect(success_branch, scheme, SIGNAL_MODES[1])
+            success_state = _interfere_and_detect(success_branch, config)
             fidelity = fidelity_up_to_global_phase(success_state, target)
         else:
             fidelity = math.nan
@@ -531,17 +530,22 @@ def _grid_totals(config: ProtocolConfig, alphas: Sequence[float]) -> list[float]
 def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:
     """The engine's recycling loop over ``alphas``, one round at a time.
 
-    Yields each round's (k, t, p, u, success_branch), each number a batch
-    over ``alphas`` (a plain float for one alpha): the VBS setting, the
+    Yields each round's (k, t, p, u, success_branch): the VBS setting, the
     success probability, its share after the earlier rounds' failures, and
     the success reading's branch as ``_probe_round`` leaves it: its norm^2
     is p, and it is neither normalized nor run through the final splitter
     and detection (None where every element's reading is absent). Each
     round runs ``_probe_round``, which detects only the recycled failure
-    branch; a consumer that prints a fidelity detects the success branch
-    itself, and ``_interfere_and_detect`` normalizes it there. Past rounds
-    are not kept: only the recycled state carries over. Each alpha is
-    checked as in ``run_schedules`` before the first round.
+    branch; a consumer that prints a fidelity passes the success branch to
+    ``_interfere_and_detect``. Past rounds are not kept: only the recycled
+    state carries over. Each alpha is checked as in ``run_schedules``.
+
+    The alphas run as one batch: each number holds one value per alpha (a
+    plain float for one alpha). Where p is 0 in some elements, the success
+    branch still holds them, and detection computes them from an absent
+    reading: NaN where the branch's norm is exactly zero, else the branch
+    rescaled from amplitudes whose squares underflow. Such elements carry
+    no physics; ``run_schedules`` reports their fidelity as NaN.
     """
     for alpha in alphas:
         _check_alpha(alpha)

@@ -236,6 +236,24 @@ def test_run_rejects_bad_numbers(capsys):
         assert "cancel" in err, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--alpha-sq", "0.36", "--rounds", "2"],
+        ["sweep", "--rounds", "2", "--grid", "0.1:0.9:3"],
+        ["compare-loss", "--rounds", "2", "--grid", "0.1:0.9:3"],
+    ],
+    ids=["run", "sweep", "compare-loss"],
+)
+def test_a_theta_whose_success_reading_folds_to_zero_is_a_usage_error(argv):
+    # theta = 2*pi + 1e-9 reads apart from 0, but 19 tags of -theta/19 fold
+    # the success ket to within the homodyne tolerance of 0
+    proc = _python("-m", "noonecp", *argv, "--n", "19", "--theta", "6.283185308179586")
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("noonecp: error: theta=6.283185308179586 split into 19 ")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("flag", ["--theta", "--eta", "--alpha-sq"])
 def test_numeric_flags_report_a_non_number_alike(capsys, flag):
     argv = ["run", "--alpha-sq", "0.5", flag, "abc"]

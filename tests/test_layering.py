@@ -112,15 +112,32 @@ CONFINED = {
     "noonecp.protocols._interfere_and_detect": Confined(
         {"protocols.py": {"_probe_round", "run_round", "run_schedules"}}, "protocols.py", (
             "def _grid_totals(config, alphas):\n"
-            "    return [_interfere_and_detect(b, s, m) for *_, b in _rounds(config, alphas)]",
-            "def _rounds(config, alphas):\n    yield _interfere_and_detect(branch, scheme, mode)",
+            "    return [_interfere_and_detect(b, config) for *_, b in _rounds(config, alphas)]",
+            "def _rounds(config, alphas):\n    yield _interfere_and_detect(branch, config)",
             "def f():\n    from .protocols import _interfere_and_detect as detect\n    return detect",
-            "class _Pass:\n    def fold(self, b):\n        return protocols._interfere_and_detect(b, s, m)",
+            "class _Pass:\n    def fold(self, b):\n        return protocols._interfere_and_detect(b, c)",
         ), (
             "def run_schedules(config, alphas):\n"
             "    for *_, b in _rounds(config, alphas):\n"
-            "        state = _interfere_and_detect(b, scheme, mode)",
-            "def _interfere_and_detect(branch, scheme, sign_mode):\n    return branch",
+            "        state = _interfere_and_detect(b, config)",
+            "def _interfere_and_detect(branch, config):\n    return branch",
+        ),
+    ),
+    # the scheme table: the two stages and the loss factor read a config's scheme
+    # off it; run_round and run_schedules leave that to the detection stage
+    "noonecp.protocols._SCHEMES": Confined(
+        {"protocols.py": {None, "_interfere_and_detect", "_probe_round", "_loss_factor"}},
+        "protocols.py", (
+            "def run_round(state, config, round_k):\n    scheme = _SCHEMES[config.protocol]",
+            "def run_schedules(config, alphas):\n"
+            "    mode = protocols._SCHEMES[config.protocol].aux_modes[1]",
+            "def f():\n    from .protocols import _SCHEMES as schemes\n    return schemes",
+            "class _Pass:\n    def scheme(self):\n        return _SCHEMES[self.c.protocol]",
+        ), (
+            "PROTOCOLS = tuple(_SCHEMES)",
+            "def _interfere_and_detect(branch, config):\n    scheme = _SCHEMES[config.protocol]",
+            "def run_round(state, config, round_k):\n"
+            "    \"\"\"Leaves ``_SCHEMES`` to the stages.\"\"\"\n    return state",
         ),
     ),
     # the readout's core weighs its classes unnormalized: the public readout
@@ -135,30 +152,47 @@ CONFINED = {
             "class _Pass:\n    def read(self, tagged):\n        return _partition(tagged)",
         ), (
             "def _probe_round(state, config):\n"
-            "    for phase_class, members, mass in _partition(tagged):\n        pass",
+            "    for phase_class, branch, mass in _partition(tagged):\n        pass",
             "def _rounds(config, alphas):\n    \"\"\"Streams what ``_partition`` weighs.\"\"\"\n"
             "    yield k",
         ),
     ),
-    # the one normalization: in the engine, only the detection stage normalizes a
-    # branch, once before its splitter and once per detector group
+    # the one normalization: the public ``normalized`` wraps it, and ``_detect``
+    # normalizes each detector group with it; the engine goes through ``normalized``
     "noonecp.fock._normalized": Confined(
-        {
-            "fock.py": {"normalized"},
-            "optics.py": {None, "homodyne_partition", "_detect"},
-            "protocols.py": {None, "_interfere_and_detect"},
-        },
-        "protocols.py", (
+        {"fock.py": {"normalized"}, "optics.py": {None, "_detect"}}, "protocols.py", (
             "def _probe_round(state, config):\n    unit, norm = _normalized(members)",
             "def _rounds(config, alphas):\n    yield fock._normalized(branch._terms)",
             "def run_schedules(config, alphas):\n"
             "    from .fock import _normalized as unit\n    return unit",
             "class _Pass:\n    def unit(self, branch):\n        return _normalized(branch._terms)",
-        ), (
-            "def _interfere_and_detect(branch, scheme, sign_mode):\n"
+            "def _interfere_and_detect(branch, config):\n"
             "    unit = PureState._derived(branch._register, _normalized(branch._terms)[0])",
+        ), (
+            "def _interfere_and_detect(branch, config):\n    unit = normalized(branch)",
             "def _rounds(config, alphas):\n"
             "    \"\"\"Leaves ``_normalized`` to the detection stage.\"\"\"\n    yield k",
+        ),
+    ),
+    # a branch state is normalized where a state leaves a stage: the public readout
+    # normalizes each class, and in the engine only the detection stage its branch
+    "noonecp.fock.normalized": Confined(
+        {
+            "optics.py": {None, "homodyne_partition"},
+            "protocols.py": {None, "_interfere_and_detect"},
+        },
+        "protocols.py", (
+            "def _probe_round(state, config):\n    return normalized(branch)",
+            "def _rounds(config, alphas):\n    yield fock.normalized(branch)",
+            "def run_schedules(config, alphas):\n"
+            "    from .fock import normalized as unit\n    return unit",
+            "class _Pass:\n    def unit(self, branch):\n        return normalized(branch)",
+            "def _grid_totals(config, alphas):\n    return list(map(normalized, branches))",
+        ), (
+            "from .fock import normalized",
+            "def _interfere_and_detect(branch, config):\n    unit = normalized(branch)",
+            "def _rounds(config, alphas):\n"
+            "    \"\"\"Leaves ``normalized`` to the detection stage.\"\"\"\n    yield k",
         ),
     ),
     "noonecp.analytics": Confined({"cli.py": {None}, "__init__.py": {None}}, "protocols.py", (

@@ -426,11 +426,10 @@ def test_homodyne_partition_is_the_core_with_each_class_normalized():
         *(_tagged_round_one(alpha_sq, n=3) for alpha_sq in (0.1, 0.5, 0.8)),
         cross_kerr_tag(batched, "a", 0.1),
     ):
-        reg = tagged.state.register
-        want = [
-            (key, normalized(PureState._derived(reg, members)), mass)
-            for key, members, mass in optics._partition(tagged)
-        ]
+        weighed = optics._partition(tagged)
+        for _key, branch, _mass in weighed:
+            assert branch.register == tagged.state.register
+        want = [(key, normalized(branch), mass) for key, branch, mass in weighed]
         assert len(want) == 2
         assert homodyne_partition(tagged) == want
 

@@ -2,10 +2,12 @@
 
 import gc
 import math
+import re
 import struct
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +236,59 @@ def test_config_rejects_exactly_the_thetas_the_engine_cannot_read(protocol):
             assert refused == unreadable, (n, theta)
             residual = (0.0 + n * (-theta / n)) + theta
             assert refused == (abs(residual) >= 1e-9), (n, theta)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_every_theta_the_config_accepts_near_a_multiple_of_2pi_runs(protocol):
+    # Just past a multiple of 2*pi, theta itself reads apart from 0, but for
+    # some N the success ket's N tags of -theta/N fold to within the tolerance
+    # of 0 (theta = 2*pi + 1e-9 at N = 19). The config must refuse exactly
+    # those, and every (theta, N) it accepts must run.
+    refused_any = False
+    for theta in [2 * math.pi * k + s * 1e-9 for k in (-1, 1, 2) for s in (-1, 1)]:
+        for n in range(1, 101):
+            try:
+                _config(protocol, n=n, theta=theta, max_rounds=4)
+                refused = False
+            except ValueError as exc:
+                assert f"theta={theta!r}" in str(exc) and f"into {n} " in str(exc)
+                refused = refused_any = True
+            config = _config(protocol, n=n, max_rounds=4)
+            object.__setattr__(config, "theta", theta)
+            try:
+                run_schedule(config)
+                unreadable = False
+            except ValueError:
+                unreadable = True
+            assert refused == unreadable, (theta, n)
+    assert refused_any
+
+
+# (what the refusal names, a call passing the value to one boundary that rests
+# on fock._finite_real)
+_NUMBER_BOUNDARIES = {
+    "alpha": ("alpha must lie strictly inside", lambda value: ProtocolConfig("ecp2", value)),
+    "loss_eta": ("loss_eta", lambda value: ProtocolConfig("ecp1", 0.6, loss_eta=value)),
+    "theta": ("theta", lambda value: ProtocolConfig("ecp1", 0.6, theta=value)),
+    "transmissivity": (
+        "transmissivity", lambda value: BeamSplitterSpec("a", "b", "a", "b", value)
+    ),
+    "tag phase": (
+        "per-photon phase", lambda value: cross_kerr_tag(basis_state(("a",), (1,)), "a", value)
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 5), np.float32(0.6)], ids=["Fraction", "float32"])
+@pytest.mark.parametrize("boundary", _NUMBER_BOUNDARIES)
+def test_a_number_refusal_states_the_finite_real_rule(boundary, value):
+    # the value lies inside every range here; only its type is refused, so the
+    # message must name the type rule, not only the range
+    what, call = _NUMBER_BOUNDARIES[boundary]
+    with pytest.raises(ValueError, match=re.escape(what)) as refusal:
+        call(value)
+    assert "a finite real (an int or float, not a bool)" in str(refusal.value)
+    assert repr(value) in str(refusal.value)
 
 
 def test_config_accepts_readable_phases():
@@ -851,13 +906,13 @@ def test_a_grid_pass_keeps_only_normalized_success_states(protocol, n):
     # so nothing at run time checks that its mass is the probability streamed
     # with it, or that the success state it heralds is normalized; this pins both.
     grid = [math.sqrt(x) for x in np.linspace(0.001, 0.999, 200)]
-    scheme = protocols._SCHEMES[protocol]
+    config = _config(protocol, 0.77, n)
     absent = 0
-    for k, _t, probs, _u, branch in protocols._rounds(_config(protocol, 0.77, n), grid):
+    for k, _t, probs, _u, branch in protocols._rounds(config, grid):
         assert branch is not None, k
         for p, x in zip(probs, norm_sq(branch)):
             assert abs(x - p) <= NORM_TOLERANCE, (k, p, x)
-        success = protocols._interfere_and_detect(branch, scheme, "b1")
+        success = protocols._interfere_and_detect(branch, config)
         absent += _assert_normalized_where_present(probs, success, k)
     assert absent > 0
 
@@ -907,9 +962,9 @@ def test_only_a_schedule_detects_the_success_branch(protocol, monkeypatch):
     calls = []
     detect = protocols._interfere_and_detect
 
-    def counting(branch, scheme, sign_mode):
+    def counting(branch, config):
         calls.append(branch)
-        return detect(branch, scheme, sign_mode)
+        return detect(branch, config)
 
     monkeypatch.setattr(protocols, "_interfere_and_detect", counting)
     protocols._grid_totals(config, grid)
@@ -942,7 +997,8 @@ def _spy_on_every_binding(monkeypatch, original):
 @pytest.mark.parametrize("n", [1, 100])
 def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, monkeypatch):
     # The readout weighs its classes unnormalized; each detection normalizes
-    # its branch once and then each of its two detector groups.
+    # its branch once, through fock.normalized, and then each of its two
+    # detector groups.
     k_max = 12
     config = _config(protocol, 0.77, n, max_rounds=k_max)
     grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
@@ -952,7 +1008,8 @@ def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, mo
     )
     assert 0 < present < k_max
     calls, bound = _spy_on_every_binding(monkeypatch, fock._normalized)
-    assert {"noonecp.fock", "noonecp.optics", "noonecp.protocols"} <= set(bound)
+    assert {"noonecp.fock", "noonecp.optics"} <= set(bound)
+    assert "noonecp.protocols" not in bound
     protocols._grid_totals(config, grid)
     assert len(calls) == 3 * k_max
     calls.clear()
