@@ -204,7 +204,8 @@ def _partition(state: TaggedState) -> list[tuple[float, PureState, float]]:
 
     Returns (phase class, branch, squared mass) per class, sorted by phase
     class, the branch holding the class's kets as they are on the tagged
-    register. The input's norm is checked as the sum of the class masses.
+    register. The input's norm is checked as the sum of the class masses,
+    so no ket is squared twice.
     """
     state, phases = state
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
