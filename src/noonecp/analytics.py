@@ -21,10 +21,9 @@ forms are the oracle the simulation engine is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Iterable
 
-from .fock import _check_alpha, _check_count, _per_element
+from .fock import _REAL_RULE, _check_alpha, _check_count, _finite_real, _per_element
 from .protocols import ProtocolConfig, _imbalance, _ratio_power, _rounds
 
 __all__ = [
@@ -104,7 +103,8 @@ def figure3_sweep(
     """Closed-form total-success curve over an alpha grid.
 
     The settings are checked as a ``ProtocolConfig`` even for an empty
-    grid, and each grid point's alpha by the closed form. With
+    grid. Each grid entry must be an int or float, as every alpha the
+    package takes, and its range is checked by the closed form. With
     ``cross_check`` set, the whole grid is also simulated in one engine pass
     whose rounds are checked as they stream: each round's unconditional
     probabilities, then, after the last round, the totals. A disagreement
@@ -116,12 +116,10 @@ def figure3_sweep(
     settings = ProtocolConfig(protocol, 0.5, n_photons, k_max)  # any alpha in (0, 1)
     points: list[SweepPoint] = []
     for a in default_alpha_grid() if grid is None else grid:
-        if isinstance(a, bool) or not isinstance(a, Real):
-            raise ValueError(f"grid entries must be real numbers, got {a!r}")
-        try:
-            a = float(a)
-        except OverflowError:
-            raise ValueError(f"alpha must lie strictly inside (0, 1), got {a!r}") from None
+        if not _finite_real(a):
+            raise ValueError(
+                f"grid entries must be real numbers, each alpha {_REAL_RULE}, got {a!r}"
+            )
         per_round = tuple(_round_yields(a, 1, k_max))
         points.append(SweepPoint(a, p_total_closed_form(a, k_max), per_round))
     if cross_check:

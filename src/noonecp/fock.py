@@ -28,11 +28,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from functools import reduce
 from itertools import repeat
 from numbers import Number
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 __all__ = [
     "ModeId",
@@ -297,7 +298,7 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     for name, st in (("first", a), ("second", b)):
         if _off(norm_sq(st), 1.0, NORM_TOLERANCE):
             raise ValueError(f"{name} argument is not normalized")
-    return _clip_unit(abs(inner(a, b)) ** 2)
+    return _clip_unit(_abs_sq(inner(a, b)))
 
 
 # --- Number seam: the only code that tells a plain amplitude from a batch. ---
@@ -307,30 +308,36 @@ class _Batch(tuple):
     """The amplitudes of one ket across a batch of runs, one float per run.
 
     Operators act element by element, and a plain number operand acts on
-    every element, so each element sees exactly the float operations of its
-    own scalar run. A batch is true when any element is nonzero. Amplitude
-    elements are real floats (the engine's amplitudes are exactly real), so
-    ``conjugate`` is the identity; only an inner product with a complex state
-    holds complex elements.
+    every element (in a comprehension, with no operator call per element),
+    so each element sees exactly the float operations of its own scalar run.
+    The seam's folds (``_norm_sq``, ``_normalized``, ``_off``, ``_abs_sq``)
+    work through a batch in per-element passes and build one batch per
+    result, not one per intermediate step. A batch is true when any element
+    is nonzero. Amplitude elements are real floats (the engine's amplitudes
+    are exactly real), so ``conjugate`` is the identity; only an inner
+    product with a complex state holds complex elements.
     """
 
     __slots__ = ()
 
-    def _map(self, op: Callable, other: object) -> _Batch:
-        return _Batch(map(op, self, other if type(other) is _Batch else repeat(other)))
-
     def __add__(self, other: object) -> _Batch:
-        return self._map(operator.add, other)
+        if type(other) is _Batch:
+            return _Batch(map(operator.add, self, other))
+        return _Batch([x + other for x in self])
 
     def __mul__(self, other: object) -> _Batch:
-        return self._map(operator.mul, other)
+        if type(other) is _Batch:
+            return _Batch(map(operator.mul, self, other))
+        return _Batch([x * other for x in self])
 
     # IEEE + and * commute, so a plain left operand gives the same bits.
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __pow__(self, other: object) -> _Batch:
-        return self._map(operator.pow, other)
+        if type(other) is _Batch:
+            return _Batch(map(operator.pow, self, other))
+        return _Batch([x**other for x in self])
 
     def __neg__(self) -> _Batch:
         return _Batch(map(operator.neg, self))
@@ -369,13 +376,26 @@ def _batched(amps: Collection) -> bool:
 def _norm_sq(amps: Collection):
     """Sum of the amplitudes' squared magnitudes, added left to right.
 
-    Plain and batched amplitudes share this one fold (``sum`` compensates
-    floats since Python 3.12), so a batch element adds as its scalar run
-    does. A batch's real elements square without abs, to the same bits. A
-    square beyond the float range gives inf; no kets give 0.
+    The adds are a left-to-right fold, not ``sum``, which compensates floats
+    since Python 3.12. A batch is folded one ket at a time, each pass
+    squaring that ket's elements into the running sums, so each element
+    squares and adds as its scalar run does; its real elements square
+    without abs, to the same bits. The square stays ``**2``, libm
+    ``pow``, and is not rewritten as ``x*x``, which would change printed
+    digits: with glibc 2.36 the two differ on about 1 in 1,200
+    ``random.random()`` draws and on about half of the squares that fall
+    exactly halfway between two doubles, where ``pow`` need not round to
+    even. x = 1.5 + 2**-26 is one: ``x**2`` ends in ...0001p+1, ``x*x`` in
+    ...0000p+1. A square beyond the float range gives inf; no kets give 0.
     """
     try:
-        squares = [a**2 for a in amps] if _batched(amps) else [abs(a) ** 2 for a in amps]
+        if _batched(amps):
+            kets = iter(amps)
+            total = [x**2 for x in next(kets)]
+            for amp in kets:
+                total = [t + x**2 for t, x in zip(total, amp)]
+            return _Batch(total)
+        squares = [abs(a) ** 2 for a in amps]
     except OverflowError:
         return math.inf
     return reduce(operator.add, squares) if squares else 0
@@ -398,6 +418,10 @@ def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, compl
         scale = 1.0 / norm
         if math.isinf(scale):
             return {k: a / norm for k, a in terms.items()}, norm
+    elif min(norm) >= sys.float_info.min:
+        # No zero or subnormal norm, so no reciprocal overflows. A NaN norm
+        # is skipped by min unless it leads, and then fails the test.
+        scale = _Batch([1.0 / n for n in norm])
     else:
         scale = _Batch([1.0 / n if n else math.nan for n in norm])
         if any(map(math.isinf, scale)):
@@ -422,10 +446,27 @@ def _sqrt_ratio(num: int, den: int) -> float:
 
 
 def _off(value, expected: float, tolerance: float) -> bool:
-    """|value - expected| > tolerance for some element; NaN never is."""
+    """|value - expected| > tolerance for some element; NaN never is.
+
+    A batch compares only its extremes: rounding is monotone and
+    e - v == -(v - e), so some element is off exactly when the largest is
+    above or the smallest below by more than the tolerance. A NaN is
+    skipped by max and min unless it leads, and then hides the extremes, so
+    that batch is checked element by element.
+    """
     if type(value) is _Batch:
+        high, low = max(value), min(value)
+        if high == high and low == low:
+            return high - expected > tolerance or expected - low > tolerance
         return any(map(tolerance.__lt__, map(abs, map(operator.sub, value, repeat(expected)))))
     return abs(value - expected) > tolerance
+
+
+def _abs_sq(value):
+    """abs(value) ** 2, per element for a batch, in one pass."""
+    if type(value) is _Batch:
+        return _Batch([abs(x) ** 2 for x in value])
+    return abs(value) ** 2
 
 
 def _nonnegative_real(amp):

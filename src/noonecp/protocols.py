@@ -32,6 +32,7 @@ from .fock import (
     _REAL_RULE,
     ModeId,
     PureState,
+    _abs_sq,
     _batch,
     _check_alpha,
     _check_count,
@@ -371,7 +372,7 @@ def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureStat
     ]
     for other in corrected[1:]:
         # Both branches are normalized, so |<a|b>|^2 is their fidelity.
-        fid = abs(inner(corrected[0], other)) ** 2
+        fid = _abs_sq(inner(corrected[0], other))
         if _off(fid, 1.0, NORM_TOLERANCE):
             raise ValueError(
                 f"detector branches disagree after correction (fidelity {fid})"

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -328,3 +329,16 @@ def test_sweep_of_an_empty_grid_with_valid_settings_is_empty():
 def test_sweep_rejects_grid_entries_that_are_not_real_numbers(entry):
     with pytest.raises(ValueError, match="real numbers"):
         figure3_sweep(k_max=3, grid=[0.5, entry])
+
+
+@pytest.mark.parametrize(
+    "entry", [Fraction(3, 5), np.float32(0.6)], ids=["Fraction", "numpy-float32"]
+)
+def test_sweep_refuses_the_alphas_every_other_entry_point_refuses(entry):
+    # ProtocolConfig, run_schedules and p_total_closed_form refuse both: an
+    # alpha is an int or a float, and numpy.float64 is a float subclass
+    with pytest.raises(ValueError, match="real numbers"):
+        figure3_sweep(k_max=2, grid=[entry], cross_check=True)
+    with pytest.raises(ValueError, match="alpha"):
+        p_total_closed_form(entry, 2)
+    assert figure3_sweep(k_max=2, grid=[np.float64(0.6)]) == figure3_sweep(k_max=2, grid=[0.6])

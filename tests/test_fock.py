@@ -1,11 +1,14 @@
 """Unit tests for the sparse Fock-state algebra."""
 
+import itertools
 import math
+import sys
 
 import mpmath
 import pytest
 
 from noonecp import (
+    NORM_TOLERANCE,
     BeamSplitterSpec,
     ProtocolConfig,
     PureState,
@@ -27,7 +30,7 @@ from noonecp import (
     vacuum,
 )
 from noonecp import fock
-from noonecp.fock import _Batch, _norm_sq, _normalized
+from noonecp.fock import _abs_sq, _Batch, _norm_sq, _normalized, _off
 
 
 def test_vacuum_single_mode():
@@ -380,6 +383,92 @@ def test_state_rejects_non_finite_amplitudes(amp):
         PureState(("a", "b"), {(1, 0): amp, (0, 1): 1.0})
 
 
+# The seam folds a batch in per-element passes and takes a shortcut where
+# its extremes allow one. Each batch below puts one element that steers a
+# shortcut (a NaN first or mid-batch, a signed zero, a zero or subnormal
+# norm) among ordinary ones, and each element must match its own scalar run
+# bit for bit.
+
+_TINY = math.ldexp(1.0, -1070)  # 1 / (5 * _TINY) overflows
+_HALFWAY = 1.5 + 2.0**-26  # its square is a tie, which pow and x*x round apart
+_SEAM_RUNS = {
+    "leading NaN": [(math.nan, 1.0), (0.6, 0.8), (3.0, -4.0)],
+    "leading NaN, then a subnormal norm": [(math.nan, 1.0), (0.6, 0.8), (3 * _TINY, 4 * _TINY)],
+    "NaN mid-batch": [(0.6, 0.8), (math.nan, math.nan), (0.0, -_HALFWAY)],
+    "signed zeros": [(0.0, 1.0), (-0.0, -2.0), (0.6, -0.0), (_HALFWAY, -0.0)],
+    "smallest normal norm": [(sys.float_info.min, 0.0), (0.6, 0.8)],
+    "subnormal norm": [(0.6, 0.8), (3 * _TINY, 4 * _TINY), (-_TINY, 0.0)],
+}
+
+
+def _batched_kets(runs):
+    """One batch per ket, each holding that ket's amplitude in every run."""
+    return [_Batch(column) for column in zip(*runs)]
+
+
+@pytest.mark.parametrize("runs", _SEAM_RUNS.values(), ids=_SEAM_RUNS)
+def test_batch_normalization_matches_each_elements_scalar_run(runs):
+    kets = [(1, 0), (0, 1)]
+    unit, norm = _normalized(dict(zip(kets, _batched_kets(runs))))
+    for element, run in enumerate(runs):
+        scalar_unit, scalar_norm = _normalized(dict(zip(kets, run)))
+        assert norm[element].hex() == scalar_norm.hex()
+        for ket in kets:
+            assert unit[ket][element].hex() == scalar_unit[ket].hex()
+
+
+@pytest.mark.parametrize("runs", _SEAM_RUNS.values(), ids=_SEAM_RUNS)
+def test_batch_squares_match_each_elements_scalar_run(runs):
+    kets = _batched_kets(runs)
+    for width in range(1, len(kets) + 1):
+        total = _norm_sq(kets[:width])
+        for element, run in enumerate(runs):
+            assert total[element].hex() == _norm_sq([complex(a) for a in run[:width]]).hex()
+    fidelity = _abs_sq(kets[0])
+    for element, run in enumerate(runs):
+        assert fidelity[element].hex() == _abs_sq(complex(run[0])).hex()
+
+
+@pytest.mark.parametrize("operand", [2, 0.1, -0.0, math.nan])
+def test_batch_operators_with_a_plain_operand_match_each_elements_scalar_run(operand):
+    batch = _Batch(a for runs in _SEAM_RUNS.values() for run in runs for a in run)
+    for got, want in [
+        (batch + operand, lambda x: x + operand),
+        (operand + batch, lambda x: operand + x),
+        (batch * operand, lambda x: x * operand),
+        (operand * batch, lambda x: operand * x),
+        (batch**2, lambda x: x**2),
+    ]:
+        assert [x.hex() for x in got] == [want(x).hex() for x in batch]
+
+
+def _off_edges(expected, tolerance):
+    """The values just inside and just outside the tolerance on each side."""
+    edges = []
+    for direction in (math.inf, -math.inf):
+        v = expected + math.copysign(tolerance, direction)
+        while abs(v - expected) > tolerance:
+            v = math.nextafter(v, expected)
+        while abs(math.nextafter(v, direction) - expected) <= tolerance:
+            v = math.nextafter(v, direction)
+        edges += [v, math.nextafter(v, direction)]
+    return edges
+
+
+@pytest.mark.parametrize("expected, tolerance", [(1.0, NORM_TOLERANCE), (0.0, 0.0)])
+def test_batch_tolerance_check_matches_its_elements_scalar_checks(expected, tolerance):
+    edges = _off_edges(expected, tolerance) if tolerance else []
+    values = [expected, *edges, math.nan, 0.0, -0.0, math.inf, -math.inf]
+    seen = set()
+    for batch in itertools.product(values, repeat=3):
+        want = any(_off(v, expected, tolerance) for v in batch)
+        assert _off(_Batch(batch), expected, tolerance) is want, batch
+        seen.add(want)
+    assert seen == {True, False}
+    if edges:
+        assert [_off(v, expected, tolerance) for v in edges] == [False, True, False, True]
+
+
 def test_batch_division_by_a_zero_element_is_nan_there():
     # one batch of three runs: a normal norm, a subnormal norm whose
     # reciprocal overflows, and a zero norm
@@ -395,6 +484,13 @@ def test_batch_division_by_a_zero_element_is_nan_there():
             assert unit[ket][element].hex() == scalar_unit[ket].hex()
     assert norm[2] == 0.0
     assert all(math.isnan(unit[ket][2]) for ket in kets)
+    # a zero norm first, where the test for the shortcut reads the smallest
+    # norm, and a signed-zero run whose norm is zero too
+    unit, norm = _normalized({(1, 0): _Batch([0.0, 3.0, -0.0]), (0, 1): _Batch([0.0, 4.0, 0.0])})
+    assert [norm[0], norm[2]] == [0.0, 0.0]
+    assert all(math.isnan(unit[ket][e]) for ket in unit for e in (0, 2))
+    scalar_unit, _ = _normalized({(1, 0): 3.0, (0, 1): 4.0})
+    assert all(unit[ket][1].hex() == scalar_unit[ket].hex() for ket in unit)
     with pytest.raises(ValueError, match="zero norm"):
         _normalized({(1, 0): _Batch([0.0, 0.0])})
 

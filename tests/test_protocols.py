@@ -1017,6 +1017,31 @@ def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, mo
     assert len(calls) == 3 * k_max + 3 * present
 
 
+# The batches one 212-point, K = 10 ``_grid_totals`` pass builds, alpha^2
+# evenly spaced over 0.05..0.95: 32.2 and 31.2 a round. A change to the
+# engine's work restates these counts in the same diff, as a golden CSV is
+# restated.
+_GRID_PASS_BATCHES = {("ecp2", 1): 322, ("ecp1", 100): 312}
+
+
+@pytest.mark.parametrize("protocol, n", sorted(_GRID_PASS_BATCHES))
+def test_a_grid_pass_builds_a_pinned_number_of_batches(protocol, n, monkeypatch):
+    k_max = 10
+    config = _config(protocol, 0.5, n, max_rounds=k_max)
+    grid = [math.sqrt(x) for x in np.linspace(0.05, 0.95, 212)]
+    built = []
+
+    def counting_new(cls, *args):
+        built.append(cls)
+        return tuple.__new__(cls, *args)
+
+    monkeypatch.setattr(fock._Batch, "__new__", counting_new)
+    calls, _bound = _spy_on_every_binding(monkeypatch, fock._normalized)
+    protocols._grid_totals(config, grid)
+    assert len(calls) == 3 * k_max
+    assert len(built) == _GRID_PASS_BATCHES[protocol, n]
+
+
 def _traced_peak(call):
     """Peak memory traced while ``call()`` runs, above what was traced before.
 
