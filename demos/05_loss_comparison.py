@@ -9,28 +9,25 @@ inside one lab and pays nothing.
 
 import math
 
-from noonecp import ProtocolConfig, apply_loss_model, run_schedule
+from noonecp import ProtocolConfig, apply_loss_model, run_schedule, run_schedules
 
 ETA = 0.9
 ROUNDS = 6
+ALPHA_SQ = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+# one config of settings per scheme, run over all five alphas in one grid
+alphas = [math.sqrt(alpha_sq) for alpha_sq in ALPHA_SQ]
+totals = {}
+for protocol in ("ecp1", "ecp2"):
+    cfg = ProtocolConfig(protocol=protocol, max_rounds=ROUNDS, loss_eta=ETA)
+    schedules = run_schedules(cfg, alphas)
+    lossless = [s.p_total for s in schedules]
+    totals[protocol] = [apply_loss_model(s, cfg).p_total for s in schedules]
 
 print(f"channel transmission eta = {ETA}, {ROUNDS} rounds\n")
 print("alpha^2   lossless   shared(eta)  local(eta)  advantage")
-for alpha_sq in (0.1, 0.3, 0.5, 0.7, 0.9):
-    alpha = math.sqrt(alpha_sq)
-    totals = {}
-    lossless = None
-    for protocol in ("ecp1", "ecp2"):
-        cfg = ProtocolConfig(
-            protocol=protocol, alpha=alpha, max_rounds=ROUNDS, loss_eta=ETA
-        )
-        schedule = run_schedule(cfg)
-        lossless = schedule.p_total
-        totals[protocol] = apply_loss_model(schedule, cfg).p_total
-    print(
-        f"{alpha_sq:>7.2f}   {lossless:.6f}   {totals['ecp1']:.6f}     "
-        f"{totals['ecp2']:.6f}    {totals['ecp2'] - totals['ecp1']:+.6f}"
-    )
+for alpha_sq, p, shared, local in zip(ALPHA_SQ, lossless, totals["ecp1"], totals["ecp2"]):
+    print(f"{alpha_sq:>7.2f}   {p:.6f}   {shared:.6f}     {local:.6f}    {local - shared:+.6f}")
 
 # the gap closes as the channel improves and vanishes at eta = 1
 print("\nbalanced start, single round:")

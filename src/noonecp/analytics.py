@@ -113,7 +113,7 @@ def figure3_sweep(
     in grid order.
     """
     _check_count(k_max, "k_max")
-    settings = ProtocolConfig(protocol, 0.5, n_photons, k_max)  # any alpha in (0, 1)
+    settings = ProtocolConfig(protocol, n_photons=n_photons, max_rounds=k_max)
     points: list[SweepPoint] = []
     for a in default_alpha_grid() if grid is None else grid:
         if not _finite_real(a):

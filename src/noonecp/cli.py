@@ -190,7 +190,9 @@ def _config_flags(
     return tokens
 
 
-def _make_config(args: argparse.Namespace, protocol: str, alpha: float) -> ProtocolConfig:
+def _make_config(
+    args: argparse.Namespace, protocol: str, alpha: float | None = None
+) -> ProtocolConfig:
     try:
         return ProtocolConfig(
             protocol=protocol,
@@ -212,10 +214,7 @@ def _simulated_totals(args: argparse.Namespace, protocol: str) -> list[float]:
     unconditional column as its rounds stream by: no per-round rows or
     fidelities are formed or kept.
     """
-    # Checked here so that an empty grid cannot skip the check; any alpha in
-    # (0, 1) will do, as the engine takes the grid's alphas instead.
-    settings = _make_config(args, protocol, 0.5)
-    return _grid_totals(settings, args.grid)
+    return _grid_totals(_make_config(args, protocol), args.grid)
 
 
 def _write_csv(out: str | None, header: str, rows: list[str]) -> None:

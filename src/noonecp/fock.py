@@ -13,14 +13,15 @@ there; the operations below derive their results from such states and build
 them without checking again.
 
 The engine may also run a batch of inputs at once: every ket then carries a
-``_Batch`` of real amplitudes, one per input. Batches combine element by
-element under the usual operators, and the few places where a scalar and a
-batch differ (normalization, tolerance checks and splitting a result per
-input) go through the number seam at the end of this module, so
-every element sees exactly the float operations of its own run. The seam
-does not decide which readings are absent: an element whose reading has
-zero probability runs on like the others, and the caller that splits a
-batch per input discards what it computed there.
+``_Batch`` of real amplitudes, one per input. Batches add, multiply and
+negate element by element, and every place where a scalar and a batch
+differ goes through the number seam at the end of this module: squaring
+(``_norm_sq``, ``_abs_sq``), normalization, tolerance checks (``_off``),
+sign tests (``_nonnegative_real``), clipping (``_clip_unit``) and splitting
+a result per input. So every element sees exactly the float operations of
+its own run. The seam does not decide which readings are absent: an
+element whose reading has zero probability runs on like the others, and
+the caller that splits a batch per input discards what it computed there.
 """
 
 from __future__ import annotations
@@ -307,12 +308,14 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
 class _Batch(tuple):
     """The amplitudes of one ket across a batch of runs, one float per run.
 
-    Operators act element by element, and a plain number operand acts on
-    every element (in a comprehension, with no operator call per element),
-    so each element sees exactly the float operations of its own scalar run.
-    The seam's folds (``_norm_sq``, ``_normalized``, ``_off``, ``_abs_sq``)
-    work through a batch in per-element passes and build one batch per
-    result, not one per intermediate step. A batch is true when any element
+    Addition, multiplication and negation act element by element, and a
+    plain number operand of + or * acts on every element (in a
+    comprehension, with no operator call per element), so each element sees
+    exactly the float operations of its own scalar run. A batch has no
+    power or abs: squares and magnitudes are left to the seam's folds
+    (``_norm_sq``, ``_normalized``, ``_off``, ``_abs_sq``), which work
+    through a batch in per-element passes and build one batch per result,
+    not one per intermediate step. A batch is true when any element
     is nonzero. Amplitude elements are real floats (the engine's amplitudes
     are exactly real), so ``conjugate`` is the identity; only an inner
     product with a complex state holds complex elements.
@@ -334,16 +337,8 @@ class _Batch(tuple):
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def __pow__(self, other: object) -> _Batch:
-        if type(other) is _Batch:
-            return _Batch(map(operator.pow, self, other))
-        return _Batch([x**other for x in self])
-
     def __neg__(self) -> _Batch:
         return _Batch(map(operator.neg, self))
-
-    def __abs__(self) -> _Batch:
-        return _Batch(map(abs, self))
 
     def __bool__(self) -> bool:
         return any(self)

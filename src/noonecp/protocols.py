@@ -159,14 +159,17 @@ def _beta(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything one concentration run depends on.
+    """The concentration circuit's settings, and optionally its input alpha.
 
-    alpha is the real positive coefficient of the |N,0> component; the
-    |0,N> coefficient is sqrt(1 - alpha^2). theta is the probe phase per
-    auxiliary photon. Its sign and magnitude only need to keep the success
-    and failure readings apart, so each of a round's four kets must read
-    out, within PHASE_CLASS_TOLERANCE and modulo 2*pi, as its reading says:
-    |N,0> with the auxiliary photon out of the tag mode reads 0 by
+    alpha is the real positive coefficient of the input's |N,0> component;
+    its |0,N> coefficient is sqrt(1 - alpha^2). alpha is the input, not a
+    setting: ``run_schedules`` takes its alphas as input, and only
+    ``run_schedule`` reads a config's alpha, so a grid's config leaves it
+    None. The other fields are checked either way. theta is the probe phase
+    per auxiliary photon. Its sign and magnitude only need to keep the
+    success and failure readings apart, so each of a round's four kets must
+    read out, within PHASE_CLASS_TOLERANCE and modulo 2*pi, as its reading
+    says: |N,0> with the auxiliary photon out of the tag mode reads 0 by
     construction; theta itself, on |N,0> with the photon in it, must not
     read as 0; N tags of -theta/N on |0,N> must not read as 0 either, and
     adding theta to them must give 0, both in doubles. loss_eta is the
@@ -176,7 +179,7 @@ class ProtocolConfig:
     """
 
     protocol: str
-    alpha: float
+    alpha: float | None = None
     n_photons: int = 1
     max_rounds: int = 10
     theta: float = 0.1
@@ -185,7 +188,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        _check_alpha(self.alpha)
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
         _check_count(self.n_photons, "n_photons")
         _check_count(self.max_rounds, "max_rounds")
         th = self.theta
@@ -220,10 +224,6 @@ class ProtocolConfig:
         eta = self.loss_eta
         if not (_finite_real(eta) and 0.0 <= eta <= 1.0):
             raise ValueError(f"loss_eta must lie in [0, 1] as {_REAL_RULE}, got {eta!r}")
-
-    @property
-    def beta(self) -> float:
-        return _beta(self.alpha)
 
 
 class RoundOutcome(NamedTuple):
@@ -466,7 +466,8 @@ def run_schedule(config: ProtocolConfig) -> Schedule:
     Conditional probabilities come straight from each round; unconditional
     ones are weighted by the survival product of earlier failures. The
     schedule is lossless; ``apply_loss_model`` folds channel transmission
-    in afterwards.
+    in afterwards. The input is config.alpha, so a config without one is
+    refused (ValueError).
     """
     return run_schedules(config, [config.alpha])[0]
 
@@ -474,14 +475,15 @@ def run_schedule(config: ProtocolConfig) -> Schedule:
 def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Schedule]:
     """``run_schedule`` of ``config`` at each of ``alphas``, as one engine pass.
 
-    Every setting but alpha comes from ``config``; config.alpha is not used.
-    Each alpha must lie strictly inside (0, 1) (ValueError otherwise). At
-    fixed N every alpha walks through the same kets, so each round runs once
-    with one amplitude batch per ket; every element sees the float
-    operations of its own scalar run, so each schedule equals
-    ``run_schedule`` of the config with that alpha, bit for bit. This is the
-    one consumer of ``_rounds`` that detects the success branch, to take
-    the fidelity column, so the detector-fold check runs on it here.
+    The alphas are the input and ``config`` holds the settings; its own
+    alpha, which may be None, is not read. Each alpha must lie strictly
+    inside (0, 1) (ValueError otherwise). At fixed N every alpha walks
+    through the same kets, so each round runs once with one amplitude batch
+    per ket; every element sees the float operations of its own scalar run,
+    so each schedule equals ``run_schedule`` of the config with that alpha,
+    bit for bit. This is the one consumer of ``_rounds`` that detects the
+    success branch, to take the fidelity column, so the detector-fold check
+    runs on it here.
     """
     alphas = list(alphas)
     size = len(alphas)

@@ -463,16 +463,99 @@ def test_the_guard_sees_each_per_point_config(source):
 @pytest.mark.parametrize(
     "source",
     [
-        "settings = _make_config(args, protocol, 0.5)",
+        "settings = _make_config(args, protocol)",
         "cfg = replace(settings, alpha=0.3)",
-        "for schedule in run_schedules(ProtocolConfig('ecp2', 0.5), grid):\n    print(schedule)",
-        "totals = [s.p_total for s in run_schedules(_make_config(args, 'ecp1', 0.5), grid)]",
+        "for schedule in run_schedules(ProtocolConfig('ecp2'), grid):\n    print(schedule)",
+        "totals = [s.p_total for s in run_schedules(_make_config(args, 'ecp1'), grid)]",
         "for line in rows:\n    print(line.replace(',', '  '))",
         "keys = [key.replace('-', '_') for key in raw]",
     ],
 )
 def test_the_guard_lets_one_config_per_grid_through(source):
     assert _per_point_configs(source) == []
+
+
+# Where each config builder takes alpha: its position, and its keyword.
+ALPHA_ARGUMENT = {"ProtocolConfig": 1, "_make_config": 2}
+
+
+def _literal_alphas(source):
+    """Line of every ProtocolConfig or _make_config call whose alpha, by
+    position or by keyword, is a numeric literal.
+
+    A numeric literal is an int, float or complex constant (not a bool), or
+    arithmetic on such constants alone, such as -0.5 or 1 / 2. A call through
+    an attribute (``noonecp.ProtocolConfig``) counts; a position past a
+    starred argument is not known, so it is not read.
+    """
+
+    def numeric(node):
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, (int, float, complex)) and not isinstance(
+                node.value, bool
+            )
+        if isinstance(node, ast.UnaryOp):
+            return numeric(node.operand)
+        return isinstance(node, ast.BinOp) and numeric(node.left) and numeric(node.right)
+
+    def alpha(call):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ALPHA_ARGUMENT:
+            return None
+        for keyword in call.keywords:
+            if keyword.arg == "alpha":
+                return keyword.value
+        position = ALPHA_ARGUMENT[name]
+        leading = call.args[: position + 1]
+        if len(leading) > position and not any(isinstance(a, ast.Starred) for a in leading):
+            return leading[position]
+        return None
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and numeric(alpha(node))
+    )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_config_in_the_package_is_given_a_placeholder_alpha(module):
+    # alpha is the input, not a setting: a config that runs a grid leaves it out
+    assert _literal_alphas((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "settings = _make_config(args, protocol, 0.5)",
+        "settings = ProtocolConfig(protocol, 0.5, n_photons, k_max)",
+        "cfg = ProtocolConfig(protocol='ecp2', alpha=0.5, max_rounds=3)",
+        "cfg = noonecp.ProtocolConfig('ecp1', -0.5)",
+        "def f(args):\n    return _make_config(args, 'ecp1', alpha=1 / 2)",
+        "class C:\n    def c(self):\n        return protocols.ProtocolConfig('ecp2', 1)",
+        "totals = _grid_totals(_make_config(args, protocol, 7e-1), args.grid)",
+    ],
+)
+def test_the_guard_sees_each_placeholder_alpha(source):
+    assert _literal_alphas(source) != []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "settings = ProtocolConfig(protocol, n_photons=n_photons, max_rounds=k_max)",
+        "settings = _make_config(args, protocol)",
+        "config = _make_config(args, args.protocol, math.sqrt(args.alpha_sq))",
+        "cfg = ProtocolConfig('ecp2', alpha, 2, 10, 0.1, 0.9)",
+        "cfg = ProtocolConfig('ecp1', n_photons=2, theta=0.1, loss_eta=0.9)",
+        "cfg = _make_config(args, protocol, None)",
+        "cfg = ProtocolConfig(*fields, 0.5)",
+        "point = SweepPoint(0.5, 0.2, ())",
+    ],
+)
+def test_the_guard_lets_a_config_without_a_literal_alpha_through(source):
+    assert _literal_alphas(source) == []
 
 
 LIBRARY = ("fock.py", "optics.py", "protocols.py", "analytics.py")

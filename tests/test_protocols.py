@@ -20,6 +20,7 @@ from noonecp import (
     ProtocolConfig,
     PureState,
     RoundOutcome,
+    analytics,
     apply_loss_model,
     basis_state,
     beam_splitter,
@@ -49,6 +50,11 @@ ALPHA_GRID = (0.1, 0.25, 0.5, 0.8, 0.9)
 
 def _config(protocol="ecp1", alpha_sq=0.8, n=2, **kw):
     return ProtocolConfig(protocol=protocol, alpha=math.sqrt(alpha_sq), n_photons=n, **kw)
+
+
+def _settings(protocol="ecp1", n=2, **kw):
+    """A config of settings alone, as a grid takes it: its alpha is None."""
+    return ProtocolConfig(protocol=protocol, n_photons=n, **kw)
 
 
 def _chain_unconditional(alpha_sq, k_max):
@@ -294,12 +300,6 @@ def test_a_number_refusal_states_the_finite_real_rule(boundary, value):
 def test_config_accepts_readable_phases():
     for theta in (math.pi, -0.2):
         assert _config(theta=theta).theta == theta
-
-
-def test_config_beta_property():
-    cfg = _config(alpha_sq=0.8)
-    assert cfg.beta == pytest.approx(math.sqrt(0.2), abs=1e-15)
-    assert cfg.alpha**2 + cfg.beta**2 == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
@@ -683,7 +683,7 @@ def test_protocols_give_bit_identical_lossless_yields(n, k_max):
     # ecp2 is ecp1 with the auxiliary photon kept local: the same yields, bit for bit
     grid = [*_BATCH_ALPHA_SQ, *np.linspace(0.01, 0.99, 41)]
     ecp1, ecp2 = (
-        run_schedules(_config(protocol, n=n, max_rounds=k_max), [math.sqrt(x) for x in grid])
+        run_schedules(_settings(protocol, n=n, max_rounds=k_max), [math.sqrt(x) for x in grid])
         for protocol in ("ecp1", "ecp2")
     )
     for a, b in zip(ecp1, ecp2):
@@ -702,7 +702,7 @@ def test_yields_do_not_depend_on_the_probe_phase(protocol, n):
     alphas = [math.sqrt(x) for x in (0.1, 0.5 + 5.2e-15, 0.8)]
     thetas = (0.1, -0.2, 2, math.pi, 4.0, -4.0, 2 * math.pi - 0.1, 1e7)
     runs = [
-        run_schedules(_config(protocol, n=n, max_rounds=40, theta=theta), alphas)
+        run_schedules(_settings(protocol, n=n, max_rounds=40, theta=theta), alphas)
         for theta in thetas
     ]
     for theta, schedules in zip(thetas[1:], runs[1:]):
@@ -783,8 +783,6 @@ def _same_bits(a, b):
 
 
 def _assert_batch_matches_scalar_runs(settings, alphas):
-    # settings' own alpha is not in the batch, so the batch cannot be using it
-    assert settings.alpha not in alphas
     batch = run_schedules(settings, alphas)
     assert len(batch) == len(alphas)
     for alpha, got in zip(alphas, batch):
@@ -814,7 +812,7 @@ def _assert_batch_matches_scalar_runs(settings, alphas):
 @pytest.mark.parametrize("n", [1, 2, 3, 100])
 @pytest.mark.parametrize("k_max", [1, 10, 60])
 def test_run_schedules_equals_scalar_runs_bit_for_bit(protocol, n, k_max):
-    settings = _config(protocol, 0.77, n, max_rounds=k_max)
+    settings = _settings(protocol, n, max_rounds=k_max)
     batch = _assert_batch_matches_scalar_runs(settings, [math.sqrt(x) for x in _BATCH_ALPHA_SQ])
     # the grid really mixes present and absent success readings in one round
     absent = [{math.isnan(s.per_round[k].success_fidelity) for s in batch} for k in range(k_max)]
@@ -825,19 +823,76 @@ def test_run_schedules_equals_scalar_runs_on_a_dense_grid():
     # a last-bit slip in one element-wise operation (say x * x for abs(x) ** 2)
     # changes about one round yield in a thousand, so this grid is dense
     grid = np.random.default_rng(6).uniform(0.01, 0.99, 600)
-    settings = _config("ecp2", 0.77, 1, max_rounds=10)
+    settings = _settings("ecp2", 1, max_rounds=10)
     _assert_batch_matches_scalar_runs(settings, [math.sqrt(x) for x in grid])
 
 
 def test_run_schedules_of_nothing_is_empty():
-    assert run_schedules(_config(), []) == []
-    assert run_schedules(_config(), iter(())) == []
+    assert run_schedules(_settings(), []) == []
+    assert run_schedules(_settings(), iter(())) == []
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan, math.inf, True, "0.5", 10**400])
 def test_run_schedules_rejects_an_alpha_outside_the_unit_interval(bad):
     with pytest.raises(ValueError, match="alpha must lie strictly inside"):
-        run_schedules(_config(), [0.6, bad])
+        run_schedules(_settings(), [0.6, bad])
+
+
+def test_a_config_holds_no_alpha_unless_given_one():
+    # alpha is the input, not a setting: a grid's config leaves it out
+    assert ProtocolConfig("ecp2").alpha is None
+
+
+def test_run_schedule_refuses_a_config_without_an_alpha():
+    # the config's alpha is run_schedule's input, so a settings-only config has none
+    with pytest.raises(ValueError, match=r"alpha.*None"):
+        run_schedule(_settings("ecp2"))
+
+
+def _stream_columns(config, grid):
+    """Each round's (k, t, p, u) from ``_rounds``; the repr of a float is its bits."""
+    return repr([(k, t, p, u) for k, t, p, u, _branch in protocols._rounds(config, grid)])
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_a_settings_only_config_gives_the_bits_of_one_with_an_alpha(protocol, monkeypatch):
+    # only run_schedule reads a config's alpha: every other path takes its input apart
+    settings = _settings(protocol, 2, max_rounds=12, loss_eta=0.9)
+    with_alpha = replace(settings, alpha=math.sqrt(0.6))
+    grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
+
+    state = prepare_less_entangled_noon(grid[2], 2)
+    bare, given = (run_round(state, config, 1) for config in (settings, with_alpha))
+    for field in ("round_index", "success_prob", "failure_prob", "vbs_transmission_used"):
+        assert _same_bits(getattr(bare, field), getattr(given, field)), field
+    for field in ("success_state", "failure_state"):
+        assert _hex_real_amplitudes(getattr(bare, field)) == _hex_real_amplitudes(
+            getattr(given, field)
+        ), field
+
+    bare, given = (run_schedules(config, grid) for config in (settings, with_alpha))
+    assert repr(bare) == repr(given)
+    assert [repr(apply_loss_model(s, settings)) for s in bare] == [
+        repr(apply_loss_model(s, with_alpha)) for s in bare
+    ]
+    bare, given = (protocols._grid_totals(config, grid) for config in (settings, with_alpha))
+    assert [t.hex() for t in bare] == [t.hex() for t in given]
+
+    # figure3_sweep's cross-check streams a settings-only config
+    streamed = []
+
+    def spy(config, alphas):
+        streamed.append((config, alphas))
+        return protocols._rounds(config, alphas)
+
+    monkeypatch.setattr(analytics, "_rounds", spy)
+    points = analytics.figure3_sweep(12, grid, cross_check=True, n_photons=2, protocol=protocol)
+    assert points == analytics.figure3_sweep(12, grid, n_photons=2, protocol=protocol)
+    [(config, alphas)] = streamed
+    assert config == replace(settings, loss_eta=1.0) and config.alpha is None
+    assert _stream_columns(config, alphas) == _stream_columns(
+        replace(config, alpha=math.sqrt(0.6)), alphas
+    )
 
 
 # alpha^2 = 1e-4 and 0.9999 lose their success reading mid-schedule at K >= 10.
@@ -850,7 +905,7 @@ _TOTALS_ALPHA_SQ = (1e-4, 0.3, 0.5 + 1e-15, 0.8, 0.9999, 0.12345, 0.3)
 def test_grid_totals_equal_per_point_runs_bit_for_bit(protocol, n, k_max):
     # at K = 1000 three points keep the per-point runs short
     grid = [math.sqrt(x) for x in _TOTALS_ALPHA_SQ[: 3 if k_max == 1000 else None]]
-    settings = _config(protocol, 0.77, n, max_rounds=k_max)
+    settings = _settings(protocol, n, max_rounds=k_max)
     lossless = [run_schedule(replace(settings, alpha=a)) for a in grid]
     if k_max > 1:
         # some point's success reading underflows after it has been present
@@ -870,7 +925,7 @@ def test_deferred_fidelity_column_is_the_eager_one(protocol):
     n, k_max = 2, 12
     grid = [math.sqrt(x) for x in _BATCH_ALPHA_SQ]
     target = maximally_entangled_noon(n)
-    batch = run_schedules(_config(protocol, 0.77, n, max_rounds=k_max), grid)
+    batch = run_schedules(_settings(protocol, n, max_rounds=k_max), grid)
     absent = 0
     for alpha, schedule in zip(grid, batch):
         config = _config(protocol, alpha * alpha, n, max_rounds=k_max)
@@ -906,7 +961,7 @@ def test_a_grid_pass_keeps_only_normalized_success_states(protocol, n):
     # so nothing at run time checks that its mass is the probability streamed
     # with it, or that the success state it heralds is normalized; this pins both.
     grid = [math.sqrt(x) for x in np.linspace(0.001, 0.999, 200)]
-    config = _config(protocol, 0.77, n)
+    config = _settings(protocol, n)
     absent = 0
     for k, _t, probs, _u, branch in protocols._rounds(config, grid):
         assert branch is not None, k
@@ -929,7 +984,7 @@ _STREAM_ALPHA_SQ = (*_LOPSIDED_ALPHA_SQ, 0.3, 0.8, 0.12345)
 def test_the_engine_stream_equals_a_run_round_loop_bit_for_bit(protocol, n):
     k_max = 12
     grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
-    stream = list(protocols._rounds(_config(protocol, 0.77, n, max_rounds=k_max), grid))
+    stream = list(protocols._rounds(_settings(protocol, n, max_rounds=k_max), grid))
     assert [row[0] for row in stream] == list(range(1, k_max + 1))
     columns = [
         list(_per_element((t, p, u), len(grid))) for _k, t, p, u, _branch in stream
@@ -952,7 +1007,7 @@ def test_the_engine_stream_equals_a_run_round_loop_bit_for_bit(protocol, n):
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 def test_only_a_schedule_detects_the_success_branch(protocol, monkeypatch):
     k_max = 12
-    config = _config(protocol, 0.77, 1, max_rounds=k_max)
+    config = _settings(protocol, 1, max_rounds=k_max)
     grid = [math.sqrt(x) for x in _LOPSIDED_ALPHA_SQ]
     present = sum(
         any(s.per_round[k].p_conditional > 0.0 for s in run_schedules(config, grid))
@@ -1000,7 +1055,7 @@ def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, mo
     # its branch once, through fock.normalized, and then each of its two
     # detector groups.
     k_max = 12
-    config = _config(protocol, 0.77, n, max_rounds=k_max)
+    config = _settings(protocol, n, max_rounds=k_max)
     grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
     present = sum(
         any(s.per_round[k].p_conditional > 0.0 for s in run_schedules(config, grid))
@@ -1061,7 +1116,7 @@ def _traced_peak(call):
 
 def test_grid_totals_keep_no_state_per_round():
     grid = [math.sqrt(x) for x in np.linspace(0.05, 0.95, 8)]
-    shallow, deep = (_config("ecp2", 0.77, 1, max_rounds=k) for k in (10, 1000))
+    shallow, deep = (_settings("ecp2", 1, max_rounds=k) for k in (10, 1000))
     # a deep run first fills the free lists, so that reusing them traces nothing
     protocols._grid_totals(deep, grid)
     peaks = [_traced_peak(lambda: protocols._grid_totals(c, grid)) for c in (shallow, deep)]
