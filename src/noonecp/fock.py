@@ -18,10 +18,10 @@ negate element by element, and every place where a scalar and a batch
 differ goes through the number seam at the end of this module: squaring
 (``_norm_sq``, ``_abs_sq``), normalization, tolerance checks (``_off``),
 sign tests (``_nonnegative_real``), clipping (``_clip_unit``) and splitting
-a result per input. So every element sees exactly the float operations of
-its own run. The seam does not decide which readings are absent: an
-element whose reading has zero probability runs on like the others, and
-the caller that splits a batch per input discards what it computed there.
+a result per input or selecting some of its elements. So every element
+sees exactly the float operations of its own run. Which readings are
+absent is the caller's to decide: it detects only the present ones, so a
+batch with a zero, subnormal or NaN norm is never normalized.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import reduce
 from itertools import repeat
 from numbers import Number
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 __all__ = [
     "ModeId",
@@ -293,8 +293,7 @@ def inner(a: PureState, b: PureState) -> complex:
 def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     """|<a|b>|^2, insensitive to any unit-modulus global factor.
 
-    Both inputs must already be normalized within NORM_TOLERANCE (a NaN
-    element of a batch passes and gives NaN).
+    Both inputs must already be normalized within NORM_TOLERANCE.
     """
     for name, st in (("first", a), ("second", b)):
         if _off(norm_sq(st), 1.0, NORM_TOLERANCE):
@@ -401,8 +400,9 @@ def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, compl
 
     The one normalization in the package. The norm is the hypot of the
     magnitudes, which neither underflows nor overflows. Each amplitude is
-    multiplied by 1/norm, or divided by norm where 1/norm overflows (a
-    subnormal norm). A batch element whose norm is zero comes out NaN.
+    multiplied by 1/norm, or divided by it in a plain state where 1/norm
+    overflows. A batch whose norms' ``min`` is not normal (zero, subnormal,
+    a leading NaN) is refused; the engine detects only present readings.
     """
     amps = terms.values()
     batched = _batched(amps)
@@ -414,16 +414,10 @@ def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, compl
         if math.isinf(scale):
             return {k: a / norm for k, a in terms.items()}, norm
     elif min(norm) >= sys.float_info.min:
-        # No zero or subnormal norm, so no reciprocal overflows. A NaN norm
-        # is skipped by min unless it leads, and then fails the test.
+        # min skips a NaN norm unless it leads; one further on comes out NaN.
         scale = _Batch([1.0 / n for n in norm])
     else:
-        scale = _Batch([1.0 / n if n else math.nan for n in norm])
-        if any(map(math.isinf, scale)):
-            return {
-                k: _Batch(x / n if math.isinf(s) else x * s for x, n, s in zip(a, norm, scale))
-                for k, a in terms.items()
-            }, norm
+        raise ValueError(f"cannot normalize a batch: smallest norm {min(norm)!r} is not normal")
     return {k: a * scale for k, a in terms.items()}, norm
 
 
@@ -476,6 +470,14 @@ def _clip_unit(value):
     if type(value) is _Batch:
         return _Batch(map(min, map(max, value, repeat(0.0)), repeat(1.0)))
     return min(max(value, 0.0), 1.0)
+
+
+def _elements(state: PureState, idxs: Sequence[int], size: int) -> PureState:
+    """A batch of ``size`` at its elements ``idxs``: plain for one, itself for all."""
+    if len(idxs) == size:
+        return state
+    terms = {k: _batch([a[i] for i in idxs]) for k, a in state._terms.items()}
+    return PureState._derived(state._register, terms)
 
 
 def _per_element(values: tuple, size: int) -> list[tuple]:

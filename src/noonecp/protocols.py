@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import starmap
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fock import (
@@ -36,6 +37,7 @@ from .fock import (
     _batch,
     _check_alpha,
     _check_count,
+    _elements,
     _finite_real,
     _nonnegative_real,
     _off,
@@ -195,10 +197,10 @@ class ProtocolConfig:
         th = self.theta
         if not _finite_real(th):
             raise ValueError(f"theta must be {_REAL_RULE}, got {th!r}")
-        if abs(math.remainder(th, math.tau)) <= PHASE_CLASS_TOLERANCE:
+        if abs(math.remainder(th, math.tau)) < PHASE_CLASS_TOLERANCE:
             raise ValueError(
-                "theta must stay farther than the homodyne phase tolerance "
-                f"{PHASE_CLASS_TOLERANCE} from every multiple of 2*pi, got {th!r}"
+                "theta must stay at least the homodyne phase tolerance "
+                f"{PHASE_CLASS_TOLERANCE} away from every multiple of 2*pi, got {th!r}"
             )
         # The probe phases run_round's two tags give |0,N>: ``success`` with the
         # aux photon out of the tag mode, which must read apart from 0, and
@@ -491,18 +493,15 @@ def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Sched
     per_round = []
     p_total = 0.0
     for k, t, p, u, success_branch in _rounds(config, alphas):
+        # An absent reading (p = 0) heralds nothing: it is not detected, its fidelity is NaN.
+        rows = _per_element((k, t, p, u, math.nan), size)
         if success_branch is not None:
-            success_state = _interfere_and_detect(success_branch, config)
+            present = [i for i, row in enumerate(rows) if row[2] > 0.0]
+            success_state = _interfere_and_detect(_elements(success_branch, present, size), config)
             fidelity = fidelity_up_to_global_phase(success_state, target)
-        else:
-            fidelity = math.nan
-        # A success reading of zero probability is absent: its fidelity is NaN.
-        per_round.append(
-            [
-                RoundStats(k, t, p, u, f if p > 0.0 else math.nan)
-                for k, t, p, u, f in _per_element((k, t, p, u, fidelity), size)
-            ]
-        )
+            for i, (f,) in zip(present, _per_element((fidelity,), len(present))):
+                rows[i] = rows[i][:4] + (f,)
+        per_round.append(list(starmap(RoundStats, rows)))
         p_total += u
     return [
         Schedule(
@@ -545,10 +544,8 @@ def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:
 
     The alphas run as one batch: each number holds one value per alpha (a
     plain float for one alpha). Where p is 0 in some elements, the success
-    branch still holds them, and detection computes them from an absent
-    reading: NaN where the branch's norm is exactly zero, else the branch
-    rescaled from amplitudes whose squares underflow. Such elements carry
-    no physics; ``run_schedules`` reports their fidelity as NaN.
+    branch still holds them, with a zero or underflowed norm; ``run_schedules``
+    detects only the elements whose p is positive.
     """
     for alpha in alphas:
         _check_alpha(alpha)

@@ -30,7 +30,7 @@ from noonecp import (
     vacuum,
 )
 from noonecp import fock
-from noonecp.fock import _abs_sq, _Batch, _norm_sq, _normalized, _off
+from noonecp.fock import _abs_sq, _Batch, _elements, _norm_sq, _normalized, _off
 
 
 def test_vacuum_single_mode():
@@ -387,7 +387,7 @@ def test_state_rejects_non_finite_amplitudes(amp):
 # its extremes allow one. Each batch below puts one element that steers a
 # shortcut (a NaN first or mid-batch, a signed zero, a zero or subnormal
 # norm) among ordinary ones, and each element must match its own scalar run
-# bit for bit.
+# bit for bit, or the batch is refused as a whole.
 
 _TINY = math.ldexp(1.0, -1070)  # 1 / (5 * _TINY) overflows
 _HALFWAY = 1.5 + 2.0**-26  # its square is a tie, which pow and x*x round apart
@@ -409,7 +409,13 @@ def _batched_kets(runs):
 @pytest.mark.parametrize("runs", _SEAM_RUNS.values(), ids=_SEAM_RUNS)
 def test_batch_normalization_matches_each_elements_scalar_run(runs):
     kets = [(1, 0), (0, 1)]
-    unit, norm = _normalized(dict(zip(kets, _batched_kets(runs))))
+    terms = dict(zip(kets, _batched_kets(runs)))
+    # a batch whose smallest norm, as min reads it, is not normal is refused
+    if not min(math.hypot(*run) for run in runs) >= sys.float_info.min:
+        with pytest.raises(ValueError, match="smallest norm .* is not normal"):
+            _normalized(terms)
+        return
+    unit, norm = _normalized(terms)
     for element, run in enumerate(runs):
         scalar_unit, scalar_norm = _normalized(dict(zip(kets, run)))
         assert norm[element].hex() == scalar_norm.hex()
@@ -468,30 +474,44 @@ def test_batch_tolerance_check_matches_its_elements_scalar_checks(expected, tole
         assert [_off(v, expected, tolerance) for v in edges] == [False, True, False, True]
 
 
-def test_batch_division_by_a_zero_element_is_nan_there():
+def test_batch_normalization_refuses_a_zero_or_subnormal_element_norm():
     # one batch of three runs: a normal norm, a subnormal norm whose
     # reciprocal overflows, and a zero norm
     tiny = math.ldexp(1.0, -1070)
     runs = [(3.0, -4.0), (3 * tiny, 4 * tiny), (0.0, 0.0)]
     kets = [(1, 0), (0, 1)]
-    unit, norm = _normalized({ket: _Batch(run[i] for run in runs) for i, ket in enumerate(kets)})
-    assert math.isinf(1.0 / norm[1])
-    for element, run in enumerate(runs[:2]):
-        scalar_unit, scalar_norm = _normalized(dict(zip(kets, run)))
-        assert norm[element].hex() == scalar_norm.hex()
-        for ket in kets:
-            assert unit[ket][element].hex() == scalar_unit[ket].hex()
-    assert norm[2] == 0.0
-    assert all(math.isnan(unit[ket][2]) for ket in kets)
-    # a zero norm first, where the test for the shortcut reads the smallest
-    # norm, and a signed-zero run whose norm is zero too
-    unit, norm = _normalized({(1, 0): _Batch([0.0, 3.0, -0.0]), (0, 1): _Batch([0.0, 4.0, 0.0])})
-    assert [norm[0], norm[2]] == [0.0, 0.0]
-    assert all(math.isnan(unit[ket][e]) for ket in unit for e in (0, 2))
-    scalar_unit, _ = _normalized({(1, 0): 3.0, (0, 1): 4.0})
-    assert all(unit[ket][1].hex() == scalar_unit[ket].hex() for ket in unit)
+    with pytest.raises(ValueError, match="smallest norm 0.0 is not normal"):
+        _normalized({ket: _Batch(run[i] for run in runs) for i, ket in enumerate(kets)})
+    # each run alone but the last normalizes; the subnormal one through division
+    for run in runs[:2]:
+        unit, norm = _normalized(dict(zip(kets, run)))
+        assert abs(_norm_sq(unit.values()) - 1.0) <= NORM_TOLERANCE
+    assert math.isinf(1.0 / norm)
+    # a zero norm first, where the refusal reads the smallest norm, and a
+    # signed-zero run whose norm is zero too
+    with pytest.raises(ValueError, match="smallest norm 0.0 is not normal"):
+        _normalized({(1, 0): _Batch([0.0, 3.0, -0.0]), (0, 1): _Batch([0.0, 4.0, 0.0])})
     with pytest.raises(ValueError, match="zero norm"):
         _normalized({(1, 0): _Batch([0.0, 0.0])})
+
+
+def test_selecting_batch_elements_keeps_their_bits():
+    runs = [(0.6, 0.8), (_HALFWAY, -0.0), (3 * _TINY, 4 * _TINY), (0.0, 1.0)]
+    kets = [(1, 0), (0, 1)]
+    state = PureState._derived(("a", "b"), dict(zip(kets, _batched_kets(runs))))
+    # every element selected: the state itself, nothing built
+    assert _elements(state, range(len(runs)), len(runs)) is state
+    picked = _elements(state, [3, 1], len(runs))
+    assert picked.register == state.register
+    for i, ket in enumerate(kets):
+        assert type(picked.terms[ket]) is _Batch
+        assert [x.hex() for x in picked.terms[ket]] == [runs[3][i].hex(), runs[1][i].hex()]
+    # one element: a plain state, which drops the ket that is zero there
+    for e, run in enumerate(runs):
+        single = _elements(state, [e], len(runs))
+        want = {ket: a.hex() for ket, a in zip(kets, run) if a}
+        assert all(type(a) is float for a in single.terms.values())
+        assert {ket: a.hex() for ket, a in single.terms.items()} == want, e
 
 
 def test_batched_state_repr_formats_each_element():

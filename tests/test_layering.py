@@ -195,6 +195,20 @@ CONFINED = {
             "    \"\"\"Leaves ``normalized`` to the detection stage.\"\"\"\n    yield k",
         ),
     ),
+    # an absent success reading heralds nothing: the schedule reports its fidelity as
+    # NaN without detecting it, and no seam or stage turns a zero norm into NaN
+    "math.nan": Confined({"protocols.py": {"run_schedules"}}, "fock.py", (
+        "def _normalized(terms):\n    scale = _Batch([1.0 / n if n else math.nan for n in norm])",
+        "def _interfere_and_detect(branch, config):\n    return math.nan",
+        "def _elements(state, idxs, size):\n    from math import nan\n    return nan",
+        "class _Batch(tuple):\n    def __truediv__(self, other):\n        return math.nan",
+        "UNDEFINED = math.nan",
+    ), (
+        "def _normalized(terms):\n    scale = _Batch([1.0 / n for n in norm])",
+        "def _normalized(terms):\n    \"\"\"A NaN norm is refused, not ``math.nan``.\"\"\"\n"
+        "    return terms",
+        "def _off(value, expected, tolerance):\n    return value != value",
+    )),
     "noonecp.analytics": Confined({"cli.py": {None}, "__init__.py": {None}}, "protocols.py", (
         "from .analytics import p_round_closed_form",
         "import noonecp.analytics",

@@ -224,7 +224,9 @@ def test_config_validation():
 def test_config_rejects_exactly_the_thetas_the_engine_cannot_read(protocol):
     """ProtocolConfig refuses a (theta, N) exactly where run_round would raise."""
     for n in (1, 2, 3, 5, 11, 19, 100):
-        for theta in (0.1, 1.0, -0.2, math.pi, 1e7, 1e8):
+        # theta at exactly the tolerance from 0 reads apart from it, as the readout splits
+        for theta in (0.1, 1.0, -0.2, math.pi, 1e7, 1e8, PHASE_CLASS_TOLERANCE,
+                      -PHASE_CLASS_TOLERANCE):
             try:
                 _config(protocol, n=n, theta=theta)
                 refused = False
@@ -765,9 +767,9 @@ def test_round_matches_the_paper_circuit_rebuilt_from_primitives(protocol, n, al
 
 
 # alpha^2 = 1e-4 and 0.9999 lose their smaller coefficient to underflow
-# mid-run while the other elements keep both; 10^-2.5 and 1e-78 pass through
-# a subnormal branch norm; the rest sit near balance, repeat a value, or are
-# generic.
+# mid-run while the other elements keep both; 10^-2.5 and 1e-78 carry absent
+# success readings whose branch norm is subnormal, which are never detected;
+# the rest sit near balance, repeat a value, or are generic.
 _BATCH_ALPHA_SQ = (
     1e-4, 0.9999, 0.5 + 1e-15, 0.5 - 1e-15, 0.5 + 1e-9, 0.5000001,
     0.3, 0.3, 0.8, 1e-300, 1 - 1e-16, 0.12345, 10**-2.5, 1e-78, 1e-4,
@@ -944,14 +946,12 @@ def test_deferred_fidelity_column_is_the_eager_one(protocol):
 
 
 def _assert_normalized_where_present(probs, state, where):
-    absent = 0
-    for p, x in zip(probs, norm_sq(state)):
-        if p == 0.0:
-            absent += 1
-            assert math.isnan(x) or abs(x - 1.0) <= NORM_TOLERANCE, (where, x)
-        else:
-            assert abs(x - 1.0) <= NORM_TOLERANCE, (where, p, x)
-    return absent
+    """``state`` holds the present readings of ``probs``, each normalized; the
+    number of absent readings is returned."""
+    present = [p for p in probs if p > 0.0]
+    for p, (x,) in zip(present, _per_element((norm_sq(state),), len(present)), strict=True):
+        assert abs(x - 1.0) <= NORM_TOLERANCE, (where, p, x)
+    return len(probs) - len(present)
 
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
@@ -967,9 +967,34 @@ def test_a_grid_pass_keeps_only_normalized_success_states(protocol, n):
         assert branch is not None, k
         for p, x in zip(probs, norm_sq(branch)):
             assert abs(x - p) <= NORM_TOLERANCE, (k, p, x)
-        success = protocols._interfere_and_detect(branch, config)
+        present = [i for i, p in enumerate(probs) if p > 0.0]
+        success = protocols._interfere_and_detect(
+            fock._elements(branch, present, len(grid)), config
+        )
         absent += _assert_normalized_where_present(probs, success, k)
     assert absent > 0
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 100])
+def test_a_schedule_detects_no_success_branch_with_an_absent_element(protocol, n, monkeypatch):
+    # An absent reading heralds nothing: run_schedules selects the present
+    # elements before detection, so no branch it detects holds a zero mass.
+    grid = [math.sqrt(x) for x in _BATCH_ALPHA_SQ]
+    detect = protocols._interfere_and_detect
+    masses = []
+
+    def spy(branch, config):
+        mass = norm_sq(branch)
+        masses.append(list(mass) if isinstance(mass, tuple) else [mass])
+        return detect(branch, config)
+
+    monkeypatch.setattr(protocols, "_interfere_and_detect", spy)
+    k_max = 60
+    run_schedules(_settings(protocol, n, max_rounds=k_max), grid)
+    # each round detects its failure branch, and some also a success branch
+    assert len(masses) > k_max
+    assert min(map(min, masses)) > 0.0
 
 
 # In 12 rounds the two lopsided points keep their success reading up to round
