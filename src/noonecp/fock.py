@@ -17,11 +17,11 @@ The engine may also run a batch of inputs at once: every ket then carries a
 negate element by element, and every place where a scalar and a batch
 differ goes through the number seam at the end of this module: squaring
 (``_norm_sq``, ``_abs_sq``), normalization, tolerance checks (``_off``),
-sign tests (``_nonnegative_real``), clipping (``_clip_unit``) and splitting
-a result per input or selecting some of its elements. So every element
-sees exactly the float operations of its own run. Which readings are
-absent is the caller's to decide: it detects only the present ones, so a
-batch with a zero, subnormal or NaN norm is never normalized.
+clipping (``_clip_unit``) and splitting a result per input or selecting
+some of its elements. So every element sees exactly the float operations
+of its own run. Which readings are absent is the caller's to decide: it
+detects only the present ones, so a batch with a zero, subnormal or NaN
+norm is never normalized.
 """
 
 from __future__ import annotations
@@ -171,9 +171,11 @@ def _check_count(value: int, what: str) -> None:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float) -> float:
+    """``alpha`` as a Python float, if it lies strictly inside (0, 1)."""
     if not (_finite_real(alpha) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly inside (0, 1) as {_REAL_RULE}, got {alpha!r}")
+    return float(alpha)
 
 
 def _mode_index(register: tuple[ModeId, ...], mode: ModeId) -> int:
@@ -202,7 +204,8 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
     A term with occupation m in that mode picks up the bosonic factor
     sqrt((m+n)! / m!), so n quanta on vacuum give amplitude sqrt(n!). The
     factor is the exact integer (m+n)!/m! rounded once before the square
-    root; a factor beyond the float range raises ValueError.
+    root; a factor beyond the float range raises ValueError, as soon for a
+    large n as for n = 302: no more than 302 factors are multiplied.
 
     Args:
         state: input state.
@@ -218,7 +221,8 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
     for ket, amp in state._terms.items():
         m = ket[idx]
         try:
-            factor = _sqrt_ratio(math.perm(m + n, n), 1)
+            # 302! > 2**2050, so the root of 302 factors or more leaves the float range
+            factor = _sqrt_ratio(math.perm(m + n, min(n, 302)), 1)
         except OverflowError:
             raise ValueError(
                 f"bosonic factor sqrt({m + n}!/{m}!) exceeds the float range"
@@ -456,13 +460,6 @@ def _abs_sq(value):
     if type(value) is _Batch:
         return _Batch([abs(x) ** 2 for x in value])
     return abs(value) ** 2
-
-
-def _nonnegative_real(amp):
-    """The real value of an exactly real, non-negative amplitude, else None."""
-    if type(amp) is _Batch:
-        return amp if all(map((0.0).__le__, amp)) else None
-    return amp.real if amp.imag == 0.0 and amp.real >= 0.0 else None
 
 
 def _clip_unit(value):

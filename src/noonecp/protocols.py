@@ -39,7 +39,6 @@ from .fock import (
     _check_count,
     _elements,
     _finite_real,
-    _nonnegative_real,
     _off,
     _per_element,
     basis_state,
@@ -337,22 +336,20 @@ def vbs_transmission(alpha: float, round_k: int) -> float:
     return (1.0 if signed > 0.0 else r_pow) / (1.0 + r_pow)
 
 
-def _noon_coefficients(state: PureState, n: int) -> tuple[float, float]:
-    """(ca, cb) of a state ca|N,0> + cb|0,N> on a two-mode register, N = n.
+def _noon_pair(state: PureState, n: int) -> PureState:
+    """``state``, a ca|N,0> + cb|0,N> on a two-mode register with N = n, as
+    the engine's pair: the same kets, in the same order, as real floats.
 
-    The coefficients must be exactly real and non-negative (the engine keeps
-    them so); one of them may be missing, as after deep recycling squares
-    it to zero.
+    The coefficients must be exactly real and non-negative; one of them may
+    be missing, as after deep recycling squares it to zero.
     """
     terms = state._terms
-    kets = {(n, 0), (0, n)}
-    if len(state._register) != 2 or not terms or not terms.keys() <= kets:
+    if len(state._register) != 2 or not terms or not terms.keys() <= {(n, 0), (0, n)}:
         raise ValueError(f"expected a two-mode NOON state with N={n}, got {state!r}")
-    ca = _nonnegative_real(terms.get((n, 0), 0j))
-    cb = _nonnegative_real(terms.get((0, n), 0j))
-    if ca is None or cb is None:
+    pair = {k: a.real for k, a in terms.items() if a.imag == 0.0 and a.real >= 0.0}
+    if len(pair) != len(terms):
         raise ValueError(f"NOON coefficients must be real and non-negative, got {state!r}")
-    return ca, cb
+    return PureState._derived(state._register, pair)
 
 
 def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureState:
@@ -385,17 +382,18 @@ def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureStat
 def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     """``run_round`` up to the probe readout, with the failure branch detected.
 
-    The input is checked as ``run_round`` documents, and may be a batch (see
-    ``_rounds``). Returns (t, success_prob, success_branch, failure_state,
-    failure_prob): the VBS setting (None for ecp1), the |theta| reading's
-    probability and its branch as the readout leaves it, neither normalized
-    nor detected (None where the reading is absent in every element), and
-    the 0 reading's branch after ``_interfere_and_detect``, since it is
-    recycled, with its probability. The success branch is detected only by
-    the callers that form a success state.
+    The input is the engine's own pair of real floats, from ``_noon_pair``,
+    ``_rounds`` or the previous round, and is not checked again; it may be a
+    batch (see ``_rounds``). Returns (t, success_prob, success_branch,
+    failure_state, failure_prob): the VBS setting (None for ecp1), the
+    |theta| reading's probability and its branch as the readout leaves it,
+    neither normalized nor detected (None where the reading is absent in
+    every element), and the recycled 0 reading's branch after
+    ``_interfere_and_detect``, with its probability. Only the callers that
+    form a success state detect the success branch.
     """
     n = config.n_photons
-    ca, cb = _noon_coefficients(state, n)
+    ca, cb = state._terms.get((n, 0), 0.0), state._terms.get((0, n), 0.0)
     scheme = _SCHEMES[config.protocol]
     theta = config.theta
     aux = PureState._derived(scheme.aux_modes, {(1, 0): ca, (0, 1): cb})
@@ -441,14 +439,16 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     (c2, c1) for ecp2, whose variable splitter is set to t = ca^2. round_k
     is only validated and recorded.
 
-    Returns both heralded branches; the failure branch always exists and
+    Returns both heralded branches, in real floats like every engine state
+    (the input is checked only here); the failure branch always exists and
     carries the squared, renormalized coefficients of the input. Detection
     after the probe reading is deterministic in this idealized model, so
     the success probability equals the probability of the reading at
     |theta| modulo 2*pi.
     """
     _check_count(round_k, "round index")
-    t, success_prob, success_branch, failure_state, failure_prob = _probe_round(state, config)
+    pair = _noon_pair(state, config.n_photons)
+    t, success_prob, success_branch, failure_state, failure_prob = _probe_round(pair, config)
     success_state = None
     if success_branch is not None:
         success_state = _interfere_and_detect(success_branch, config)
@@ -542,13 +542,13 @@ def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:
     ``_interfere_and_detect``. Past rounds are not kept: only the recycled
     state carries over. Each alpha is checked as in ``run_schedules``.
 
-    The alphas run as one batch: each number holds one value per alpha (a
-    plain float for one alpha). Where p is 0 in some elements, the success
-    branch still holds them, with a zero or underflowed norm; ``run_schedules``
-    detects only the elements whose p is positive.
+    The alphas run as one batch of Python floats (a ``numpy.float64`` as its
+    float): each number holds one value per alpha (a plain float for one
+    alpha). Where p is 0 in some elements, the success branch still holds
+    them, with a zero or underflowed norm; ``run_schedules`` detects only
+    the elements whose p is positive.
     """
-    for alpha in alphas:
-        _check_alpha(alpha)
+    alphas = [_check_alpha(alpha) for alpha in alphas]
     if not alphas:
         return
     n = config.n_photons

@@ -1,8 +1,10 @@
 """Unit tests for the sparse Fock-state algebra."""
 
+import gc
 import itertools
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import pytest
@@ -114,6 +116,22 @@ def test_create_rejects_factor_beyond_float_range():
         create(vacuum(("m",)), "m", 301)
     with pytest.raises(ValueError, match="float range"):
         create(basis_state(("m",), (1000,)), "m", 210)
+
+
+@pytest.mark.parametrize("m, n", [(0, 20_000), (10**9, 5_000)])
+def test_create_refuses_a_large_n_without_forming_its_factorial(m, n):
+    # (m+n)!/m! in full holds 19-32 KB here, and grows faster than n; a refusal
+    # needs at most 302 factors, as 302! > 2**2050 has a root beyond the float range
+    gc.disable()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="float range"):
+            create(basis_state(("m",), (m,)), "m", n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 16 * 1024
 
 
 def test_superpose_noon_is_normalized():

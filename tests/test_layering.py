@@ -107,6 +107,21 @@ CONFINED = {
             "def run_round(state, config, round_k):\n    return _probe_round(state, config)",
         ),
     ),
+    # the entry check: an outside state is checked and made the engine's float pair
+    # once, by the public round; no stage or loop checks a pair the engine made
+    "noonecp.protocols._noon_pair": Confined({"protocols.py": {"run_round"}}, "protocols.py", (
+        "def _probe_round(state, config):\n    pair = _noon_pair(state, config.n_photons)",
+        "def _rounds(config, alphas):\n    for k in range(1, 3):\n"
+        "        state = _noon_pair(state, config.n_photons)",
+        "def _rounds(config, alphas):\n    check = protocols._noon_pair\n    yield check",
+        "def f():\n    from .protocols import _noon_pair as entry\n    return entry",
+        "def run_schedules(config, alphas):\n    return [_noon_pair(s, 1) for s in states]",
+    ), (
+        "def run_round(state, config, round_k):\n    pair = _noon_pair(state, config.n_photons)",
+        "def _noon_pair(state, n):\n    return state",
+        "def _probe_round(state, config):\n    \"\"\"Takes what ``_noon_pair`` made.\"\"\"\n"
+        "    return state",
+    )),
     # the detection stage: the recycled failure branch, and the success branch only
     # where a success state is formed (never on the grid totals or the cross-check)
     "noonecp.protocols._interfere_and_detect": Confined(

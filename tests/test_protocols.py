@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 import re
 import struct
 import sys
@@ -32,6 +33,7 @@ from noonecp import (
     maximally_entangled_noon,
     negate_occupied,
     norm_sq,
+    normalized,
     prepare_aux_ecp1,
     prepare_aux_ecp2,
     prepare_less_entangled_noon,
@@ -481,6 +483,48 @@ def test_round_rejects_every_input_outside_its_noon_form(protocol, case, monkeyp
         run_round(state, _config(protocol=protocol, alpha_sq=0.8, n=2), 1)
 
 
+# What a drawn state's amplitudes are: positive, ±0.0 (which drops its ket),
+# negative, complex, subnormal, and 1e200.
+_DRAWN_AMPLITUDES = (
+    lambda rng: rng.uniform(1e-9, 1.0),
+    lambda rng: rng.choice((0.0, -0.0)),
+    lambda rng: -rng.uniform(1e-12, 1.0),
+    lambda rng: complex(rng.uniform(0.01, 1.0), rng.choice((-1, 1)) * rng.uniform(1e-12, 1.0)),
+    lambda rng: 5e-324 * rng.randint(1, 2**40),
+    lambda rng: 1e200,
+)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_round_refuses_or_keeps_probability_on_drawn_states(seed):
+    # run_round's one check: a drawn two-mode state is refused with ValueError,
+    # or both returned states hold real floats and the readings' probabilities
+    # sum to 1: within a few ulps of the mass the input gives the round,
+    # norm^2 * norm^2 (the photon copies its coefficients), which the readout
+    # holds within NORM_TOLERANCE of 1
+    rng = random.Random(seed)
+    kept = refused = 0
+    for _ in range(100):
+        n = rng.choice((1, 2, 3, 7))
+        config = _settings(rng.choice(("ecp1", "ecp2")), n, theta=rng.choice((0.1, -0.2, 2, math.pi)))
+        kets = rng.choices(((n, 0), (0, n), (1, 1), (n + 1, 0)), (4, 4, 1, 1), k=rng.randint(1, 2))
+        state = PureState(_SIG, {ket: rng.choice(_DRAWN_AMPLITUDES)(rng) for ket in kets})
+        if state.terms and rng.random() < 0.75:
+            state = normalized(state)
+        try:
+            outcome = run_round(state, config, 1)
+        except ValueError:
+            refused += 1
+            continue
+        kept += 1
+        p, f = outcome.success_prob, outcome.failure_prob
+        assert abs(p + f - norm_sq(state) ** 2) <= 4 * sys.float_info.epsilon, (state, p, f)
+        assert abs(p + f - 1.0) <= NORM_TOLERANCE
+        for branch in filter(None, (outcome.success_state, outcome.failure_state)):
+            assert all(type(a) is float and math.isfinite(a) for a in branch.terms.values())
+    assert kept >= 15 and refused >= 15, (kept, refused)
+
+
 def test_round_rejects_bad_round_index():
     cfg = _config(protocol="ecp1", alpha_sq=0.8)
     st = prepare_less_entangled_noon(cfg.alpha, 2)
@@ -829,6 +873,24 @@ def test_run_schedules_equals_scalar_runs_on_a_dense_grid():
     _assert_batch_matches_scalar_runs(settings, [math.sqrt(x) for x in grid])
 
 
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_a_float_subclass_alpha_runs_as_its_python_float(protocol):
+    # the engine converts each alpha once, so a numpy.float64 grid gives Python
+    # floats with the bits of the float grid; Schedule.alpha echoes it as given
+    settings = _settings(protocol, 2, max_rounds=12)
+    grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
+    numpy_grid = [np.float64(a) for a in grid]
+    pairs = list(zip(numpy_grid, run_schedules(settings, numpy_grid), run_schedules(settings, grid)))
+    one = run_schedule(replace(settings, alpha=numpy_grid[0]))
+    for alpha, got, want in [*pairs, (numpy_grid[0], one, pairs[0][2])]:
+        assert got.alpha is alpha
+        assert _same_bits(got.p_total, want.p_total)
+        for got_row, want_row in zip(got.per_round, want.per_round, strict=True):
+            assert all(map(_same_bits, got_row, want_row)), (alpha, got_row, want_row)
+    totals = protocols._grid_totals(replace(settings, loss_eta=0.9), numpy_grid)
+    assert [type(t) for t in totals] == [float] * len(grid)
+
+
 def test_run_schedules_of_nothing_is_empty():
     assert run_schedules(_settings(), []) == []
     assert run_schedules(_settings(), iter(())) == []
@@ -1007,6 +1069,8 @@ _STREAM_ALPHA_SQ = (*_LOPSIDED_ALPHA_SQ, 0.3, 0.8, 0.12345)
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 @pytest.mark.parametrize("n", [1, 100])
 def test_the_engine_stream_equals_a_run_round_loop_bit_for_bit(protocol, n):
+    # run_round checks the public state once and runs the engine's float pair,
+    # as _rounds does, so every state of the chain holds Python floats
     k_max = 12
     grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
     stream = list(protocols._rounds(_settings(protocol, n, max_rounds=k_max), grid))
@@ -1023,6 +1087,8 @@ def test_the_engine_stream_equals_a_run_round_loop_bit_for_bit(protocol, n):
             want = (outcome.vbs_transmission_used, outcome.success_prob,
                     outcome.success_prob * survival)
             assert all(map(_same_bits, row[i], want)), (alpha, k, row[i], want)
+            for state in filter(None, (outcome.success_state, outcome.failure_state)):
+                assert {type(a) for a in state.terms.values()} == {float}, (alpha, k, state)
             absent += outcome.success_state is None
             survival *= outcome.failure_prob
             state = outcome.failure_state
