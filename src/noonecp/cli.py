@@ -5,7 +5,8 @@ Three subcommands:
 * ``run``: one schedule at a fixed alpha^2, printed as a per-round table
   with closed-form cross-checks, optionally written as CSV.
 * ``sweep``: simulated and closed-form p_total over an alpha grid, as CSV.
-* ``compare-loss``: lossy ecp1 vs ecp2 totals over an alpha grid, as CSV.
+* ``compare-loss``: lossy ecp1 vs ecp2 totals over an alpha grid, as CSV,
+  from one lossless engine pass scaled by each scheme's loss factor.
 
 Exit codes: 0 on success, 2 on usage errors, 3 on I/O errors. A flat
 key=value config file's values are read as the chosen subcommand's flags:
@@ -25,6 +26,7 @@ import math
 import operator
 import sys
 import time
+from dataclasses import replace
 
 from .analytics import (
     _linspace,
@@ -36,6 +38,7 @@ from .protocols import (
     PROTOCOLS,
     ProtocolConfig,
     _grid_totals,
+    _loss_factor,
     apply_loss_model,
     run_schedule,
 )
@@ -207,16 +210,6 @@ def _make_config(
         raise _UsageError(str(exc)) from None
 
 
-def _simulated_totals(args: argparse.Namespace, protocol: str) -> list[float]:
-    """Simulated p_total at each grid point, scaled as ``apply_loss_model`` scales it.
-
-    The engine runs the whole grid in one pass and folds only the
-    unconditional column as its rounds stream by: no per-round rows or
-    fidelities are formed or kept.
-    """
-    return _grid_totals(_make_config(args, protocol), args.grid)
-
-
 def _write_csv(out: str | None, header: str, rows: list[str]) -> None:
     text = "\n".join([header, *rows]) + "\n"
     if out is None:
@@ -266,8 +259,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     header = "alpha,alpha_sq,k_max,p_total,p_total_oracle,delta"
+    # one engine pass folds the whole grid's unconditional column
+    totals = _grid_totals(_make_config(args, args.protocol), args.grid)
     rows = []
-    for alpha, simulated in zip(args.grid, _simulated_totals(args, args.protocol)):
+    for alpha, simulated in zip(args.grid, totals):
         oracle = p_total_closed_form(alpha, args.rounds)
         delta = abs(simulated - oracle)
         rows.append(_row(alpha, alpha * alpha, args.rounds, simulated, oracle, delta))
@@ -277,11 +272,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_compare_loss(args: argparse.Namespace) -> int:
     header = "alpha,eta,p_total_ecp1,p_total_ecp2,advantage"
-    lossy = {protocol: _simulated_totals(args, protocol) for protocol in PROTOCOLS}
-    rows = [
-        _row(alpha, args.eta, ecp1, ecp2, ecp2 - ecp1)
-        for alpha, ecp1, ecp2 in zip(args.grid, lossy["ecp1"], lossy["ecp2"])
-    ]
+    ecp1, ecp2 = _make_config(args, "ecp1"), _make_config(args, "ecp2")
+    # Both schemes run one circuit on their own labels (same mixer, tags and
+    # ket order), so their lossless passes agree bit for bit and one pass
+    # serves both: each column is that pass times the scheme's loss factor,
+    # the multiply ``_grid_totals`` makes. This holds only while loss is a
+    # factor applied after the circuit; once loss is put into the circuit,
+    # each scheme needs its own pass again.
+    lossless = _grid_totals(replace(ecp2, loss_eta=1.0), args.grid)
+    f1, f2 = _loss_factor(ecp1), _loss_factor(ecp2)
+    rows = []
+    for alpha, total in zip(args.grid, lossless):
+        p1, p2 = total * f1, total * f2
+        rows.append(_row(alpha, args.eta, p1, p2, p2 - p1))
     _write_csv(args.out, header, rows)
     return EXIT_OK
 

@@ -404,9 +404,11 @@ def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, compl
 
     The one normalization in the package. The norm is the hypot of the
     magnitudes, which neither underflows nor overflows. Each amplitude is
-    multiplied by 1/norm, or divided by it in a plain state where 1/norm
-    overflows. A batch whose norms' ``min`` is not normal (zero, subnormal,
-    a leading NaN) is refused; the engine detects only present readings.
+    multiplied by 1/norm. A subnormal norm keeps too few bits for that, so a
+    plain state with one is first scaled by 2**600, which is exact, and then
+    multiplied by 1/hypot of the scaled magnitudes. A batch whose norms'
+    ``min`` is not normal (zero, subnormal, a leading NaN) is refused; the
+    engine detects only present readings.
     """
     amps = terms.values()
     batched = _batched(amps)
@@ -414,9 +416,11 @@ def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, compl
     if not norm:
         raise ValueError("cannot normalize a state with zero norm")
     if not batched:
-        scale = 1.0 / norm
-        if math.isinf(scale):
-            return {k: a / norm for k, a in terms.items()}, norm
+        if norm < sys.float_info.min:
+            terms = {k: a * 2.0**600 for k, a in terms.items()}
+            scale = 1.0 / math.hypot(*map(abs, terms.values()))
+        else:
+            scale = 1.0 / norm
     elif min(norm) >= sys.float_info.min:
         # min skips a NaN norm unless it leads; one further on comes out NaN.
         scale = _Batch([1.0 / n for n in norm])

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noonecp import analytics, default_alpha_grid, protocols
+from noonecp import ProtocolConfig, analytics, cli, default_alpha_grid, protocols
 from noonecp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _grid, build_parser, main
 
 BALANCED_SQ = 0.5
@@ -384,11 +384,48 @@ def test_sweep_runs_a_benchmark_sized_grid_in_one_pass(capsys, monkeypatch):
     assert sizes == [212]
 
 
-def test_compare_loss_runs_one_pass_per_protocol(capsys, monkeypatch):
+def test_compare_loss_runs_one_pass_for_both_schemes(capsys, monkeypatch):
     sizes = _spy_on_passes(monkeypatch)
     code, _, err = _run(capsys, ["compare-loss", "--eta", "0.9"])
     assert code == EXIT_OK, err
-    assert sizes == [len(default_alpha_grid())] * 2
+    assert sizes == [len(default_alpha_grid())]
+
+
+# A 200-point grid shaped like the benchmark's jittered 0.05:0.95 grids, and
+# the lopsided ends alpha^2 = 1e-4 and 0.9999.
+_LOSS_GRID = _grid("0.0537:0.9468:200") + [math.sqrt(1e-4), math.sqrt(0.9999)]
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.9, 0.37, 0.0])
+@pytest.mark.parametrize("k_max", [1, 10, 60])
+@pytest.mark.parametrize("theta", [0.1, -2.0, math.pi])
+@pytest.mark.parametrize("n", [1, 100])
+def test_compare_loss_columns_are_each_schemes_own_grid_totals(
+    capsys, monkeypatch, n, theta, k_max, eta
+):
+    # compare-loss prints each scheme's column from one shared lossless pass;
+    # each unformatted cell must have the bits of that scheme's own pass
+    cells = []
+    real_row = cli._row
+    monkeypatch.setattr(cli, "_row", lambda *row: cells.append(row) or real_row(*row))
+    args = build_parser()[0].parse_args([
+        "compare-loss", "--n", str(n), "--theta", repr(theta), "--rounds", str(k_max),
+        "--eta", repr(eta),
+    ])
+    args.grid = _LOSS_GRID
+    assert cli.cmd_compare_loss(args) == EXIT_OK
+    capsys.readouterr()
+    want = {
+        protocol: protocols._grid_totals(
+            ProtocolConfig(protocol, n_photons=n, max_rounds=k_max, theta=theta, loss_eta=eta),
+            _LOSS_GRID,
+        )
+        for protocol in protocols.PROTOCOLS
+    }
+    assert [alpha for alpha, *_ in cells] == _LOSS_GRID
+    for column, protocol in ((2, "ecp1"), (3, "ecp2")):
+        assert [row[column].hex() for row in cells] == [t.hex() for t in want[protocol]]
+    assert [row[4].hex() for row in cells] == [(row[3] - row[2]).hex() for row in cells]
 
 
 def test_deep_sweep_runs_the_whole_grid_in_one_pass(capsys, monkeypatch):

@@ -500,7 +500,7 @@ def test_batch_normalization_refuses_a_zero_or_subnormal_element_norm():
     kets = [(1, 0), (0, 1)]
     with pytest.raises(ValueError, match="smallest norm 0.0 is not normal"):
         _normalized({ket: _Batch(run[i] for run in runs) for i, ket in enumerate(kets)})
-    # each run alone but the last normalizes; the subnormal one through division
+    # each run alone but the last normalizes; the subnormal one scaled up first
     for run in runs[:2]:
         unit, norm = _normalized(dict(zip(kets, run)))
         assert abs(_norm_sq(unit.values()) - 1.0) <= NORM_TOLERANCE

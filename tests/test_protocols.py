@@ -525,6 +525,17 @@ def test_a_round_refuses_or_keeps_probability_on_drawn_states(seed):
     assert kept >= 15 and refused >= 15, (kept, refused)
 
 
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_a_round_on_a_normalized_subnormal_state_keeps_unit_probability(protocol):
+    # hypot of these amplitudes keeps only a subnormal's ~30 bits, so
+    # normalizing must not scale by that norm as it stands
+    tiny = PureState(_SIG, {(2, 0): 3.117203872884e-312, (0, 2): 5.020741136523e-312})
+    unit = normalized(tiny)
+    assert abs(norm_sq(unit) - 1.0) <= 4 * sys.float_info.epsilon
+    outcome = run_round(unit, _settings(protocol, 2), 1)
+    assert abs(outcome.success_prob + outcome.failure_prob - 1.0) <= 4 * sys.float_info.epsilon
+
+
 def test_round_rejects_bad_round_index():
     cfg = _config(protocol="ecp1", alpha_sq=0.8)
     st = prepare_less_entangled_noon(cfg.alpha, 2)
