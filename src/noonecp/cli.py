@@ -11,11 +11,12 @@ Three subcommands:
 Exit codes: 0 on success, 2 on usage errors, 3 on I/O errors. A flat
 key=value config file's values are read as the chosen subcommand's flags:
 an explicit flag wins, every file value is checked, and keys the
-subcommand has no flag for are ignored. Every CSV cell goes through
-``_fmt``: a round or K is an integer, ecp1's vbs_t is empty (ecp1 has no
-variable beam splitter) and any other number has 12 significant digits
-and '.' decimals. Lines end in LF; output is byte-identical across runs
-with identical flags.
+subcommand has no flag for are ignored. Each CSV row is one ``%``
+operation on the template of its cells' types, built once per table from
+``_fmt``'s conversions: a round or K is an integer, ecp1's vbs_t is empty
+(ecp1 has no variable beam splitter) and any other number has 12
+significant digits and '.' decimals. Lines end in LF; output is
+byte-identical across runs with identical flags.
 """
 
 from __future__ import annotations
@@ -52,15 +53,30 @@ class _UsageError(Exception):
     pass
 
 
-def _fmt(x: float | int | None) -> str:
-    """One CSV cell: empty for None, an int as written, any other number to 12 digits."""
-    if x is None:
-        return ""
-    return str(x) if isinstance(x, int) else format(x, ".12g")
+def _fmt(kind: type) -> str:
+    """The %-conversion of a CSV cell of type ``kind``.
+
+    Empty for None (the conversion takes the None and writes nothing), an
+    int as written, any other number to 12 significant digits.
+    """
+    if kind is type(None):
+        return "%.0s"
+    return "%d" if issubclass(kind, int) else "%.12g"
+
+
+@functools.cache
+def _template(kinds: tuple[type, ...]) -> str:
+    """The row template of cells of these types: their conversions, ','-joined.
+
+    Every row of a table has the same cell types, so a table's template is
+    built once, at its first row; the cache holds one entry per row shape.
+    """
+    return ",".join(map(_fmt, kinds))
 
 
 def _row(*cells: float | int | None) -> str:
-    return ",".join(map(_fmt, cells))
+    """One CSV row, or one cell, in one ``%`` operation on its template."""
+    return _template(tuple(map(type, cells))) % cells
 
 
 def _number(text: str, kind: type, what: str) -> int | float:
@@ -210,8 +226,11 @@ def _make_config(
         raise _UsageError(str(exc)) from None
 
 
-def _write_csv(out: str | None, header: str, rows: list[str]) -> None:
-    text = "\n".join([header, *rows]) + "\n"
+def _csv(header: str, rows: list[str]) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _write_csv(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
         return
@@ -237,23 +256,25 @@ def cmd_run(args: argparse.Namespace) -> int:
         _row(k, t, p, u, o, delta, fidelity)
         for (k, t, p, u, fidelity), o, delta in zip(schedule.per_round, oracle, deltas)
     ]
-    print(
-        f"protocol={config.protocol} alpha_sq={_fmt(args.alpha_sq)} "
-        f"n={config.n_photons} rounds={config.max_rounds} theta={_fmt(config.theta)} "
-        f"eta={_fmt(config.loss_eta)}"
+    csv = _csv(_RUN_CSV_HEADER, rows)
+    settings = (
+        f"protocol={config.protocol} alpha_sq={_row(args.alpha_sq)} "
+        f"n={config.n_photons} rounds={config.max_rounds} theta={_row(config.theta)} "
+        f"eta={_row(config.loss_eta)}\n"
     )
-    print(_RUN_CSV_HEADER.replace(",", "  "))
-    for line in rows:
-        print(line.replace(",", "  "))
-    print(f"p_total          = {_fmt(schedule.p_total)}")
-    print(f"p_total_oracle   = {_fmt(functools.reduce(operator.add, oracle))}")
-    print(f"max_round_delta  = {_fmt(max(deltas))}")
+    summary = [
+        f"p_total          = {_row(schedule.p_total)}",
+        f"p_total_oracle   = {_row(functools.reduce(operator.add, oracle))}",
+        f"max_round_delta  = {_row(max(deltas))}",
+    ]
     if config.loss_eta < 1.0:
         lossy = apply_loss_model(schedule, config).p_total
-        print(f"p_total_with_loss= {_fmt(lossy)} (eta={_fmt(config.loss_eta)})")
-    print(f"wall_time_s      = {wall:.6f}")
+        summary.append(f"p_total_with_loss= {_row(lossy)} (eta={_row(config.loss_eta)})")
+    summary.append(f"wall_time_s      = {wall:.6f}\n")
+    # the table is the CSV with two spaces for each ','
+    sys.stdout.write(settings + csv.replace(",", "  ") + "\n".join(summary))
     if args.out is not None:
-        _write_csv(args.out, _RUN_CSV_HEADER, rows)
+        _write_csv(args.out, csv)
     return EXIT_OK
 
 
@@ -266,7 +287,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         oracle = p_total_closed_form(alpha, args.rounds)
         delta = abs(simulated - oracle)
         rows.append(_row(alpha, alpha * alpha, args.rounds, simulated, oracle, delta))
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, _csv(header, rows))
     return EXIT_OK
 
 
@@ -285,7 +306,7 @@ def cmd_compare_loss(args: argparse.Namespace) -> int:
     for alpha, total in zip(args.grid, lossless):
         p1, p2 = total * f1, total * f2
         rows.append(_row(alpha, args.eta, p1, p2, p2 - p1))
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, _csv(header, rows))
     return EXIT_OK
 
 

@@ -33,7 +33,6 @@ from .fock import (
     _REAL_RULE,
     ModeId,
     PureState,
-    _abs_sq,
     _batch,
     _check_alpha,
     _check_count,
@@ -41,6 +40,7 @@ from .fock import (
     _finite_real,
     _off,
     _per_element,
+    _real_sq,
     basis_state,
     fidelity_up_to_global_phase,
     inner,
@@ -370,8 +370,8 @@ def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureStat
         for fired, state, _norm in branches
     ]
     for other in corrected[1:]:
-        # Both branches are normalized, so |<a|b>|^2 is their fidelity.
-        fid = _abs_sq(inner(corrected[0], other))
+        # Both branches are normalized and real, so <a|b>^2 is their fidelity.
+        fid = _real_sq(inner(corrected[0], other))
         if _off(fid, 1.0, NORM_TOLERANCE):
             raise ValueError(
                 f"detector branches disagree after correction (fidelity {fid})"
@@ -390,14 +390,16 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     neither normalized nor detected (None where the reading is absent in
     every element), and the recycled 0 reading's branch after
     ``_interfere_and_detect``, with its probability. Only the callers that
-    form a success state detect the success branch.
+    form a success state detect the success branch. t = ca^2 is read off
+    the joint state's |N,0>|1,0> amplitude, the product ``tensor`` forms.
     """
     n = config.n_photons
     ca, cb = state._terms.get((n, 0), 0.0), state._terms.get((0, n), 0.0)
     scheme = _SCHEMES[config.protocol]
     theta = config.theta
     aux = PureState._derived(scheme.aux_modes, {(1, 0): ca, (0, 1): cb})
-    tagged = cross_kerr_tag(tensor(state, aux), state._register[1], -theta / n)
+    joint = tensor(state, aux)
+    tagged = cross_kerr_tag(joint, state._register[1], -theta / n)
     tagged = cross_kerr_tag(tagged, scheme.aux_modes[1], theta)
 
     success_class = abs(math.remainder(theta, math.tau))
@@ -418,7 +420,7 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
         success_branch, success_prob = success_reading
     failure_branch, failure_prob = failure_reading
     return (
-        ca * ca if scheme.local else None,
+        joint._terms.get((n, 0, 1, 0), 0.0) if scheme.local else None,
         success_prob,
         success_branch,
         _interfere_and_detect(failure_branch, config),

@@ -139,6 +139,70 @@ def test_run_ecp1_leaves_vbs_column_empty(tmp_path, capsys):
     assert all(r[1] == "" for r in rows)
 
 
+@pytest.mark.parametrize("protocol, alpha_sq", [("ecp1", 0.3), ("ecp2", 0.5 + 5.2e-15)])
+def test_run_prints_its_csv_as_its_table(tmp_path, capsys, protocol, alpha_sq):
+    # run writes its stdout in one piece; the table in it is the --out CSV
+    # with two spaces for each ','
+    out_path = tmp_path / "run.csv"
+    code, out, err = _run(capsys, [
+        "run", "--protocol", protocol, "--alpha-sq", repr(alpha_sq), "--rounds", "60",
+        "--out", str(out_path),
+    ])
+    assert code == EXIT_OK, err
+    csv_lines = out_path.read_text().splitlines()
+    assert len(csv_lines) == 61
+    shown = out.splitlines()
+    assert shown[0].startswith(f"protocol={protocol} alpha_sq={_cell_rule(alpha_sq)} ")
+    assert shown[1:62] == [line.replace(",", "  ") for line in csv_lines]
+    assert shown[62].startswith("p_total          = ")
+
+
+def _cell_rule(x):
+    """A CSV cell as the cli module docstring states its rule, written apart from cli."""
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, int) else format(x, ".12g")
+
+
+# Each table's command, and the kinds of its row's cells: d a round or K,
+# g any other number, - ecp1's absent vbs_t.
+_TABLES = {
+    "run-ecp1": (["run", "--protocol", "ecp1", "--alpha-sq", "0.3"], "d-ggggg"),
+    "run-ecp2": (["run", "--protocol", "ecp2", "--alpha-sq", "0.3"], "dgggggg"),
+    "sweep": (["sweep", "--grid", "0.1:0.9:3"], "ggdggg"),
+    "compare-loss": (["compare-loss", "--eta", "0.9", "--grid", "0.1:0.9:3"], "ggggg"),
+}
+_EDGE_COUNTS = [10**13, 0, 1]
+_EDGE_NUMBERS = [-0.0, 0.0, 1e13, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_each_tables_row_template_writes_every_cell_as_fmt_does(table, capsys, monkeypatch):
+    # a table's rows are one % on a template of _fmt's conversions; fed edge
+    # cells of the table's own kinds, each field must be what _fmt's
+    # conversion and the stated cell rule make of its cell
+    argv, kinds = _TABLES[table]
+    rows = []
+    real_row = cli._row
+    monkeypatch.setattr(cli, "_row", lambda *cells: rows.append(cells) or real_row(*cells))
+    assert main([*argv, "--rounds", "3"]) == EXIT_OK
+    capsys.readouterr()
+    rows = [cells for cells in rows if len(cells) > 1]  # run's summary formats lone cells
+    shapes = {"".join("-" if c is None else "d" if type(c) is int else "g" for c in cells)
+              for cells in rows}
+    assert shapes == {kinds}
+    for j in range(len(_EDGE_NUMBERS)):
+        cells = tuple(
+            None if kind == "-"
+            else _EDGE_COUNTS[j % len(_EDGE_COUNTS)] if kind == "d"
+            else _EDGE_NUMBERS[(i + j) % len(_EDGE_NUMBERS)]
+            for i, kind in enumerate(kinds)
+        )
+        fields = real_row(*cells).split(",")
+        assert fields == [_cell_rule(c) for c in cells], cells
+        assert fields == [cli._fmt(type(c)) % (c,) for c in cells], cells
+
+
 def test_run_reports_lossy_total(capsys):
     code, out, _ = _run(
         capsys,

@@ -1174,18 +1174,18 @@ def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, mo
     assert len(calls) == 3 * k_max + 3 * present
 
 
-# The batches one 212-point, K = 10 ``_grid_totals`` pass builds, alpha^2
-# evenly spaced over 0.05..0.95: 32.2 and 31.2 a round. A change to the
-# engine's work restates these counts in the same diff, as a golden CSV is
-# restated.
-_GRID_PASS_BATCHES = {("ecp2", 1): 322, ("ecp1", 100): 312}
+# The batches one 212-point, K = 10 pass builds, alpha^2 evenly spaced over
+# 0.05..0.95: 31.2 a round for a ``_grid_totals`` pass of either scheme, and
+# 58.6 for a ``run_schedules`` pass, which also detects each round's success
+# branch and prints ecp2's VBS setting t; t is read off the joint state's
+# ket, not formed as a batch of its own. A change to the engine's work
+# restates these counts in the same diff, as a golden CSV is restated.
+_GRID_PASS_BATCHES = {("ecp2", 1): 312, ("ecp1", 100): 312}
+_SCHEDULES_PASS_BATCHES = {("ecp2", 1): 586}
+_COUNTED_GRID = [math.sqrt(x) for x in np.linspace(0.05, 0.95, 212)]
 
 
-@pytest.mark.parametrize("protocol, n", sorted(_GRID_PASS_BATCHES))
-def test_a_grid_pass_builds_a_pinned_number_of_batches(protocol, n, monkeypatch):
-    k_max = 10
-    config = _config(protocol, 0.5, n, max_rounds=k_max)
-    grid = [math.sqrt(x) for x in np.linspace(0.05, 0.95, 212)]
+def _count_batches(monkeypatch):
     built = []
 
     def counting_new(cls, *args):
@@ -1193,10 +1193,27 @@ def test_a_grid_pass_builds_a_pinned_number_of_batches(protocol, n, monkeypatch)
         return tuple.__new__(cls, *args)
 
     monkeypatch.setattr(fock._Batch, "__new__", counting_new)
+    return built
+
+
+@pytest.mark.parametrize("protocol, n", sorted(_GRID_PASS_BATCHES))
+def test_a_grid_pass_builds_a_pinned_number_of_batches(protocol, n, monkeypatch):
+    k_max = 10
+    config = _config(protocol, 0.5, n, max_rounds=k_max)
+    built = _count_batches(monkeypatch)
     calls, _bound = _spy_on_every_binding(monkeypatch, fock._normalized)
-    protocols._grid_totals(config, grid)
+    protocols._grid_totals(config, _COUNTED_GRID)
     assert len(calls) == 3 * k_max
     assert len(built) == _GRID_PASS_BATCHES[protocol, n]
+
+
+@pytest.mark.parametrize("protocol, n", sorted(_SCHEDULES_PASS_BATCHES))
+def test_a_schedules_pass_builds_a_pinned_number_of_batches(protocol, n, monkeypatch):
+    config = _settings(protocol, n, max_rounds=10)
+    built = _count_batches(monkeypatch)
+    schedules = run_schedules(config, _COUNTED_GRID)
+    assert len(built) == _SCHEDULES_PASS_BATCHES[protocol, n]
+    assert all(row.vbs_transmission is not None for s in schedules for row in s.per_round)
 
 
 def _traced_peak(call):
