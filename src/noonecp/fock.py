@@ -7,10 +7,17 @@ exact where dense mode tensors would grow as N^modes. Every nonzero
 amplitude is kept, however small; only exact zeros are dropped.
 
 Every operation here is a pure function returning a new state. Instances are
-treated as immutable values and are safe to share between threads. The
-registers and kets of a state built by ``PureState(...)`` are checked once
-there; the operations below derive their results from such states and build
-them without checking again.
+treated as immutable values and are safe to share between threads. Each
+invariant is checked once, where it is set up. The registers and kets of a
+state built by ``PureState(...)`` are checked there, and the operations
+derive their results from such states without checking them again. The
+public operations check their labels, mode indices and phases at entry;
+``tensor``, ``cross_kerr_tag``, ``beam_splitter`` and ``negate_occupied``
+then call a private core that does not check. The round engine calls
+those cores directly:
+``protocols._SCHEMES`` checks the schemes' labels and fixes their mode
+positions at import, ``ProtocolConfig`` proves every probe-tag phase
+finite, and ``run_round`` checks a caller's register.
 
 The engine may also run a batch of inputs at once: every ket then carries a
 ``_Batch`` of real amplitudes, one per input. Batches add, multiply and
@@ -259,6 +266,11 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product on the concatenated register; labels must not collide."""
     if not set(a._register).isdisjoint(b._register):
         raise ValueError(f"registers {a._register!r} and {b._register!r} share mode labels")
+    return _tensor(a, b)
+
+
+def _tensor(a: PureState, b: PureState) -> PureState:
+    """``tensor`` of two states whose registers are known to be disjoint."""
     out = {ka + kb: va * vb for ka, va in a._terms.items() for kb, vb in b._terms.items()}
     return PureState._derived(a._register + b._register, out)
 

@@ -141,7 +141,17 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
     new_reg[i1], new_reg[i2] = spec.mode_out_1, spec.mode_out_2
     if len(set(new_reg)) != len(new_reg):
         raise ValueError(f"splitter output labels collide with register {reg!r}")
+    return _split(state, spec, i1, i2, tuple(new_reg))
 
+
+def _split(
+    state: PureState, spec: BeamSplitterSpec, i1: int, i2: int, register: tuple[ModeId, ...]
+) -> PureState:
+    """``beam_splitter`` on the modes at ``i1`` and ``i2``, onto ``register``.
+
+    The caller has found both positions and the output register, whose
+    labels must be distinct.
+    """
     t, convention = spec.transmissivity, spec.sign_convention
     out: dict[BasisKet, complex] = {}
     for ket, amp in state._terms.items():
@@ -149,7 +159,7 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
         for j, m, weight in _scatter(ket[i1], ket[i2], t, convention):
             new_ket[i1], new_ket[i2] = j, m
             _add_into(out, tuple(new_ket), amp * weight)
-    return PureState._derived(tuple(new_reg), out)
+    return PureState._derived(register, out)
 
 
 class TaggedState(NamedTuple):
@@ -175,14 +185,20 @@ def cross_kerr_tag(
     if not _finite_real(per_photon_phase):
         raise ValueError(f"per-photon phase must be {_REAL_RULE}, got {per_photon_phase!r}")
     state, phases = state if isinstance(state, TaggedState) else (state, {})
-    idx = _mode_index(state._register, mode)
-    tagged = {ket: phases.get(ket, 0.0) + ket[idx] * per_photon_phase for ket in state._terms}
+    tagged = _tag_phases(state, phases, _mode_index(state._register, mode), per_photon_phase)
     if not all(map(math.isfinite, tagged.values())):
         raise ValueError(
             f"tagging mode {mode!r} with phase {per_photon_phase!r} per photon "
             "gives a branch a probe phase that is not finite"
         )
     return TaggedState(state, tagged)
+
+
+def _tag_phases(
+    state: PureState, phases: Mapping[BasisKet, float], idx: int, per_photon_phase: float
+) -> dict[BasisKet, float]:
+    """``cross_kerr_tag``'s phases for the mode at ``idx``; nothing is checked."""
+    return {ket: phases.get(ket, 0.0) + ket[idx] * per_photon_phase for ket in state._terms}
 
 
 class HomodyneOutcome(NamedTuple):
@@ -205,16 +221,15 @@ def _partition(state: TaggedState) -> list[tuple[float, PureState, float]]:
     Returns (phase class, branch, squared mass) per class, sorted by phase
     class, the branch holding the class's kets as they are on the tagged
     register. The input's norm is checked as the sum of the class masses,
-    so no ket is squared twice.
+    so no ket is squared twice. Each phase must be a finite real:
+    ``homodyne_partition`` checks a caller's, and the engine's tags are
+    finite by ``ProtocolConfig``.
     """
     state, phases = state
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
     try:
         for ket, amp in state._terms.items():
-            phase = phases[ket]
-            if not _finite_real(phase):
-                raise ValueError(f"ket {ket!r} has probe phase {phase!r}, not {_REAL_RULE}")
-            p = abs(math.remainder(phase, math.tau))
+            p = abs(math.remainder(phases[ket], math.tau))
             for key, members in classes:
                 if abs(p - key) < PHASE_CLASS_TOLERANCE:
                     members[ket] = amp
@@ -241,6 +256,12 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     input must be normalized, with a finite real phase on every ket.
     Outcomes come back sorted by phase class, probabilities summing to 1.
     """
+    pure, phases = state
+    for ket in pure._terms:
+        if ket not in phases:
+            break  # ``_partition`` names the first ket without a phase
+        if not _finite_real(phases[ket]):
+            raise ValueError(f"ket {ket!r} has probe phase {phases[ket]!r}, not {_REAL_RULE}")
     return [HomodyneOutcome(key, normalized(branch), p) for key, branch, p in _partition(state)]
 
 
@@ -313,8 +334,10 @@ def negate_occupied(state: PureState, mode: ModeId) -> PureState:
     relative sign between the component with all N photons in ``mode`` and
     the empty component, for any N; applied twice it is the identity.
     """
-    idx = _mode_index(state._register, mode)
-    out = {
-        ket: (-amp if ket[idx] > 0 else amp) for ket, amp in state._terms.items()
-    }
+    return _negate(state, _mode_index(state._register, mode))
+
+
+def _negate(state: PureState, idx: int) -> PureState:
+    """``negate_occupied`` on the mode at ``idx``."""
+    out = {ket: (-amp if ket[idx] > 0 else amp) for ket, amp in state._terms.items()}
     return PureState._derived(state._register, out)

@@ -38,23 +38,27 @@ from .fock import (
     _check_count,
     _elements,
     _finite_real,
+    _mode_index,
     _off,
     _per_element,
     _real_sq,
+    _tensor,
     basis_state,
     fidelity_up_to_global_phase,
     inner,
     normalized,
-    tensor,
+    tensor,  # unused here; benchmarks/test_benchmark.py traces noonecp.protocols.tensor
 )
 from .optics import (
     PHASE_CLASS_TOLERANCE,
     BeamSplitterSpec,
+    TaggedState,
     _detect,
+    _negate,
     _partition,
+    _split,
+    _tag_phases,
     beam_splitter,
-    cross_kerr_tag,
-    negate_occupied,
 )
 
 __all__ = [
@@ -98,21 +102,45 @@ class _Scheme(NamedTuple):
     The photon is ca|1,0> + cb|0,1> on ``aux_modes``, tagged on
     ``aux_modes[1]``; ``mixer`` is the balanced splitter feeding the
     detectors. ``local`` marks a photon that never crosses the channel.
+    A round's joint register is the signal pair followed by ``aux_modes``:
+    ``tags`` are the positions there of the N-photon mode and of the aux
+    tag mode, ``ports`` those of the mixer's two inputs.
     """
 
     aux_modes: tuple[ModeId, ModeId]
     detectors: tuple[ModeId, ModeId]
     local: bool
     mixer: BeamSplitterSpec
+    tags: tuple[int, int]
+    ports: tuple[int, int]
+
+
+def _scheme(
+    aux_modes: tuple[ModeId, ModeId], detectors: tuple[ModeId, ModeId], local: bool
+) -> _Scheme:
+    """A scheme's table entry, its labels checked and its positions fixed once.
+
+    The signal pair, ``aux_modes`` and ``detectors`` must be distinct
+    labels; the round's stages then tag, mix and detect by position.
+    """
+    joint = SIGNAL_MODES + aux_modes
+    labels = joint + detectors
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"scheme labels {labels!r} are not distinct")
+    return _Scheme(
+        aux_modes,
+        detectors,
+        local,
+        BeamSplitterSpec(*aux_modes, *detectors),
+        tags=(_mode_index(joint, SIGNAL_MODES[1]), _mode_index(joint, aux_modes[1])),
+        ports=(_mode_index(joint, aux_modes[0]), _mode_index(joint, aux_modes[1])),
+    )
 
 
 # ecp2 labels its local pair (c2, c1), so that its photon is ecp1's.
 _SCHEMES = {
-    name: _Scheme(aux_modes, detectors, local, BeamSplitterSpec(*aux_modes, *detectors))
-    for name, aux_modes, detectors, local in (
-        ("ecp1", SHARED_AUX_MODES, ECP1_DETECTORS, False),
-        ("ecp2", LOCAL_AUX_MODES[::-1], ECP2_DETECTORS, True),
-    )
+    "ecp1": _scheme(SHARED_AUX_MODES, ECP1_DETECTORS, False),
+    "ecp2": _scheme(LOCAL_AUX_MODES[::-1], ECP2_DETECTORS, True),
 }
 PROTOCOLS = tuple(_SCHEMES)
 
@@ -173,7 +201,9 @@ class ProtocolConfig:
     says: |N,0> with the auxiliary photon out of the tag mode reads 0 by
     construction; theta itself, on |N,0> with the photon in it, must not
     read as 0; N tags of -theta/N on |0,N> must not read as 0 either, and
-    adding theta to them must give 0, both in doubles. loss_eta is the
+    adding theta to them must give 0, both in doubles. Those doubles are
+    the phases the round's tags give, so every tag phase of a valid config
+    is finite, and the round does not check them again. loss_eta is the
     single-pass channel transmission: ``apply_loss_model`` and the
     ``compare-loss`` command's ecp1 column scale by it, through
     ``_loss_factor``.
@@ -336,19 +366,30 @@ def vbs_transmission(alpha: float, round_k: int) -> float:
     return (1.0 if signed > 0.0 else r_pow) / (1.0 + r_pow)
 
 
-def _noon_pair(state: PureState, n: int) -> PureState:
-    """``state``, a ca|N,0> + cb|0,N> on a two-mode register with N = n, as
-    the engine's pair: the same kets, in the same order, as real floats.
+def _noon_pair(state: PureState, config: ProtocolConfig) -> PureState:
+    """``state``, a ca|N,0> + cb|0,N> on a two-mode register with N the
+    config's n_photons, as the engine's pair: the same kets, in the same
+    order, as real floats.
 
     The coefficients must be exactly real and non-negative; one of them may
-    be missing, as after deep recycling squares it to zero.
+    be missing, as after deep recycling squares it to zero. The register
+    must hold none of the config's scheme's auxiliary or detector labels,
+    since the round's stages join and mix registers without checking them.
     """
-    terms = state._terms
+    n, terms = config.n_photons, state._terms
     if len(state._register) != 2 or not terms or not terms.keys() <= {(n, 0), (0, n)}:
         raise ValueError(f"expected a two-mode NOON state with N={n}, got {state!r}")
     pair = {k: a.real for k, a in terms.items() if a.imag == 0.0 and a.real >= 0.0}
     if len(pair) != len(terms):
         raise ValueError(f"NOON coefficients must be real and non-negative, got {state!r}")
+    scheme = _SCHEMES[config.protocol]
+    taken = scheme.aux_modes + scheme.detectors
+    for mode in state._register:
+        if mode in taken:
+            raise ValueError(
+                f"signal mode {mode!r} is one of {config.protocol}'s auxiliary or "
+                f"detector labels {taken!r}"
+            )
     return PureState._derived(state._register, pair)
 
 
@@ -364,9 +405,12 @@ def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureStat
     branch (always present, with real non-negative amplitudes) is returned.
     """
     scheme = _SCHEMES[config.protocol]
-    branches = _detect(beam_splitter(normalized(branch), scheme.mixer), scheme.detectors)
+    mixed = _split(
+        normalized(branch), scheme.mixer, *scheme.ports, branch._register[:2] + scheme.detectors
+    )
+    branches = _detect(mixed, scheme.detectors)
     corrected = [
-        negate_occupied(state, branch._register[1]) if fired == scheme.detectors[1] else state
+        _negate(state, 1) if fired == scheme.detectors[1] else state
         for fired, state, _norm in branches
     ]
     for other in corrected[1:]:
@@ -391,16 +435,17 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     every element), and the recycled 0 reading's branch after
     ``_interfere_and_detect``, with its probability. Only the callers that
     form a success state detect the success branch. t = ca^2 is read off
-    the joint state's |N,0>|1,0> amplitude, the product ``tensor`` forms.
+    the joint state's |N,0>|1,0> amplitude, the product ``_tensor`` forms.
     """
     n = config.n_photons
     ca, cb = state._terms.get((n, 0), 0.0), state._terms.get((0, n), 0.0)
     scheme = _SCHEMES[config.protocol]
     theta = config.theta
     aux = PureState._derived(scheme.aux_modes, {(1, 0): ca, (0, 1): cb})
-    joint = tensor(state, aux)
-    tagged = cross_kerr_tag(joint, state._register[1], -theta / n)
-    tagged = cross_kerr_tag(tagged, scheme.aux_modes[1], theta)
+    joint = _tensor(state, aux)
+    signal_tag, aux_tag = scheme.tags
+    phases = _tag_phases(joint, {}, signal_tag, -theta / n)
+    tagged = TaggedState(joint, _tag_phases(joint, phases, aux_tag, theta))
 
     success_class = abs(math.remainder(theta, math.tau))
     success_reading = failure_reading = None
@@ -434,12 +479,12 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     The input must be ca|N,0> + cb|0,N> on two signal modes, with N the
     config's n_photons and ca, cb exactly real and non-negative (one may be
     zero); anything else raises ValueError. Auxiliary and detector modes use
-    the package-default labels, so the signal register must not hold them
-    (``tensor`` and ``beam_splitter`` refuse the collision). Both schemes
-    build the auxiliary photon from the input's own coefficients, as
-    ca|1,0> + cb|0,1> on the scheme's auxiliary pair: (a2, b2) for ecp1 and
-    (c2, c1) for ecp2, whose variable splitter is set to t = ca^2. round_k
-    is only validated and recorded.
+    the package-default labels, so the signal register must not hold them:
+    a register that does is refused, naming the label, before any optics
+    run. Both schemes build the auxiliary photon from the input's own
+    coefficients, as ca|1,0> + cb|0,1> on the scheme's auxiliary pair:
+    (a2, b2) for ecp1 and (c2, c1) for ecp2, whose variable splitter is set
+    to t = ca^2. round_k is only validated and recorded.
 
     Returns both heralded branches, in real floats like every engine state
     (the input is checked only here); the failure branch always exists and
@@ -449,7 +494,7 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     |theta| modulo 2*pi.
     """
     _check_count(round_k, "round index")
-    pair = _noon_pair(state, config.n_photons)
+    pair = _noon_pair(state, config)
     t, success_prob, success_branch, failure_state, failure_prob = _probe_round(pair, config)
     success_state = None
     if success_branch is not None:
@@ -491,7 +536,9 @@ def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Sched
     """
     alphas = list(alphas)
     size = len(alphas)
-    target = maximally_entangled_noon(config.n_photons, SIGNAL_MODES)
+    # ``maximally_entangled_noon``'s r as real floats: each overlap is real arithmetic.
+    n, r = config.n_photons, 1.0 / math.sqrt(2.0)
+    target = PureState._derived(SIGNAL_MODES, {(n, 0): r, (0, n): r})
     per_round = []
     p_total = 0.0
     for k, t, p, u, success_branch in _rounds(config, alphas):

@@ -139,9 +139,14 @@ CONFINED = {
         ),
     ),
     # the scheme table: the two stages and the loss factor read a config's scheme
-    # off it; run_round and run_schedules leave that to the detection stage
+    # off it, and the entry check reads the labels a caller's register may not
+    # hold; run_round and run_schedules leave both to those
     "noonecp.protocols._SCHEMES": Confined(
-        {"protocols.py": {None, "_interfere_and_detect", "_probe_round", "_loss_factor"}},
+        {
+            "protocols.py": {
+                None, "_noon_pair", "_interfere_and_detect", "_probe_round", "_loss_factor"
+            }
+        },
         "protocols.py", (
             "def run_round(state, config, round_k):\n    scheme = _SCHEMES[config.protocol]",
             "def run_schedules(config, alphas):\n"
@@ -170,6 +175,66 @@ CONFINED = {
             "    for phase_class, branch, mass in _partition(tagged):\n        pass",
             "def _rounds(config, alphas):\n    \"\"\"Streams what ``_partition`` weighs.\"\"\"\n"
             "    yield k",
+        ),
+    ),
+    # the unchecked cores: each public op checks its labels, indices and phases and
+    # then calls its core; the round's stages call the cores on registers whose
+    # labels and positions the scheme table and the entry check fixed once
+    "noonecp.fock._tensor": Confined(
+        {"fock.py": {"tensor"}, "protocols.py": {None, "_probe_round"}}, "protocols.py", (
+            "def _rounds(config, alphas):\n    joint = _tensor(state, aux)\n    yield joint",
+            "def run_round(state, config, round_k):\n    return fock._tensor(state, aux)",
+            "def _interfere_and_detect(branch, config):\n"
+            "    from .fock import _tensor as join\n    return join",
+            "class _Pass:\n    def join(self, a, b):\n        return _tensor(a, b)",
+            "def _grid_totals(config, alphas):\n    return [_tensor(s, aux) for s in states]",
+        ), (
+            "def _probe_round(state, config):\n    joint = _tensor(state, aux)",
+            "def run_round(state, config, round_k):\n"
+            "    \"\"\"Leaves ``_tensor`` to the probe stage.\"\"\"\n    return state",
+        ),
+    ),
+    "noonecp.optics._tag_phases": Confined(
+        {"optics.py": {"cross_kerr_tag"}, "protocols.py": {None, "_probe_round"}},
+        "protocols.py", (
+            "def _rounds(config, alphas):\n    yield _tag_phases(joint, {}, 1, theta)",
+            "def _interfere_and_detect(branch, config):\n"
+            "    return optics._tag_phases(branch, {}, 3, config.theta)",
+            "def f():\n    from .optics import _tag_phases as tag\n    return tag",
+            "class _Pass:\n    def tag(self, s):\n        return _tag_phases(s, {}, 1, 0.1)",
+        ), (
+            "def _probe_round(state, config):\n    phases = _tag_phases(joint, {}, 1, -theta / n)",
+            "def _rounds(config, alphas):\n"
+            "    \"\"\"Leaves ``_tag_phases`` to the probe stage.\"\"\"\n    yield k",
+        ),
+    ),
+    "noonecp.optics._split": Confined(
+        {"optics.py": {"beam_splitter"}, "protocols.py": {None, "_interfere_and_detect"}},
+        "protocols.py", (
+            "def _probe_round(state, config):\n    return _split(joint, spec, 2, 3, reg)",
+            "def prepare_aux_ecp2(transmissivity, modes):\n"
+            "    return optics._split(photon, spec, 0, 1, modes)",
+            "def f():\n    from .optics import _split as mix\n    return mix",
+            "class _Pass:\n    def mix(self, s):\n        return _split(s, spec, 2, 3, reg)",
+        ), (
+            "def _interfere_and_detect(branch, config):\n"
+            "    mixed = _split(unit, scheme.mixer, 2, 3, reg)",
+            "def prepare_aux_ecp2(transmissivity, modes):\n"
+            "    \"\"\"Checked by ``beam_splitter``, not ``_split``.\"\"\"\n"
+            "    return beam_splitter(photon, spec)",
+        ),
+    ),
+    "noonecp.optics._negate": Confined(
+        {"optics.py": {"negate_occupied"}, "protocols.py": {None, "_interfere_and_detect"}},
+        "protocols.py", (
+            "def run_schedules(config, alphas):\n    return _negate(state, 1)",
+            "def _probe_round(state, config):\n    return optics._negate(joint, 1)",
+            "def f():\n    from .optics import _negate as flip\n    return flip",
+            "class _Pass:\n    def flip(self, s):\n        return _negate(s, 1)",
+        ), (
+            "def _interfere_and_detect(branch, config):\n    flipped = _negate(state, 1)",
+            "def run_schedules(config, alphas):\n"
+            "    \"\"\"Leaves ``_negate`` to the detection stage.\"\"\"\n    return k",
         ),
     ),
     # the one normalization: the public ``normalized`` wraps it, and ``_detect``

@@ -34,6 +34,7 @@ from noonecp import (
     negate_occupied,
     norm_sq,
     normalized,
+    optics,
     prepare_aux_ecp1,
     prepare_aux_ecp2,
     prepare_less_entangled_noon,
@@ -450,20 +451,22 @@ _REJECTED_INPUTS = {
     "vacuum ket": (lambda p: PureState(_SIG, {(2, 0): _A, (0, 0): _B}), True),
     "negative coefficient": (lambda p: PureState(_SIG, {(2, 0): 1.0, (0, 2): -1e-12}), True),
     "imaginary coefficient": (lambda p: PureState(_SIG, {(2, 0): 1.0, (0, 2): 1e-12j}), True),
-    # tensor refuses an auxiliary label, beam_splitter a detector label
+    # the stages join and mix registers unchecked, so the entry refuses these too
     "aux label first": (
-        lambda p: prepare_less_entangled_noon(_A, 2, (_AUX_LABEL[p], "b1")), False
+        lambda p: prepare_less_entangled_noon(_A, 2, (_AUX_LABEL[p], "b1")), True
     ),
     "aux label second": (
-        lambda p: prepare_less_entangled_noon(_A, 2, ("a1", _AUX_LABEL[p])), False
+        lambda p: prepare_less_entangled_noon(_A, 2, ("a1", _AUX_LABEL[p])), True
     ),
     "detector label first": (
-        lambda p: prepare_less_entangled_noon(_A, 2, (_DETECTOR_LABEL[p], "b1")), False
+        lambda p: prepare_less_entangled_noon(_A, 2, (_DETECTOR_LABEL[p], "b1")), True
     ),
     "detector label second": (
-        lambda p: prepare_less_entangled_noon(_A, 2, ("a1", _DETECTOR_LABEL[p])), False
+        lambda p: prepare_less_entangled_noon(_A, 2, ("a1", _DETECTOR_LABEL[p])), True
     ),
 }
+# Every optics core a round calls, in the order it calls them.
+_ROUND_OPTICS = ("_tensor", "_tag_phases", "_partition", "_split", "_detect", "_negate")
 
 
 def _optics_reached(*args):
@@ -478,9 +481,24 @@ def test_round_rejects_every_input_outside_its_noon_form(protocol, case, monkeyp
     build, at_boundary = _REJECTED_INPUTS[case]
     state = build(protocol)
     if at_boundary:
-        monkeypatch.setattr(protocols, "tensor", _optics_reached)
+        for core in _ROUND_OPTICS:
+            monkeypatch.setattr(protocols, core, _optics_reached)
     with pytest.raises(ValueError):
         run_round(state, _config(protocol=protocol, alpha_sq=0.8, n=2), 1)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+def test_round_names_each_scheme_label_a_caller_reuses(protocol, monkeypatch):
+    # every auxiliary and detector label of the scheme, in either signal
+    # position, is refused by name before the round reaches any optics
+    for core in _ROUND_OPTICS:
+        monkeypatch.setattr(protocols, core, _optics_reached)
+    config = _config(protocol=protocol, alpha_sq=0.8, n=2)
+    scheme = protocols._SCHEMES[protocol]
+    for label in scheme.aux_modes + scheme.detectors:
+        for modes in ((label, "b1"), ("a1", label)):
+            with pytest.raises(ValueError, match=f"signal mode '{label}'"):
+                run_round(prepare_less_entangled_noon(_A, 2, modes), config, 1)
 
 
 # What a drawn state's amplitudes are: positive, ±0.0 (which drops its ket),
@@ -560,7 +578,7 @@ def test_round_degenerate_recycled_input():
 def test_round_refuses_detector_branches_that_disagree(protocol, monkeypatch):
     # without the sign correction a second-detector click leaves the relative
     # minus sign in place, so the two branches cannot be folded into one
-    monkeypatch.setattr(protocols, "negate_occupied", lambda state, mode: state)
+    monkeypatch.setattr(protocols, "_negate", lambda state, idx: state)
     cfg = _config(protocol=protocol, alpha_sq=0.8)
     with pytest.raises(ValueError, match="detector branches disagree"):
         run_round(prepare_less_entangled_noon(cfg.alpha, 2), cfg, 1)
@@ -1131,6 +1149,19 @@ def test_only_a_schedule_detects_the_success_branch(protocol, monkeypatch):
     assert len(calls) == k_max + present
 
 
+def _patch_every_binding(monkeypatch, original, replacement):
+    """Bind ``replacement`` wherever a ``noonecp`` module binds ``original``;
+    the names of those modules."""
+    bound = []
+    for name, module in list(sys.modules.items()):
+        if name == "noonecp" or name.startswith("noonecp."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+                    bound.append(name)
+    return bound
+
+
 def _spy_on_every_binding(monkeypatch, original):
     """The kets ``original`` is called on through every ``noonecp`` module that
     binds it, and the names of those modules."""
@@ -1140,14 +1171,7 @@ def _spy_on_every_binding(monkeypatch, original):
         calls.append(tuple(terms))
         return original(terms)
 
-    bound = []
-    for name, module in list(sys.modules.items()):
-        if name == "noonecp" or name.startswith("noonecp."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, spy)
-                    bound.append(name)
-    return calls, bound
+    return calls, _patch_every_binding(monkeypatch, original, spy)
 
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
@@ -1214,6 +1238,79 @@ def test_a_schedules_pass_builds_a_pinned_number_of_batches(protocol, n, monkeyp
     schedules = run_schedules(config, _COUNTED_GRID)
     assert len(built) == _SCHEDULES_PASS_BATCHES[protocol, n]
     assert all(row.vbs_transmission is not None for s in schedules for row in s.per_round)
+
+
+# What a round must not repeat: the public ops' label, index and phase
+# checks, as the ops and as the checks they are built on.
+_STRUCTURAL_CHECKS = (
+    (fock, "_mode_index"),
+    (fock, "_finite_real"),
+    (fock, "tensor"),
+    (optics, "cross_kerr_tag"),
+    (optics, "beam_splitter"),
+    (optics, "negate_occupied"),
+)
+
+
+def _count_every_binding(monkeypatch, functions):
+    """Calls of each (module, name) function through every ``noonecp`` binding of it."""
+    counts = {}
+    for owner, name in functions:
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def spy(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        _patch_every_binding(monkeypatch, original, spy)
+    return counts
+
+
+@pytest.mark.parametrize("engine", [run_schedules, protocols._grid_totals])
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 100])
+def test_a_round_repeats_no_structural_check(engine, protocol, n, monkeypatch):
+    # labels, positions and tag phases are checked once, at the boundary: a pass
+    # of 60 rounds makes exactly the checks that a pass of one round makes
+    grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
+    configs = {k: _settings(protocol, n, max_rounds=k) for k in (1, 60)}
+    for config in configs.values():
+        engine(config, grid)  # fills the detector layout's per-register cache
+    counts = _count_every_binding(monkeypatch, _STRUCTURAL_CHECKS)
+    made = {}
+    for k, config in configs.items():
+        counts.update(dict.fromkeys(counts, 0))
+        engine(config, grid)
+        made[k] = dict(counts)
+    assert made[1] == made[60]
+    # the spies see: each alpha is checked once, through _check_alpha
+    assert made[1]["_finite_real"] == len(grid)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_schedule_fidelity_equals_the_complex_target_fidelity_bit_for_bit(protocol, n):
+    # run_schedules measures against a real-float target; each fidelity must be
+    # the one maximally_entangled_noon's complex amplitudes give, to the bit
+    k_max = 60
+    config = _settings(protocol, n, max_rounds=k_max)
+    target = maximally_entangled_noon(n)
+    assert all(type(a) is complex for a in target.terms.values())
+    alphas = [math.sqrt(0.9), math.sqrt(0.5 + 3e-15)]  # lopsided, near-balanced
+    present = 0
+    for alpha, schedule in zip(alphas, run_schedules(config, alphas)):
+        state = prepare_less_entangled_noon(alpha, n)
+        for row in schedule.per_round:
+            outcome = run_round(state, config, row.round_index)
+            state = outcome.failure_state
+            if outcome.success_state is None:
+                assert math.isnan(row.success_fidelity)
+                continue
+            present += 1
+            expected = fidelity_up_to_global_phase(outcome.success_state, target)
+            assert struct.pack("<d", row.success_fidelity) == struct.pack("<d", expected)
+    assert 0 < present < 2 * k_max
 
 
 def _traced_peak(call):
