@@ -11,13 +11,12 @@ treated as immutable values and are safe to share between threads. Each
 invariant is checked once, where it is set up. The registers and kets of a
 state built by ``PureState(...)`` are checked there, and the operations
 derive their results from such states without checking them again. The
-public operations check their labels, mode indices and phases at entry;
-``tensor``, ``cross_kerr_tag``, ``beam_splitter`` and ``negate_occupied``
-then call a private core that does not check. The round engine calls
-those cores directly:
-``protocols._SCHEMES`` checks the schemes' labels and fixes their mode
-positions at import, ``ProtocolConfig`` proves every probe-tag phase
-finite, and ``run_round`` checks a caller's register.
+public operations check their labels, mode indices and phases at entry,
+then call a private core that does not check and works by position. The
+round engine calls those cores directly, on one fixed layout: the signal
+pair, then the auxiliary pair. ``protocols._SCHEMES`` checks at import
+that each scheme's labels are distinct, ``ProtocolConfig`` proves every
+probe-tag phase finite, and ``run_round`` checks a caller's register.
 
 The engine may also run a batch of inputs at once: every ket then carries a
 ``_Batch`` of real amplitudes, one per input. Batches add, multiply and

@@ -141,18 +141,18 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
     new_reg[i1], new_reg[i2] = spec.mode_out_1, spec.mode_out_2
     if len(set(new_reg)) != len(new_reg):
         raise ValueError(f"splitter output labels collide with register {reg!r}")
-    return _split(state, spec, i1, i2, tuple(new_reg))
+    return _split(state, spec.transmissivity, spec.sign_convention, i1, i2, tuple(new_reg))
 
 
 def _split(
-    state: PureState, spec: BeamSplitterSpec, i1: int, i2: int, register: tuple[ModeId, ...]
+    state: PureState, t: float, convention: str, i1: int, i2: int, register: tuple[ModeId, ...]
 ) -> PureState:
-    """``beam_splitter`` on the modes at ``i1`` and ``i2``, onto ``register``.
+    """``beam_splitter`` with transmissivity ``t`` and sign ``convention`` on
+    the modes at ``i1`` and ``i2``, onto ``register``.
 
-    The caller has found both positions and the output register, whose
-    labels must be distinct.
+    The caller has checked the setting and found both positions and the
+    output register, whose labels must be distinct.
     """
-    t, convention = spec.transmissivity, spec.sign_convention
     out: dict[BasisKet, complex] = {}
     for ket, amp in state._terms.items():
         new_ket = list(ket)
@@ -221,23 +221,20 @@ def _partition(state: TaggedState) -> list[tuple[float, PureState, float]]:
     Returns (phase class, branch, squared mass) per class, sorted by phase
     class, the branch holding the class's kets as they are on the tagged
     register. The input's norm is checked as the sum of the class masses,
-    so no ket is squared twice. Each phase must be a finite real:
+    so no ket is squared twice. Every ket must carry a finite real phase:
     ``homodyne_partition`` checks a caller's, and the engine's tags are
     finite by ``ProtocolConfig``.
     """
     state, phases = state
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
-    try:
-        for ket, amp in state._terms.items():
-            p = abs(math.remainder(phases[ket], math.tau))
-            for key, members in classes:
-                if abs(p - key) < PHASE_CLASS_TOLERANCE:
-                    members[ket] = amp
-                    break
-            else:
-                classes.append((p, {ket: amp}))
-    except KeyError as missing:
-        raise ValueError(f"ket {missing.args[0]!r} has no probe phase") from None
+    for ket, amp in state._terms.items():
+        p = abs(math.remainder(phases[ket], math.tau))
+        for key, members in classes:
+            if abs(p - key) < PHASE_CLASS_TOLERANCE:
+                members[ket] = amp
+                break
+        else:
+            classes.append((p, {ket: amp}))
     weighed = [
         (key, PureState._derived(state._register, members), _norm_sq(members.values()))
         for key, members in sorted(classes, key=itemgetter(0))
@@ -259,7 +256,7 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     pure, phases = state
     for ket in pure._terms:
         if ket not in phases:
-            break  # ``_partition`` names the first ket without a phase
+            raise ValueError(f"ket {ket!r} has no probe phase")
         if not _finite_real(phases[ket]):
             raise ValueError(f"ket {ket!r} has probe phase {phases[ket]!r}, not {_REAL_RULE}")
     return [HomodyneOutcome(key, normalized(branch), p) for key, branch, p in _partition(state)]
@@ -270,41 +267,34 @@ def _picker(idxs: Sequence[int]):
     return itemgetter(*idxs) if len(idxs) > 1 else lambda ket: tuple([ket[i] for i in idxs])
 
 
-@lru_cache(maxsize=256)
-def _detector_layout(reg: tuple[ModeId, ...], modes: tuple[ModeId, ...]):
-    """Per-ket pickers of the detector occupations and of the kept modes, and
-    the kept register, for detecting ``modes`` on register ``reg``."""
-    for i, m in enumerate(modes):
-        if m in modes[:i]:
-            raise ValueError(f"detector mode {m!r} is listed more than once")
-    idxs = [_mode_index(reg, m) for m in modes]
-    keep = [i for i in range(len(reg)) if i not in idxs]
-    if not keep:
-        raise ValueError("detection would remove every mode in the register")
-    return _picker(idxs), _picker(keep), tuple([reg[i] for i in keep])
+def _detect(
+    state: PureState, idxs: Sequence[int], keep: Sequence[int]
+) -> list[tuple[int, PureState, float]]:
+    """``detect_photon`` by position, with each branch's norm in place of its
+    probability.
 
-
-def _detect(state: PureState, modes: Sequence[ModeId]) -> list[tuple[ModeId, PureState, float]]:
-    """``detect_photon`` with each branch's norm in place of its probability."""
-    modes = tuple(modes)
-    det_occ, reduced, kept_reg = _detector_layout(state._register, modes)
+    ``idxs`` are the detectors' positions and ``keep`` those of the modes
+    that remain; the caller has found both. Returns (j, branch, norm) for
+    each detector ``idxs[j]`` that fires, j ascending.
+    """
+    det_occ, reduced = _picker(idxs), _picker(keep)
+    kept_reg = tuple([state._register[i] for i in keep])
     # Within one detector's group every ket has the same detector occupations,
     # so the reduced kets of a group are distinct.
-    groups: dict[ModeId, dict[BasisKet, complex]] = {}
+    groups: dict[int, dict[BasisKet, complex]] = {}
     for ket, amp in state._terms.items():
         occ = det_occ(ket)
         if sum(occ) != 1:
             raise ValueError(
                 f"branch {ket!r} holds {sum(occ)} photons across detectors, expected 1"
             )
-        groups.setdefault(modes[occ.index(1)], {})[reduced(ket)] = amp
+        groups.setdefault(occ.index(1), {})[reduced(ket)] = amp
     if not groups:
         raise ValueError("cannot detect on a state with zero norm: no kets reached any detector")
     branches = []
-    for m in modes:
-        if m in groups:
-            unit, norm = _normalized(groups[m])
-            branches.append((m, PureState._derived(kept_reg, unit), norm))
+    for j in sorted(groups):
+        unit, norm = _normalized(groups[j])
+        branches.append((j, PureState._derived(kept_reg, unit), norm))
     return branches
 
 
@@ -320,11 +310,19 @@ def detect_photon(
     projected register (the non-fired ones are empty there). Probabilities
     sum to 1.
     """
-    branches = _detect(state, modes)
+    modes, reg = tuple(modes), state._register
+    for i, m in enumerate(modes):
+        if m in modes[:i]:
+            raise ValueError(f"detector mode {m!r} is listed more than once")
+    idxs = [_mode_index(reg, m) for m in modes]
+    keep = [i for i in range(len(reg)) if i not in idxs]
+    if not keep:
+        raise ValueError("detection would remove every mode in the register")
+    branches = _detect(state, idxs, keep)
     # Public states hold plain numbers, and hypot does not depend on the
     # order of its arguments, so the total is the same in any mode order.
     total = math.hypot(*[norm for _, _, norm in branches])
-    return [(m, projected, (norm / total) ** 2) for m, projected, norm in branches]
+    return [(modes[j], projected, (norm / total) ** 2) for j, projected, norm in branches]
 
 
 def negate_occupied(state: PureState, mode: ModeId) -> PureState:

@@ -38,7 +38,6 @@ from .fock import (
     _check_count,
     _elements,
     _finite_real,
-    _mode_index,
     _off,
     _per_element,
     _real_sq,
@@ -96,45 +95,44 @@ ECP2_DETECTORS = ("e1", "e2")
 _SPLITTER = 134217729.0
 
 
-class _Scheme(NamedTuple):
-    """Where one scheme's auxiliary photon lives and how it is read out.
+# A round runs on one fixed layout: the signal pair, then the scheme's
+# auxiliary pair. Both schemes tag the N-photon mode and the pair's second
+# mode (``_TAGS``), mix the pair in place onto the detectors (``_PORTS``) on
+# the same balanced splitter (``_MIXER``: transmissivity and sign
+# convention), keep the signal pair (``_KEPT``) and correct its N-photon
+# mode, position 1.
+_TAGS = (1, 3)
+_PORTS = (2, 3)
+_KEPT = (0, 1)
+_MIXER = (0.5, "ecp1")
 
-    The photon is ca|1,0> + cb|0,1> on ``aux_modes``, tagged on
-    ``aux_modes[1]``; ``mixer`` is the balanced splitter feeding the
-    detectors. ``local`` marks a photon that never crosses the channel.
-    A round's joint register is the signal pair followed by ``aux_modes``:
-    ``tags`` are the positions there of the N-photon mode and of the aux
-    tag mode, ``ports`` those of the mixer's two inputs.
+
+class _Scheme(NamedTuple):
+    """Which labels one scheme's round uses, and whether its photon is local.
+
+    The photon is ca|1,0> + cb|0,1> on ``aux_modes``, and the mixer feeds
+    ``detectors``. ``local`` marks a photon that never crosses the channel;
+    it also decides whether a round reports a VBS setting t, so one flag
+    carries two facts.
     """
 
     aux_modes: tuple[ModeId, ModeId]
     detectors: tuple[ModeId, ModeId]
     local: bool
-    mixer: BeamSplitterSpec
-    tags: tuple[int, int]
-    ports: tuple[int, int]
 
 
 def _scheme(
     aux_modes: tuple[ModeId, ModeId], detectors: tuple[ModeId, ModeId], local: bool
 ) -> _Scheme:
-    """A scheme's table entry, its labels checked and its positions fixed once.
+    """A scheme's table entry, its labels checked once.
 
     The signal pair, ``aux_modes`` and ``detectors`` must be distinct
-    labels; the round's stages then tag, mix and detect by position.
+    labels, since the round's stages tag, mix and detect by position.
     """
-    joint = SIGNAL_MODES + aux_modes
-    labels = joint + detectors
+    labels = SIGNAL_MODES + aux_modes + detectors
     if len(set(labels)) != len(labels):
         raise ValueError(f"scheme labels {labels!r} are not distinct")
-    return _Scheme(
-        aux_modes,
-        detectors,
-        local,
-        BeamSplitterSpec(*aux_modes, *detectors),
-        tags=(_mode_index(joint, SIGNAL_MODES[1]), _mode_index(joint, aux_modes[1])),
-        ports=(_mode_index(joint, aux_modes[0]), _mode_index(joint, aux_modes[1])),
-    )
+    return _Scheme(aux_modes, detectors, local)
 
 
 # ecp2 labels its local pair (c2, c1), so that its photon is ecp1's.
@@ -404,15 +402,10 @@ def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureStat
     two projected states agree up to a global phase. The first-detector
     branch (always present, with real non-negative amplitudes) is returned.
     """
-    scheme = _SCHEMES[config.protocol]
-    mixed = _split(
-        normalized(branch), scheme.mixer, *scheme.ports, branch._register[:2] + scheme.detectors
-    )
-    branches = _detect(mixed, scheme.detectors)
-    corrected = [
-        _negate(state, 1) if fired == scheme.detectors[1] else state
-        for fired, state, _norm in branches
-    ]
+    register = branch._register[:2] + _SCHEMES[config.protocol].detectors
+    mixed = _split(normalized(branch), *_MIXER, *_PORTS, register)
+    branches = _detect(mixed, _PORTS, _KEPT)
+    corrected = [_negate(state, 1) if fired == 1 else state for fired, state, _norm in branches]
     for other in corrected[1:]:
         # Both branches are normalized and real, so <a|b>^2 is their fidelity.
         fid = _real_sq(inner(corrected[0], other))
@@ -443,9 +436,8 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     theta = config.theta
     aux = PureState._derived(scheme.aux_modes, {(1, 0): ca, (0, 1): cb})
     joint = _tensor(state, aux)
-    signal_tag, aux_tag = scheme.tags
-    phases = _tag_phases(joint, {}, signal_tag, -theta / n)
-    tagged = TaggedState(joint, _tag_phases(joint, phases, aux_tag, theta))
+    phases = _tag_phases(joint, {}, _TAGS[0], -theta / n)
+    tagged = TaggedState(joint, _tag_phases(joint, phases, _TAGS[1], theta))
 
     success_class = abs(math.remainder(theta, math.tau))
     success_reading = failure_reading = None

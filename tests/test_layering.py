@@ -211,17 +211,32 @@ CONFINED = {
     "noonecp.optics._split": Confined(
         {"optics.py": {"beam_splitter"}, "protocols.py": {None, "_interfere_and_detect"}},
         "protocols.py", (
-            "def _probe_round(state, config):\n    return _split(joint, spec, 2, 3, reg)",
+            "def _probe_round(state, config):\n    return _split(joint, *_MIXER, 2, 3, reg)",
             "def prepare_aux_ecp2(transmissivity, modes):\n"
-            "    return optics._split(photon, spec, 0, 1, modes)",
+            "    return optics._split(photon, t, 'ecp2', 0, 1, modes)",
             "def f():\n    from .optics import _split as mix\n    return mix",
-            "class _Pass:\n    def mix(self, s):\n        return _split(s, spec, 2, 3, reg)",
+            "class _Pass:\n    def mix(self, s):\n        return _split(s, 0.5, 'ecp1', 2, 3, reg)",
         ), (
             "def _interfere_and_detect(branch, config):\n"
-            "    mixed = _split(unit, scheme.mixer, 2, 3, reg)",
+            "    mixed = _split(unit, *_MIXER, *_PORTS, register)",
             "def prepare_aux_ecp2(transmissivity, modes):\n"
             "    \"\"\"Checked by ``beam_splitter``, not ``_split``.\"\"\"\n"
             "    return beam_splitter(photon, spec)",
+        ),
+    ),
+    "noonecp.optics._detect": Confined(
+        {"optics.py": {"detect_photon"}, "protocols.py": {None, "_interfere_and_detect"}},
+        "protocols.py", (
+            "def _probe_round(state, config):\n    return _detect(joint, (2, 3), (0, 1))",
+            "def run_schedules(config, alphas):\n"
+            "    return optics._detect(state, _PORTS, _KEPT)",
+            "def f():\n    from .optics import _detect as click\n    return click",
+            "class _Pass:\n    def click(self, s):\n        return _detect(s, (2, 3), (0, 1))",
+        ), (
+            "def _interfere_and_detect(branch, config):\n"
+            "    branches = _detect(mixed, _PORTS, _KEPT)",
+            "def run_schedules(config, alphas):\n"
+            "    \"\"\"Leaves ``_detect`` to the detection stage.\"\"\"\n    return k",
         ),
     ),
     "noonecp.optics._negate": Confined(
@@ -235,6 +250,26 @@ CONFINED = {
             "def _interfere_and_detect(branch, config):\n    flipped = _negate(state, 1)",
             "def run_schedules(config, alphas):\n"
             "    \"\"\"Leaves ``_negate`` to the detection stage.\"\"\"\n    return k",
+        ),
+    ),
+    # labels are resolved to positions only by the public ops; the scheme table
+    # and the round's stages work on the one fixed layout, by position
+    "noonecp.fock._mode_index": Confined(
+        {
+            "fock.py": {"create"},
+            "optics.py": {
+                None, "beam_splitter", "cross_kerr_tag", "detect_photon", "negate_occupied"
+            },
+        },
+        "protocols.py", (
+            "from .fock import _mode_index",
+            "def _scheme(aux_modes, detectors, local):\n"
+            "    tags = (_mode_index(joint, 'b1'), 3)",
+            "def _interfere_and_detect(branch, config):\n"
+            "    i = fock._mode_index(branch._register, 'a2')",
+        ), (
+            "def _scheme(aux_modes, detectors, local):\n"
+            "    \"\"\"Needs no ``_mode_index``.\"\"\"\n    return aux_modes",
         ),
     ),
     # the one normalization: the public ``normalized`` wraps it, and ``_detect``

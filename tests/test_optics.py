@@ -544,11 +544,35 @@ def test_detect_photon_probability_is_squared_norm_ratio(terms):
 
 def test_detect_photon_rejects_wrong_photon_count():
     st = basis_state(("a", "d1", "d2"), (1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"branch \(1, 1, 1\) holds 2 photons across detectors, expected 1"
+    ):
         detect_photon(st, ["d1", "d2"])
+    crowded = basis_state(("a", "d1", "d2", "d3"), (0, 1, 1, 1))
+    with pytest.raises(ValueError, match="holds 3 photons across detectors, expected 1"):
+        detect_photon(crowded, ["d1", "d2", "d3"])
     empty = basis_state(("a", "d1", "d2"), (1, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="holds 0 photons across detectors, expected 1"):
         detect_photon(empty, ["d1", "d2"])
+
+
+@pytest.mark.parametrize(
+    "state, modes, message",
+    [
+        # the labels are checked before any ket is: a 2-photon ket with a
+        # repeated label reports the repeat
+        (basis_state(("a", "d1", "d2"), (1, 1, 1)), ["d1", "d2", "d1"], "'d1' is listed more"),
+        # a missing mode is named before the refusal to empty the register
+        (basis_state(("d1", "d2"), (1, 0)), ["d1", "d2", "z"], r"mode 'z' not in register"),
+        # ... and before the refusal of a state without kets
+        (PureState(("a", "d1"), {}), ["d1", "z"], r"mode 'z' not in register"),
+        # the register is left empty before any ket is counted
+        (basis_state(("d1", "d2"), (1, 1)), ["d1", "d2"], "remove every mode"),
+    ],
+)
+def test_detect_photon_checks_its_labels_before_its_kets(state, modes, message):
+    with pytest.raises(ValueError, match=message):
+        detect_photon(state, modes)
 
 
 def test_detect_photon_refuses_a_state_without_kets():

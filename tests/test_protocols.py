@@ -487,6 +487,22 @@ def test_round_rejects_every_input_outside_its_noon_form(protocol, case, monkeyp
         run_round(state, _config(protocol=protocol, alpha_sq=0.8, n=2), 1)
 
 
+@pytest.mark.parametrize(
+    "aux_modes, detectors",
+    [
+        (protocols.SHARED_AUX_MODES, ("a1", "d2")),  # a signal label as a detector's
+        (("b1", "b2"), protocols.ECP1_DETECTORS),  # a signal label as an auxiliary mode's
+        (("c1", "c2"), ("c2", "e2")),  # an auxiliary label as a detector's
+        (("c1", "c2"), ("e1", "e1")),  # one detector label twice
+    ],
+)
+def test_a_scheme_refuses_labels_that_are_not_distinct(aux_modes, detectors):
+    # the stages tag, mix and detect by position, so the table refuses a scheme
+    # whose labels would collide in a round's register
+    with pytest.raises(ValueError, match="are not distinct"):
+        protocols._scheme(aux_modes, detectors, local=False)
+
+
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 def test_round_names_each_scheme_label_a_caller_reuses(protocol, monkeypatch):
     # every auxiliary and detector label of the scheme, in either signal
@@ -1248,6 +1264,8 @@ _STRUCTURAL_CHECKS = (
     (fock, "tensor"),
     (optics, "cross_kerr_tag"),
     (optics, "beam_splitter"),
+    (optics, "homodyne_partition"),
+    (optics, "detect_photon"),
     (optics, "negate_occupied"),
 )
 
@@ -1271,12 +1289,11 @@ def _count_every_binding(monkeypatch, functions):
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 @pytest.mark.parametrize("n", [1, 100])
 def test_a_round_repeats_no_structural_check(engine, protocol, n, monkeypatch):
-    # labels, positions and tag phases are checked once, at the boundary: a pass
-    # of 60 rounds makes exactly the checks that a pass of one round makes
+    # labels, positions and tag phases are checked once, at the boundary: from a
+    # cold start, a pass of 60 rounds makes exactly the checks that a pass of one
+    # round makes, and calls no public op that would make them
     grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
     configs = {k: _settings(protocol, n, max_rounds=k) for k in (1, 60)}
-    for config in configs.values():
-        engine(config, grid)  # fills the detector layout's per-register cache
     counts = _count_every_binding(monkeypatch, _STRUCTURAL_CHECKS)
     made = {}
     for k, config in configs.items():
