@@ -12,10 +12,10 @@ Exit codes: 0 on success, 2 on usage errors, 3 on I/O errors. A flat
 key=value config file's values are read as the chosen subcommand's flags:
 an explicit flag wins, every file value is checked, and keys the
 subcommand has no flag for are ignored. Each CSV row is one ``%``
-operation on the template of its cells' types, built once per table from
-``_fmt``'s conversions: a round or K is an integer, ecp1's vbs_t is empty
-(ecp1 has no variable beam splitter) and any other number has 12
-significant digits and '.' decimals. Lines end in LF; output is
+operation on its table's template, which the command builds once from
+``_fmt``'s conversions of the table's cell types: a round or K is an
+integer, ecp1's vbs_t is empty (ecp1 has no variable beam splitter) and
+any other number has 12 significant digits and '.' decimals. Lines end in LF; output is
 byte-identical across runs with identical flags.
 """
 
@@ -64,19 +64,22 @@ def _fmt(kind: type) -> str:
     return "%d" if issubclass(kind, int) else "%.12g"
 
 
-@functools.cache
-def _template(kinds: tuple[type, ...]) -> str:
+def _template(*kinds: type) -> str:
     """The row template of cells of these types: their conversions, ','-joined.
 
-    Every row of a table has the same cell types, so a table's template is
-    built once, at its first row; the cache holds one entry per row shape.
+    Every row of a table has the same cell types, so each command builds
+    its table's template once, before its first row.
     """
     return ",".join(map(_fmt, kinds))
 
 
-def _row(*cells: float | int | None) -> str:
-    """One CSV row, or one cell, in one ``%`` operation on its template."""
-    return _template(tuple(map(type, cells))) % cells
+# The template of one number on its own, as run's settings and summary print it.
+_NUMBER = _template(float)
+
+
+def _row(template: str, *cells: float | int | None) -> str:
+    """One CSV row, or one cell, in one ``%`` operation on its table's template."""
+    return template % cells
 
 
 def _number(text: str, kind: type, what: str) -> int | float:
@@ -252,24 +255,29 @@ def cmd_run(args: argparse.Namespace) -> int:
     oracle = _round_yields(config.alpha, 1, config.max_rounds)
     wall = time.perf_counter() - started
     deltas = [abs(row.p_unconditional - o) for row, o in zip(schedule.per_round, oracle)]
+    # a scheme without a variable beam splitter reports vbs_t as None: an empty cell
+    vbs_t = type(schedule.per_round[0].vbs_transmission)
+    template = _template(int, vbs_t, float, float, float, float, float)
     rows = [
-        _row(k, t, p, u, o, delta, fidelity)
+        _row(template, k, t, p, u, o, delta, fidelity)
         for (k, t, p, u, fidelity), o, delta in zip(schedule.per_round, oracle, deltas)
     ]
     csv = _csv(_RUN_CSV_HEADER, rows)
     settings = (
-        f"protocol={config.protocol} alpha_sq={_row(args.alpha_sq)} "
-        f"n={config.n_photons} rounds={config.max_rounds} theta={_row(config.theta)} "
-        f"eta={_row(config.loss_eta)}\n"
+        f"protocol={config.protocol} alpha_sq={_row(_NUMBER, args.alpha_sq)} "
+        f"n={config.n_photons} rounds={config.max_rounds} "
+        f"theta={_row(_NUMBER, config.theta)} eta={_row(_NUMBER, config.loss_eta)}\n"
     )
     summary = [
-        f"p_total          = {_row(schedule.p_total)}",
-        f"p_total_oracle   = {_row(functools.reduce(operator.add, oracle))}",
-        f"max_round_delta  = {_row(max(deltas))}",
+        f"p_total          = {_row(_NUMBER, schedule.p_total)}",
+        f"p_total_oracle   = {_row(_NUMBER, functools.reduce(operator.add, oracle))}",
+        f"max_round_delta  = {_row(_NUMBER, max(deltas))}",
     ]
     if config.loss_eta < 1.0:
         lossy = apply_loss_model(schedule, config).p_total
-        summary.append(f"p_total_with_loss= {_row(lossy)} (eta={_row(config.loss_eta)})")
+        summary.append(
+            f"p_total_with_loss= {_row(_NUMBER, lossy)} (eta={_row(_NUMBER, config.loss_eta)})"
+        )
     summary.append(f"wall_time_s      = {wall:.6f}\n")
     # the table is the CSV with two spaces for each ','
     sys.stdout.write(settings + csv.replace(",", "  ") + "\n".join(summary))
@@ -282,11 +290,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     header = "alpha,alpha_sq,k_max,p_total,p_total_oracle,delta"
     # one engine pass folds the whole grid's unconditional column
     totals = _grid_totals(_make_config(args, args.protocol), args.grid)
+    template = _template(float, float, int, float, float, float)
     rows = []
     for alpha, simulated in zip(args.grid, totals):
         oracle = p_total_closed_form(alpha, args.rounds)
         delta = abs(simulated - oracle)
-        rows.append(_row(alpha, alpha * alpha, args.rounds, simulated, oracle, delta))
+        rows.append(_row(template, alpha, alpha * alpha, args.rounds, simulated, oracle, delta))
     _write_csv(args.out, _csv(header, rows))
     return EXIT_OK
 
@@ -302,10 +311,11 @@ def cmd_compare_loss(args: argparse.Namespace) -> int:
     # each scheme needs its own pass again.
     lossless = _grid_totals(replace(ecp2, loss_eta=1.0), args.grid)
     f1, f2 = _loss_factor(ecp1), _loss_factor(ecp2)
+    template = _template(float, float, float, float, float)
     rows = []
     for alpha, total in zip(args.grid, lossless):
         p1, p2 = total * f1, total * f2
-        rows.append(_row(alpha, args.eta, p1, p2, p2 - p1))
+        rows.append(_row(template, alpha, args.eta, p1, p2, p2 - p1))
     _write_csv(args.out, _csv(header, rows))
     return EXIT_OK
 

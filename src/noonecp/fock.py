@@ -22,7 +22,8 @@ The engine may also run a batch of inputs at once: every ket then carries a
 ``_Batch`` of real amplitudes, one per input. Batches add, multiply and
 negate element by element, and every place where a scalar and a batch
 differ goes through the number seam at the end of this module: squaring
-(``_norm_sq``, ``_abs_sq``, ``_real_sq``), normalization, tolerance
+(``_norm_sq``, ``_abs_sq``, ``_real_sq``), the detector-fold check's
+signed overlap (``_flipped_inner``), normalization, tolerance
 checks (``_off``), clipping (``_clip_unit``) and splitting a result per
 input or selecting some of its elements. So every element sees exactly
 the float operations of its own run. Which readings are absent is the
@@ -396,11 +397,16 @@ def _norm_sq(amps: Collection):
     exactly halfway between two doubles, where ``pow`` need not round to
     even. x = 1.5 + 2**-26 is one: ``x**2`` ends in ...0001p+1, ``x*x`` in
     ...0000p+1. A square beyond the float range gives inf; no kets give 0.
+    A batch's first two kets share one pass, ``x**2 + y**2``: the same
+    operations in the same order.
     """
     try:
         if _batched(amps):
             kets = iter(amps)
-            total = [x**2 for x in next(kets)]
+            first, second = next(kets), next(kets, None)
+            if second is None:
+                return _Batch([x**2 for x in first])
+            total = [x**2 + y**2 for x, y in zip(first, second)]
             for amp in kets:
                 total = [t + x**2 for t, x in zip(total, amp)]
             return _Batch(total)
@@ -408,6 +414,36 @@ def _norm_sq(amps: Collection):
     except OverflowError:
         return math.inf
     return reduce(operator.add, squares) if squares else 0
+
+
+def _flipped_inner(a: PureState, b: PureState, idx: int):
+    """``inner(a, b')`` of two real states, where b' is ``b`` with every ket
+    that holds a photon at position ``idx`` negated, without forming b'.
+
+    The terms come in ``inner``'s ket order, and each is the product a·b:
+    where b' would hold -b, it is subtracted (negated if it comes first),
+    which rounds as adding a·(-b) does, so the result has ``inner``'s bits.
+    A batch folds each later ket's multiply-add in one pass over its
+    elements.
+    """
+    small, large = (a._terms, b._terms) if len(a._terms) <= len(b._terms) else (b._terms, a._terms)
+    total = None
+    for ket, x in small.items():
+        y = large.get(ket)
+        if y is None:
+            continue
+        flip = ket[idx] > 0
+        if total is None:
+            total = -(x * y) if flip else x * y
+        elif type(x) is _Batch:
+            total = _Batch(
+                [t - u * v for t, u, v in zip(total, x, y)]
+                if flip
+                else [t + u * v for t, u, v in zip(total, x, y)]
+            )
+        else:
+            total = total - x * y if flip else total + x * y
+    return 0.0 if total is None else total
 
 
 def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, complex], float]:

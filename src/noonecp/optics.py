@@ -185,7 +185,7 @@ def cross_kerr_tag(
     if not _finite_real(per_photon_phase):
         raise ValueError(f"per-photon phase must be {_REAL_RULE}, got {per_photon_phase!r}")
     state, phases = state if isinstance(state, TaggedState) else (state, {})
-    tagged = _tag_phases(state, phases, _mode_index(state._register, mode), per_photon_phase)
+    tagged = _tag_phases(state, phases, ((_mode_index(state._register, mode), per_photon_phase),))
     if not all(map(math.isfinite, tagged.values())):
         raise ValueError(
             f"tagging mode {mode!r} with phase {per_photon_phase!r} per photon "
@@ -195,10 +195,22 @@ def cross_kerr_tag(
 
 
 def _tag_phases(
-    state: PureState, phases: Mapping[BasisKet, float], idx: int, per_photon_phase: float
+    state: PureState, phases: Mapping[BasisKet, float], tags: Sequence[tuple[int, float]]
 ) -> dict[BasisKet, float]:
-    """``cross_kerr_tag``'s phases for the mode at ``idx``; nothing is checked."""
-    return {ket: phases.get(ket, 0.0) + ket[idx] * per_photon_phase for ket in state._terms}
+    """``cross_kerr_tag``'s phases after each (position, per-photon phase) of
+    ``tags``, in one pass over the kets; nothing is checked.
+
+    Each ket's phase starts at its entry in ``phases`` (0.0 if it has none)
+    and adds the tags' terms in order, as one ``cross_kerr_tag`` call per
+    tag would add them.
+    """
+    out = {}
+    for ket in state._terms:
+        phase = phases.get(ket, 0.0)
+        for idx, per_photon_phase in tags:
+            phase = phase + ket[idx] * per_photon_phase
+        out[ket] = phase
+    return out
 
 
 class HomodyneOutcome(NamedTuple):

@@ -38,13 +38,13 @@ from .fock import (
     _check_count,
     _elements,
     _finite_real,
+    _flipped_inner,
     _off,
     _per_element,
     _real_sq,
     _tensor,
     basis_state,
     fidelity_up_to_global_phase,
-    inner,
     normalized,
     tensor,  # unused here; benchmarks/test_benchmark.py traces noonecp.protocols.tensor
 )
@@ -53,7 +53,6 @@ from .optics import (
     BeamSplitterSpec,
     TaggedState,
     _detect,
-    _negate,
     _partition,
     _split,
     _tag_phases,
@@ -396,24 +395,27 @@ def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureStat
 
     ``branch`` is a probe reading's branch from ``_probe_round``, not
     normalized, on the signal pair and then the config's auxiliary pair;
-    this is the one place in the engine where a branch is normalized. Both
-    detector outcomes are kept: a click on the second detector gets the sign
-    correction on the N-photon mode, the register's second, after which the
-    two projected states agree up to a global phase. The first-detector
-    branch (always present, with real non-negative amplitudes) is returned.
+    this is the one place in the engine where a branch is normalized. The
+    balanced mixer sends the photon to both detectors, so both fire, and
+    the first-detector branch (real non-negative amplitudes) is returned.
+    A click on the second detector calls for the sign correction on the
+    N-photon mode, the register's second, after which the two projected
+    states agree up to a global phase. No corrected copy is formed: the
+    fold check takes the signed overlap <first|corrected second> straight
+    from the second branch (``_flipped_inner``), subtracting each product
+    the correction would negate, with ``inner``'s bits.
     """
     register = branch._register[:2] + _SCHEMES[config.protocol].detectors
     mixed = _split(normalized(branch), *_MIXER, *_PORTS, register)
-    branches = _detect(mixed, _PORTS, _KEPT)
-    corrected = [_negate(state, 1) if fired == 1 else state for fired, state, _norm in branches]
-    for other in corrected[1:]:
+    (_, kept, _), *others = _detect(mixed, _PORTS, _KEPT)
+    for _, other, _ in others:
         # Both branches are normalized and real, so <a|b>^2 is their fidelity.
-        fid = _real_sq(inner(corrected[0], other))
+        fid = _real_sq(_flipped_inner(kept, other, 1))
         if _off(fid, 1.0, NORM_TOLERANCE):
             raise ValueError(
                 f"detector branches disagree after correction (fidelity {fid})"
             )
-    return corrected[0]
+    return kept
 
 
 def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
@@ -436,8 +438,9 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     theta = config.theta
     aux = PureState._derived(scheme.aux_modes, {(1, 0): ca, (0, 1): cb})
     joint = _tensor(state, aux)
-    phases = _tag_phases(joint, {}, _TAGS[0], -theta / n)
-    tagged = TaggedState(joint, _tag_phases(joint, phases, _TAGS[1], theta))
+    # one pass adds both tags' phases, the N-photon mode's first
+    tags = ((_TAGS[0], -theta / n), (_TAGS[1], theta))
+    tagged = TaggedState(joint, _tag_phases(joint, {}, tags))
 
     success_class = abs(math.remainder(theta, math.tau))
     success_reading = failure_reading = None

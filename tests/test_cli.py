@@ -184,13 +184,22 @@ def test_each_tables_row_template_writes_every_cell_as_fmt_does(table, capsys, m
     argv, kinds = _TABLES[table]
     rows = []
     real_row = cli._row
-    monkeypatch.setattr(cli, "_row", lambda *cells: rows.append(cells) or real_row(*cells))
+
+    def spy(template, *cells):
+        rows.append((template, cells))
+        return real_row(template, *cells)
+
+    monkeypatch.setattr(cli, "_row", spy)
     assert main([*argv, "--rounds", "3"]) == EXIT_OK
     capsys.readouterr()
-    rows = [cells for cells in rows if len(cells) > 1]  # run's summary formats lone cells
+    rows = [row for row in rows if len(row[1]) > 1]  # run's summary formats lone cells
     shapes = {"".join("-" if c is None else "d" if type(c) is int else "g" for c in cells)
-              for cells in rows}
+              for _, cells in rows}
     assert shapes == {kinds}
+    # every row of the table is written with the one template its command built
+    templates = {template for template, _ in rows}
+    assert len(templates) == 1
+    (template,) = templates
     for j in range(len(_EDGE_NUMBERS)):
         cells = tuple(
             None if kind == "-"
@@ -198,7 +207,7 @@ def test_each_tables_row_template_writes_every_cell_as_fmt_does(table, capsys, m
             else _EDGE_NUMBERS[(i + j) % len(_EDGE_NUMBERS)]
             for i, kind in enumerate(kinds)
         )
-        fields = real_row(*cells).split(",")
+        fields = real_row(template, *cells).split(",")
         assert fields == [_cell_rule(c) for c in cells], cells
         assert fields == [cli._fmt(type(c)) % (c,) for c in cells], cells
 
@@ -471,7 +480,9 @@ def test_compare_loss_columns_are_each_schemes_own_grid_totals(
     # each unformatted cell must have the bits of that scheme's own pass
     cells = []
     real_row = cli._row
-    monkeypatch.setattr(cli, "_row", lambda *row: cells.append(row) or real_row(*row))
+    monkeypatch.setattr(
+        cli, "_row", lambda template, *row: cells.append(row) or real_row(template, *row)
+    )
     args = build_parser()[0].parse_args([
         "compare-loss", "--n", str(n), "--theta", repr(theta), "--rounds", str(k_max),
         "--eta", repr(eta),

@@ -197,13 +197,13 @@ CONFINED = {
     "noonecp.optics._tag_phases": Confined(
         {"optics.py": {"cross_kerr_tag"}, "protocols.py": {None, "_probe_round"}},
         "protocols.py", (
-            "def _rounds(config, alphas):\n    yield _tag_phases(joint, {}, 1, theta)",
+            "def _rounds(config, alphas):\n    yield _tag_phases(joint, {}, ((1, theta),))",
             "def _interfere_and_detect(branch, config):\n"
-            "    return optics._tag_phases(branch, {}, 3, config.theta)",
+            "    return optics._tag_phases(branch, {}, ((3, config.theta),))",
             "def f():\n    from .optics import _tag_phases as tag\n    return tag",
-            "class _Pass:\n    def tag(self, s):\n        return _tag_phases(s, {}, 1, 0.1)",
+            "class _Pass:\n    def tag(self, s):\n        return _tag_phases(s, {}, ((1, 0.1),))",
         ), (
-            "def _probe_round(state, config):\n    phases = _tag_phases(joint, {}, 1, -theta / n)",
+            "def _probe_round(state, config):\n    phases = _tag_phases(joint, {}, tags)",
             "def _rounds(config, alphas):\n"
             "    \"\"\"Leaves ``_tag_phases`` to the probe stage.\"\"\"\n    yield k",
         ),
@@ -239,17 +239,31 @@ CONFINED = {
             "    \"\"\"Leaves ``_detect`` to the detection stage.\"\"\"\n    return k",
         ),
     ),
-    "noonecp.optics._negate": Confined(
-        {"optics.py": {"negate_occupied"}, "protocols.py": {None, "_interfere_and_detect"}},
-        "protocols.py", (
-            "def run_schedules(config, alphas):\n    return _negate(state, 1)",
-            "def _probe_round(state, config):\n    return optics._negate(joint, 1)",
-            "def f():\n    from .optics import _negate as flip\n    return flip",
-            "class _Pass:\n    def flip(self, s):\n        return _negate(s, 1)",
+    # the sign correction is folded into the detector-fold check's overlap, so
+    # no stage forms a corrected copy; only the public op negates a state
+    "noonecp.optics._negate": Confined({"optics.py": {"negate_occupied"}}, "protocols.py", (
+        "from .optics import _negate",
+        "def _interfere_and_detect(branch, config):\n    flipped = _negate(state, 1)",
+        "def run_schedules(config, alphas):\n    return _negate(state, 1)",
+        "def _probe_round(state, config):\n    return optics._negate(joint, 1)",
+        "class _Pass:\n    def flip(self, s):\n        return _negate(s, 1)",
+    ), (
+        "def _interfere_and_detect(branch, config):\n"
+        "    fid = _real_sq(_flipped_inner(kept, other, 1))",
+        "def _interfere_and_detect(branch, config):\n"
+        "    \"\"\"Folds ``_negate``'s sign into the overlap.\"\"\"\n    return kept",
+    )),
+    "noonecp.fock._flipped_inner": Confined(
+        {"protocols.py": {None, "_interfere_and_detect"}}, "protocols.py", (
+            "def run_schedules(config, alphas):\n    return _flipped_inner(a, b, 1)",
+            "def _probe_round(state, config):\n    return fock._flipped_inner(a, b, 1)",
+            "def f():\n    from .fock import _flipped_inner as overlap\n    return overlap",
+            "class _Pass:\n    def fold(self, a, b):\n        return _flipped_inner(a, b, 1)",
         ), (
-            "def _interfere_and_detect(branch, config):\n    flipped = _negate(state, 1)",
+            "def _interfere_and_detect(branch, config):\n"
+            "    fid = _real_sq(_flipped_inner(kept, other, 1))",
             "def run_schedules(config, alphas):\n"
-            "    \"\"\"Leaves ``_negate`` to the detection stage.\"\"\"\n    return k",
+            "    \"\"\"Leaves ``_flipped_inner`` to the detection stage.\"\"\"\n    return k",
         ),
     ),
     # labels are resolved to positions only by the public ops; the scheme table

@@ -465,8 +465,8 @@ _REJECTED_INPUTS = {
         lambda p: prepare_less_entangled_noon(_A, 2, ("a1", _DETECTOR_LABEL[p])), True
     ),
 }
-# Every optics core a round calls, in the order it calls them.
-_ROUND_OPTICS = ("_tensor", "_tag_phases", "_partition", "_split", "_detect", "_negate")
+# Every core a round calls, in the order it calls them.
+_ROUND_OPTICS = ("_tensor", "_tag_phases", "_partition", "_split", "_detect", "_flipped_inner")
 
 
 def _optics_reached(*args):
@@ -593,8 +593,9 @@ def test_round_degenerate_recycled_input():
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 def test_round_refuses_detector_branches_that_disagree(protocol, monkeypatch):
     # without the sign correction a second-detector click leaves the relative
-    # minus sign in place, so the two branches cannot be folded into one
-    monkeypatch.setattr(protocols, "_negate", lambda state, idx: state)
+    # minus sign in place, so the two branches cannot be folded into one: the
+    # fold check's overlap, stripped of the sign it folds in, is a plain <a|b>
+    monkeypatch.setattr(protocols, "_flipped_inner", lambda a, b, idx: fock.inner(a, b))
     cfg = _config(protocol=protocol, alpha_sq=0.8)
     with pytest.raises(ValueError, match="detector branches disagree"):
         run_round(prepare_less_entangled_noon(cfg.alpha, 2), cfg, 1)
@@ -1214,45 +1215,91 @@ def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, mo
     assert len(calls) == 3 * k_max + 3 * present
 
 
-# The batches one 212-point, K = 10 pass builds, alpha^2 evenly spaced over
-# 0.05..0.95: 31.2 a round for a ``_grid_totals`` pass of either scheme, and
-# 58.6 for a ``run_schedules`` pass, which also detects each round's success
-# branch and prints ecp2's VBS setting t; t is read off the joint state's
-# ket, not formed as a batch of its own. A change to the engine's work
-# restates these counts in the same diff, as a golden CSV is restated.
-_GRID_PASS_BATCHES = {("ecp2", 1): 312, ("ecp1", 100): 312}
-_SCHEDULES_PASS_BATCHES = {("ecp2", 1): 586}
+# The work each stage of an engine pass does, as exact counts: its calls, and
+# the ``_Batch`` objects built while it is the innermost stage running (None:
+# outside every stage, as ``_rounds``' first pair and ``run_schedules``' rows
+# and fidelities). The grids are 212 points, alpha^2 evenly spaced over
+# 0.05..0.95, K = 10; the deep run is the near-balanced golden one, whose
+# success reading lasts 55 rounds. Each round tags its joint state in one
+# pass, detects its failure branch, and folds the second detector's sign
+# into the fold check's overlap, so no stage negates a state; a schedule also
+# detects each present success branch and prints ecp2's VBS setting t, read
+# off the joint state's ket. A change to the engine's work restates these
+# counts in the same diff, as a golden CSV is restated.
+_STAGES = (
+    (protocols, "_probe_round"),
+    (optics, "_tag_phases"),
+    (optics, "_partition"),
+    (protocols, "_interfere_and_detect"),
+    (optics, "_split"),
+    (optics, "_detect"),
+    (fock, "_normalized"),
+    (optics, "_negate"),
+)
 _COUNTED_GRID = [math.sqrt(x) for x in np.linspace(0.05, 0.95, 212)]
+_STAGE_WORK = {
+    "grid ecp2 N=1": (
+        lambda: protocols._grid_totals(_settings("ecp2", 1, max_rounds=10), _COUNTED_GRID),
+        {
+            "_probe_round": (10, 40), "_tag_phases": (10, 0), "_partition": (10, 30),
+            "_interfere_and_detect": (10, 30), "_split": (10, 40), "_detect": (10, 0),
+            "_normalized": (30, 120), "_negate": (0, 0), None: (0, 32),
+        },
+    ),
+    "grid ecp1 N=100": (
+        lambda: protocols._grid_totals(_settings("ecp1", 100, max_rounds=10), _COUNTED_GRID),
+        {
+            "_probe_round": (10, 40), "_tag_phases": (10, 0), "_partition": (10, 30),
+            "_interfere_and_detect": (10, 30), "_split": (10, 40), "_detect": (10, 0),
+            "_normalized": (30, 120), "_negate": (0, 0), None: (0, 32),
+        },
+    ),
+    "schedules ecp2 N=1": (
+        lambda: run_schedules(_settings("ecp2", 1, max_rounds=10), _COUNTED_GRID),
+        {
+            "_probe_round": (10, 40), "_tag_phases": (10, 0), "_partition": (10, 30),
+            "_interfere_and_detect": (20, 60), "_split": (20, 80), "_detect": (20, 0),
+            "_normalized": (60, 240), "_negate": (0, 0), None: (0, 96),
+        },
+    ),
+    "run ecp2 K=1000": (
+        lambda: [run_schedule(_config("ecp2", 0.5000000000000052, 1, max_rounds=1000))],
+        {
+            "_probe_round": (1000, 0), "_tag_phases": (1000, 0), "_partition": (1000, 0),
+            "_interfere_and_detect": (1055, 0), "_split": (1055, 0), "_detect": (1055, 0),
+            "_normalized": (3165, 0), "_negate": (0, 0), None: (0, 0),
+        },
+    ),
+}
 
 
-def _count_batches(monkeypatch):
-    built = []
+@pytest.mark.parametrize("engine_pass", sorted(_STAGE_WORK))
+def test_each_stage_does_its_pinned_work(engine_pass, monkeypatch):
+    run, pinned = _STAGE_WORK[engine_pass]
+    work = {name: [0, 0] for _, name in _STAGES}
+    work[None] = [0, 0]
+    running = [None]
+    for owner, name in _STAGES:
+
+        def stage(*args, _name=name, _original=getattr(owner, name)):
+            work[_name][0] += 1
+            running.append(_name)
+            try:
+                return _original(*args)
+            finally:
+                running.pop()
+
+        _patch_every_binding(monkeypatch, getattr(owner, name), stage)
 
     def counting_new(cls, *args):
-        built.append(cls)
+        work[running[-1]][1] += 1
         return tuple.__new__(cls, *args)
 
     monkeypatch.setattr(fock._Batch, "__new__", counting_new)
-    return built
-
-
-@pytest.mark.parametrize("protocol, n", sorted(_GRID_PASS_BATCHES))
-def test_a_grid_pass_builds_a_pinned_number_of_batches(protocol, n, monkeypatch):
-    k_max = 10
-    config = _config(protocol, 0.5, n, max_rounds=k_max)
-    built = _count_batches(monkeypatch)
-    calls, _bound = _spy_on_every_binding(monkeypatch, fock._normalized)
-    protocols._grid_totals(config, _COUNTED_GRID)
-    assert len(calls) == 3 * k_max
-    assert len(built) == _GRID_PASS_BATCHES[protocol, n]
-
-
-@pytest.mark.parametrize("protocol, n", sorted(_SCHEDULES_PASS_BATCHES))
-def test_a_schedules_pass_builds_a_pinned_number_of_batches(protocol, n, monkeypatch):
-    config = _settings(protocol, n, max_rounds=10)
-    built = _count_batches(monkeypatch)
-    schedules = run_schedules(config, _COUNTED_GRID)
-    assert len(built) == _SCHEDULES_PASS_BATCHES[protocol, n]
+    result = run()
+    assert {name: tuple(counts) for name, counts in work.items()} == pinned
+    # every ecp2 schedule reports its VBS setting t in every round
+    schedules = [s for s in result if isinstance(s, protocols.Schedule)]
     assert all(row.vbs_transmission is not None for s in schedules for row in s.per_round)
 
 
