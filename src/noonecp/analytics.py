@@ -57,7 +57,7 @@ def _round_yields(alpha: float, first: int, last: int) -> list[float]:
     Round k's R = r^(2^k) is round k + 1's r_half = r^(2^(k-1)), so each
     power is formed once.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_count(first, "round index")
     signed, _, log_ratio = _imbalance(alpha)
     r_half, _ = _ratio_power(log_ratio, first - 1)
@@ -71,7 +71,7 @@ def _round_yields(alpha: float, first: int, last: int) -> list[float]:
 
 def p_total_closed_form(alpha: float, k_max: int) -> float:
     """Total success probability of a k_max-round schedule."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_count(k_max, "k_max")
     signed, small, log_ratio = _imbalance(alpha)
     r_pow, one_minus_r = _ratio_power(log_ratio, k_max)

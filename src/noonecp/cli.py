@@ -27,7 +27,6 @@ import math
 import operator
 import sys
 import time
-from dataclasses import replace
 
 from .analytics import (
     _linspace,
@@ -305,11 +304,11 @@ def cmd_compare_loss(args: argparse.Namespace) -> int:
     ecp1, ecp2 = _make_config(args, "ecp1"), _make_config(args, "ecp2")
     # Both schemes run one circuit on their own labels (same mixer, tags and
     # ket order), so their lossless passes agree bit for bit and one pass
-    # serves both: each column is that pass times the scheme's loss factor,
-    # the multiply ``_grid_totals`` makes. This holds only while loss is a
-    # factor applied after the circuit; once loss is put into the circuit,
-    # each scheme needs its own pass again.
-    lossless = _grid_totals(replace(ecp2, loss_eta=1.0), args.grid)
+    # serves both: ``_grid_totals`` is lossless, and each column is that pass
+    # times the scheme's loss factor, as ``apply_loss_model`` scales. This
+    # holds only while loss is a factor applied after the circuit; once loss
+    # is put into the circuit, each scheme needs its own pass again.
+    lossless = _grid_totals(ecp2, args.grid)
     f1, f2 = _loss_factor(ecp1), _loss_factor(ecp2)
     template = _template(float, float, float, float, float)
     rows = []

@@ -22,13 +22,13 @@ The engine may also run a batch of inputs at once: every ket then carries a
 ``_Batch`` of real amplitudes, one per input. Batches add, multiply and
 negate element by element, and every place where a scalar and a batch
 differ goes through the number seam at the end of this module: squaring
-(``_norm_sq``, ``_abs_sq``, ``_real_sq``), the detector-fold check's
-signed overlap (``_flipped_inner``), normalization, tolerance
-checks (``_off``), clipping (``_clip_unit``) and splitting a result per
-input or selecting some of its elements. So every element sees exactly
-the float operations of its own run. Which readings are absent is the
-caller's to decide: it detects only the present ones, so a batch with a
-zero, subnormal or NaN norm is never normalized.
+(``_norm_sq``, ``_abs_sq``), the detector-fold check's signed overlap
+(``_flipped_inner``), normalization, tolerance checks (``_off``), clipping
+(``_clip_unit``) and splitting a result per input or selecting some of its
+elements. So every element sees exactly the float operations of its own
+run. Which readings are absent is the caller's to decide: it detects only
+the present ones, so a batch with a zero, subnormal or NaN norm is never
+normalized.
 """
 
 from __future__ import annotations
@@ -328,12 +328,11 @@ class _Batch(tuple):
     comprehension, with no operator call per element), so each element sees
     exactly the float operations of its own scalar run. A batch has no
     power or abs: squares and magnitudes are left to the seam's folds
-    (``_norm_sq``, ``_normalized``, ``_off``, ``_abs_sq``, ``_real_sq``),
-    which work through a batch in per-element passes and build one batch
-    per result, not one per intermediate step. A batch is true when any
-    element is nonzero. Amplitude elements are real floats (the engine's
-    amplitudes are exactly real), so ``conjugate`` is the identity; only an
-    inner product with a complex state holds complex elements.
+    (``_norm_sq``, ``_normalized``, ``_off``, ``_abs_sq``), which work
+    through a batch in per-element passes and build one batch per result,
+    not one per intermediate step. A batch is true when any element is
+    nonzero. Elements are real floats (the engine's amplitudes are exactly
+    real), so ``conjugate`` is the identity.
     """
 
     __slots__ = ()
@@ -507,21 +506,14 @@ def _off(value, expected: float, tolerance: float) -> bool:
 
 
 def _abs_sq(value):
-    """abs(value) ** 2, per element for a batch, in one pass."""
-    if type(value) is _Batch:
-        return _Batch([abs(x) ** 2 for x in value])
-    return abs(value) ** 2
+    """abs(value) ** 2, per element for a batch, in one pass.
 
-
-def _real_sq(value):
-    """``_abs_sq`` of a real value, per element for a batch, in one pass.
-
-    A real square needs no abs before the even power, as in ``_norm_sq``:
-    it gives the same bits. A complex value goes through ``_abs_sq``.
+    A batch's elements are real floats, which square without abs, as in
+    ``_norm_sq``: an even power gives the same bits either way.
     """
     if type(value) is _Batch:
         return _Batch([x**2 for x in value])
-    return value**2
+    return abs(value) ** 2
 
 
 def _clip_unit(value):

@@ -344,10 +344,6 @@ def negate_occupied(state: PureState, mode: ModeId) -> PureState:
     relative sign between the component with all N photons in ``mode`` and
     the empty component, for any N; applied twice it is the identity.
     """
-    return _negate(state, _mode_index(state._register, mode))
-
-
-def _negate(state: PureState, idx: int) -> PureState:
-    """``negate_occupied`` on the mode at ``idx``."""
+    idx = _mode_index(state._register, mode)
     out = {ket: (-amp if ket[idx] > 0 else amp) for ket, amp in state._terms.items()}
     return PureState._derived(state._register, out)

@@ -33,6 +33,7 @@ from .fock import (
     _REAL_RULE,
     ModeId,
     PureState,
+    _abs_sq,
     _batch,
     _check_alpha,
     _check_count,
@@ -41,7 +42,6 @@ from .fock import (
     _flipped_inner,
     _off,
     _per_element,
-    _real_sq,
     _tensor,
     basis_state,
     fidelity_up_to_global_phase,
@@ -356,7 +356,7 @@ def vbs_transmission(alpha: float, round_k: int) -> float:
     so deep rounds cannot hit 0/0 underflow and any depth is accepted.
     ``run_round`` reads the same setting off the recycled state as ca^2.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_count(round_k, "round index")
     signed, _, log_ratio = _imbalance(alpha)
     r_pow, _ = _ratio_power(log_ratio, round_k - 1)
@@ -410,7 +410,7 @@ def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureStat
     (_, kept, _), *others = _detect(mixed, _PORTS, _KEPT)
     for _, other, _ in others:
         # Both branches are normalized and real, so <a|b>^2 is their fidelity.
-        fid = _real_sq(_flipped_inner(kept, other, 1))
+        fid = _abs_sq(_flipped_inner(kept, other, 1))
         if _off(fid, 1.0, NORM_TOLERANCE):
             raise ValueError(
                 f"detector branches disagree after correction (fidelity {fid})"
@@ -560,17 +560,18 @@ def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Sched
 
 
 def _grid_totals(config: ProtocolConfig, alphas: Sequence[float]) -> list[float]:
-    """Each p_total of ``run_schedules(config, alphas)`` after ``apply_loss_model``.
+    """Each p_total of ``run_schedules(config, alphas)``, lossless whatever
+    the config's loss_eta.
 
     Folds only the unconditional column as the rounds stream by; no
     success branch is normalized, no success state, schedule or fidelity
-    is formed, and no round is kept.
+    is formed, and no round is kept. A caller that prints a lossy total
+    scales it by ``_loss_factor``, as ``apply_loss_model`` does.
     """
     p_total = 0.0
     for *_, u, _success_branch in _rounds(config, alphas):
         p_total += u
-    factor = _loss_factor(config)
-    return [total * factor for (total,) in _per_element((p_total,), len(alphas))]
+    return [total for (total,) in _per_element((p_total,), len(alphas))]
 
 
 def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:

@@ -342,3 +342,21 @@ def test_sweep_refuses_the_alphas_every_other_entry_point_refuses(entry):
     with pytest.raises(ValueError, match="alpha"):
         p_total_closed_form(entry, 2)
     assert figure3_sweep(k_max=2, grid=[np.float64(0.6)]) == figure3_sweep(k_max=2, grid=[0.6])
+
+
+@pytest.mark.parametrize("alpha_sq", [1e-4, 0.36, 0.5 + 1e-15, 0.9999])
+def test_a_numpy_alpha_gives_the_closed_forms_of_its_python_float(alpha_sq):
+    # each closed form runs on the float the alpha check returns, so a
+    # numpy.float64 gives a Python float with the bits of the float input
+    alpha = math.sqrt(alpha_sq)
+    for closed_form, depth in [
+        (p_total_closed_form, 7),
+        (p_round_closed_form, 3),
+        (protocols.vbs_transmission, 3),
+    ]:
+        got, want = closed_form(np.float64(alpha), depth), closed_form(alpha, depth)
+        assert type(got) is float and got.hex() == want.hex(), closed_form.__name__
+    # a sweep point echoes its alpha as given and holds Python floats
+    [point] = figure3_sweep(k_max=7, grid=np.array([alpha]))
+    assert type(point.alpha) is np.float64
+    assert all(type(p) is float for p in (point.p_total, *point.per_round_p))

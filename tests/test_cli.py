@@ -477,7 +477,8 @@ def test_compare_loss_columns_are_each_schemes_own_grid_totals(
     capsys, monkeypatch, n, theta, k_max, eta
 ):
     # compare-loss prints each scheme's column from one shared lossless pass;
-    # each unformatted cell must have the bits of that scheme's own pass
+    # each unformatted cell must have the bits of that scheme's own lossless
+    # pass times its loss factor
     cells = []
     real_row = cli._row
     monkeypatch.setattr(
@@ -490,13 +491,13 @@ def test_compare_loss_columns_are_each_schemes_own_grid_totals(
     args.grid = _LOSS_GRID
     assert cli.cmd_compare_loss(args) == EXIT_OK
     capsys.readouterr()
-    want = {
-        protocol: protocols._grid_totals(
-            ProtocolConfig(protocol, n_photons=n, max_rounds=k_max, theta=theta, loss_eta=eta),
-            _LOSS_GRID,
+    want = {}
+    for protocol in protocols.PROTOCOLS:
+        config = ProtocolConfig(
+            protocol, n_photons=n, max_rounds=k_max, theta=theta, loss_eta=eta
         )
-        for protocol in protocols.PROTOCOLS
-    }
+        factor = protocols._loss_factor(config)
+        want[protocol] = [t * factor for t in protocols._grid_totals(config, _LOSS_GRID)]
     assert [alpha for alpha, *_ in cells] == _LOSS_GRID
     for column, protocol in ((2, "ecp1"), (3, "ecp2")):
         assert [row[column].hex() for row in cells] == [t.hex() for t in want[protocol]]

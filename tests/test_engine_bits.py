@@ -57,7 +57,10 @@ def _stream():
                     yield _bits(schedule.p_total)
                     for row in schedule.per_round:
                         yield ",".join(map(_bits, row))
-                yield ",".join(map(_bits, protocols._grid_totals(config, _GRID)))
+                # the grid fold is lossless; a lossy total is it times the loss factor
+                factor = protocols._loss_factor(config)
+                totals = protocols._grid_totals(config, _GRID)
+                yield ",".join(_bits(total * factor) for total in totals)
                 state = prepare_less_entangled_noon(alpha, n)
                 for k in range(1, _K + 1):
                     out = run_round(state, config, k)

@@ -240,19 +240,37 @@ CONFINED = {
         ),
     ),
     # the sign correction is folded into the detector-fold check's overlap, so
-    # no stage forms a corrected copy; only the public op negates a state
-    "noonecp.optics._negate": Confined({"optics.py": {"negate_occupied"}}, "protocols.py", (
-        "from .optics import _negate",
-        "def _interfere_and_detect(branch, config):\n    flipped = _negate(state, 1)",
-        "def run_schedules(config, alphas):\n    return _negate(state, 1)",
-        "def _probe_round(state, config):\n    return optics._negate(joint, 1)",
-        "class _Pass:\n    def flip(self, s):\n        return _negate(s, 1)",
+    # no stage forms a corrected copy: no module of the package calls the public op
+    "noonecp.optics.negate_occupied": Confined({}, "protocols.py", (
+        "from .optics import negate_occupied",
+        "def _interfere_and_detect(branch, config):\n    flipped = negate_occupied(other, 'b1')",
+        "def run_schedules(config, alphas):\n    return negate_occupied(state, 'b1')",
+        "def _probe_round(state, config):\n    return optics.negate_occupied(joint, 'b1')",
+        "class _Pass:\n    def flip(self, s):\n        return negate_occupied(s, 'b1')",
     ), (
         "def _interfere_and_detect(branch, config):\n"
-        "    fid = _real_sq(_flipped_inner(kept, other, 1))",
+        "    fid = _abs_sq(_flipped_inner(kept, other, 1))",
         "def _interfere_and_detect(branch, config):\n"
-        "    \"\"\"Folds ``_negate``'s sign into the overlap.\"\"\"\n    return kept",
+        "    \"\"\"Folds ``negate_occupied``'s sign into the overlap.\"\"\"\n    return kept",
     )),
+    # loss is one factor applied after the lossless circuit: the loss model and
+    # compare-loss's columns scale by it, and the grid fold stays lossless
+    "noonecp.protocols._loss_factor": Confined(
+        {"protocols.py": {"apply_loss_model"}, "cli.py": {None, "cmd_compare_loss"}},
+        "protocols.py", (
+            "def _grid_totals(config, alphas):\n    factor = _loss_factor(config)\n"
+            "    return [total * factor for (total,) in totals]",
+            "def run_schedules(config, alphas):\n"
+            "    return [s * protocols._loss_factor(config) for s in totals]",
+            "def _rounds(config, alphas):\n    yield k, t, p * _loss_factor(config), u",
+            "def f():\n    from .protocols import _loss_factor as factor\n    return factor",
+            "class _Pass:\n    def scale(self, total):\n        return total * _loss_factor(self.c)",
+        ), (
+            "def apply_loss_model(schedule, config):\n    f = _loss_factor(config)",
+            "def _grid_totals(config, alphas):\n"
+            "    \"\"\"Leaves ``_loss_factor`` to its callers.\"\"\"\n    return totals",
+        ),
+    ),
     "noonecp.fock._flipped_inner": Confined(
         {"protocols.py": {None, "_interfere_and_detect"}}, "protocols.py", (
             "def run_schedules(config, alphas):\n    return _flipped_inner(a, b, 1)",
@@ -261,7 +279,7 @@ CONFINED = {
             "class _Pass:\n    def fold(self, a, b):\n        return _flipped_inner(a, b, 1)",
         ), (
             "def _interfere_and_detect(branch, config):\n"
-            "    fid = _real_sq(_flipped_inner(kept, other, 1))",
+            "    fid = _abs_sq(_flipped_inner(kept, other, 1))",
             "def run_schedules(config, alphas):\n"
             "    \"\"\"Leaves ``_flipped_inner`` to the detection stage.\"\"\"\n    return k",
         ),

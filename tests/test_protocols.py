@@ -1025,8 +1025,13 @@ def test_grid_totals_equal_per_point_runs_bit_for_bit(protocol, n, k_max):
         )
     for eta in (1.0, 0.9, 0.0):
         cfg = replace(settings, loss_eta=eta)
+        totals = protocols._grid_totals(cfg, grid)
+        # loss is a factor applied after the circuit, so the fold is lossless
+        # whatever the eta, and a lossy total is it times the loss factor
+        assert [t.hex() for t in totals] == [s.p_total.hex() for s in lossless], eta
+        factor = protocols._loss_factor(cfg)
         want = [apply_loss_model(s, cfg).p_total.hex() for s in lossless]
-        assert [t.hex() for t in protocols._grid_totals(cfg, grid)] == want, eta
+        assert [(t * factor).hex() for t in totals] == want, eta
         assert protocols._grid_totals(cfg, []) == []
 
 
@@ -1222,10 +1227,11 @@ def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, mo
 # 0.05..0.95, K = 10; the deep run is the near-balanced golden one, whose
 # success reading lasts 55 rounds. Each round tags its joint state in one
 # pass, detects its failure branch, and folds the second detector's sign
-# into the fold check's overlap, so no stage negates a state; a schedule also
-# detects each present success branch and prints ecp2's VBS setting t, read
-# off the joint state's ket. A change to the engine's work restates these
-# counts in the same diff, as a golden CSV is restated.
+# into the fold check's overlap, so no stage negates a state (the layering
+# table's ``negate_occupied`` row keeps it so); a schedule also detects each
+# present success branch and prints ecp2's VBS setting t, read off the joint
+# state's ket. A change to the engine's work restates these counts in the
+# same diff, as a golden CSV is restated.
 _STAGES = (
     (protocols, "_probe_round"),
     (optics, "_tag_phases"),
@@ -1234,7 +1240,6 @@ _STAGES = (
     (optics, "_split"),
     (optics, "_detect"),
     (fock, "_normalized"),
-    (optics, "_negate"),
 )
 _COUNTED_GRID = [math.sqrt(x) for x in np.linspace(0.05, 0.95, 212)]
 _STAGE_WORK = {
@@ -1243,7 +1248,7 @@ _STAGE_WORK = {
         {
             "_probe_round": (10, 40), "_tag_phases": (10, 0), "_partition": (10, 30),
             "_interfere_and_detect": (10, 30), "_split": (10, 40), "_detect": (10, 0),
-            "_normalized": (30, 120), "_negate": (0, 0), None: (0, 32),
+            "_normalized": (30, 120), None: (0, 32),
         },
     ),
     "grid ecp1 N=100": (
@@ -1251,7 +1256,7 @@ _STAGE_WORK = {
         {
             "_probe_round": (10, 40), "_tag_phases": (10, 0), "_partition": (10, 30),
             "_interfere_and_detect": (10, 30), "_split": (10, 40), "_detect": (10, 0),
-            "_normalized": (30, 120), "_negate": (0, 0), None: (0, 32),
+            "_normalized": (30, 120), None: (0, 32),
         },
     ),
     "schedules ecp2 N=1": (
@@ -1259,7 +1264,7 @@ _STAGE_WORK = {
         {
             "_probe_round": (10, 40), "_tag_phases": (10, 0), "_partition": (10, 30),
             "_interfere_and_detect": (20, 60), "_split": (20, 80), "_detect": (20, 0),
-            "_normalized": (60, 240), "_negate": (0, 0), None: (0, 96),
+            "_normalized": (60, 240), None: (0, 96),
         },
     ),
     "run ecp2 K=1000": (
@@ -1267,7 +1272,7 @@ _STAGE_WORK = {
         {
             "_probe_round": (1000, 0), "_tag_phases": (1000, 0), "_partition": (1000, 0),
             "_interfere_and_detect": (1055, 0), "_split": (1055, 0), "_detect": (1055, 0),
-            "_normalized": (3165, 0), "_negate": (0, 0), None: (0, 0),
+            "_normalized": (3165, 0), None: (0, 0),
         },
     ),
 }
