@@ -15,7 +15,7 @@ ETA = 0.9
 ROUNDS = 6
 ALPHA_SQ = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-# one config of settings per scheme, run over all five alphas in one grid
+# one config of settings per scheme, and one schedule per alpha
 alphas = [math.sqrt(alpha_sq) for alpha_sq in ALPHA_SQ]
 totals = {}
 for protocol in ("ecp1", "ecp2"):

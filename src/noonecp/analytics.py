@@ -126,10 +126,10 @@ def figure3_sweep(
         size = len(points)
         p_total = 0.0
         for k, *_, u, _success_branch in _rounds(settings, [point.alpha for point in points]):
-            for point, (got,) in zip(points, _per_element((u,), size)):
+            for point, got in zip(points, _per_element(u, size)):
                 _check_against_engine(f"round {k}", point.alpha, got, point.per_round_p[k - 1])
             p_total += u
-        for point, (got,) in zip(points, _per_element((p_total,), size)):
+        for point, got in zip(points, _per_element(p_total, size)):
             _check_against_engine("p_total", point.alpha, got, point.p_total)
     return points
 

@@ -23,12 +23,12 @@ The engine may also run a batch of inputs at once: every ket then carries a
 negate element by element, and every place where a scalar and a batch
 differ goes through the number seam at the end of this module: squaring
 (``_norm_sq``, ``_abs_sq``), the detector-fold check's signed overlap
-(``_flipped_inner``), normalization, tolerance checks (``_off``), clipping
-(``_clip_unit``) and splitting a result per input or selecting some of its
-elements. So every element sees exactly the float operations of its own
-run. Which readings are absent is the caller's to decide: it detects only
-the present ones, so a batch with a zero, subnormal or NaN norm is never
-normalized.
+(``_flipped_inner``), normalization, tolerance checks (``_off``) and
+splitting a result per input. So every element sees exactly the float
+operations of its own run. Which readings are absent is the caller's to
+decide: the engine detects a batch's recycled branch, which is present in
+every element, and never its success branch, so a batch with a zero,
+subnormal or NaN norm is never normalized.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import reduce
 from itertools import repeat
 from numbers import Number
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
 __all__ = [
     "ModeId",
@@ -314,7 +314,7 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     for name, st in (("first", a), ("second", b)):
         if _off(norm_sq(st), 1.0, NORM_TOLERANCE):
             raise ValueError(f"{name} argument is not normalized")
-    return _clip_unit(_abs_sq(inner(a, b)))
+    return min(max(_abs_sq(inner(a, b)), 0.0), 1.0)
 
 
 # --- Number seam: the only code that tells a plain amplitude from a batch. ---
@@ -331,8 +331,8 @@ class _Batch(tuple):
     (``_norm_sq``, ``_normalized``, ``_off``, ``_abs_sq``), which work
     through a batch in per-element passes and build one batch per result,
     not one per intermediate step. A batch is true when any element is
-    nonzero. Elements are real floats (the engine's amplitudes are exactly
-    real), so ``conjugate`` is the identity.
+    nonzero. Elements are real floats: the engine's amplitudes are exactly
+    real.
     """
 
     __slots__ = ()
@@ -356,9 +356,6 @@ class _Batch(tuple):
 
     def __bool__(self) -> bool:
         return any(self)
-
-    def conjugate(self) -> _Batch:
-        return self
 
     def __format__(self, spec: str) -> str:
         return "[" + ", ".join(format(x, spec) for x in self) + "]"
@@ -516,23 +513,8 @@ def _abs_sq(value):
     return abs(value) ** 2
 
 
-def _clip_unit(value):
-    """min(max(value, 0.0), 1.0), per element for a batch; NaN stays NaN."""
+def _per_element(value, size: int) -> list:
+    """A plain number or a batch of ``size``, as one number per element."""
     if type(value) is _Batch:
-        return _Batch(map(min, map(max, value, repeat(0.0)), repeat(1.0)))
-    return min(max(value, 0.0), 1.0)
-
-
-def _elements(state: PureState, idxs: Sequence[int], size: int) -> PureState:
-    """A batch of ``size`` at its elements ``idxs``: plain for one, itself for all."""
-    if len(idxs) == size:
-        return state
-    terms = {k: _batch([a[i] for i in idxs]) for k, a in state._terms.items()}
-    return PureState._derived(state._register, terms)
-
-
-def _per_element(values: tuple, size: int) -> list[tuple]:
-    """A tuple of plain numbers and batches, as one tuple per element of a batch."""
-    if size == 1:
-        return [values]
-    return list(zip(*(v if type(v) is _Batch else repeat(v, size) for v in values)))
+        return list(value)
+    return [value] * size

@@ -178,13 +178,19 @@ def cross_kerr_tag(
 ) -> TaggedState:
     """Add occupation(mode) * per_photon_phase to every branch's probe phase.
 
-    Plain states enter with phase 0 on every branch. Amplitudes are never
-    changed, so two tags on different modes commute exactly. A branch whose
-    phase would leave the float range is refused.
+    Plain states enter with phase 0 on every branch; a tagged state must
+    carry a finite real phase on every ket, as ``homodyne_partition``
+    requires. Amplitudes are never changed, so two tags on different modes
+    commute exactly. A branch whose phase would leave the float range is
+    refused.
     """
     if not _finite_real(per_photon_phase):
         raise ValueError(f"per-photon phase must be {_REAL_RULE}, got {per_photon_phase!r}")
-    state, phases = state if isinstance(state, TaggedState) else (state, {})
+    if isinstance(state, TaggedState):
+        state, phases = state
+        _check_phases(state, phases)
+    else:
+        phases = {}
     tagged = _tag_phases(state, phases, ((_mode_index(state._register, mode), per_photon_phase),))
     if not all(map(math.isfinite, tagged.values())):
         raise ValueError(
@@ -192,6 +198,15 @@ def cross_kerr_tag(
             "gives a branch a probe phase that is not finite"
         )
     return TaggedState(state, tagged)
+
+
+def _check_phases(state: PureState, phases: Mapping[BasisKet, float]) -> None:
+    """Refuse ``phases`` unless it gives every ket of ``state`` a finite real phase."""
+    for ket in state._terms:
+        if ket not in phases:
+            raise ValueError(f"ket {ket!r} has no probe phase")
+        if not _finite_real(phases[ket]):
+            raise ValueError(f"ket {ket!r} has probe phase {phases[ket]!r}, not {_REAL_RULE}")
 
 
 def _tag_phases(
@@ -265,12 +280,7 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     input must be normalized, with a finite real phase on every ket.
     Outcomes come back sorted by phase class, probabilities summing to 1.
     """
-    pure, phases = state
-    for ket in pure._terms:
-        if ket not in phases:
-            raise ValueError(f"ket {ket!r} has no probe phase")
-        if not _finite_real(phases[ket]):
-            raise ValueError(f"ket {ket!r} has probe phase {phases[ket]!r}, not {_REAL_RULE}")
+    _check_phases(*state)
     return [HomodyneOutcome(key, normalized(branch), p) for key, branch, p in _partition(state)]
 
 

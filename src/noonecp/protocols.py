@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import starmap
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fock import (
@@ -37,7 +36,6 @@ from .fock import (
     _batch,
     _check_alpha,
     _check_count,
-    _elements,
     _finite_real,
     _flipped_inner,
     _off,
@@ -517,46 +515,41 @@ def run_schedule(config: ProtocolConfig) -> Schedule:
 
 
 def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Schedule]:
-    """``run_schedule`` of ``config`` at each of ``alphas``, as one engine pass.
+    """``run_schedule`` of ``config`` at each of ``alphas``, in order.
 
     The alphas are the input and ``config`` holds the settings; its own
     alpha, which may be None, is not read. Each alpha must lie strictly
-    inside (0, 1) (ValueError otherwise). At fixed N every alpha walks
-    through the same kets, so each round runs once with one amplitude batch
-    per ket; every element sees the float operations of its own scalar run,
-    so each schedule equals ``run_schedule`` of the config with that alpha,
-    bit for bit. This is the one consumer of ``_rounds`` that detects the
-    success branch, to take the fidelity column, so the detector-fold check
-    runs on it here.
+    inside (0, 1) (ValueError otherwise). Each alpha runs its own pass of
+    ``_rounds``, so each schedule equals ``run_schedule`` of the config with
+    that alpha, bit for bit. This is the one consumer of ``_rounds`` that
+    detects the success branch, to take the fidelity column, so the
+    detector-fold check runs on it here; a round whose success reading is
+    absent (p = 0) heralds nothing and its fidelity is NaN.
     """
-    alphas = list(alphas)
-    size = len(alphas)
     # ``maximally_entangled_noon``'s r as real floats: each overlap is real arithmetic.
     n, r = config.n_photons, 1.0 / math.sqrt(2.0)
     target = PureState._derived(SIGNAL_MODES, {(n, 0): r, (0, n): r})
-    per_round = []
-    p_total = 0.0
-    for k, t, p, u, success_branch in _rounds(config, alphas):
-        # An absent reading (p = 0) heralds nothing: it is not detected, its fidelity is NaN.
-        rows = _per_element((k, t, p, u, math.nan), size)
-        if success_branch is not None:
-            present = [i for i, row in enumerate(rows) if row[2] > 0.0]
-            success_state = _interfere_and_detect(_elements(success_branch, present, size), config)
-            fidelity = fidelity_up_to_global_phase(success_state, target)
-            for i, (f,) in zip(present, _per_element((fidelity,), len(present))):
-                rows[i] = rows[i][:4] + (f,)
-        per_round.append(list(starmap(RoundStats, rows)))
-        p_total += u
-    return [
-        Schedule(
-            protocol=config.protocol,
-            alpha=alpha,
-            n_photons=config.n_photons,
-            per_round=stats,
-            p_total=total,
+    schedules = []
+    for alpha in alphas:
+        per_round = []
+        p_total = 0.0
+        for k, t, p, u, success_branch in _rounds(config, [alpha]):
+            fidelity = math.nan
+            if success_branch is not None:
+                success_state = _interfere_and_detect(success_branch, config)
+                fidelity = fidelity_up_to_global_phase(success_state, target)
+            per_round.append(RoundStats(k, t, p, u, fidelity))
+            p_total += u
+        schedules.append(
+            Schedule(
+                protocol=config.protocol,
+                alpha=alpha,
+                n_photons=config.n_photons,
+                per_round=tuple(per_round),
+                p_total=p_total,
+            )
         )
-        for alpha, stats, (total,) in zip(alphas, zip(*per_round), _per_element((p_total,), size))
-    ]
+    return schedules
 
 
 def _grid_totals(config: ProtocolConfig, alphas: Sequence[float]) -> list[float]:
@@ -571,7 +564,7 @@ def _grid_totals(config: ProtocolConfig, alphas: Sequence[float]) -> list[float]
     p_total = 0.0
     for *_, u, _success_branch in _rounds(config, alphas):
         p_total += u
-    return [total for (total,) in _per_element((p_total,), len(alphas))]
+    return _per_element(p_total, len(alphas))
 
 
 def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:
@@ -585,13 +578,13 @@ def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:
     round runs ``_probe_round``, which detects only the recycled failure
     branch; a consumer that prints a fidelity passes the success branch to
     ``_interfere_and_detect``. Past rounds are not kept: only the recycled
-    state carries over. Each alpha is checked as in ``run_schedules``.
+    state carries over. Each alpha is checked by ``_check_alpha``.
 
     The alphas run as one batch of Python floats (a ``numpy.float64`` as its
     float): each number holds one value per alpha (a plain float for one
     alpha). Where p is 0 in some elements, the success branch still holds
-    them, with a zero or underflowed norm; ``run_schedules`` detects only
-    the elements whose p is positive.
+    them, with a zero or underflowed norm, so a batch's success branch is
+    never detected: ``run_schedules`` runs one alpha per pass.
     """
     alphas = [_check_alpha(alpha) for alpha in alphas]
     if not alphas:

@@ -1,5 +1,10 @@
-"""Every narrative script in demos/ runs to completion, and README's library
-quick start prints the values it shows."""
+"""Every narrative script in demos/ runs to completion and prints its
+committed output byte for byte, and README's library quick start prints the
+values it shows.
+
+Each demo's stdout is committed as ``tests/golden/demos/<demo>.txt``;
+regenerate one only for a change that is meant to alter that output.
+"""
 
 import ast
 import io
@@ -7,32 +12,48 @@ import os
 import subprocess
 import sys
 import tokenize
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 def test_demos_are_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_zero(demo):
+def test_every_committed_demo_output_has_a_demo():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [demo.stem for demo in DEMOS]
+
+
+@cache
+def _run(demo):
+    """One run of ``demo``, shared by the tests that read it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
-        text=True,
         timeout=120,
         env=env,
     )
-    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_zero(demo):
+    proc = _run(demo)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_prints_its_committed_output(demo):
+    assert _run(demo).stdout == (GOLDEN / f"{demo.stem}.txt").read_bytes()
 
 
 def test_readme_quick_start_prints_the_values_it_shows(capsys):

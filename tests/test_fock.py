@@ -32,7 +32,7 @@ from noonecp import (
     vacuum,
 )
 from noonecp import fock
-from noonecp.fock import _abs_sq, _Batch, _elements, _norm_sq, _normalized, _off
+from noonecp.fock import _abs_sq, _Batch, _norm_sq, _normalized, _off
 
 
 def test_vacuum_single_mode():
@@ -511,25 +511,6 @@ def test_batch_normalization_refuses_a_zero_or_subnormal_element_norm():
         _normalized({(1, 0): _Batch([0.0, 3.0, -0.0]), (0, 1): _Batch([0.0, 4.0, 0.0])})
     with pytest.raises(ValueError, match="zero norm"):
         _normalized({(1, 0): _Batch([0.0, 0.0])})
-
-
-def test_selecting_batch_elements_keeps_their_bits():
-    runs = [(0.6, 0.8), (_HALFWAY, -0.0), (3 * _TINY, 4 * _TINY), (0.0, 1.0)]
-    kets = [(1, 0), (0, 1)]
-    state = PureState._derived(("a", "b"), dict(zip(kets, _batched_kets(runs))))
-    # every element selected: the state itself, nothing built
-    assert _elements(state, range(len(runs)), len(runs)) is state
-    picked = _elements(state, [3, 1], len(runs))
-    assert picked.register == state.register
-    for i, ket in enumerate(kets):
-        assert type(picked.terms[ket]) is _Batch
-        assert [x.hex() for x in picked.terms[ket]] == [runs[3][i].hex(), runs[1][i].hex()]
-    # one element: a plain state, which drops the ket that is zero there
-    for e, run in enumerate(runs):
-        single = _elements(state, [e], len(runs))
-        want = {ket: a.hex() for ket, a in zip(kets, run) if a}
-        assert all(type(a) is float for a in single.terms.values())
-        assert {ket: a.hex() for ket, a in single.terms.items()} == want, e
 
 
 def test_batched_state_repr_formats_each_element():

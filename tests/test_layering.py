@@ -347,7 +347,7 @@ CONFINED = {
     "math.nan": Confined({"protocols.py": {"run_schedules"}}, "fock.py", (
         "def _normalized(terms):\n    scale = _Batch([1.0 / n if n else math.nan for n in norm])",
         "def _interfere_and_detect(branch, config):\n    return math.nan",
-        "def _elements(state, idxs, size):\n    from math import nan\n    return nan",
+        "def _per_element(value, size):\n    from math import nan\n    return [nan] * size",
         "class _Batch(tuple):\n    def __truediv__(self, other):\n        return math.nan",
         "UNDEFINED = math.nan",
     ), (
@@ -942,3 +942,73 @@ def test_the_guard_sees_a_script_entry():
 
 def test_the_guard_lets_other_uses_of_the_module_name_through():
     assert _script_entries("log = logging.getLogger(__name__)\nok = __name__ == 'noonecp'") == []
+
+
+# Module-level imports a module keeps without reading them, each with its reason.
+UNREAD_IMPORTS_KEPT = {
+    # benchmarks/test_benchmark.py looks up noonecp.protocols.tensor; ROADMAP
+    # item 3 mends that test and deletes the import with it
+    ("protocols.py", "tensor"),
+}
+
+
+def _unread_imports(source):
+    """Each name a module-level import of ``source`` binds and no code reads.
+
+    A read is a load of the bare name anywhere in the module, an annotation
+    included; a string, a docstring or a store is not one. Star imports and
+    ``__future__`` imports bind nothing to read.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(set(bound) - read)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_reads_every_name_it_imports(module):
+    kept = sorted(name for owner, name in UNREAD_IMPORTS_KEPT if owner == module)
+    assert _unread_imports((PACKAGE / module).read_text()) == kept
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import math\nx = 1",
+        "from typing import Iterable, Sequence\ndef f(xs: Iterable[int]):\n    return xs",
+        "from .fock import _elements, _per_element\n"
+        "def f(v):\n    return _per_element(v, 1)",
+        "import os.path as osp\nimport os\nHOME = os.sep",
+        "from math import pi as PI\ndef pi():\n    return 3",
+        "import json\njson = None",
+        "import math\n\"\"\"Uses math.pi.\"\"\"",
+        "from itertools import starmap\ndef f(rows):\n    return 'starmap'",
+    ],
+)
+def test_the_guard_sees_each_unread_import(source):
+    assert _unread_imports(source) != []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from __future__ import annotations\nimport math\nTAU = math.tau",
+        "from typing import Sequence\ndef f(xs: Sequence[int]):\n    return xs",
+        "import os.path\nHOME = os.path.expanduser('~')",
+        "from . import fock\nfrom .fock import *\n__all__ = fock.__all__",
+        "from math import pi as PI\ndef area(r):\n    return PI * r * r",
+        "import sys\nclass C:\n    def f(self):\n        return sys.maxsize",
+        "def f():\n    import json\n    return 1",
+    ],
+)
+def test_the_guard_lets_each_read_import_through(source):
+    assert _unread_imports(source) == []

@@ -668,6 +668,25 @@ def test_homodyne_refuses_a_probe_phase_that_is_not_a_finite_real(phases, ket, s
         homodyne_partition(tagged)
 
 
+@pytest.mark.parametrize(
+    "phases, refusal",
+    [
+        ({(1, 0): "x"}, "ket (1, 0) has probe phase 'x', not a finite real"),
+        ({(1, 0): math.nan}, "ket (1, 0) has probe phase nan, not a finite real"),
+        ({(1, 0): True}, "ket (1, 0) has probe phase True, not a finite real"),
+        ({}, "ket (1, 0) has no probe phase"),
+    ],
+    ids=["str", "nan", "bool", "missing"],
+)
+def test_cross_kerr_tag_refuses_a_tagged_state_phase_as_homodyne_does(phases, refusal):
+    # a valid new tag must neither trip over, blame itself for, add to nor
+    # fill in a phase the tagged state carries that the readout would refuse
+    tagged = TaggedState(basis_state(("a", "b"), (1, 0)), phases)
+    for op in (lambda: cross_kerr_tag(tagged, "a", 0.1), lambda: homodyne_partition(tagged)):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            op()
+
+
 def test_negate_occupied_fixes_even_component_sign():
     # a per-photon pi phase, (-1)^n, cannot touch an even occupation; the
     # component negation can
