@@ -22,8 +22,9 @@ The engine may also run a batch of inputs at once: every ket then carries a
 ``_Batch`` of real amplitudes, one per input. Batches add, multiply and
 negate element by element, and every place where a scalar and a batch
 differ goes through the number seam at the end of this module: squaring
-(``_norm_sq``, ``_abs_sq``), the detector-fold check's signed overlap
-(``_flipped_inner``), normalization, tolerance checks (``_off``) and
+(``_norm_sq``), the detector-fold check's fidelity (``_fold_fidelity``:
+``_flipped_inner``'s signed overlap over the unnormalized second group's
+norm), normalization (``_normalized``), tolerance checks (``_off``) and
 splitting a result per input. So every element sees exactly the float
 operations of its own run. Which readings are absent is the caller's to
 decide: the engine detects a batch's recycled branch, which is present in
@@ -185,6 +186,22 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _finite_amplitudes(state: PureState, op: str) -> PureState:
+    """``state``, if every amplitude is finite; otherwise ValueError naming
+    the first ket whose amplitude ``op`` took beyond the float range.
+
+    ``PureState(...)`` refuses an amplitude that is not finite, so each
+    public op that scales or adds amplitudes checks its result with this;
+    the unchecked cores the engine runs do not.
+    """
+    for ket, amp in state._terms.items():
+        if not cmath.isfinite(amp):
+            raise ValueError(
+                f"{op} takes the amplitude of ket {ket!r} beyond the float range ({amp!r})"
+            )
+    return state
+
+
 def _mode_index(register: tuple[ModeId, ...], mode: ModeId) -> int:
     """Position of ``mode`` in ``register``; ValueError if it is absent."""
     try:
@@ -212,7 +229,8 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
     sqrt((m+n)! / m!), so n quanta on vacuum give amplitude sqrt(n!). The
     factor is the exact integer (m+n)!/m! rounded once before the square
     root; a factor beyond the float range raises ValueError, as soon for a
-    large n as for n = 302: no more than 302 factors are multiplied.
+    large n as for n = 302: no more than 302 factors are multiplied. So
+    does an amplitude that the factor takes beyond the float range.
 
     Args:
         state: input state.
@@ -235,14 +253,15 @@ def create(state: PureState, mode: ModeId, n: int = 1) -> PureState:
                 f"bosonic factor sqrt({m + n}!/{m}!) exceeds the float range"
             ) from None
         out[ket[:idx] + (m + n,) + ket[idx + 1 :]] = amp * factor
-    return PureState._derived(state._register, out)
+    return _finite_amplitudes(PureState._derived(state._register, out), "create")
 
 
 def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
     """Linear combination sum(c_i * state_i) over a shared register.
 
     The result is not renormalized; callers wanting a unit vector compose
-    with ``normalized``.
+    with ``normalized``. A sum or product beyond the float range raises
+    ValueError, naming its ket.
     """
     items = list(terms)
     if not items:
@@ -259,14 +278,17 @@ def superpose(terms: Iterable[tuple[complex, PureState]]) -> PureState:
             raise ValueError(f"superpose coefficients must be finite numbers, got {coeff!r}")
         for ket, amp in st._terms.items():
             _add_into(acc, ket, c * amp)
-    return PureState._derived(reg, acc)
+    return _finite_amplitudes(PureState._derived(reg, acc), "superpose")
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product on the concatenated register; labels must not collide."""
+    """Tensor product on the concatenated register; labels must not collide.
+
+    A product beyond the float range raises ValueError, naming its ket.
+    """
     if not set(a._register).isdisjoint(b._register):
         raise ValueError(f"registers {a._register!r} and {b._register!r} share mode labels")
-    return _tensor(a, b)
+    return _finite_amplitudes(_tensor(a, b), "tensor")
 
 
 def _tensor(a: PureState, b: PureState) -> PureState:
@@ -314,7 +336,7 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     for name, st in (("first", a), ("second", b)):
         if _off(norm_sq(st), 1.0, NORM_TOLERANCE):
             raise ValueError(f"{name} argument is not normalized")
-    return min(max(_abs_sq(inner(a, b)), 0.0), 1.0)
+    return min(max(abs(inner(a, b)) ** 2, 0.0), 1.0)
 
 
 # --- Number seam: the only code that tells a plain amplitude from a batch. ---
@@ -328,7 +350,7 @@ class _Batch(tuple):
     comprehension, with no operator call per element), so each element sees
     exactly the float operations of its own scalar run. A batch has no
     power or abs: squares and magnitudes are left to the seam's folds
-    (``_norm_sq``, ``_normalized``, ``_off``, ``_abs_sq``), which work
+    (``_norm_sq``, ``_normalized``, ``_off``, ``_fold_fidelity``), which work
     through a batch in per-element passes and build one batch per result,
     not one per intermediate step. A batch is true when any element is
     nonzero. Elements are real floats: the engine's amplitudes are exactly
@@ -395,6 +417,14 @@ def _norm_sq(amps: Collection):
     ...0000p+1. A square beyond the float range gives inf; no kets give 0.
     A batch's first two kets share one pass, ``x**2 + y**2``: the same
     operations in the same order.
+
+    Nor is the square rewritten as ``math.pow(x, 2.0)``, although its bits
+    match. ``math.pow`` leaves ``errno`` at ERANGE after a square that
+    underflows, and CPython's ``abs`` of a NaN complex does not clear it,
+    so a later ``abs(complex(nan))`` raises OverflowError and a plain NaN
+    norm comes out inf. ``test_batch_squares_match_each_elements_scalar_run``
+    in ``tests/test_fock.py`` fails on that rewrite, at its case "leading
+    NaN, then a subnormal norm".
     """
     try:
         if _batched(amps):
@@ -440,6 +470,24 @@ def _flipped_inner(a: PureState, b: PureState, idx: int):
         else:
             total = total - x * y if flip else total + x * y
     return 0.0 if total is None else total
+
+
+def _fold_fidelity(kept: PureState, other: PureState, idx: int):
+    """The detector-fold check's fidelity (<kept|other'> / ||other||)^2.
+
+    ``kept`` is a normalized real state and ``other`` an unnormalized real
+    state on the same register; other' is ``other`` with every ket that
+    holds a photon at position ``idx`` negated. The signed overlap is
+    ``_flipped_inner``'s and the norm is the hypot of ``other``'s
+    amplitudes, as ``_normalized`` takes it, so the value is the fidelity
+    with ``other`` normalized to within a few ulps, without forming that
+    copy. A batch divides and squares in one pass over its elements.
+    """
+    overlap = _flipped_inner(kept, other, idx)
+    amps = other._terms.values()
+    if type(overlap) is _Batch:
+        return _Batch([(s / n) ** 2 for s, n in zip(overlap, map(math.hypot, *amps))])
+    return (overlap / math.hypot(*amps)) ** 2
 
 
 def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, complex], float]:
@@ -500,17 +548,6 @@ def _off(value, expected: float, tolerance: float) -> bool:
             return high - expected > tolerance or expected - low > tolerance
         return any(map(tolerance.__lt__, map(abs, map(operator.sub, value, repeat(expected)))))
     return abs(value - expected) > tolerance
-
-
-def _abs_sq(value):
-    """abs(value) ** 2, per element for a batch, in one pass.
-
-    A batch's elements are real floats, which square without abs, as in
-    ``_norm_sq``: an even power gives the same bits either way.
-    """
-    if type(value) is _Batch:
-        return _Batch([x**2 for x in value])
-    return abs(value) ** 2
 
 
 def _per_element(value, size: int) -> list:

@@ -35,6 +35,7 @@ from .fock import (
     ModeId,
     PureState,
     _add_into,
+    _finite_amplitudes,
     _finite_real,
     _mode_index,
     _norm_sq,
@@ -133,7 +134,8 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
     into all distributions of the n1+n2 photons over the output modes. Each
     weight, binomial sum times sqrt(j! m! / (n1! n2!)), is an exact integer
     sum rounded once, so photon number and norm are conserved at any photon
-    number. Other modes pass through untouched.
+    number. Other modes pass through untouched. An output amplitude beyond
+    the float range raises ValueError, naming its ket.
     """
     reg = state._register
     i1, i2 = _mode_index(reg, spec.mode_in_1), _mode_index(reg, spec.mode_in_2)
@@ -141,7 +143,8 @@ def beam_splitter(state: PureState, spec: BeamSplitterSpec) -> PureState:
     new_reg[i1], new_reg[i2] = spec.mode_out_1, spec.mode_out_2
     if len(set(new_reg)) != len(new_reg):
         raise ValueError(f"splitter output labels collide with register {reg!r}")
-    return _split(state, spec.transmissivity, spec.sign_convention, i1, i2, tuple(new_reg))
+    out = _split(state, spec.transmissivity, spec.sign_convention, i1, i2, tuple(new_reg))
+    return _finite_amplitudes(out, "beam_splitter")
 
 
 def _split(
@@ -291,13 +294,14 @@ def _picker(idxs: Sequence[int]):
 
 def _detect(
     state: PureState, idxs: Sequence[int], keep: Sequence[int]
-) -> list[tuple[int, PureState, float]]:
-    """``detect_photon`` by position, with each branch's norm in place of its
-    probability.
+) -> list[tuple[int, PureState]]:
+    """``detect_photon`` by position, with each detector's group unnormalized.
 
     ``idxs`` are the detectors' positions and ``keep`` those of the modes
-    that remain; the caller has found both. Returns (j, branch, norm) for
-    each detector ``idxs[j]`` that fires, j ascending.
+    that remain; the caller has found both. Returns (j, group) for each
+    detector ``idxs[j]`` that fires, j ascending: the kets that fire it, on
+    the kept modes, with their amplitudes as they are in ``state``. The
+    caller normalizes the groups it needs.
     """
     det_occ, reduced = _picker(idxs), _picker(keep)
     kept_reg = tuple([state._register[i] for i in keep])
@@ -313,11 +317,7 @@ def _detect(
         groups.setdefault(occ.index(1), {})[reduced(ket)] = amp
     if not groups:
         raise ValueError("cannot detect on a state with zero norm: no kets reached any detector")
-    branches = []
-    for j in sorted(groups):
-        unit, norm = _normalized(groups[j])
-        branches.append((j, PureState._derived(kept_reg, unit), norm))
-    return branches
+    return [(j, PureState._derived(kept_reg, groups[j])) for j in sorted(groups)]
 
 
 def detect_photon(
@@ -330,7 +330,8 @@ def detect_photon(
     ``(fired_mode, projected_state, probability)`` triple per mode that can
     fire, in the order given; the detector modes are removed from the
     projected register (the non-fired ones are empty there). Probabilities
-    sum to 1.
+    sum to 1. Each group that ``_detect`` returns is normalized here, and
+    its probability is its norm's share of the hypot of all the norms.
     """
     modes, reg = tuple(modes), state._register
     for i, m in enumerate(modes):
@@ -340,11 +341,14 @@ def detect_photon(
     keep = [i for i in range(len(reg)) if i not in idxs]
     if not keep:
         raise ValueError("detection would remove every mode in the register")
-    branches = _detect(state, idxs, keep)
+    projected = []
+    for j, group in _detect(state, idxs, keep):
+        unit, norm = _normalized(group._terms)
+        projected.append((modes[j], PureState._derived(group._register, unit), norm))
     # Public states hold plain numbers, and hypot does not depend on the
     # order of its arguments, so the total is the same in any mode order.
-    total = math.hypot(*[norm for _, _, norm in branches])
-    return [(modes[j], projected, (norm / total) ** 2) for j, projected, norm in branches]
+    total = math.hypot(*[norm for *_, norm in projected])
+    return [(m, branch, (norm / total) ** 2) for m, branch, norm in projected]
 
 
 def negate_occupied(state: PureState, mode: ModeId) -> PureState:

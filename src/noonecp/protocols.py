@@ -32,12 +32,11 @@ from .fock import (
     _REAL_RULE,
     ModeId,
     PureState,
-    _abs_sq,
     _batch,
     _check_alpha,
     _check_count,
     _finite_real,
-    _flipped_inner,
+    _fold_fidelity,
     _off,
     _per_element,
     _tensor,
@@ -393,22 +392,24 @@ def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureStat
 
     ``branch`` is a probe reading's branch from ``_probe_round``, not
     normalized, on the signal pair and then the config's auxiliary pair;
-    this is the one place in the engine where a branch is normalized. The
-    balanced mixer sends the photon to both detectors, so both fire, and
-    the first-detector branch (real non-negative amplitudes) is returned.
-    A click on the second detector calls for the sign correction on the
-    N-photon mode, the register's second, after which the two projected
-    states agree up to a global phase. No corrected copy is formed: the
-    fold check takes the signed overlap <first|corrected second> straight
-    from the second branch (``_flipped_inner``), subtracting each product
-    the correction would negate, with ``inner``'s bits.
+    this is the one place in the engine where a state is normalized: the
+    branch, then the detector group that the round keeps. The balanced
+    mixer sends the photon to both detectors, so both fire, and the
+    first-detector group (real non-negative amplitudes), normalized, is
+    returned. A click on the second detector calls for the sign correction
+    on the N-photon mode, the register's second, after which the two
+    projected states agree up to a global phase. Neither a corrected copy
+    nor a normalized second group is formed: the fold check
+    (``_fold_fidelity``) takes the signed overlap <kept|corrected second>
+    straight from the raw second group, subtracting each product the
+    correction would negate, and divides it by that group's norm.
     """
     register = branch._register[:2] + _SCHEMES[config.protocol].detectors
     mixed = _split(normalized(branch), *_MIXER, *_PORTS, register)
-    (_, kept, _), *others = _detect(mixed, _PORTS, _KEPT)
-    for _, other, _ in others:
-        # Both branches are normalized and real, so <a|b>^2 is their fidelity.
-        fid = _abs_sq(_flipped_inner(kept, other, 1))
+    (_, first), *others = _detect(mixed, _PORTS, _KEPT)
+    kept = normalized(first)
+    for _, other in others:
+        fid = _fold_fidelity(kept, other, 1)
         if _off(fid, 1.0, NORM_TOLERANCE):
             raise ValueError(
                 f"detector branches disagree after correction (fidelity {fid})"

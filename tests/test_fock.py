@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 
@@ -32,7 +33,7 @@ from noonecp import (
     vacuum,
 )
 from noonecp import fock
-from noonecp.fock import _abs_sq, _Batch, _norm_sq, _normalized, _off
+from noonecp.fock import _Batch, _fold_fidelity, _norm_sq, _normalized, _off
 
 
 def test_vacuum_single_mode():
@@ -448,9 +449,22 @@ def test_batch_squares_match_each_elements_scalar_run(runs):
         total = _norm_sq(kets[:width])
         for element, run in enumerate(runs):
             assert total[element].hex() == _norm_sq([complex(a) for a in run[:width]]).hex()
-    fidelity = _abs_sq(kets[0])
+
+
+@pytest.mark.parametrize("runs", _SEAM_RUNS.values(), ids=_SEAM_RUNS)
+def test_batch_fold_fidelity_matches_each_elements_scalar_run(runs):
+    # kept holds each run's (x, y), other its (y, x), and the ket with a
+    # photon at position 0 is the one the fold negates
+    kets = [(1, 0), (0, 1)]
+
+    def fidelity(first, second):
+        kept = PureState._derived(("a", "b"), dict(zip(kets, [first, second])))
+        other = PureState._derived(("a", "b"), dict(zip(kets, [second, first])))
+        return _fold_fidelity(kept, other, 0)
+
+    batch = fidelity(*_batched_kets(runs))
     for element, run in enumerate(runs):
-        assert fidelity[element].hex() == _abs_sq(complex(run[0])).hex()
+        assert batch[element].hex() == fidelity(*run).hex()
 
 
 @pytest.mark.parametrize("operand", [2, 0.1, -0.0, math.nan])
@@ -547,6 +561,51 @@ def test_an_int_beyond_the_float_range_is_refused_as_a_value(call, message):
     # float(10**400) raises OverflowError; every boundary reports ValueError
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _one_ket(amp):
+    return PureState(("a",), {(1,): amp})
+
+
+def _pair(amp):
+    return PureState(("a", "b"), {(1, 0): amp, (0, 1): amp})
+
+
+_SPLIT = BeamSplitterSpec("a", "b", "a", "b")
+
+# op -> (a call that takes a finite amplitude beyond the float range, the ket
+# it must name, and the same call on an input just small enough to stay inside)
+_OUT_OF_RANGE = {
+    "create": (
+        lambda: create(_one_ket(1e308), "a", 3), (4,),
+        lambda: create(_one_ket(3.6e307), "a", 3),  # sqrt(4!/1!) times it is 1.76e308
+    ),
+    "superpose sum": (
+        lambda: superpose([(1.0, _one_ket(1e308)), (1.0, _one_ket(1e308))]), (1,),
+        lambda: superpose([(1.0, _one_ket(8.9e307)), (1.0, _one_ket(8.9e307))]),
+    ),
+    "superpose scale": (
+        lambda: superpose([(1e10, _one_ket(1e308))]), (1,),
+        lambda: superpose([(1.79, _one_ket(1e308))]),
+    ),
+    "tensor": (
+        lambda: tensor(_one_ket(1e308), PureState(("b",), {(0,): 1e10})), (1, 0),
+        lambda: tensor(_one_ket(1e308), PureState(("b",), {(0,): 1.79})),
+    ),
+    "beam_splitter": (
+        lambda: beam_splitter(_pair(1.5e308), _SPLIT), (1, 0),
+        lambda: beam_splitter(_pair(1.25e308), _SPLIT),  # sqrt(2) times it is 1.77e308
+    ),
+}
+
+
+@pytest.mark.parametrize("op", _OUT_OF_RANGE)
+def test_each_op_refuses_to_take_an_amplitude_beyond_the_float_range(op):
+    # PureState(...) refuses an inf amplitude, so no public op may make one
+    beyond, ket, inside = _OUT_OF_RANGE[op]
+    with pytest.raises(ValueError, match=re.escape(f"ket {ket!r} beyond the float range")):
+        beyond()
+    assert all(math.isfinite(abs(a)) for a in inside().terms.values())
 
 
 _TWO_MODES = basis_state(("a", "b"), (1, 0))

@@ -17,7 +17,10 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "noonecp"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
-SHARED_CHECKS = {"_finite_real", "_finite_number", "_check_count", "_check_alpha", "_mode_index"}
+SHARED_CHECKS = {
+    "_finite_real", "_finite_number", "_finite_amplitudes", "_check_count", "_check_alpha",
+    "_mode_index",
+}
 ABOVE_FOCK = ("optics.py", "protocols.py", "analytics.py", "cli.py")
 
 
@@ -64,15 +67,23 @@ class Confined(NamedTuple):
 
 
 CONFINED = {
-    # the one normalization, and the total of the detector branches' norms
-    "math.hypot": Confined({"fock.py": {"_normalized"}, "optics.py": {"detect_photon"}}, "fock.py", (
-        "def _norm(amps):\n    return math.hypot(*amps)",
-        "def _norm(amps):\n    return list(map(math.hypot, *amps))",
-        "class C:\n    def norm(self):\n        return math.hypot(3.0, 4.0)",
-        "def f():\n    def g():\n        import math as m\n        return m.hypot(1.0)",
-        "UNIT = math.hypot(3.0, 4.0)",
-        "from math import hypot",
-    )),
+    # the one normalization, the fold check's norm of the raw second detector
+    # group, and the total of the detector branches' norms
+    "math.hypot": Confined(
+        {"fock.py": {"_normalized", "_fold_fidelity"}, "optics.py": {"detect_photon"}},
+        "fock.py", (
+            "def _norm(amps):\n    return math.hypot(*amps)",
+            "def _norm(amps):\n    return list(map(math.hypot, *amps))",
+            "class C:\n    def norm(self):\n        return math.hypot(3.0, 4.0)",
+            "def f():\n    def g():\n        import math as m\n        return m.hypot(1.0)",
+            "UNIT = math.hypot(3.0, 4.0)",
+            "from math import hypot",
+            "def _interfere_and_detect(branch, config):\n"
+            "    norm = math.hypot(*other._terms.values())",
+        ), (
+            "def _fold_fidelity(kept, other, idx):\n    return (s / math.hypot(*amps)) ** 2",
+        ),
+    ),
     # the public round is the two stages below; the package runs the stages, never the round
     "noonecp.protocols.run_round": Confined({}, "protocols.py", (
         "def run_schedule(config):\n    return run_round(state, config, 1)",
@@ -271,15 +282,31 @@ CONFINED = {
             "    \"\"\"Leaves ``_loss_factor`` to its callers.\"\"\"\n    return totals",
         ),
     ),
-    "noonecp.fock._flipped_inner": Confined(
+    # the detector-fold check: the detection stage takes its fidelity from the
+    # seam's fold, which alone takes the signed overlap and divides it by the
+    # raw second group's norm
+    "noonecp.fock._fold_fidelity": Confined(
         {"protocols.py": {None, "_interfere_and_detect"}}, "protocols.py", (
+            "def run_schedules(config, alphas):\n    return _fold_fidelity(a, b, 1)",
+            "def _probe_round(state, config):\n    return fock._fold_fidelity(a, b, 1)",
+            "def f():\n    from .fock import _fold_fidelity as fold\n    return fold",
+            "class _Pass:\n    def fold(self, a, b):\n        return _fold_fidelity(a, b, 1)",
+        ), (
+            "def _interfere_and_detect(branch, config):\n"
+            "    fid = _fold_fidelity(kept, other, 1)",
+            "def run_schedules(config, alphas):\n"
+            "    \"\"\"Leaves ``_fold_fidelity`` to the detection stage.\"\"\"\n    return k",
+        ),
+    ),
+    "noonecp.fock._flipped_inner": Confined(
+        {"fock.py": {"_fold_fidelity"}}, "protocols.py", (
+            "def _interfere_and_detect(branch, config):\n"
+            "    fid = _abs_sq(_flipped_inner(kept, other, 1))",
             "def run_schedules(config, alphas):\n    return _flipped_inner(a, b, 1)",
             "def _probe_round(state, config):\n    return fock._flipped_inner(a, b, 1)",
             "def f():\n    from .fock import _flipped_inner as overlap\n    return overlap",
             "class _Pass:\n    def fold(self, a, b):\n        return _flipped_inner(a, b, 1)",
         ), (
-            "def _interfere_and_detect(branch, config):\n"
-            "    fid = _abs_sq(_flipped_inner(kept, other, 1))",
             "def run_schedules(config, alphas):\n"
             "    \"\"\"Leaves ``_flipped_inner`` to the detection stage.\"\"\"\n    return k",
         ),
@@ -304,10 +331,11 @@ CONFINED = {
             "    \"\"\"Needs no ``_mode_index``.\"\"\"\n    return aux_modes",
         ),
     ),
-    # the one normalization: the public ``normalized`` wraps it, and ``_detect``
-    # normalizes each detector group with it; the engine goes through ``normalized``
+    # the one normalization: the public ``normalized`` wraps it, and ``detect_photon``
+    # normalizes each detector group ``_detect`` returns raw; the engine goes
+    # through ``normalized``, for its branch and the one group it keeps
     "noonecp.fock._normalized": Confined(
-        {"fock.py": {"normalized"}, "optics.py": {None, "_detect"}}, "protocols.py", (
+        {"fock.py": {"normalized"}, "optics.py": {None, "detect_photon"}}, "protocols.py", (
             "def _probe_round(state, config):\n    unit, norm = _normalized(members)",
             "def _rounds(config, alphas):\n    yield fock._normalized(branch._terms)",
             "def run_schedules(config, alphas):\n"
@@ -315,6 +343,8 @@ CONFINED = {
             "class _Pass:\n    def unit(self, branch):\n        return _normalized(branch._terms)",
             "def _interfere_and_detect(branch, config):\n"
             "    unit = PureState._derived(branch._register, _normalized(branch._terms)[0])",
+            "def _interfere_and_detect(branch, config):\n"
+            "    unit, norm = _normalized(other._terms)",
         ), (
             "def _interfere_and_detect(branch, config):\n    unit = normalized(branch)",
             "def _rounds(config, alphas):\n"

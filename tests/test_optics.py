@@ -637,6 +637,74 @@ def test_detect_photon_probabilities_do_not_depend_on_mode_order_on_random_state
         _assert_mode_order_free(state, modes)
 
 
+def _mixed_round_state(n, convention):
+    """A whole joint round state at alpha^2 = 0.8 on (a1, b1, a2, b2), its
+    auxiliary pair mixed onto (d1, d2) on a balanced splitter."""
+    ca, cb = math.sqrt(0.8), math.sqrt(0.2)
+    terms = {
+        signal + aux: c * d
+        for signal, c in (((n, 0), ca), ((0, n), cb))
+        for aux, d in (((1, 0), ca), ((0, 1), cb))
+    }
+    joint = PureState(("a1", "b1", "a2", "b2"), terms)
+    return beam_splitter(joint, BeamSplitterSpec("a2", "b2", "d1", "d2", 0.5, convention))
+
+
+_DETECTED = {
+    **{
+        f"round N={n} {convention}": (lambda n=n, c=convention: _mixed_round_state(n, c))
+        for n in (1, 3)
+        for convention in CONVENTIONS
+    },
+    # d1's group has a subnormal norm, so it normalizes through the 2**600 scaling
+    "subnormal group": lambda: PureState(("a", "d1", "d2"), {(0, 1, 0): 5e-324, (0, 0, 1): 1.0}),
+    "two 1e308 groups": lambda: PureState(("a", "d1", "d2"), {(1, 1, 0): 1e308, (0, 0, 1): 1e308}),
+}
+_ZERO = "0x0.0p+0"
+
+
+def _round_bits(n, sign):
+    """Both detector branches of ``_mixed_round_state(n, ...)``: the second
+    group's amplitudes carry ``sign``."""
+    return [
+        ("d1", (((n, 0), "0x1.c9f25c5bfeddap-1", _ZERO), ((0, n), "0x1.c9f25c5bfeddap-2", _ZERO)),
+         "0x1.cccccccccccccp-1"),
+        ("d2", (((n, 0), sign + "0x1.c9f25c5bfedd8p-1", _ZERO),
+                ((0, n), sign + "0x1.c9f25c5bfedd8p-2", _ZERO)),
+         "0x1.999999999999ap-4"),
+    ]
+
+
+# float.hex of every projected amplitude (real, imaginary) and probability,
+# recorded at c0c30e5
+_DETECTED_BITS = {
+    "round N=1 ecp1": _round_bits(1, "-"),
+    "round N=1 ecp2": _round_bits(1, ""),
+    "round N=3 ecp1": _round_bits(3, "-"),
+    "round N=3 ecp2": _round_bits(3, ""),
+    "subnormal group": [
+        ("d1", (((0,), "0x1.0000000000000p+0", _ZERO),), _ZERO),
+        ("d2", (((0,), "0x1.0000000000000p+0", _ZERO),), "0x1.0000000000000p+0"),
+    ],
+    "two 1e308 groups": [
+        ("d1", (((1,), "0x1.fffffffffffffp-1", _ZERO),), "0x1.ffffffffffffep-2"),
+        ("d2", (((0,), "0x1.fffffffffffffp-1", _ZERO),), "0x1.ffffffffffffep-2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DETECTED))
+def test_detect_photon_keeps_its_pinned_bits(case):
+    # ``_detect`` hands out its groups raw and the public op normalizes each
+    # one; every bit it returns must stay what it was
+    results = detect_photon(_DETECTED[case](), ("d1", "d2"))
+    bits = [
+        (m, tuple((k, a.real.hex(), a.imag.hex()) for k, a in branch.terms.items()), p.hex())
+        for m, branch, p in results
+    ]
+    assert bits == _DETECTED_BITS[case]
+
+
 def test_homodyne_names_a_ket_without_probe_phase():
     st = basis_state(("a", "b"), (1, 0))
     with pytest.raises(ValueError, match=r"ket \(1, 0\) has no probe phase"):

@@ -466,7 +466,7 @@ _REJECTED_INPUTS = {
     ),
 }
 # Every core a round calls, in the order it calls them.
-_ROUND_OPTICS = ("_tensor", "_tag_phases", "_partition", "_split", "_detect", "_flipped_inner")
+_ROUND_OPTICS = ("_tensor", "_tag_phases", "_partition", "_split", "_detect", "_fold_fidelity")
 
 
 def _optics_reached(*args):
@@ -595,7 +595,7 @@ def test_round_refuses_detector_branches_that_disagree(protocol, monkeypatch):
     # without the sign correction a second-detector click leaves the relative
     # minus sign in place, so the two branches cannot be folded into one: the
     # fold check's overlap, stripped of the sign it folds in, is a plain <a|b>
-    monkeypatch.setattr(protocols, "_flipped_inner", lambda a, b, idx: fock.inner(a, b))
+    monkeypatch.setattr(fock, "_flipped_inner", lambda a, b, idx: fock.inner(a, b))
     cfg = _config(protocol=protocol, alpha_sq=0.8)
     with pytest.raises(ValueError, match="detector branches disagree"):
         run_round(prepare_less_entangled_noon(cfg.alpha, 2), cfg, 1)
@@ -1198,8 +1198,9 @@ def _spy_on_every_binding(monkeypatch, original):
 @pytest.mark.parametrize("n", [1, 100])
 def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, monkeypatch):
     # The readout weighs its classes unnormalized; each detection normalizes
-    # its branch once, through fock.normalized, and then each of its two
-    # detector groups.
+    # its branch once, through fock.normalized, and then the one detector group
+    # it keeps; the fold check reads the other group's norm without
+    # normalizing it.
     k_max = 12
     config = _settings(protocol, n, max_rounds=k_max)
     grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
@@ -1209,25 +1210,28 @@ def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, mo
     assert {"noonecp.fock", "noonecp.optics"} <= set(bound)
     assert "noonecp.protocols" not in bound
     protocols._grid_totals(config, grid)
-    assert len(calls) == 3 * k_max
+    assert len(calls) == 2 * k_max
     calls.clear()
     run_schedules(config, grid)
-    assert len(calls) == 3 * len(grid) * k_max + 3 * present
+    assert len(calls) == 2 * len(grid) * k_max + 2 * present
 
 
-# The work each stage of an engine pass does, as exact counts: its calls, and
-# the ``_Batch`` objects built while it is the innermost stage running (None:
-# outside every stage, as ``_rounds``' first pair and the grid totals). The
-# grids are 212 points, alpha^2 evenly spaced over 0.05..0.95, K = 10; the
-# deep run is the near-balanced golden one, whose success reading lasts 55
-# rounds. Each round tags its joint state in one pass, detects its failure
-# branch, and folds the second detector's sign into the fold check's
-# overlap, so no stage negates a state (the layering table's
-# ``negate_occupied`` row keeps it so); a schedule runs each alpha on its
-# own, builds no batch, detects each present success branch (2,052 of the
-# grid's 2,120 rows) and prints ecp2's VBS setting t, read off the joint
-# state's ket. A change to the engine's work restates these counts in the
-# same diff, as a golden CSV is restated.
+# The work each stage of an engine pass does, as exact counts: its calls, the
+# ``_Batch`` objects built while it is the innermost stage running (None:
+# outside every stage, as ``_rounds``' first pair and the grid totals), and
+# the kets it takes in and hands out (``_kets``). The grids are 212 points,
+# alpha^2 evenly spaced over 0.05..0.95, K = 10; the deep run is the
+# near-balanced golden one, whose success reading lasts 55 rounds. Each round
+# tags its joint state in one pass, detects its failure branch, and folds the
+# second detector's sign into the fold check's overlap, so no stage negates a
+# state (the layering table's ``negate_occupied`` row keeps it so). Each
+# detection normalizes its branch and the one detector group it keeps:
+# ``_detect`` hands out both groups raw, and the fold check reads the other
+# group's norm, so ``_normalized`` takes in the branch's kets and the kept
+# group's, as many as ``_detect`` hands out in both groups. A schedule runs each alpha on its own, builds no batch, detects each
+# present success branch (2,052 of the grid's 2,120 rows) and prints ecp2's
+# VBS setting t, read off the joint state's ket. A change to the engine's
+# work restates these counts in the same diff, as a golden CSV is restated.
 _STAGES = (
     (protocols, "_probe_round"),
     (optics, "_tag_phases"),
@@ -1238,57 +1242,76 @@ _STAGES = (
     (fock, "_normalized"),
 )
 _COUNTED_GRID = [math.sqrt(x) for x in np.linspace(0.05, 0.95, 212)]
+# (calls, builds, kets in, kets out) per stage
+_GRID_WORK = {
+    "_probe_round": (10, 40, 20, 40), "_tag_phases": (10, 0, 40, 40),
+    "_partition": (10, 30, 40, 40), "_interfere_and_detect": (10, 30, 20, 20),
+    "_split": (10, 40, 20, 40), "_detect": (10, 0, 40, 40), "_normalized": (20, 80, 40, 40),
+    None: (0, 32, 0, 0),
+}
 _STAGE_WORK = {
     "grid ecp2 N=1": (
         lambda: protocols._grid_totals(_settings("ecp2", 1, max_rounds=10), _COUNTED_GRID),
-        {
-            "_probe_round": (10, 40), "_tag_phases": (10, 0), "_partition": (10, 30),
-            "_interfere_and_detect": (10, 30), "_split": (10, 40), "_detect": (10, 0),
-            "_normalized": (30, 120), None: (0, 32),
-        },
+        _GRID_WORK,
     ),
     "grid ecp1 N=100": (
         lambda: protocols._grid_totals(_settings("ecp1", 100, max_rounds=10), _COUNTED_GRID),
-        {
-            "_probe_round": (10, 40), "_tag_phases": (10, 0), "_partition": (10, 30),
-            "_interfere_and_detect": (10, 30), "_split": (10, 40), "_detect": (10, 0),
-            "_normalized": (30, 120), None: (0, 32),
-        },
+        _GRID_WORK,
     ),
     "schedules ecp2 N=1": (
         lambda: run_schedules(_settings("ecp2", 1, max_rounds=10), _COUNTED_GRID),
         {
-            "_probe_round": (2120, 0), "_tag_phases": (2120, 0), "_partition": (2120, 0),
-            "_interfere_and_detect": (4172, 0), "_split": (4172, 0), "_detect": (4172, 0),
-            "_normalized": (12516, 0), None: (0, 0),
+            "_probe_round": (2120, 0, 4238, 8276), "_tag_phases": (2120, 0, 8408, 8408),
+            "_partition": (2120, 0, 8408, 8408), "_interfere_and_detect": (4172, 0, 8276, 8276),
+            "_split": (4172, 0, 8276, 16552), "_detect": (4172, 0, 16552, 16552),
+            "_normalized": (8344, 0, 16552, 16552), None: (0, 0, 0, 0),
         },
     ),
     "run ecp2 K=1000": (
         lambda: [run_schedule(_config("ecp2", 0.5000000000000052, 1, max_rounds=1000))],
         {
-            "_probe_round": (1000, 0), "_tag_phases": (1000, 0), "_partition": (1000, 0),
-            "_interfere_and_detect": (1055, 0), "_split": (1055, 0), "_detect": (1055, 0),
-            "_normalized": (3165, 0), None: (0, 0),
+            "_probe_round": (1000, 0, 1056, 1165), "_tag_phases": (1000, 0, 1167, 1167),
+            "_partition": (1000, 0, 1167, 1167), "_interfere_and_detect": (1055, 0, 1165, 1165),
+            "_split": (1055, 0, 1165, 2330), "_detect": (1055, 0, 2330, 2330),
+            "_normalized": (2110, 0, 2330, 2330), None: (0, 0, 0, 0),
         },
     ),
 }
 
 
+def _kets(value):
+    """The kets in ``value``: a state's, a tagged state's (its phases share
+    them) and an amplitude or phase map's, through tuples and lists."""
+    if isinstance(value, optics.TaggedState):
+        return _kets(value.state)
+    if isinstance(value, PureState):
+        return value.num_terms()
+    if isinstance(value, dict):
+        return len(value)
+    if isinstance(value, (tuple, list)) and type(value) is not fock._Batch:
+        return sum(map(_kets, value))
+    return 0
+
+
 @pytest.mark.parametrize("engine_pass", sorted(_STAGE_WORK))
 def test_each_stage_does_its_pinned_work(engine_pass, monkeypatch):
     run, pinned = _STAGE_WORK[engine_pass]
-    work = {name: [0, 0] for _, name in _STAGES}
-    work[None] = [0, 0]
+    work = {name: [0, 0, 0, 0] for _, name in _STAGES}
+    work[None] = [0, 0, 0, 0]
     running = [None]
     for owner, name in _STAGES:
 
         def stage(*args, _name=name, _original=getattr(owner, name)):
-            work[_name][0] += 1
+            counts = work[_name]
+            counts[0] += 1
+            counts[2] += _kets(args)
             running.append(_name)
             try:
-                return _original(*args)
+                out = _original(*args)
             finally:
                 running.pop()
+            counts[3] += _kets(out)
+            return out
 
         _patch_every_binding(monkeypatch, getattr(owner, name), stage)
 
