@@ -8,8 +8,9 @@ inside one lab and pays nothing.
 """
 
 import math
+from dataclasses import replace
 
-from noonecp import ProtocolConfig, apply_loss_model, run_schedule, run_schedules
+from noonecp import ProtocolConfig, apply_loss_model, run_schedule
 
 ETA = 0.9
 ROUNDS = 6
@@ -20,7 +21,7 @@ alphas = [math.sqrt(alpha_sq) for alpha_sq in ALPHA_SQ]
 totals = {}
 for protocol in ("ecp1", "ecp2"):
     cfg = ProtocolConfig(protocol=protocol, max_rounds=ROUNDS, loss_eta=ETA)
-    schedules = run_schedules(cfg, alphas)
+    schedules = [run_schedule(replace(cfg, alpha=alpha)) for alpha in alphas]
     lossless = [s.p_total for s in schedules]
     totals[protocol] = [apply_loss_model(s, cfg).p_total for s in schedules]
 

@@ -308,8 +308,9 @@ def norm_sq(state: PureState) -> float:
 def normalized(state: PureState) -> PureState:
     """Scale to unit norm; zero states cannot be normalized.
 
-    The norm comes from ``math.hypot``, which neither underflows nor
-    overflows, so a state of tiny nonzero amplitudes still normalizes.
+    The norm comes from ``math.hypot``, and a norm that is subnormal or
+    overflows is taken again on amplitudes scaled by an exact power of two,
+    so a state of tiny or huge finite amplitudes still normalizes.
     """
     return PureState._derived(state._register, _normalized(state._terms)[0])
 
@@ -494,9 +495,10 @@ def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, compl
     """``terms`` scaled to unit norm, and that norm; ValueError if it is zero.
 
     The one normalization in the package. The norm is the hypot of the
-    magnitudes, which neither underflows nor overflows. Each amplitude is
-    multiplied by 1/norm. A subnormal norm keeps too few bits for that, so a
-    plain state with one is first scaled by 2**600, which is exact, and then
+    magnitudes, which does not underflow. Each amplitude is multiplied by
+    1/norm. A subnormal norm keeps too few bits for that, and a norm that
+    overflows to inf (returned as it is) keeps none, so a plain state with
+    either is first scaled by 2**600 or 2**-600, which is exact, and then
     multiplied by 1/hypot of the scaled magnitudes. A batch whose norms'
     ``min`` is not normal (zero, subnormal, a leading NaN) is refused; the
     engine detects only present readings.
@@ -507,11 +509,12 @@ def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, compl
     if not norm:
         raise ValueError("cannot normalize a state with zero norm")
     if not batched:
-        if norm < sys.float_info.min:
-            terms = {k: a * 2.0**600 for k, a in terms.items()}
-            scale = 1.0 / math.hypot(*map(abs, terms.values()))
-        else:
+        if sys.float_info.min <= norm < math.inf:
             scale = 1.0 / norm
+        else:
+            power = 2.0**600 if norm < 1.0 else 2.0**-600
+            terms = {k: a * power for k, a in terms.items()}
+            scale = 1.0 / math.hypot(*map(abs, terms.values()))
     elif min(norm) >= sys.float_info.min:
         # min skips a NaN norm unless it leads; one further on comes out NaN.
         scale = _Batch([1.0 / n for n in norm])

@@ -283,6 +283,11 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     input must be normalized, with a finite real phase on every ket.
     Outcomes come back sorted by phase class, probabilities summing to 1.
     """
+    if not isinstance(state, TaggedState):
+        raise ValueError(
+            f"homodyne_partition reads a TaggedState, got {type(state).__name__}; "
+            "cross_kerr_tag makes one from a PureState"
+        )
     _check_phases(*state)
     return [HomodyneOutcome(key, normalized(branch), p) for key, branch, p in _partition(state)]
 
@@ -331,7 +336,9 @@ def detect_photon(
     fire, in the order given; the detector modes are removed from the
     projected register (the non-fired ones are empty there). Probabilities
     sum to 1. Each group that ``_detect`` returns is normalized here, and
-    its probability is its norm's share of the hypot of all the norms.
+    its probability is its norm's share of the hypot of all the norms. The
+    shares do not depend on scale, so where a norm or their hypot overflows
+    they are taken from the groups scaled by 2**-600, which is exact.
     """
     modes, reg = tuple(modes), state._register
     for i, m in enumerate(modes):
@@ -341,14 +348,19 @@ def detect_photon(
     keep = [i for i in range(len(reg)) if i not in idxs]
     if not keep:
         raise ValueError("detection would remove every mode in the register")
-    projected = []
-    for j, group in _detect(state, idxs, keep):
+    groups = _detect(state, idxs, keep)
+    projected, norms = [], []
+    for j, group in groups:
         unit, norm = _normalized(group._terms)
-        projected.append((modes[j], PureState._derived(group._register, unit), norm))
+        projected.append((modes[j], PureState._derived(group._register, unit)))
+        norms.append(norm)
     # Public states hold plain numbers, and hypot does not depend on the
     # order of its arguments, so the total is the same in any mode order.
-    total = math.hypot(*[norm for *_, norm in projected])
-    return [(m, branch, (norm / total) ** 2) for m, branch, norm in projected]
+    total = math.hypot(*norms)
+    if total == math.inf:
+        norms = [math.hypot(*[abs(a) * 2.0**-600 for a in g._terms.values()]) for _, g in groups]
+        total = math.hypot(*norms)
+    return [(m, branch, (norm / total) ** 2) for (m, branch), norm in zip(projected, norms)]
 
 
 def negate_occupied(state: PureState, mode: ModeId) -> PureState:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .fock import (
     NORM_TOLERANCE,
@@ -74,7 +74,6 @@ __all__ = [
     "vbs_transmission",
     "run_round",
     "run_schedule",
-    "run_schedules",
     "apply_loss_model",
 ]
 
@@ -186,11 +185,11 @@ class ProtocolConfig:
 
     alpha is the real positive coefficient of the input's |N,0> component;
     its |0,N> coefficient is sqrt(1 - alpha^2). alpha is the input, not a
-    setting: ``run_schedules`` takes its alphas as input, and only
-    ``run_schedule`` reads a config's alpha, so a grid's config leaves it
-    None. The other fields are checked either way. theta is the probe phase
-    per auxiliary photon. Its sign and magnitude only need to keep the
-    success and failure readings apart, so each of a round's four kets must
+    setting: only ``run_schedule`` reads a config's alpha, and a grid takes
+    its alphas apart, so a grid's config leaves it None. The other fields
+    are checked either way. theta is the probe phase per auxiliary photon.
+    Its sign and magnitude only need to keep the success and failure
+    readings apart, so each of a round's four kets must
     read out, within PHASE_CLASS_TOLERANCE and modulo 2*pi, as its reading
     says: |N,0> with the auxiliary photon out of the tag mode reads 0 by
     construction; theta itself, on |N,0> with the photon in it, must not
@@ -427,9 +426,10 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     |theta| reading's probability and its branch as the readout leaves it,
     neither normalized nor detected (None where the reading is absent in
     every element), and the recycled 0 reading's branch after
-    ``_interfere_and_detect``, with its probability. Only the callers that
-    form a success state detect the success branch. t = ca^2 is read off
-    the joint state's |N,0>|1,0> amplitude, the product ``_tensor`` forms.
+    ``_interfere_and_detect``, with its probability. Only ``run_round`` and
+    ``run_schedule``, which form success states, detect the success branch.
+    t = ca^2 is read off the joint state's |N,0>|1,0> amplitude, the product
+    ``_tensor`` forms.
     """
     n = config.n_photons
     ca, cb = state._terms.get((n, 0), 0.0), state._terms.get((0, n), 0.0)
@@ -504,58 +504,42 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
 
 
 def run_schedule(config: ProtocolConfig) -> Schedule:
-    """Run max_rounds rounds, recycling every failure branch.
+    """Run max_rounds rounds from config.alpha, recycling every failure branch.
 
     Conditional probabilities come straight from each round; unconditional
     ones are weighted by the survival product of earlier failures. The
     schedule is lossless; ``apply_loss_model`` folds channel transmission
     in afterwards. The input is config.alpha, so a config without one is
-    refused (ValueError).
-    """
-    return run_schedules(config, [config.alpha])[0]
-
-
-def run_schedules(config: ProtocolConfig, alphas: Iterable[float]) -> list[Schedule]:
-    """``run_schedule`` of ``config`` at each of ``alphas``, in order.
-
-    The alphas are the input and ``config`` holds the settings; its own
-    alpha, which may be None, is not read. Each alpha must lie strictly
-    inside (0, 1) (ValueError otherwise). Each alpha runs its own pass of
-    ``_rounds``, so each schedule equals ``run_schedule`` of the config with
-    that alpha, bit for bit. This is the one consumer of ``_rounds`` that
-    detects the success branch, to take the fidelity column, so the
-    detector-fold check runs on it here; a round whose success reading is
-    absent (p = 0) heralds nothing and its fidelity is NaN.
+    refused (ValueError); a grid runs one schedule per alpha. This is the
+    one consumer of ``_rounds`` that detects the success branch, to take the
+    fidelity column, so the detector-fold check runs on it here; a round
+    whose success reading is absent (p = 0) heralds nothing and its
+    fidelity is NaN.
     """
     # ``maximally_entangled_noon``'s r as real floats: each overlap is real arithmetic.
     n, r = config.n_photons, 1.0 / math.sqrt(2.0)
     target = PureState._derived(SIGNAL_MODES, {(n, 0): r, (0, n): r})
-    schedules = []
-    for alpha in alphas:
-        per_round = []
-        p_total = 0.0
-        for k, t, p, u, success_branch in _rounds(config, [alpha]):
-            fidelity = math.nan
-            if success_branch is not None:
-                success_state = _interfere_and_detect(success_branch, config)
-                fidelity = fidelity_up_to_global_phase(success_state, target)
-            per_round.append(RoundStats(k, t, p, u, fidelity))
-            p_total += u
-        schedules.append(
-            Schedule(
-                protocol=config.protocol,
-                alpha=alpha,
-                n_photons=config.n_photons,
-                per_round=tuple(per_round),
-                p_total=p_total,
-            )
-        )
-    return schedules
+    per_round = []
+    p_total = 0.0
+    for k, t, p, u, success_branch in _rounds(config, [config.alpha]):
+        fidelity = math.nan
+        if success_branch is not None:
+            success_state = _interfere_and_detect(success_branch, config)
+            fidelity = fidelity_up_to_global_phase(success_state, target)
+        per_round.append(RoundStats(k, t, p, u, fidelity))
+        p_total += u
+    return Schedule(
+        protocol=config.protocol,
+        alpha=config.alpha,
+        n_photons=n,
+        per_round=tuple(per_round),
+        p_total=p_total,
+    )
 
 
 def _grid_totals(config: ProtocolConfig, alphas: Sequence[float]) -> list[float]:
-    """Each p_total of ``run_schedules(config, alphas)``, lossless whatever
-    the config's loss_eta.
+    """Each alpha's ``run_schedule(replace(config, alpha=alpha)).p_total``,
+    lossless whatever the config's loss_eta.
 
     Folds only the unconditional column as the rounds stream by; no
     success branch is normalized, no success state, schedule or fidelity
@@ -585,7 +569,8 @@ def _rounds(config: ProtocolConfig, alphas: Sequence[float]) -> Iterator[tuple]:
     float): each number holds one value per alpha (a plain float for one
     alpha). Where p is 0 in some elements, the success branch still holds
     them, with a zero or underflowed norm, so a batch's success branch is
-    never detected: ``run_schedules`` runs one alpha per pass.
+    never detected: only ``run_schedule`` detects one, and it runs a single
+    alpha.
     """
     alphas = [_check_alpha(alpha) for alpha in alphas]
     if not alphas:

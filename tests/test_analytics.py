@@ -335,7 +335,7 @@ def test_sweep_rejects_grid_entries_that_are_not_real_numbers(entry):
     "entry", [Fraction(3, 5), np.float32(0.6)], ids=["Fraction", "numpy-float32"]
 )
 def test_sweep_refuses_the_alphas_every_other_entry_point_refuses(entry):
-    # ProtocolConfig, run_schedules and p_total_closed_form refuse both: an
+    # ProtocolConfig, run_schedule and p_total_closed_form refuse both: an
     # alpha is an int or a float, and numpy.float64 is a float subclass
     with pytest.raises(ValueError, match="real numbers"):
         figure3_sweep(k_max=2, grid=[entry], cross_check=True)

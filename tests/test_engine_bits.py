@@ -10,6 +10,7 @@ every float operation in order must keep this digest too.
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 from noonecp import ProtocolConfig, prepare_less_entangled_noon, protocols, run_round
 
@@ -52,7 +53,8 @@ def _stream():
                     protocol, n_photons=n, max_rounds=_K, theta=theta, loss_eta=0.9
                 )
                 yield f"{protocol} N={n} theta={theta!r}"
-                for schedule in protocols.run_schedules(config, _GRID):
+                for grid_alpha in _GRID:
+                    schedule = protocols.run_schedule(replace(config, alpha=grid_alpha))
                     yield _bits(schedule.alpha)
                     yield _bits(schedule.p_total)
                     for row in schedule.per_round:

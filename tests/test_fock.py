@@ -340,6 +340,17 @@ def test_normalized_survives_underflow():
     assert normalized(sub).amplitude((1, 0)) == pytest.approx(0.6, rel=1e-15)
 
 
+def test_normalized_survives_overflow():
+    # the hypot of these finite amplitudes overflows, and 1/inf would zero every ket
+    huge = PureState(("a", "b"), {(1, 0): 1.5e308, (0, 1): -1.5e308j})
+    unit = normalized(huge)
+    assert unit.amplitude((1, 0)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert unit.amplitude((0, 1)) == pytest.approx(-1j * math.sqrt(0.5), rel=1e-15)
+    # the state is scaled down by an exact power of two first, so it has those bits
+    scaled = PureState(("a", "b"), {k: a * 2.0**-600 for k, a in huge.terms.items()})
+    assert unit.terms == normalized(scaled).terms
+
+
 def test_normalized_rejects_zero_state():
     empty = PureState(("a",), {})
     with pytest.raises(ValueError):

@@ -97,7 +97,7 @@ CONFINED = {
         "def f():\n    from noonecp import run_round as step\n    return step",
     ), (
         "def run_round(state, config, round_k):\n    return state",
-        "__all__ = ['run_round', 'run_schedules']",
+        "__all__ = ['run_round', 'run_schedule']",
         "def run_schedule(config):\n    \"\"\"Calls ``run_round`` through _rounds.\"\"\"\n"
         "    return outcome.round_index",
     )),
@@ -105,7 +105,7 @@ CONFINED = {
     # consumers (every grid, schedule and cross-check) fold what it streams
     "noonecp.protocols._probe_round": Confined(
         {"protocols.py": {"run_round", "_rounds"}}, "protocols.py", (
-            "def run_schedules(config, alphas):\n    return _probe_round(state, config)",
+            "def run_schedule(config):\n    return _probe_round(state, config)",
             "def _grid(config, states):\n    return list(map(_probe_round, states, repeat(config)))",
             "class _Pass:\n    def step(self):\n        return protocols._probe_round(self.s, self.c)",
             "def f():\n    from .protocols import _probe_round as step\n    return step",
@@ -126,7 +126,7 @@ CONFINED = {
         "        state = _noon_pair(state, config.n_photons)",
         "def _rounds(config, alphas):\n    check = protocols._noon_pair\n    yield check",
         "def f():\n    from .protocols import _noon_pair as entry\n    return entry",
-        "def run_schedules(config, alphas):\n    return [_noon_pair(s, 1) for s in states]",
+        "def run_schedule(config):\n    return [_noon_pair(s, 1) for s in states]",
     ), (
         "def run_round(state, config, round_k):\n    pair = _noon_pair(state, config.n_photons)",
         "def _noon_pair(state, n):\n    return state",
@@ -136,22 +136,22 @@ CONFINED = {
     # the detection stage: the recycled failure branch, and the success branch only
     # where a success state is formed (never on the grid totals or the cross-check)
     "noonecp.protocols._interfere_and_detect": Confined(
-        {"protocols.py": {"_probe_round", "run_round", "run_schedules"}}, "protocols.py", (
+        {"protocols.py": {"_probe_round", "run_round", "run_schedule"}}, "protocols.py", (
             "def _grid_totals(config, alphas):\n"
             "    return [_interfere_and_detect(b, config) for *_, b in _rounds(config, alphas)]",
             "def _rounds(config, alphas):\n    yield _interfere_and_detect(branch, config)",
             "def f():\n    from .protocols import _interfere_and_detect as detect\n    return detect",
             "class _Pass:\n    def fold(self, b):\n        return protocols._interfere_and_detect(b, c)",
         ), (
-            "def run_schedules(config, alphas):\n"
-            "    for *_, b in _rounds(config, alphas):\n"
+            "def run_schedule(config):\n"
+            "    for *_, b in _rounds(config, [config.alpha]):\n"
             "        state = _interfere_and_detect(b, config)",
             "def _interfere_and_detect(branch, config):\n    return branch",
         ),
     ),
     # the scheme table: the two stages and the loss factor read a config's scheme
     # off it, and the entry check reads the labels a caller's register may not
-    # hold; run_round and run_schedules leave both to those
+    # hold; run_round and run_schedule leave both to those
     "noonecp.protocols._SCHEMES": Confined(
         {
             "protocols.py": {
@@ -160,7 +160,7 @@ CONFINED = {
         },
         "protocols.py", (
             "def run_round(state, config, round_k):\n    scheme = _SCHEMES[config.protocol]",
-            "def run_schedules(config, alphas):\n"
+            "def run_schedule(config):\n"
             "    mode = protocols._SCHEMES[config.protocol].aux_modes[1]",
             "def f():\n    from .protocols import _SCHEMES as schemes\n    return schemes",
             "class _Pass:\n    def scheme(self):\n        return _SCHEMES[self.c.protocol]",
@@ -178,7 +178,7 @@ CONFINED = {
         "protocols.py", (
             "def _rounds(config, alphas):\n    for reading in _partition(tagged):\n"
             "        yield reading",
-            "def run_schedules(config, alphas):\n    return optics._partition(tagged)",
+            "def run_schedule(config):\n    return optics._partition(tagged)",
             "def f():\n    from .optics import _partition as weigh\n    return weigh",
             "class _Pass:\n    def read(self, tagged):\n        return _partition(tagged)",
         ), (
@@ -239,14 +239,14 @@ CONFINED = {
         {"optics.py": {"detect_photon"}, "protocols.py": {None, "_interfere_and_detect"}},
         "protocols.py", (
             "def _probe_round(state, config):\n    return _detect(joint, (2, 3), (0, 1))",
-            "def run_schedules(config, alphas):\n"
+            "def run_schedule(config):\n"
             "    return optics._detect(state, _PORTS, _KEPT)",
             "def f():\n    from .optics import _detect as click\n    return click",
             "class _Pass:\n    def click(self, s):\n        return _detect(s, (2, 3), (0, 1))",
         ), (
             "def _interfere_and_detect(branch, config):\n"
             "    branches = _detect(mixed, _PORTS, _KEPT)",
-            "def run_schedules(config, alphas):\n"
+            "def run_schedule(config):\n"
             "    \"\"\"Leaves ``_detect`` to the detection stage.\"\"\"\n    return k",
         ),
     ),
@@ -255,7 +255,7 @@ CONFINED = {
     "noonecp.optics.negate_occupied": Confined({}, "protocols.py", (
         "from .optics import negate_occupied",
         "def _interfere_and_detect(branch, config):\n    flipped = negate_occupied(other, 'b1')",
-        "def run_schedules(config, alphas):\n    return negate_occupied(state, 'b1')",
+        "def run_schedule(config):\n    return negate_occupied(state, 'b1')",
         "def _probe_round(state, config):\n    return optics.negate_occupied(joint, 'b1')",
         "class _Pass:\n    def flip(self, s):\n        return negate_occupied(s, 'b1')",
     ), (
@@ -271,7 +271,7 @@ CONFINED = {
         "protocols.py", (
             "def _grid_totals(config, alphas):\n    factor = _loss_factor(config)\n"
             "    return [total * factor for (total,) in totals]",
-            "def run_schedules(config, alphas):\n"
+            "def run_schedule(config):\n"
             "    return [s * protocols._loss_factor(config) for s in totals]",
             "def _rounds(config, alphas):\n    yield k, t, p * _loss_factor(config), u",
             "def f():\n    from .protocols import _loss_factor as factor\n    return factor",
@@ -287,14 +287,14 @@ CONFINED = {
     # raw second group's norm
     "noonecp.fock._fold_fidelity": Confined(
         {"protocols.py": {None, "_interfere_and_detect"}}, "protocols.py", (
-            "def run_schedules(config, alphas):\n    return _fold_fidelity(a, b, 1)",
+            "def run_schedule(config):\n    return _fold_fidelity(a, b, 1)",
             "def _probe_round(state, config):\n    return fock._fold_fidelity(a, b, 1)",
             "def f():\n    from .fock import _fold_fidelity as fold\n    return fold",
             "class _Pass:\n    def fold(self, a, b):\n        return _fold_fidelity(a, b, 1)",
         ), (
             "def _interfere_and_detect(branch, config):\n"
             "    fid = _fold_fidelity(kept, other, 1)",
-            "def run_schedules(config, alphas):\n"
+            "def run_schedule(config):\n"
             "    \"\"\"Leaves ``_fold_fidelity`` to the detection stage.\"\"\"\n    return k",
         ),
     ),
@@ -302,12 +302,12 @@ CONFINED = {
         {"fock.py": {"_fold_fidelity"}}, "protocols.py", (
             "def _interfere_and_detect(branch, config):\n"
             "    fid = _abs_sq(_flipped_inner(kept, other, 1))",
-            "def run_schedules(config, alphas):\n    return _flipped_inner(a, b, 1)",
+            "def run_schedule(config):\n    return _flipped_inner(a, b, 1)",
             "def _probe_round(state, config):\n    return fock._flipped_inner(a, b, 1)",
             "def f():\n    from .fock import _flipped_inner as overlap\n    return overlap",
             "class _Pass:\n    def fold(self, a, b):\n        return _flipped_inner(a, b, 1)",
         ), (
-            "def run_schedules(config, alphas):\n"
+            "def run_schedule(config):\n"
             "    \"\"\"Leaves ``_flipped_inner`` to the detection stage.\"\"\"\n    return k",
         ),
     ),
@@ -338,7 +338,7 @@ CONFINED = {
         {"fock.py": {"normalized"}, "optics.py": {None, "detect_photon"}}, "protocols.py", (
             "def _probe_round(state, config):\n    unit, norm = _normalized(members)",
             "def _rounds(config, alphas):\n    yield fock._normalized(branch._terms)",
-            "def run_schedules(config, alphas):\n"
+            "def run_schedule(config):\n"
             "    from .fock import _normalized as unit\n    return unit",
             "class _Pass:\n    def unit(self, branch):\n        return _normalized(branch._terms)",
             "def _interfere_and_detect(branch, config):\n"
@@ -361,7 +361,7 @@ CONFINED = {
         "protocols.py", (
             "def _probe_round(state, config):\n    return normalized(branch)",
             "def _rounds(config, alphas):\n    yield fock.normalized(branch)",
-            "def run_schedules(config, alphas):\n"
+            "def run_schedule(config):\n"
             "    from .fock import normalized as unit\n    return unit",
             "class _Pass:\n    def unit(self, branch):\n        return normalized(branch)",
             "def _grid_totals(config, alphas):\n    return list(map(normalized, branches))",
@@ -374,7 +374,7 @@ CONFINED = {
     ),
     # an absent success reading heralds nothing: the schedule reports its fidelity as
     # NaN without detecting it, and no seam or stage turns a zero norm into NaN
-    "math.nan": Confined({"protocols.py": {"run_schedules"}}, "fock.py", (
+    "math.nan": Confined({"protocols.py": {"run_schedule"}}, "fock.py", (
         "def _normalized(terms):\n    scale = _Batch([1.0 / n if n else math.nan for n in norm])",
         "def _interfere_and_detect(branch, config):\n    return math.nan",
         "def _per_element(value, size):\n    from math import nan\n    return [nan] * size",
@@ -656,8 +656,8 @@ def test_the_guard_sees_each_per_point_config(source):
     [
         "settings = _make_config(args, protocol)",
         "cfg = replace(settings, alpha=0.3)",
-        "for schedule in run_schedules(ProtocolConfig('ecp2'), grid):\n    print(schedule)",
-        "totals = [s.p_total for s in run_schedules(_make_config(args, 'ecp1'), grid)]",
+        "for total in _grid_totals(ProtocolConfig('ecp2'), grid):\n    print(total)",
+        "totals = [t * f for t in _grid_totals(_make_config(args, 'ecp1'), grid)]",
         "for line in rows:\n    print(line.replace(',', '  '))",
         "keys = [key.replace('-', '_') for key in raw]",
     ],
@@ -854,7 +854,7 @@ def test_the_package_init_lists_no_names_of_its_own():
     assert name_lists == []
 
 
-ENGINE_ENTRIES = ("run_round", "run_schedule", "run_schedules", "_grid_totals", "_rounds")
+ENGINE_ENTRIES = ("run_round", "run_schedule", "_grid_totals", "_rounds")
 # The closed form's helpers, and the math functions only the closed form needs.
 ORACLE_HELPERS = {"_imbalance", "_ratio_power", "_SPLITTER", "vbs_transmission"}
 ORACLE_MATH = {"exp", "expm1", "log", "log1p", "atanh"}
@@ -908,13 +908,13 @@ def test_the_engine_reaches_no_closed_form():
         "def run_round(state, config, round_k):\n    r_pow, _ = _ratio_power(1.0, round_k)\n"
         "    return r_pow",
         "def run_schedule(config):\n    return math.log(config.alpha)",
-        "def run_schedules(config, alphas):\n    return list(map(math.exp, alphas))",
+        "def _grid_totals(config, alphas):\n    return list(map(math.exp, alphas))",
         "def run_round(state, config, round_k):\n    from math import atanh\n"
         "    return atanh(0.5)",
         "def _tail(x):\n    return math.log1p(-x)\n\n"
         "def run_round(state, config, round_k):\n    return _tail(0.5)",
-        "def run_schedule(config):\n    return run_schedules(config, [config.alpha])\n\n"
-        "def run_schedules(config, alphas):\n    return [_t(a) for a in alphas]\n\n"
+        "def run_schedule(config):\n    return _fold(config, [config.alpha])\n\n"
+        "def _fold(config, alphas):\n    return [_t(a) for a in alphas]\n\n"
         "def _t(a):\n    return vbs_transmission(a, 1)",
         "class _Fold:\n    def value(self):\n        return m.expm1(1.0)\n\n"
         "def run_round(state, config, round_k):\n    return _Fold().value()",
@@ -930,7 +930,7 @@ def test_the_guard_sees_each_oracle_use_the_engine_reaches(source):
         "def vbs_transmission(alpha, round_k):\n    return _imbalance(alpha)[0]\n\n"
         "def run_round(state, config, round_k):\n    return state",
         "def _imbalance(alpha):\n    return math.log(alpha)\n\n"
-        "def run_schedules(config, alphas):\n    return [math.sqrt(a) for a in alphas]",
+        "def run_schedule(config):\n    return math.sqrt(config.alpha)",
         "class _Oracle:\n    def p(self):\n        return math.exp(-1.0)\n\n"
         "def run_round(state, config, round_k):\n    return state",
         "def run_round(state, config, round_k):\n"

@@ -516,6 +516,27 @@ def test_detect_photon_on_tiny_amplitudes():
 
 
 @pytest.mark.parametrize(
+    "terms, want",
+    [
+        # each group's norm is finite, and their hypot overflows
+        ({(1, 1, 0): 1.5e308, (0, 0, 1): 1.5e308}, (0.5, 0.5)),
+        # the first group's norm overflows
+        ({(1, 1, 0): 1.5e308, (0, 1, 0): 1.5e308, (0, 0, 1): 1.5e308}, (2 / 3, 1 / 3)),
+    ],
+)
+def test_detect_photon_on_huge_amplitudes(terms, want):
+    # the shares do not depend on scale, so they are those of the state scaled
+    # down by an exact power of two, bit for bit
+    modes = ("d1", "d2")
+    results = detect_photon(PureState(("a", *modes), terms), modes)
+    assert [p for *_, p in results] == pytest.approx(want, rel=1e-15)
+    for _mode, branch, _prob in results:
+        assert norm_sq(branch) == pytest.approx(1.0, abs=1e-15)
+    scaled = PureState(("a", *modes), {k: a * 2.0**-600 for k, a in terms.items()})
+    assert [p.hex() for *_, p in results] == [p.hex() for *_, p in detect_photon(scaled, modes)]
+
+
+@pytest.mark.parametrize(
     "terms",
     [
         # the second detector's ket comes first, so the groups form out of
@@ -703,6 +724,19 @@ def test_detect_photon_keeps_its_pinned_bits(case):
         for m, branch, p in results
     ]
     assert bits == _DETECTED_BITS[case]
+
+
+@pytest.mark.parametrize(
+    "state, shown",
+    [
+        (basis_state(("a",), (1,)), "PureState"),
+        ((basis_state(("a",), (1,)), {(1,): 0.0}), "tuple"),
+    ],
+    ids=["pure-state", "plain-tuple"],
+)
+def test_homodyne_refuses_a_state_that_is_not_tagged(state, shown):
+    with pytest.raises(ValueError, match=rf"got {shown}; cross_kerr_tag makes one"):
+        homodyne_partition(state)
 
 
 def test_homodyne_names_a_ket_without_probe_phase():

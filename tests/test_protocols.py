@@ -41,7 +41,6 @@ from noonecp import (
     protocols,
     run_round,
     run_schedule,
-    run_schedules,
     superpose,
     tensor,
     vbs_transmission,
@@ -58,6 +57,12 @@ def _config(protocol="ecp1", alpha_sq=0.8, n=2, **kw):
 def _settings(protocol="ecp1", n=2, **kw):
     """A config of settings alone, as a grid takes it: its alpha is None."""
     return ProtocolConfig(protocol=protocol, n_photons=n, **kw)
+
+
+def _schedules(settings, alphas):
+    """One ``run_schedule`` per alpha, in order: the scalar runs that the
+    batched engine stream is checked against."""
+    return [run_schedule(replace(settings, alpha=alpha)) for alpha in alphas]
 
 
 def _chain_unconditional(alpha_sq, k_max):
@@ -775,7 +780,7 @@ def test_protocols_give_bit_identical_lossless_yields(n, k_max):
     # ecp2 is ecp1 with the auxiliary photon kept local: the same yields, bit for bit
     grid = [*_BATCH_ALPHA_SQ, *np.linspace(0.01, 0.99, 41)]
     ecp1, ecp2 = (
-        run_schedules(_settings(protocol, n=n, max_rounds=k_max), [math.sqrt(x) for x in grid])
+        _schedules(_settings(protocol, n=n, max_rounds=k_max), [math.sqrt(x) for x in grid])
         for protocol in ("ecp1", "ecp2")
     )
     for a, b in zip(ecp1, ecp2):
@@ -794,7 +799,7 @@ def test_yields_do_not_depend_on_the_probe_phase(protocol, n):
     alphas = [math.sqrt(x) for x in (0.1, 0.5 + 5.2e-15, 0.8)]
     thetas = (0.1, -0.2, 2, math.pi, 4.0, -4.0, 2 * math.pi - 0.1, 1e7)
     runs = [
-        run_schedules(_settings(protocol, n=n, max_rounds=40, theta=theta), alphas)
+        _schedules(_settings(protocol, n=n, max_rounds=40, theta=theta), alphas)
         for theta in thetas
     ]
     for theta, schedules in zip(thetas[1:], runs[1:]):
@@ -887,9 +892,8 @@ def _per_alpha_columns(settings, alphas):
 
 def _assert_batch_matches_scalar_runs(settings, alphas):
     """The batched engine stream's printed columns and its grid totals against
-    each alpha's own schedule, bit for bit; ``run_schedules`` runs one alpha
-    per pass, so its schedules are the scalar runs. They are returned."""
-    batch = run_schedules(settings, alphas)
+    each alpha's own schedule, bit for bit. The schedules are returned."""
+    batch = _schedules(settings, alphas)
     assert len(batch) == len(alphas)
     columns = _per_alpha_columns(settings, alphas)
     totals = protocols._grid_totals(settings, alphas)
@@ -911,7 +915,7 @@ def _assert_batch_matches_scalar_runs(settings, alphas):
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 @pytest.mark.parametrize("n", [1, 2, 3, 100])
 @pytest.mark.parametrize("k_max", [1, 10, 60])
-def test_run_schedules_equals_scalar_runs_bit_for_bit(protocol, n, k_max):
+def test_the_batched_stream_equals_scalar_runs_bit_for_bit(protocol, n, k_max):
     settings = _settings(protocol, n, max_rounds=k_max)
     batch = _assert_batch_matches_scalar_runs(settings, [math.sqrt(x) for x in _BATCH_ALPHA_SQ])
     # the grid really mixes present and absent success readings in one batched round
@@ -919,7 +923,7 @@ def test_run_schedules_equals_scalar_runs_bit_for_bit(protocol, n, k_max):
     assert ({True, False} in absent) == (k_max > 1)
 
 
-def test_run_schedules_equals_scalar_runs_on_a_dense_grid():
+def test_the_batched_stream_equals_scalar_runs_on_a_dense_grid():
     # a last-bit slip in one element-wise operation (say x * x for abs(x) ** 2)
     # changes about one round yield in a thousand, so this grid is dense
     grid = np.random.default_rng(6).uniform(0.01, 0.99, 600)
@@ -934,9 +938,8 @@ def test_a_float_subclass_alpha_runs_as_its_python_float(protocol):
     settings = _settings(protocol, 2, max_rounds=12)
     grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
     numpy_grid = [np.float64(a) for a in grid]
-    pairs = list(zip(numpy_grid, run_schedules(settings, numpy_grid), run_schedules(settings, grid)))
-    one = run_schedule(replace(settings, alpha=numpy_grid[0]))
-    for alpha, got, want in [*pairs, (numpy_grid[0], one, pairs[0][2])]:
+    pairs = zip(numpy_grid, _schedules(settings, numpy_grid), _schedules(settings, grid))
+    for alpha, got, want in pairs:
         assert got.alpha is alpha
         assert _same_bits(got.p_total, want.p_total)
         for got_row, want_row in zip(got.per_round, want.per_round, strict=True):
@@ -945,15 +948,10 @@ def test_a_float_subclass_alpha_runs_as_its_python_float(protocol):
     assert [type(t) for t in totals] == [float] * len(grid)
 
 
-def test_run_schedules_of_nothing_is_empty():
-    assert run_schedules(_settings(), []) == []
-    assert run_schedules(_settings(), iter(())) == []
-
-
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan, math.inf, True, "0.5", 10**400])
-def test_run_schedules_rejects_an_alpha_outside_the_unit_interval(bad):
+def test_a_grid_pass_rejects_an_alpha_outside_the_unit_interval(bad):
     with pytest.raises(ValueError, match="alpha must lie strictly inside"):
-        run_schedules(_settings(), [0.6, bad])
+        protocols._grid_totals(_settings(), [0.6, bad])
 
 
 def test_a_config_holds_no_alpha_unless_given_one():
@@ -988,10 +986,9 @@ def test_a_settings_only_config_gives_the_bits_of_one_with_an_alpha(protocol, mo
             getattr(given, field)
         ), field
 
-    bare, given = (run_schedules(config, grid) for config in (settings, with_alpha))
-    assert repr(bare) == repr(given)
-    assert [repr(apply_loss_model(s, settings)) for s in bare] == [
-        repr(apply_loss_model(s, with_alpha)) for s in bare
+    schedules = _schedules(settings, grid)
+    assert [repr(apply_loss_model(s, settings)) for s in schedules] == [
+        repr(apply_loss_model(s, with_alpha)) for s in schedules
     ]
     bare, given = (protocols._grid_totals(config, grid) for config in (settings, with_alpha))
     assert [t.hex() for t in bare] == [t.hex() for t in given]
@@ -1048,7 +1045,7 @@ def test_deferred_fidelity_column_is_the_eager_one(protocol):
     n, k_max = 2, 12
     grid = [math.sqrt(x) for x in _BATCH_ALPHA_SQ]
     target = maximally_entangled_noon(n)
-    batch = run_schedules(_settings(protocol, n, max_rounds=k_max), grid)
+    batch = _schedules(_settings(protocol, n, max_rounds=k_max), grid)
     absent = 0
     for alpha, schedule in zip(grid, batch):
         config = _config(protocol, alpha * alpha, n, max_rounds=k_max)
@@ -1085,10 +1082,38 @@ def test_a_grid_pass_keeps_only_normalized_success_states(protocol, n):
     assert absent > 0
 
 
+# The last round whose success reading is present (p_conditional > 0) in a
+# K = 100 schedule; every later round repeats the exact fixed point. The
+# double sqrt(0.5) and its two neighbours sit as close to balance as a double
+# can, and the upper neighbour's reading ends two rounds before theirs.
+_LAST_PRESENT_ROUND = {
+    0.7071067811865475: 62,
+    math.sqrt(0.5): 62,  # 0.7071067811865476
+    0.7071067811865477: 60,
+    math.sqrt(0.5 + 5.2e-15): 55,
+    math.sqrt(0.8): 10,
+    math.sqrt(0.999999): 6,
+}
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_the_last_present_success_reading_is_pinned(protocol, n):
+    assert len(_LAST_PRESENT_ROUND) == 6  # the three doubles near sqrt(0.5) are distinct
+    config = _settings(protocol, n, max_rounds=100)
+    last = {}
+    for alpha, schedule in zip(_LAST_PRESENT_ROUND, _schedules(config, _LAST_PRESENT_ROUND)):
+        present = [row.round_index for row in schedule.per_round if row.p_conditional > 0.0]
+        # once absent, the reading stays absent
+        assert present == list(range(1, len(present) + 1)), alpha
+        last[alpha] = present[-1]
+    assert last == _LAST_PRESENT_ROUND
+
+
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 @pytest.mark.parametrize("n", [1, 100])
 def test_a_schedule_detects_no_success_branch_with_an_absent_element(protocol, n, monkeypatch):
-    # An absent reading heralds nothing: run_schedules runs one alpha per pass
+    # An absent reading heralds nothing: run_schedule runs one alpha per pass
     # and detects a success branch only where its reading is present, so no
     # branch it detects holds a zero mass.
     grid = [math.sqrt(x) for x in _BATCH_ALPHA_SQ]
@@ -1102,7 +1127,7 @@ def test_a_schedule_detects_no_success_branch_with_an_absent_element(protocol, n
 
     monkeypatch.setattr(protocols, "_interfere_and_detect", spy)
     k_max = 60
-    run_schedules(_settings(protocol, n, max_rounds=k_max), grid)
+    _schedules(_settings(protocol, n, max_rounds=k_max), grid)
     # each round detects its failure branch, and some also a success branch
     assert len(masses) > k_max
     assert min(map(min, masses)) > 0.0
@@ -1150,7 +1175,7 @@ def test_only_a_schedule_detects_the_success_branch(protocol, monkeypatch):
     k_max = 12
     config = _settings(protocol, 1, max_rounds=k_max)
     grid = [math.sqrt(x) for x in _LOPSIDED_ALPHA_SQ]
-    present = _present_rows(run_schedules(config, grid))
+    present = _present_rows(_schedules(config, grid))
     assert 0 < present < len(grid) * k_max
     calls = []
     detect = protocols._interfere_and_detect
@@ -1165,7 +1190,7 @@ def test_only_a_schedule_detects_the_success_branch(protocol, monkeypatch):
     calls.clear()
     # a schedule runs each alpha on its own: one failure detection per round,
     # and one success detection per present reading
-    run_schedules(config, grid)
+    _schedules(config, grid)
     assert len(calls) == len(grid) * k_max + present
 
 
@@ -1204,7 +1229,7 @@ def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, mo
     k_max = 12
     config = _settings(protocol, n, max_rounds=k_max)
     grid = [math.sqrt(x) for x in _STREAM_ALPHA_SQ]
-    present = _present_rows(run_schedules(config, grid))
+    present = _present_rows(_schedules(config, grid))
     assert 0 < present < len(grid) * k_max
     calls, bound = _spy_on_every_binding(monkeypatch, fock._normalized)
     assert {"noonecp.fock", "noonecp.optics"} <= set(bound)
@@ -1212,7 +1237,7 @@ def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, mo
     protocols._grid_totals(config, grid)
     assert len(calls) == 2 * k_max
     calls.clear()
-    run_schedules(config, grid)
+    _schedules(config, grid)
     assert len(calls) == 2 * len(grid) * k_max + 2 * present
 
 
@@ -1259,7 +1284,7 @@ _STAGE_WORK = {
         _GRID_WORK,
     ),
     "schedules ecp2 N=1": (
-        lambda: run_schedules(_settings("ecp2", 1, max_rounds=10), _COUNTED_GRID),
+        lambda: _schedules(_settings("ecp2", 1, max_rounds=10), _COUNTED_GRID),
         {
             "_probe_round": (2120, 0, 4238, 8276), "_tag_phases": (2120, 0, 8408, 8408),
             "_partition": (2120, 0, 8408, 8408), "_interfere_and_detect": (4172, 0, 8276, 8276),
@@ -1356,7 +1381,7 @@ def _count_every_binding(monkeypatch, functions):
     return counts
 
 
-@pytest.mark.parametrize("engine", [run_schedules, protocols._grid_totals])
+@pytest.mark.parametrize("engine", [_schedules, protocols._grid_totals])
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 @pytest.mark.parametrize("n", [1, 100])
 def test_a_round_repeats_no_structural_check(engine, protocol, n, monkeypatch):
@@ -1372,14 +1397,16 @@ def test_a_round_repeats_no_structural_check(engine, protocol, n, monkeypatch):
         engine(config, grid)
         made[k] = dict(counts)
     assert made[1] == made[60]
-    # the spies see: each alpha is checked once, through _check_alpha
-    assert made[1]["_finite_real"] == len(grid)
+    # the spies see: the engine checks each alpha once, through _check_alpha, and
+    # each schedule's config first checks its alpha, theta and loss_eta
+    per_point = 1 if engine is protocols._grid_totals else 1 + 3
+    assert made[1]["_finite_real"] == per_point * len(grid)
 
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 @pytest.mark.parametrize("n", [1, 3])
 def test_schedule_fidelity_equals_the_complex_target_fidelity_bit_for_bit(protocol, n):
-    # run_schedules measures against a real-float target; each fidelity must be
+    # run_schedule measures against a real-float target; each fidelity must be
     # the one maximally_entangled_noon's complex amplitudes give, to the bit
     k_max = 60
     config = _settings(protocol, n, max_rounds=k_max)
@@ -1387,7 +1414,7 @@ def test_schedule_fidelity_equals_the_complex_target_fidelity_bit_for_bit(protoc
     assert all(type(a) is complex for a in target.terms.values())
     alphas = [math.sqrt(0.9), math.sqrt(0.5 + 3e-15)]  # lopsided, near-balanced
     present = 0
-    for alpha, schedule in zip(alphas, run_schedules(config, alphas)):
+    for alpha, schedule in zip(alphas, _schedules(config, alphas)):
         state = prepare_less_entangled_noon(alpha, n)
         for row in schedule.per_round:
             outcome = run_round(state, config, row.round_index)
