@@ -22,14 +22,14 @@ The engine may also run a batch of inputs at once: every ket then carries a
 ``_Batch`` of real amplitudes, one per input. Batches add, multiply and
 negate element by element, and every place where a scalar and a batch
 differ goes through the number seam at the end of this module: squaring
-(``_norm_sq``), the detector-fold check's fidelity (``_fold_fidelity``:
-``_flipped_inner``'s signed overlap over the unnormalized second group's
-norm), normalization (``_normalized``), tolerance checks (``_off``) and
-splitting a result per input. So every element sees exactly the float
-operations of its own run. Which readings are absent is the caller's to
-decide: the engine detects a batch's recycled branch, which is present in
-every element, and never its success branch, so a batch with a zero,
-subnormal or NaN norm is never normalized.
+(``_norm_sq``), the detector-fold check's fidelity (``_fold_fidelity``: a
+signed overlap over the unnormalized second group's norm), normalization
+(``_normalized``), tolerance checks (``_off``) and splitting a result per
+input. So every element sees exactly the float operations of its own run.
+Which readings are absent is the caller's to decide: the engine detects a
+batch's recycled branch, which is present in every element, and never its
+success branch, so a batch with a zero, subnormal or NaN norm is never
+normalized.
 """
 
 from __future__ import annotations
@@ -308,9 +308,10 @@ def norm_sq(state: PureState) -> float:
 def normalized(state: PureState) -> PureState:
     """Scale to unit norm; zero states cannot be normalized.
 
-    The norm comes from ``math.hypot``, and a norm that is subnormal or
-    overflows is taken again on amplitudes scaled by an exact power of two,
-    so a state of tiny or huge finite amplitudes still normalizes.
+    The norm comes from ``math.hypot``. A norm that is subnormal, or above
+    2**1022 so that its reciprocal is subnormal or 0, is taken again on
+    amplitudes scaled by an exact power of two, so a state of tiny or huge
+    finite amplitudes still normalizes with every bit of a moderate one.
     """
     return PureState._derived(state._register, _normalized(state._terms)[0])
 
@@ -443,52 +444,44 @@ def _norm_sq(amps: Collection):
     return reduce(operator.add, squares) if squares else 0
 
 
-def _flipped_inner(a: PureState, b: PureState, idx: int):
-    """``inner(a, b')`` of two real states, where b' is ``b`` with every ket
-    that holds a photon at position ``idx`` negated, without forming b'.
-
-    The terms come in ``inner``'s ket order, and each is the product a·b:
-    where b' would hold -b, it is subtracted (negated if it comes first),
-    which rounds as adding a·(-b) does, so the result has ``inner``'s bits.
-    A batch folds each later ket's multiply-add in one pass over its
-    elements.
-    """
-    small, large = (a._terms, b._terms) if len(a._terms) <= len(b._terms) else (b._terms, a._terms)
-    total = None
-    for ket, x in small.items():
-        y = large.get(ket)
-        if y is None:
-            continue
-        flip = ket[idx] > 0
-        if total is None:
-            total = -(x * y) if flip else x * y
-        elif type(x) is _Batch:
-            total = _Batch(
-                [t - u * v for t, u, v in zip(total, x, y)]
-                if flip
-                else [t + u * v for t, u, v in zip(total, x, y)]
-            )
-        else:
-            total = total - x * y if flip else total + x * y
-    return 0.0 if total is None else total
-
-
 def _fold_fidelity(kept: PureState, other: PureState, idx: int):
     """The detector-fold check's fidelity (<kept|other'> / ||other||)^2.
 
     ``kept`` is a normalized real state and ``other`` an unnormalized real
     state on the same register; other' is ``other`` with every ket that
-    holds a photon at position ``idx`` negated. The signed overlap is
-    ``_flipped_inner``'s and the norm is the hypot of ``other``'s
+    holds a photon at position ``idx`` negated, and is not formed. The
+    overlap's terms come in ``inner``'s ket order, and each is the product
+    kept·other: where other' would hold -other, it is subtracted (negated
+    if it comes first), which rounds as adding kept·(-other) does, so the
+    overlap has ``inner``'s bits. The norm is the hypot of ``other``'s
     amplitudes, as ``_normalized`` takes it, so the value is the fidelity
-    with ``other`` normalized to within a few ulps, without forming that
-    copy. A batch divides and squares in one pass over its elements.
+    with ``other`` normalized to within a few ulps. A batch folds each
+    later ket's multiply-add in one pass over its elements, then divides
+    and squares in one more.
     """
-    overlap = _flipped_inner(kept, other, idx)
-    amps = other._terms.values()
+    a, b = kept._terms, other._terms
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    overlap = None
+    for ket, x in small.items():
+        y = large.get(ket)
+        if y is None:
+            continue
+        flip = ket[idx] > 0
+        if overlap is None:
+            overlap = -(x * y) if flip else x * y
+        elif type(x) is _Batch:
+            overlap = _Batch(
+                [t - u * v for t, u, v in zip(overlap, x, y)]
+                if flip
+                else [t + u * v for t, u, v in zip(overlap, x, y)]
+            )
+        else:
+            overlap = overlap - x * y if flip else overlap + x * y
+    amps = b.values()
     if type(overlap) is _Batch:
         return _Batch([(s / n) ** 2 for s, n in zip(overlap, map(math.hypot, *amps))])
-    return (overlap / math.hypot(*amps)) ** 2
+    # no shared ket: a zero overlap (a signed zero squares to the same 0.0)
+    return ((overlap or 0.0) / math.hypot(*amps)) ** 2
 
 
 def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, complex], float]:
@@ -496,12 +489,14 @@ def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, compl
 
     The one normalization in the package. The norm is the hypot of the
     magnitudes, which does not underflow. Each amplitude is multiplied by
-    1/norm. A subnormal norm keeps too few bits for that, and a norm that
-    overflows to inf (returned as it is) keeps none, so a plain state with
-    either is first scaled by 2**600 or 2**-600, which is exact, and then
-    multiplied by 1/hypot of the scaled magnitudes. A batch whose norms'
-    ``min`` is not normal (zero, subnormal, a leading NaN) is refused; the
-    engine detects only present readings.
+    1/norm, which keeps every bit only for a norm from sys.float_info.min
+    to 2**1022: below, the norm keeps too few bits, and above, 1/norm is
+    subnormal, or 0 where the norm overflows to inf (returned as it is).
+    So a plain state with such a norm is first scaled by 2**600 or
+    2**-600, which is exact, and then multiplied by 1/hypot of the scaled
+    magnitudes. A batch with such a norm, as ``min`` and ``max`` read it
+    (a leading NaN among them), is refused; the engine detects only
+    present readings, of unit norm.
     """
     amps = terms.values()
     batched = _batched(amps)
@@ -509,17 +504,19 @@ def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, compl
     if not norm:
         raise ValueError("cannot normalize a state with zero norm")
     if not batched:
-        if sys.float_info.min <= norm < math.inf:
+        if sys.float_info.min <= norm <= 2.0**1022:
             scale = 1.0 / norm
         else:
             power = 2.0**600 if norm < 1.0 else 2.0**-600
             terms = {k: a * power for k, a in terms.items()}
             scale = 1.0 / math.hypot(*map(abs, terms.values()))
-    elif min(norm) >= sys.float_info.min:
-        # min skips a NaN norm unless it leads; one further on comes out NaN.
-        scale = _Batch([1.0 / n for n in norm])
-    else:
+    # min and max skip a NaN norm unless it leads; one further on comes out NaN.
+    elif not min(norm) >= sys.float_info.min:
         raise ValueError(f"cannot normalize a batch: smallest norm {min(norm)!r} is not normal")
+    elif max(norm) > 2.0**1022:
+        raise ValueError(f"cannot normalize a batch: largest norm {max(norm)!r} is above 2**1022")
+    else:
+        scale = _Batch([1.0 / n for n in norm])
     return {k: a * scale for k, a in terms.items()}, norm
 
 

@@ -366,8 +366,8 @@ def _noon_pair(state: PureState, config: ProtocolConfig) -> PureState:
 
     The coefficients must be exactly real and non-negative; one of them may
     be missing, as after deep recycling squares it to zero. The register
-    must hold none of the config's scheme's auxiliary or detector labels,
-    since the round's stages join and mix registers without checking them.
+    must hold none of the scheme's auxiliary labels, which the probe stage
+    joins without checking, nor, by contract, its detector labels.
     """
     n, terms = config.n_photons, state._terms
     if len(state._register) != 2 or not terms or not terms.keys() <= {(n, 0), (0, n)}:
@@ -386,33 +386,28 @@ def _noon_pair(state: PureState, config: ProtocolConfig) -> PureState:
     return PureState._derived(state._register, pair)
 
 
-def _interfere_and_detect(branch: PureState, config: ProtocolConfig) -> PureState:
+def _interfere_and_detect(branch: PureState) -> PureState:
     """Normalize, balanced splitter on the auxiliary pair, detect, correct, fold.
 
     ``branch`` is a probe reading's branch from ``_probe_round``, not
-    normalized, on the signal pair and then the config's auxiliary pair;
-    this is the one place in the engine where a state is normalized: the
-    branch, then the detector group that the round keeps. The balanced
-    mixer sends the photon to both detectors, so both fire, and the
-    first-detector group (real non-negative amplitudes), normalized, is
-    returned. A click on the second detector calls for the sign correction
-    on the N-photon mode, the register's second, after which the two
-    projected states agree up to a global phase. Neither a corrected copy
-    nor a normalized second group is formed: the fold check
-    (``_fold_fidelity``) takes the signed overlap <kept|corrected second>
-    straight from the raw second group, subtracting each product the
-    correction would negate, and divides it by that group's norm.
+    normalized, on the signal pair and then a scheme's auxiliary pair. This
+    is the engine's one normalization site: the branch, then the detector
+    group the round keeps. Nothing is read off a config: the pair is mixed
+    in place and detected by position. Each ket of the normalized branch
+    splits onto both detectors with weight +-1/sqrt(2), and one has
+    |amplitude| >= 1/sqrt(2), so both fire; the first group (real
+    non-negative amplitudes), normalized, is returned. A second-detector
+    click calls for the sign correction on the N-photon mode, position 1,
+    which the fold check (``_fold_fidelity``) folds into the signed overlap
+    <kept|corrected second>, taken from the raw second group over its norm,
+    so no corrected or normalized copy of that group is formed.
     """
-    register = branch._register[:2] + _SCHEMES[config.protocol].detectors
-    mixed = _split(normalized(branch), *_MIXER, *_PORTS, register)
-    (_, first), *others = _detect(mixed, _PORTS, _KEPT)
+    mixed = _split(normalized(branch), *_MIXER, *_PORTS, branch._register)
+    (_, first), (_, other) = _detect(mixed, _PORTS, _KEPT)
     kept = normalized(first)
-    for _, other in others:
-        fid = _fold_fidelity(kept, other, 1)
-        if _off(fid, 1.0, NORM_TOLERANCE):
-            raise ValueError(
-                f"detector branches disagree after correction (fidelity {fid})"
-            )
+    fid = _fold_fidelity(kept, other, 1)
+    if _off(fid, 1.0, NORM_TOLERANCE):
+        raise ValueError(f"detector branches disagree after correction (fidelity {fid})")
     return kept
 
 
@@ -428,7 +423,9 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     every element), and the recycled 0 reading's branch after
     ``_interfere_and_detect``, with its probability. Only ``run_round`` and
     ``run_schedule``, which form success states, detect the success branch.
-    t = ca^2 is read off the joint state's |N,0>|1,0> amplitude, the product
+    This is the stage that reads the config's scheme: its auxiliary labels,
+    and ``local`` for t; the detection stage takes the branch alone. t =
+    ca^2 is read off the joint state's |N,0>|1,0> amplitude, the product
     ``_tensor`` forms.
     """
     n = config.n_photons
@@ -462,7 +459,7 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
         joint._terms.get((n, 0, 1, 0), 0.0) if scheme.local else None,
         success_prob,
         success_branch,
-        _interfere_and_detect(failure_branch, config),
+        _interfere_and_detect(failure_branch),
         failure_prob,
     )
 
@@ -492,7 +489,7 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
     t, success_prob, success_branch, failure_state, failure_prob = _probe_round(pair, config)
     success_state = None
     if success_branch is not None:
-        success_state = _interfere_and_detect(success_branch, config)
+        success_state = _interfere_and_detect(success_branch)
     return RoundOutcome(
         round_index=round_k,
         success_state=success_state,
@@ -524,7 +521,7 @@ def run_schedule(config: ProtocolConfig) -> Schedule:
     for k, t, p, u, success_branch in _rounds(config, [config.alpha]):
         fidelity = math.nan
         if success_branch is not None:
-            success_state = _interfere_and_detect(success_branch, config)
+            success_state = _interfere_and_detect(success_branch)
             fidelity = fidelity_up_to_global_phase(success_state, target)
         per_round.append(RoundStats(k, t, p, u, fidelity))
         p_total += u

@@ -340,15 +340,24 @@ def test_normalized_survives_underflow():
     assert normalized(sub).amplitude((1, 0)) == pytest.approx(0.6, rel=1e-15)
 
 
-def test_normalized_survives_overflow():
-    # the hypot of these finite amplitudes overflows, and 1/inf would zero every ket
-    huge = PureState(("a", "b"), {(1, 0): 1.5e308, (0, 1): -1.5e308j})
-    unit = normalized(huge)
-    assert unit.amplitude((1, 0)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-    assert unit.amplitude((0, 1)) == pytest.approx(-1j * math.sqrt(0.5), rel=1e-15)
-    # the state is scaled down by an exact power of two first, so it has those bits
-    scaled = PureState(("a", "b"), {k: a * 2.0**-600 for k, a in huge.terms.items()})
+@pytest.mark.parametrize(
+    "register, terms",
+    [
+        (("a", "b"), {(1, 0): 1.5e308, (0, 1): -1.5e308j}),
+        (("a", "b"), {(1, 0): 1e308, (0, 1): 1e308}),
+        (("a",), {(1,): 1.5e308}),
+        (("a", "b"), {(1, 0): 3e307, (0, 1): -4e307j}),
+    ],
+    ids=["hypot overflows", "two 1e308", "one 1.5e308", "norm 5e307"],
+)
+def test_normalized_survives_overflow(register, terms):
+    # 1/norm zeroes every ket where the hypot overflows to inf, and is
+    # subnormal, losing bits, wherever the norm is above 2**1022: the state
+    # must normalize as the same state scaled by 2**-600, which is exact
+    unit = normalized(PureState(register, terms))
+    scaled = PureState(register, {k: a * 2.0**-600 for k, a in terms.items()})
     assert unit.terms == normalized(scaled).terms
+    assert abs(norm_sq(unit) - 1.0) <= 2 * sys.float_info.epsilon
 
 
 def test_normalized_rejects_zero_state():
@@ -536,6 +545,26 @@ def test_batch_normalization_refuses_a_zero_or_subnormal_element_norm():
         _normalized({(1, 0): _Batch([0.0, 3.0, -0.0]), (0, 1): _Batch([0.0, 4.0, 0.0])})
     with pytest.raises(ValueError, match="zero norm"):
         _normalized({(1, 0): _Batch([0.0, 0.0])})
+
+
+def test_batch_normalization_refuses_an_element_norm_above_2_to_the_1022():
+    # 1/norm zeroes an element whose hypot norm overflows and takes bits from
+    # one whose reciprocal is subnormal, so the batch is refused, naming its
+    # largest norm; the smallest, here a normal 1.0, is not to blame
+    overflowing = {(1, 0): _Batch((1.5e308, 0.6)), (0, 1): _Batch((1.5e308, 0.8))}
+    with pytest.raises(ValueError, match=r"largest norm inf is above 2\*\*1022"):
+        _normalized(overflowing)
+    with pytest.raises(ValueError, match=r"largest norm 1e\+308 is above 2\*\*1022"):
+        _normalized({(1,): _Batch((0.5, 1e308, math.nan))})
+    # a norm of exactly 2**1022 has a normal reciprocal: each element matches
+    # its scalar run
+    runs = [(2.0**1022, 0.0), (0.6, 0.8)]
+    kets = [(1, 0), (0, 1)]
+    unit, norm = _normalized(dict(zip(kets, _batched_kets(runs))))
+    for element, run in enumerate(runs):
+        scalar_unit, scalar_norm = _normalized(dict(zip(kets, run)))
+        assert norm[element] == scalar_norm
+        assert [unit[ket][element] for ket in kets] == [scalar_unit[ket] for ket in kets]
 
 
 def test_batched_state_repr_formats_each_element():

@@ -78,7 +78,7 @@ CONFINED = {
             "def f():\n    def g():\n        import math as m\n        return m.hypot(1.0)",
             "UNIT = math.hypot(3.0, 4.0)",
             "from math import hypot",
-            "def _interfere_and_detect(branch, config):\n"
+            "def _interfere_and_detect(branch):\n"
             "    norm = math.hypot(*other._terms.values())",
         ), (
             "def _fold_fidelity(kept, other, idx):\n    return (s / math.hypot(*amps)) ** 2",
@@ -138,35 +138,32 @@ CONFINED = {
     "noonecp.protocols._interfere_and_detect": Confined(
         {"protocols.py": {"_probe_round", "run_round", "run_schedule"}}, "protocols.py", (
             "def _grid_totals(config, alphas):\n"
-            "    return [_interfere_and_detect(b, config) for *_, b in _rounds(config, alphas)]",
-            "def _rounds(config, alphas):\n    yield _interfere_and_detect(branch, config)",
+            "    return [_interfere_and_detect(b) for *_, b in _rounds(config, alphas)]",
+            "def _rounds(config, alphas):\n    yield _interfere_and_detect(branch)",
             "def f():\n    from .protocols import _interfere_and_detect as detect\n    return detect",
-            "class _Pass:\n    def fold(self, b):\n        return protocols._interfere_and_detect(b, c)",
+            "class _Pass:\n    def fold(self, b):\n        return protocols._interfere_and_detect(b)",
         ), (
             "def run_schedule(config):\n"
             "    for *_, b in _rounds(config, [config.alpha]):\n"
-            "        state = _interfere_and_detect(b, config)",
-            "def _interfere_and_detect(branch, config):\n    return branch",
+            "        state = _interfere_and_detect(b)",
+            "def _interfere_and_detect(branch):\n    return branch",
         ),
     ),
-    # the scheme table: the two stages and the loss factor read a config's scheme
+    # the scheme table: the probe stage and the loss factor read a config's scheme
     # off it, and the entry check reads the labels a caller's register may not
-    # hold; run_round and run_schedule leave both to those
+    # hold; the detection stage takes its branch alone, and run_round and
+    # run_schedule leave the table to those
     "noonecp.protocols._SCHEMES": Confined(
-        {
-            "protocols.py": {
-                None, "_noon_pair", "_interfere_and_detect", "_probe_round", "_loss_factor"
-            }
-        },
+        {"protocols.py": {None, "_noon_pair", "_probe_round", "_loss_factor"}},
         "protocols.py", (
             "def run_round(state, config, round_k):\n    scheme = _SCHEMES[config.protocol]",
             "def run_schedule(config):\n"
             "    mode = protocols._SCHEMES[config.protocol].aux_modes[1]",
             "def f():\n    from .protocols import _SCHEMES as schemes\n    return schemes",
             "class _Pass:\n    def scheme(self):\n        return _SCHEMES[self.c.protocol]",
+            "def _interfere_and_detect(branch, config):\n    scheme = _SCHEMES[config.protocol]",
         ), (
             "PROTOCOLS = tuple(_SCHEMES)",
-            "def _interfere_and_detect(branch, config):\n    scheme = _SCHEMES[config.protocol]",
             "def run_round(state, config, round_k):\n"
             "    \"\"\"Leaves ``_SCHEMES`` to the stages.\"\"\"\n    return state",
         ),
@@ -195,7 +192,7 @@ CONFINED = {
         {"fock.py": {"tensor"}, "protocols.py": {None, "_probe_round"}}, "protocols.py", (
             "def _rounds(config, alphas):\n    joint = _tensor(state, aux)\n    yield joint",
             "def run_round(state, config, round_k):\n    return fock._tensor(state, aux)",
-            "def _interfere_and_detect(branch, config):\n"
+            "def _interfere_and_detect(branch):\n"
             "    from .fock import _tensor as join\n    return join",
             "class _Pass:\n    def join(self, a, b):\n        return _tensor(a, b)",
             "def _grid_totals(config, alphas):\n    return [_tensor(s, aux) for s in states]",
@@ -228,8 +225,8 @@ CONFINED = {
             "def f():\n    from .optics import _split as mix\n    return mix",
             "class _Pass:\n    def mix(self, s):\n        return _split(s, 0.5, 'ecp1', 2, 3, reg)",
         ), (
-            "def _interfere_and_detect(branch, config):\n"
-            "    mixed = _split(unit, *_MIXER, *_PORTS, register)",
+            "def _interfere_and_detect(branch):\n"
+            "    mixed = _split(unit, *_MIXER, *_PORTS, branch._register)",
             "def prepare_aux_ecp2(transmissivity, modes):\n"
             "    \"\"\"Checked by ``beam_splitter``, not ``_split``.\"\"\"\n"
             "    return beam_splitter(photon, spec)",
@@ -244,7 +241,7 @@ CONFINED = {
             "def f():\n    from .optics import _detect as click\n    return click",
             "class _Pass:\n    def click(self, s):\n        return _detect(s, (2, 3), (0, 1))",
         ), (
-            "def _interfere_and_detect(branch, config):\n"
+            "def _interfere_and_detect(branch):\n"
             "    branches = _detect(mixed, _PORTS, _KEPT)",
             "def run_schedule(config):\n"
             "    \"\"\"Leaves ``_detect`` to the detection stage.\"\"\"\n    return k",
@@ -254,14 +251,13 @@ CONFINED = {
     # no stage forms a corrected copy: no module of the package calls the public op
     "noonecp.optics.negate_occupied": Confined({}, "protocols.py", (
         "from .optics import negate_occupied",
-        "def _interfere_and_detect(branch, config):\n    flipped = negate_occupied(other, 'b1')",
+        "def _interfere_and_detect(branch):\n    flipped = negate_occupied(other, 'b1')",
         "def run_schedule(config):\n    return negate_occupied(state, 'b1')",
         "def _probe_round(state, config):\n    return optics.negate_occupied(joint, 'b1')",
         "class _Pass:\n    def flip(self, s):\n        return negate_occupied(s, 'b1')",
     ), (
-        "def _interfere_and_detect(branch, config):\n"
-        "    fid = _abs_sq(_flipped_inner(kept, other, 1))",
-        "def _interfere_and_detect(branch, config):\n"
+        "def _interfere_and_detect(branch):\n    fid = _fold_fidelity(kept, other, 1)",
+        "def _interfere_and_detect(branch):\n"
         "    \"\"\"Folds ``negate_occupied``'s sign into the overlap.\"\"\"\n    return kept",
     )),
     # loss is one factor applied after the lossless circuit: the loss model and
@@ -292,23 +288,10 @@ CONFINED = {
             "def f():\n    from .fock import _fold_fidelity as fold\n    return fold",
             "class _Pass:\n    def fold(self, a, b):\n        return _fold_fidelity(a, b, 1)",
         ), (
-            "def _interfere_and_detect(branch, config):\n"
+            "def _interfere_and_detect(branch):\n"
             "    fid = _fold_fidelity(kept, other, 1)",
             "def run_schedule(config):\n"
             "    \"\"\"Leaves ``_fold_fidelity`` to the detection stage.\"\"\"\n    return k",
-        ),
-    ),
-    "noonecp.fock._flipped_inner": Confined(
-        {"fock.py": {"_fold_fidelity"}}, "protocols.py", (
-            "def _interfere_and_detect(branch, config):\n"
-            "    fid = _abs_sq(_flipped_inner(kept, other, 1))",
-            "def run_schedule(config):\n    return _flipped_inner(a, b, 1)",
-            "def _probe_round(state, config):\n    return fock._flipped_inner(a, b, 1)",
-            "def f():\n    from .fock import _flipped_inner as overlap\n    return overlap",
-            "class _Pass:\n    def fold(self, a, b):\n        return _flipped_inner(a, b, 1)",
-        ), (
-            "def run_schedule(config):\n"
-            "    \"\"\"Leaves ``_flipped_inner`` to the detection stage.\"\"\"\n    return k",
         ),
     ),
     # labels are resolved to positions only by the public ops; the scheme table
@@ -324,7 +307,7 @@ CONFINED = {
             "from .fock import _mode_index",
             "def _scheme(aux_modes, detectors, local):\n"
             "    tags = (_mode_index(joint, 'b1'), 3)",
-            "def _interfere_and_detect(branch, config):\n"
+            "def _interfere_and_detect(branch):\n"
             "    i = fock._mode_index(branch._register, 'a2')",
         ), (
             "def _scheme(aux_modes, detectors, local):\n"
@@ -341,12 +324,12 @@ CONFINED = {
             "def run_schedule(config):\n"
             "    from .fock import _normalized as unit\n    return unit",
             "class _Pass:\n    def unit(self, branch):\n        return _normalized(branch._terms)",
-            "def _interfere_and_detect(branch, config):\n"
+            "def _interfere_and_detect(branch):\n"
             "    unit = PureState._derived(branch._register, _normalized(branch._terms)[0])",
-            "def _interfere_and_detect(branch, config):\n"
+            "def _interfere_and_detect(branch):\n"
             "    unit, norm = _normalized(other._terms)",
         ), (
-            "def _interfere_and_detect(branch, config):\n    unit = normalized(branch)",
+            "def _interfere_and_detect(branch):\n    unit = normalized(branch)",
             "def _rounds(config, alphas):\n"
             "    \"\"\"Leaves ``_normalized`` to the detection stage.\"\"\"\n    yield k",
         ),
@@ -367,7 +350,7 @@ CONFINED = {
             "def _grid_totals(config, alphas):\n    return list(map(normalized, branches))",
         ), (
             "from .fock import normalized",
-            "def _interfere_and_detect(branch, config):\n    unit = normalized(branch)",
+            "def _interfere_and_detect(branch):\n    unit = normalized(branch)",
             "def _rounds(config, alphas):\n"
             "    \"\"\"Leaves ``normalized`` to the detection stage.\"\"\"\n    yield k",
         ),
@@ -376,7 +359,7 @@ CONFINED = {
     # NaN without detecting it, and no seam or stage turns a zero norm into NaN
     "math.nan": Confined({"protocols.py": {"run_schedule"}}, "fock.py", (
         "def _normalized(terms):\n    scale = _Batch([1.0 / n if n else math.nan for n in norm])",
-        "def _interfere_and_detect(branch, config):\n    return math.nan",
+        "def _interfere_and_detect(branch):\n    return math.nan",
         "def _per_element(value, size):\n    from math import nan\n    return [nan] * size",
         "class _Batch(tuple):\n    def __truediv__(self, other):\n        return math.nan",
         "UNDEFINED = math.nan",

@@ -707,9 +707,11 @@ _DETECTED_BITS = {
         ("d1", (((0,), "0x1.0000000000000p+0", _ZERO),), _ZERO),
         ("d2", (((0,), "0x1.0000000000000p+0", _ZERO),), "0x1.0000000000000p+0"),
     ],
+    # each group's norm, 1e308, is above 2**1022, so it normalizes through the
+    # exact 2**-600 scaling, which gives the unit amplitude 1/1e308 could not
     "two 1e308 groups": [
-        ("d1", (((1,), "0x1.fffffffffffffp-1", _ZERO),), "0x1.ffffffffffffep-2"),
-        ("d2", (((0,), "0x1.fffffffffffffp-1", _ZERO),), "0x1.ffffffffffffep-2"),
+        ("d1", (((1,), "0x1.0000000000000p+0", _ZERO),), "0x1.ffffffffffffep-2"),
+        ("d2", (((0,), "0x1.0000000000000p+0", _ZERO),), "0x1.ffffffffffffep-2"),
     ],
 }
 

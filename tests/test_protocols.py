@@ -599,8 +599,11 @@ def test_round_degenerate_recycled_input():
 def test_round_refuses_detector_branches_that_disagree(protocol, monkeypatch):
     # without the sign correction a second-detector click leaves the relative
     # minus sign in place, so the two branches cannot be folded into one: the
-    # fold check's overlap, stripped of the sign it folds in, is a plain <a|b>
-    monkeypatch.setattr(fock, "_flipped_inner", lambda a, b, idx: fock.inner(a, b))
+    # fold check, stripped of the sign it folds in, takes a plain <a|b>
+    def unsigned_fold(kept, other, idx):
+        return (fock.inner(kept, other) / math.hypot(*other.terms.values())) ** 2
+
+    monkeypatch.setattr(protocols, "_fold_fidelity", unsigned_fold)
     cfg = _config(protocol=protocol, alpha_sq=0.8)
     with pytest.raises(ValueError, match="detector branches disagree"):
         run_round(prepare_less_entangled_noon(cfg.alpha, 2), cfg, 1)
@@ -1083,9 +1086,10 @@ def test_a_grid_pass_keeps_only_normalized_success_states(protocol, n):
 
 
 # The last round whose success reading is present (p_conditional > 0) in a
-# K = 100 schedule; every later round repeats the exact fixed point. The
-# double sqrt(0.5) and its two neighbours sit as close to balance as a double
-# can, and the upper neighbour's reading ends two rounds before theirs.
+# K = 100 schedule; from two rounds later on, every round repeats the exact
+# fixed point. The double sqrt(0.5) and its two neighbours sit as close to
+# balance as a double can, and the upper neighbour's reading ends two rounds
+# before theirs.
 _LAST_PRESENT_ROUND = {
     0.7071067811865475: 62,
     math.sqrt(0.5): 62,  # 0.7071067811865476
@@ -1108,6 +1112,22 @@ def test_the_last_present_success_reading_is_pinned(protocol, n):
         assert present == list(range(1, len(present) + 1)), alpha
         last[alpha] = present[-1]
     assert last == _LAST_PRESENT_ROUND
+    # A run_round chain from each input reaches the exact fixed point two
+    # rounds after its last present reading: no success state, failure_prob
+    # exactly 1.0, and a recycled state equal to its input bit for bit, the
+    # larger coefficient's ket alone at 1.0. The round before is not fixed yet.
+    for alpha, last_present in _LAST_PRESENT_ROUND.items():
+        state = prepare_less_entangled_noon(alpha, n)
+        for k in range(1, 101):
+            outcome = run_round(state, config, k)
+            fixed = (
+                outcome.success_state is None
+                and outcome.failure_prob == 1.0
+                and outcome.failure_state == state
+            )
+            assert fixed is (k >= last_present + 2), (alpha, k)
+            state = outcome.failure_state
+        assert state.terms == {(n, 0) if alpha * alpha > 0.5 else (0, n): 1.0}, alpha
 
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
@@ -1120,10 +1140,10 @@ def test_a_schedule_detects_no_success_branch_with_an_absent_element(protocol, n
     detect = protocols._interfere_and_detect
     masses = []
 
-    def spy(branch, config):
+    def spy(branch):
         mass = norm_sq(branch)
         masses.append(list(mass) if isinstance(mass, tuple) else [mass])
-        return detect(branch, config)
+        return detect(branch)
 
     monkeypatch.setattr(protocols, "_interfere_and_detect", spy)
     k_max = 60
@@ -1180,9 +1200,9 @@ def test_only_a_schedule_detects_the_success_branch(protocol, monkeypatch):
     calls = []
     detect = protocols._interfere_and_detect
 
-    def counting(branch, config):
+    def counting(branch):
         calls.append(branch)
-        return detect(branch, config)
+        return detect(branch)
 
     monkeypatch.setattr(protocols, "_interfere_and_detect", counting)
     protocols._grid_totals(config, grid)
