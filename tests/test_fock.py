@@ -487,6 +487,36 @@ def test_batch_fold_fidelity_matches_each_elements_scalar_run(runs):
         assert batch[element].hex() == fidelity(*run).hex()
 
 
+# (kept, other) amplitudes on (a, b); the fold negates other's kets with a
+# photon in a
+_FOLD_CASES = {
+    "first ket negated": ({(1, 0): 0.6, (0, 1): 0.8}, {(1, 0): -0.3, (0, 1): 0.4}),
+    "later ket negated": ({(0, 1): 0.6, (1, 0): 0.8}, {(0, 1): 1e-3, (1, 0): 7.0}),
+    "no ket negated": ({(0, 1): 1.0}, {(0, 1): -2.5, (0, 2): 0.1}),
+    "no shared ket": ({(1, 0): 1.0}, {(0, 1): 0.5}),
+    "other has fewer kets": (
+        {(1, 0): 0.36, (0, 1): 0.48, (1, 1): 0.8},
+        {(1, 1): -1.0, (0, 1): 0.1},
+    ),
+    "signs cancel": (
+        {(1, 0): 0.5, (0, 1): 0.5, (2, 0): 0.5, (0, 2): 0.5},
+        {(1, 0): 0.1, (0, 1): 0.1, (2, 0): -0.3, (0, 2): 0.3},
+    ),
+}
+
+
+@pytest.mark.parametrize("kept, other", _FOLD_CASES.values(), ids=_FOLD_CASES)
+def test_fold_fidelity_has_the_bits_of_the_public_ops(kept, other):
+    # the fold takes the signed overlap in inner's ket order without forming
+    # the negated copy, so it has the bits of inner over negate_occupied's copy
+    # real states, as the engine's are
+    kept, other = PureState._derived(("a", "b"), kept), PureState._derived(("a", "b"), other)
+    overlap = complex(inner(kept, negate_occupied(other, "a")))
+    assert overlap.imag == 0.0
+    want = (overlap.real / math.hypot(*other._terms.values())) ** 2
+    assert _fold_fidelity(kept, other, 0).hex() == want.hex()
+
+
 @pytest.mark.parametrize("operand", [2, 0.1, -0.0, math.nan])
 def test_batch_operators_with_a_plain_operand_match_each_elements_scalar_run(operand):
     batch = _Batch(a for runs in _SEAM_RUNS.values() for run in runs for a in run)

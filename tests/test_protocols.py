@@ -1,6 +1,7 @@
 """Tests for the concentration-round engine and schedule runner."""
 
 import gc
+import inspect
 import math
 import random
 import re
@@ -1128,6 +1129,37 @@ def test_the_last_present_success_reading_is_pinned(protocol, n):
             assert fixed is (k >= last_present + 2), (alpha, k)
             state = outcome.failure_state
         assert state.terms == {(n, 0) if alpha * alpha > 0.5 else (0, n): 1.0}, alpha
+
+
+def test_the_detection_stage_takes_its_branch_alone():
+    # it reads nothing off a config: the branch's own register carries the mix
+    assert list(inspect.signature(protocols._interfere_and_detect).parameters) == ["branch"]
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_both_detector_groups_fire_on_every_branch_a_round_detects(protocol, n, monkeypatch):
+    # Each ket of a normalized branch splits onto both detectors with weight
+    # +-1/sqrt(2), and one ket has |amplitude| >= 1/sqrt(2), so the detection
+    # stage unpacks exactly two groups, the first detector's first, each with
+    # mass, on every success and failure branch of a chain that runs past its
+    # fixed point, near balance and far from it.
+    detect = protocols._detect
+    fired = []
+
+    def spy(state, idxs, keep):
+        groups = detect(state, idxs, keep)
+        fired.append([(j, norm_sq(group) > 0.0) for j, group in groups])
+        return groups
+
+    monkeypatch.setattr(protocols, "_detect", spy)
+    config = _settings(protocol, n, max_rounds=70)
+    for alpha in [*_LAST_PRESENT_ROUND, math.sqrt(0.1), math.sqrt(1e-12)]:
+        state = prepare_less_entangled_noon(alpha, n)
+        for k in range(1, 71):
+            state = run_round(state, config, k).failure_state
+    assert fired
+    assert all(groups == [(0, True), (1, True)] for groups in fired)
 
 
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
