@@ -11,11 +11,15 @@ because the product telescopes: prod_{i=1..k-1} (1 + r^(2^i)) =
 
     p_total(K) = 2 min(x, y) - 2 |x - y| R / (1 - R),   R = r^(2^K).
 
-At x = y these reduce to 2^-k and 1 - 2^-K. Both forms cost O(1) per call
-and accept any k: r^(2^k) is exp(-2^k L) with L = -ln r, which is exactly
-0 once it underflows. ``run`` and ``figure3_sweep`` take P_1..P_K in one
-pass, where each round's r^(2^k) is the next round's r^(2^(k-1)). These
-forms are the oracle the simulation engine is checked against.
+At x = y these reduce to 2^-k and 1 - 2^-K. p_total rises to 2 min(x, y),
+the most any LOCC protocol distills from one copy (Vidal, PRL 83, 1046
+(1999); Lo and Popescu, PRA 63, 022301 (2001)), and each round keeps that
+ceiling: p + f 2 min(x', y') = 2 min(x, y), with p and f its success and
+failure probabilities and (x', y') its recycled squares. Both forms cost
+O(1) per call and accept any k: r^(2^k) is exp(-2^k L) with L = -ln r,
+which is exactly 0 once it underflows. ``run`` and ``figure3_sweep`` take
+P_1..P_K in one pass, where each round's r^(2^k) is the next round's
+r^(2^(k-1)). These forms are the oracle the engine is checked against.
 """
 
 from __future__ import annotations

@@ -338,7 +338,7 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     for name, st in (("first", a), ("second", b)):
         if _off(norm_sq(st), 1.0, NORM_TOLERANCE):
             raise ValueError(f"{name} argument is not normalized")
-    return min(max(abs(inner(a, b)) ** 2, 0.0), 1.0)
+    return min(abs(inner(a, b)) ** 2, 1.0)
 
 
 # --- Number seam: the only code that tells a plain amplitude from a batch. ---

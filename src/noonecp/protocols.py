@@ -426,7 +426,10 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     This is the stage that reads the config's scheme: its auxiliary labels,
     and ``local`` for t; the detection stage takes the branch alone. t =
     ca^2 is read off the joint state's |N,0>|1,0> amplitude, the product
-    ``_tensor`` forms.
+    ``_tensor`` forms. The two readings are read by position: ``_partition``
+    sorts its classes, and ``ProtocolConfig`` proves once that a valid theta
+    gives the 0 class first and at most the |theta| class next, so the round
+    works out no phase class and refuses only a readout of another shape.
     """
     n = config.n_photons
     ca, cb = state._terms.get((n, 0), 0.0), state._terms.get((0, n), 0.0)
@@ -438,23 +441,13 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     tags = ((_TAGS[0], -theta / n), (_TAGS[1], theta))
     tagged = TaggedState(joint, _tag_phases(joint, {}, tags))
 
-    success_class = abs(math.remainder(theta, math.tau))
-    success_reading = failure_reading = None
-    for phase_class, branch, mass in _partition(tagged):
-        if phase_class < PHASE_CLASS_TOLERANCE:
-            failure_reading = branch, mass
-        elif abs(phase_class - success_class) < PHASE_CLASS_TOLERANCE:
-            success_reading = branch, mass
-        else:
-            raise ValueError(f"unexpected probe phase class {phase_class!r}")
-    if failure_reading is None:
+    (zero, failure_branch, failure_prob), *success = _partition(tagged)
+    if zero >= PHASE_CLASS_TOLERANCE:
         raise ValueError("probe readout produced no recyclable branch")
-
-    success_branch, success_prob = None, 0.0
+    if len(success) > 1:
+        raise ValueError(f"unexpected probe phase class among {[c[0] for c in success]!r}")
     # A reading whose probability underflowed to 0.0 in every run is absent.
-    if success_reading is not None and success_reading[1]:
-        success_branch, success_prob = success_reading
-    failure_branch, failure_prob = failure_reading
+    _, success_branch, success_prob = success[0] if success and success[0][2] else (0, None, 0.0)
     return (
         joint._terms.get((n, 0, 1, 0), 0.0) if scheme.local else None,
         success_prob,
@@ -469,7 +462,10 @@ def run_round(state: PureState, config: ProtocolConfig, round_k: int) -> RoundOu
 
     The input must be ca|N,0> + cb|0,N> on two signal modes, with N the
     config's n_photons and ca, cb exactly real and non-negative (one may be
-    zero); anything else raises ValueError. Auxiliary and detector modes use
+    zero); anything else raises ValueError. It must also be normalized: the
+    photon is built from the same coefficients, so the readout weighs a
+    joint mass of norm^2 * norm^2 and refuses it (ValueError) when that is
+    off 1 by more than NORM_TOLERANCE. Auxiliary and detector modes use
     the package-default labels, so the signal register must not hold them:
     a register that does is refused, naming the label, before any optics
     run. Both schemes build the auxiliary photon from the input's own
@@ -513,9 +509,7 @@ def run_schedule(config: ProtocolConfig) -> Schedule:
     whose success reading is absent (p = 0) heralds nothing and its
     fidelity is NaN.
     """
-    # ``maximally_entangled_noon``'s r as real floats: each overlap is real arithmetic.
-    n, r = config.n_photons, 1.0 / math.sqrt(2.0)
-    target = PureState._derived(SIGNAL_MODES, {(n, 0): r, (0, n): r})
+    target = maximally_entangled_noon(config.n_photons)
     per_round = []
     p_total = 0.0
     for k, t, p, u, success_branch in _rounds(config, [config.alpha]):
@@ -528,7 +522,7 @@ def run_schedule(config: ProtocolConfig) -> Schedule:
     return Schedule(
         protocol=config.protocol,
         alpha=config.alpha,
-        n_photons=n,
+        n_photons=config.n_photons,
         per_round=tuple(per_round),
         p_total=p_total,
     )

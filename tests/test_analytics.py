@@ -360,3 +360,40 @@ def test_a_numpy_alpha_gives_the_closed_forms_of_its_python_float(alpha_sq):
     [point] = figure3_sweep(k_max=7, grid=np.array([alpha]))
     assert type(point.alpha) is np.float64
     assert all(type(p) is float for p in (point.p_total, *point.per_round_p))
+
+
+# p_total(K) = 2 min(x, y) - 2 |x - y| R / (1 - R) climbs to the optimal
+# single-copy yield 2 min(x, y) (Vidal, PRL 83, 1046 (1999); Lo and Popescu, PRA
+# 63, 022301 (2001)) and never passes it. Both sides are compared exactly, with x
+# = alpha^2 taken exactly, to 4 ulps relative.
+_BOUND_ULPS = Fraction(4 * np.finfo(float).eps)
+_CEILING_ALPHA_SQ = (0.01, 0.1, 0.6, 0.8, 0.97, 0.99, 0.5 + 1e-6, 0.5 + 5.2e-15, 0.5)
+
+
+def _ceiling(alpha):
+    x = Fraction(alpha) ** 2
+    return 2 * min(x, 1 - x)
+
+
+@pytest.mark.parametrize("alpha_sq", _CEILING_ALPHA_SQ)
+def test_the_total_never_passes_the_optimal_single_copy_yield(alpha_sq):
+    alpha = math.sqrt(alpha_sq)
+    ceiling = _ceiling(alpha)
+    for k_max in [*range(1, 100), 1000, 10**6]:
+        total = Fraction(p_total_closed_form(alpha, k_max))
+        assert total <= ceiling * (1 + _BOUND_ULPS), k_max
+    # at K = 10^6 the total is its 2 min(x, y) term alone
+    assert abs(total - ceiling) <= ceiling * _BOUND_ULPS
+
+
+@pytest.mark.parametrize("alpha_sq", _CEILING_ALPHA_SQ)
+def test_the_rounds_add_up_to_the_optimal_single_copy_yield(alpha_sq):
+    # p_total(infinity) = sum of P_k = 2 min(x, y): the iterated schemes are
+    # asymptotically optimal. By round 80, R has underflowed at every point, the
+    # double nearest balance too, since no double squares to exactly 1/2. Each
+    # P_k's error grows with L = ln(max/min) through exp (15 ulps near alpha^2 =
+    # 3e-11), so the points keep L <= ln 99.
+    alpha = math.sqrt(alpha_sq)
+    ceiling = _ceiling(alpha)
+    total = Fraction(math.fsum(analytics._round_yields(alpha, 1, 80)))
+    assert abs(total - ceiling) <= ceiling * _BOUND_ULPS

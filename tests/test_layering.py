@@ -84,6 +84,29 @@ CONFINED = {
             "def _fold_fidelity(kept, other, idx):\n    return (s / math.hypot(*amps)) ** 2",
         ),
     ),
+    # a phase class is worked out by the readout, and a theta's readings are
+    # proved apart once by the config; a round reads the readout's classes by
+    # position and works out no phase class of its own
+    "math.remainder": Confined(
+        {"optics.py": {"_partition"}, "protocols.py": {"__post_init__"}}, "protocols.py", (
+            "def _probe_round(state, config):\n"
+            "    success_class = abs(math.remainder(theta, math.tau))",
+            "def _rounds(config, alphas):\n    key = abs(math.remainder(config.theta, math.tau))\n"
+            "    yield key",
+            "def _interfere_and_detect(branch):\n    from math import remainder\n"
+            "    return remainder",
+            "class _Pass:\n    def reading(self, phase):\n"
+            "        return abs(math.remainder(phase, math.tau))",
+            "SUCCESS_CLASS = abs(math.remainder(0.1, math.tau))",
+        ), (
+            "class ProtocolConfig:\n    def __post_init__(self):\n"
+            "        if abs(math.remainder(self.theta, math.tau)) < PHASE_CLASS_TOLERANCE:\n"
+            "            raise ValueError(self.theta)",
+            "def _probe_round(state, config):\n"
+            "    \"\"\"Leaves ``math.remainder`` to the readout and the config.\"\"\"\n"
+            "    (zero, branch, mass), *success = _partition(tagged)",
+        ),
+    ),
     # the public round is the two stages below; the package runs the stages, never the round
     "noonecp.protocols.run_round": Confined({}, "protocols.py", (
         "def run_schedule(config):\n    return run_round(state, config, 1)",
@@ -180,7 +203,7 @@ CONFINED = {
             "class _Pass:\n    def read(self, tagged):\n        return _partition(tagged)",
         ), (
             "def _probe_round(state, config):\n"
-            "    for phase_class, branch, mass in _partition(tagged):\n        pass",
+            "    (zero, branch, mass), *success = _partition(tagged)",
             "def _rounds(config, alphas):\n    \"\"\"Streams what ``_partition`` weighs.\"\"\"\n"
             "    yield k",
         ),

@@ -1458,8 +1458,9 @@ def test_a_round_repeats_no_structural_check(engine, protocol, n, monkeypatch):
 @pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
 @pytest.mark.parametrize("n", [1, 3])
 def test_schedule_fidelity_equals_the_complex_target_fidelity_bit_for_bit(protocol, n):
-    # run_schedule measures against a real-float target; each fidelity must be
-    # the one maximally_entangled_noon's complex amplitudes give, to the bit
+    # run_schedule measures against maximally_entangled_noon's complex amplitudes;
+    # each fidelity must be the one a run_round chain's success state gives, to
+    # the bit
     k_max = 60
     config = _settings(protocol, n, max_rounds=k_max)
     target = maximally_entangled_noon(n)
@@ -1504,3 +1505,149 @@ def test_grid_totals_keep_no_state_per_round():
     protocols._grid_totals(deep, grid)
     peaks = [_traced_peak(lambda: protocols._grid_totals(c, grid)) for c in (shallow, deep)]
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# Probe phases at the readout's edges: small, negative, pi (where |theta| sits on
+# the fold of the modulo) and the smallest one the config accepts; inputs far from
+# balance and as close to it as 60 rounds reach.
+_READOUT_THETAS = (0.1, -2.0, math.pi, PHASE_CLASS_TOLERANCE)
+_READOUT_ALPHA_SQ = (0.1, 0.8, 0.5 + 5.2e-15)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_the_readout_gives_the_zero_class_first_and_at_most_the_theta_class(
+    protocol, n, monkeypatch
+):
+    # The probe stage reads its two readings by position. The premise, checked
+    # here once instead of in every round: each readout's first class is the 0
+    # reading, and at most one more follows, the |theta| reading. 70-round
+    # chains run past each input's fixed point, where the 0 class stands alone.
+    partition = protocols._partition
+    readouts = []
+
+    def spy(tagged):
+        classes = partition(tagged)
+        readouts.append([key for key, *_ in classes])
+        return classes
+
+    monkeypatch.setattr(protocols, "_partition", spy)
+    grid = [math.sqrt(x) for x in _READOUT_ALPHA_SQ]
+    for theta in _READOUT_THETAS:
+        config = _settings(protocol, n, max_rounds=70, theta=theta)
+        readouts.clear()
+        for alpha in grid:
+            state = prepare_less_entangled_noon(alpha, n)
+            for k in range(1, 71):
+                state = run_round(state, config, k).failure_state
+        protocols._grid_totals(config, grid)
+        assert len(readouts) == 70 * len(grid) + 70
+        success_class = abs(math.remainder(theta, math.tau))
+        for zero, *success in readouts:
+            assert zero < PHASE_CLASS_TOLERANCE, (theta, zero)
+            assert len(success) <= 1, (theta, success)
+            assert all(abs(key - success_class) < PHASE_CLASS_TOLERANCE for key in success)
+        assert {len(keys) for keys in readouts} == {1, 2}, theta
+
+
+# The optimal single-copy bound, round by round: with p = 2xy, f = x^2 + y^2 and
+# min(x', y') = min(x, y)^2 / f, p + f * 2 min(x', y') = 2 min(x, y), the
+# optimal single-copy yield of the round's input (Vidal, PRL 83, 1046 (1999);
+# Lo and Popescu, PRA 63, 022301 (2001)). The engine keeps it to 2.3 ulps
+# relative on these chains; the bound is 4 ulps, or 4 ulps of the smallest
+# normal double where 2 min(x, y) is subnormal or 0 (measured: exactly 0).
+_BOUND_ULPS = 4 * sys.float_info.epsilon
+_BOUND_ALPHA_SQ = (1e-4, 0.1, 0.8, 0.9999, 0.5 + 1e-9, 0.5 + 5.2e-15, 0.5)
+
+
+def _schmidt(ca, cb):
+    """The squared coefficients (x, y) of ca|N,0> + cb|0,N>."""
+    return ca * ca, cb * cb
+
+
+def _assert_round_keeps_the_bound(x, y, p, f, x_next, y_next, where):
+    ceiling = 2.0 * min(x, y)
+    residual = p + f * 2.0 * min(x_next, y_next) - ceiling
+    assert abs(residual) <= _BOUND_ULPS * max(ceiling, sys.float_info.min), (where, residual)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 3, 100])
+@pytest.mark.parametrize("theta", [0.3, -2.0, math.pi])
+def test_each_round_keeps_the_optimal_single_copy_yield(protocol, n, theta):
+    config = _settings(protocol, n, theta=theta)
+    fixed = 0
+    for alpha_sq in _BOUND_ALPHA_SQ:
+        state = prepare_less_entangled_noon(math.sqrt(alpha_sq), n)
+        for k in range(1, 71):
+            outcome = run_round(state, config, k)
+            terms, recycled = state.terms, outcome.failure_state.terms
+            _assert_round_keeps_the_bound(
+                *_schmidt(terms.get((n, 0), 0.0).real, terms.get((0, n), 0.0).real),
+                outcome.success_prob,
+                outcome.failure_prob,
+                *_schmidt(recycled.get((n, 0), 0.0), recycled.get((0, n), 0.0)),
+                (alpha_sq, k),
+            )
+            if outcome.failure_state == state:  # the fixed point: every later round repeats it
+                fixed += 1
+                break
+            state = outcome.failure_state
+    assert fixed == len(_BOUND_ALPHA_SQ)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 3, 100])
+@pytest.mark.parametrize("theta", [0.3, -2.0, math.pi])
+def test_a_batched_round_keeps_the_optimal_single_copy_yield(protocol, n, theta):
+    # a near-balanced and a lopsided input as one batch through the probe stage,
+    # until both reach the fixed point (round 57 for the near-balanced one)
+    config = _settings(protocol, n, theta=theta)
+    alphas = [math.sqrt(0.5 + 5.2e-15), math.sqrt(0.9)]
+    state = PureState._derived(
+        protocols.SIGNAL_MODES,
+        {(n, 0): fock._batch(alphas), (0, n): fock._batch([protocols._beta(a) for a in alphas])},
+    )
+    for k in range(1, 71):
+        _, p, _, recycled, f = protocols._probe_round(state, config)
+        columns = [
+            _per_element(v, 2)
+            for v in (
+                state.terms.get((n, 0), 0.0), state.terms.get((0, n), 0.0), p, f,
+                recycled.terms.get((n, 0), 0.0), recycled.terms.get((0, n), 0.0),
+            )
+        ]
+        for ca, cb, p_i, f_i, ca_next, cb_next in zip(*columns):
+            _assert_round_keeps_the_bound(
+                *_schmidt(ca, cb), p_i, f_i, *_schmidt(ca_next, cb_next), k
+            )
+        if recycled == state:
+            break
+        state = recycled
+    else:
+        pytest.fail("the batch reached no fixed point in 70 rounds")
+
+
+def _ceiling(alpha):
+    """2 min(x, y) of the engine's input pair for ``alpha``, exactly, with
+    (x, y) normalized: the most any LOCC protocol distills from it."""
+    terms = prepare_less_entangled_noon(alpha, 1).terms
+    x, y = (Fraction(terms[ket].real) ** 2 for ket in ((1, 0), (0, 1)))
+    return 2 * min(x, y) / (x + y)
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 100])
+def test_grid_totals_stay_under_the_optimal_single_copy_yield(protocol, n):
+    # p_total(K) = 2 min(x, y) - S_K 2 min(x_K, y_K) never passes the ceiling; at
+    # K = 1000 every point has reached it. The ceiling is the engine's own input
+    # pair's: against alpha's exact one the total runs up to 1.2e-13 relative
+    # over at alpha^2 = 0.9999, as sqrt(1 - alpha^2) cancels.
+    grid = [math.sqrt(x) for x in _BOUND_ALPHA_SQ]
+    ceilings = [_ceiling(alpha) for alpha in grid]
+    for k_max in (1, 2, 3, 10, 30, 1000):
+        totals = protocols._grid_totals(_settings(protocol, n, max_rounds=k_max), grid)
+        for alpha_sq, total, ceiling in zip(_BOUND_ALPHA_SQ, totals, ceilings):
+            assert Fraction(total) <= ceiling * (1 + Fraction(_BOUND_ULPS)), (alpha_sq, k_max)
+            if k_max == 1000:
+                assert abs(Fraction(total) - ceiling) <= ceiling * Fraction(_BOUND_ULPS)
