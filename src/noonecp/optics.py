@@ -245,17 +245,18 @@ class HomodyneOutcome(NamedTuple):
     probability: float
 
 
-def _partition(state: TaggedState) -> list[tuple[float, PureState, float]]:
-    """``homodyne_partition`` with each class's branch left unnormalized.
+def _partition(
+    state: PureState, phases: Mapping[BasisKet, float]
+) -> list[tuple[float, PureState, float]]:
+    """``homodyne_partition`` on ``state`` and its ``phases`` map, each
+    class's branch left unnormalized; the round passes no ``TaggedState``.
 
     Returns (phase class, branch, squared mass) per class, sorted by phase
-    class, the branch holding the class's kets as they are on the tagged
-    register. The input's norm is checked as the sum of the class masses,
-    so no ket is squared twice. Every ket must carry a finite real phase:
-    ``homodyne_partition`` checks a caller's, and the engine's tags are
-    finite by ``ProtocolConfig``.
+    class, each branch on ``state``'s register. The norm is checked as the
+    sum of the class masses, so no ket is squared twice. Every ket needs a
+    finite real phase: ``homodyne_partition`` checks a caller's, and
+    ``ProtocolConfig`` makes the round's finite.
     """
-    state, phases = state
     classes: list[tuple[float, dict[BasisKet, complex]]] = []
     for ket, amp in state._terms.items():
         p = abs(math.remainder(phases[ket], math.tau))
@@ -282,6 +283,7 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
     +phi, -phi and phi + 2*pi are indistinguishable by construction. The
     input must be normalized, with a finite real phase on every ket.
     Outcomes come back sorted by phase class, probabilities summing to 1.
+    The round calls the core, ``_partition``, on its state and phase map.
     """
     if not isinstance(state, TaggedState):
         raise ValueError(
@@ -289,7 +291,7 @@ def homodyne_partition(state: TaggedState) -> list[HomodyneOutcome]:
             "cross_kerr_tag makes one from a PureState"
         )
     _check_phases(*state)
-    return [HomodyneOutcome(key, normalized(branch), p) for key, branch, p in _partition(state)]
+    return [HomodyneOutcome(key, normalized(branch), p) for key, branch, p in _partition(*state)]
 
 
 def _picker(idxs: Sequence[int]):
@@ -341,6 +343,8 @@ def detect_photon(
     they are taken from the groups scaled by 2**-600, which is exact.
     """
     modes, reg = tuple(modes), state._register
+    if not modes:
+        raise ValueError("no detector mode was given: detection needs at least one")
     for i, m in enumerate(modes):
         if m in modes[:i]:
             raise ValueError(f"detector mode {m!r} is listed more than once")

@@ -48,7 +48,6 @@ from .fock import (
 from .optics import (
     PHASE_CLASS_TOLERANCE,
     BeamSplitterSpec,
-    TaggedState,
     _detect,
     _partition,
     _split,
@@ -426,10 +425,10 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     This is the stage that reads the config's scheme: its auxiliary labels,
     and ``local`` for t; the detection stage takes the branch alone. t =
     ca^2 is read off the joint state's |N,0>|1,0> amplitude, the product
-    ``_tensor`` forms. The two readings are read by position: ``_partition``
-    sorts its classes, and ``ProtocolConfig`` proves once that a valid theta
-    gives the 0 class first and at most the |theta| class next, so the round
-    works out no phase class and refuses only a readout of another shape.
+    ``_tensor`` forms. ``_partition`` takes the joint state and phase map,
+    not a ``TaggedState``, and sorts its classes; ``ProtocolConfig`` proves
+    once that they are the 0 class and at most the |theta| class next, so
+    the round reads them by position and refuses only another shape.
     """
     n = config.n_photons
     ca, cb = state._terms.get((n, 0), 0.0), state._terms.get((0, n), 0.0)
@@ -438,10 +437,9 @@ def _probe_round(state: PureState, config: ProtocolConfig) -> tuple:
     aux = PureState._derived(scheme.aux_modes, {(1, 0): ca, (0, 1): cb})
     joint = _tensor(state, aux)
     # one pass adds both tags' phases, the N-photon mode's first
-    tags = ((_TAGS[0], -theta / n), (_TAGS[1], theta))
-    tagged = TaggedState(joint, _tag_phases(joint, {}, tags))
+    phases = _tag_phases(joint, {}, ((_TAGS[0], -theta / n), (_TAGS[1], theta)))
 
-    (zero, failure_branch, failure_prob), *success = _partition(tagged)
+    (zero, failure_branch, failure_prob), *success = _partition(joint, phases)
     if zero >= PHASE_CLASS_TOLERANCE:
         raise ValueError("probe readout produced no recyclable branch")
     if len(success) > 1:

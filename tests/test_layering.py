@@ -104,7 +104,7 @@ CONFINED = {
             "            raise ValueError(self.theta)",
             "def _probe_round(state, config):\n"
             "    \"\"\"Leaves ``math.remainder`` to the readout and the config.\"\"\"\n"
-            "    (zero, branch, mass), *success = _partition(tagged)",
+            "    (zero, branch, mass), *success = _partition(joint, phases)",
         ),
     ),
     # the public round is the two stages below; the package runs the stages, never the round
@@ -196,16 +196,34 @@ CONFINED = {
     "noonecp.optics._partition": Confined(
         {"optics.py": {"homodyne_partition"}, "protocols.py": {None, "_probe_round"}},
         "protocols.py", (
-            "def _rounds(config, alphas):\n    for reading in _partition(tagged):\n"
+            "def _rounds(config, alphas):\n    for reading in _partition(joint, phases):\n"
             "        yield reading",
-            "def run_schedule(config):\n    return optics._partition(tagged)",
+            "def run_schedule(config):\n    return optics._partition(joint, phases)",
             "def f():\n    from .optics import _partition as weigh\n    return weigh",
-            "class _Pass:\n    def read(self, tagged):\n        return _partition(tagged)",
+            "class _Pass:\n    def read(self, state, phases):\n"
+            "        return _partition(state, phases)",
         ), (
             "def _probe_round(state, config):\n"
-            "    (zero, branch, mass), *success = _partition(tagged)",
+            "    (zero, branch, mass), *success = _partition(joint, phases)",
             "def _rounds(config, alphas):\n    \"\"\"Streams what ``_partition`` weighs.\"\"\"\n"
             "    yield k",
+        ),
+    ),
+    # the public readout's record: the public tag builds one and the public
+    # readout unpacks it; the round hands the readout core its joint state and
+    # phase map, so no stage builds a public record
+    "noonecp.optics.TaggedState": Confined(
+        {"optics.py": {"cross_kerr_tag", "homodyne_partition"}}, "protocols.py", (
+            "def _probe_round(state, config):\n"
+            "    tagged = TaggedState(joint, _tag_phases(joint, {}, tags))",
+            "def _rounds(config, alphas):\n"
+            "    yield k, optics.TaggedState(state, phases)",
+            "def _interfere_and_detect(branch):\n"
+            "    from .optics import TaggedState as Tagged\n    return Tagged(branch, {})",
+        ), (
+            "def _probe_round(state, config):\n"
+            "    \"\"\"Builds no ``TaggedState``.\"\"\"\n"
+            "    (zero, branch, mass), *success = _partition(joint, phases)",
         ),
     ),
     # the unchecked cores: each public op checks its labels, indices and phases and

@@ -415,7 +415,7 @@ def test_the_readout_core_refuses_a_batch_with_one_element_off():
     # the first element is normalized, the second has norm^2 0.85
     st = PureState._derived(("a", "b"), {(1, 0): _Batch([0.6, 0.6]), (0, 1): _Batch([0.8, 0.7])})
     with pytest.raises(ValueError, match=r"normalized state, norm\^2=\[1\.0, 0\.8"):
-        optics._partition(cross_kerr_tag(st, "a", 0.1))
+        optics._partition(*cross_kerr_tag(st, "a", 0.1))
 
 
 def test_homodyne_partition_is_the_core_with_each_class_normalized():
@@ -426,7 +426,7 @@ def test_homodyne_partition_is_the_core_with_each_class_normalized():
         *(_tagged_round_one(alpha_sq, n=3) for alpha_sq in (0.1, 0.5, 0.8)),
         cross_kerr_tag(batched, "a", 0.1),
     ):
-        weighed = optics._partition(tagged)
+        weighed = optics._partition(*tagged)
         for _key, branch, _mass in weighed:
             assert branch.register == tagged.state.register
         want = [(key, normalized(branch), mass) for key, branch, mass in weighed]
@@ -593,6 +593,19 @@ def test_detect_photon_rejects_wrong_photon_count():
 )
 def test_detect_photon_checks_its_labels_before_its_kets(state, modes, message):
     with pytest.raises(ValueError, match=message):
+        detect_photon(state, modes)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [basis_state(("a", "b"), (1, 0)), PureState(("a", "d1"), {})],
+    ids=["one-ket", "no-kets"],
+)
+@pytest.mark.parametrize("modes", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+def test_detect_photon_refuses_an_empty_detector_list(state, modes):
+    # the fault is the missing detectors, not the state: neither a ket that
+    # "holds 0 photons across detectors" nor a state without kets is to blame
+    with pytest.raises(ValueError, match="^no detector mode was given"):
         detect_photon(state, modes)
 
 

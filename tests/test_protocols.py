@@ -614,8 +614,8 @@ def test_round_refuses_detector_branches_that_disagree(protocol, monkeypatch):
 def test_round_refuses_a_readout_without_the_failure_reading(protocol, monkeypatch):
     partition = protocols._partition
 
-    def success_reading_only(tagged):
-        return [r for r in partition(tagged) if r[0] >= PHASE_CLASS_TOLERANCE]
+    def success_reading_only(state, phases):
+        return [r for r in partition(state, phases) if r[0] >= PHASE_CLASS_TOLERANCE]
 
     monkeypatch.setattr(protocols, "_partition", success_reading_only)
     cfg = _config(protocol=protocol, alpha_sq=0.8)
@@ -1131,6 +1131,78 @@ def test_the_last_present_success_reading_is_pinned(protocol, n):
         assert state.terms == {(n, 0) if alpha * alpha > 0.5 else (0, n): 1.0}, alpha
 
 
+# The round of a grid batch from which every element sits at its exact fixed
+# point, so that the probe stage hands back its input bit for bit. It is the
+# latest of the elements' own first fixed rounds: the same for both schemes
+# and for N = 1 and 100. A stop in ``_rounds`` may rest on this condition.
+_FIRST_FIXED_ROUND = {
+    (0.8,): 12,
+    (0.9,): 11,
+    (0.8, 0.9): 12,
+    (0.8, 0.5 + 5.2e-15): 57,
+    (0.1, 0.3, 0.7): 12,
+}
+
+
+def _probe_steps(config, alphas, monkeypatch):
+    """(input, output) of each ``_probe_round`` call of a ``_grid_totals`` pass."""
+    steps = []
+    probe = protocols._probe_round
+
+    def spy(state, config):
+        out = probe(state, config)
+        steps.append((state, out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocols, "_probe_round", spy)
+        protocols._grid_totals(config, alphas)
+    return steps
+
+
+def _state_bits(state, size):
+    """A batch of ``size`` as its register and each ket's float.hex per element."""
+    return state.register, [
+        (ket, [amp.hex() for amp in _per_element(amps, size)])
+        for ket, amps in state._terms.items()
+    ]
+
+
+def _first_fixed_round(config, alphas, monkeypatch):
+    """The first round whose recycled state is its input, bit for bit, and
+    every round's (input, output)."""
+    steps = _probe_steps(config, alphas, monkeypatch)
+    size = len(alphas)
+    fixed = [
+        k
+        for k, (state, (*_, recycled, _f)) in enumerate(steps, 1)
+        if _state_bits(recycled, size) == _state_bits(state, size)
+    ]
+    return fixed[0], steps
+
+
+@pytest.mark.parametrize("protocol", ["ecp1", "ecp2"])
+@pytest.mark.parametrize("n", [1, 100])
+def test_a_batch_repeats_its_input_from_its_latest_elements_fixed_round(
+    protocol, n, monkeypatch
+):
+    config = _settings(protocol, n, max_rounds=70)
+    for alpha_sqs, pinned in _FIRST_FIXED_ROUND.items():
+        alphas = [math.sqrt(x) for x in alpha_sqs]
+        size = len(alphas)
+        first, steps = _first_fixed_round(config, alphas, monkeypatch)
+        assert first == pinned, alpha_sqs
+        assert first == max(_first_fixed_round(config, [a], monkeypatch)[0] for a in alphas)
+        for k, (state, (_t, p, branch, recycled, f)) in enumerate(steps, 1):
+            # before the fixed round the recycled state moves; from it on the
+            # round hands back its input, heralds nothing and recycles all
+            assert (_state_bits(recycled, size) == _state_bits(state, size)) is (k >= first)
+            if k >= first:
+                assert branch is None, (alpha_sqs, k)
+                assert _per_element(p, size) == [0.0] * size, (alpha_sqs, k)
+                assert _per_element(f, size) == [1.0] * size, (alpha_sqs, k)
+
+
 def test_the_detection_stage_takes_its_branch_alone():
     # it reads nothing off a config: the branch's own register carries the mix
     assert list(inspect.signature(protocols._interfere_and_detect).parameters) == ["branch"]
@@ -1305,9 +1377,11 @@ def test_a_round_normalizes_a_branch_once_in_the_detection_stage(protocol, n, mo
 # detection normalizes its branch and the one detector group it keeps:
 # ``_detect`` hands out both groups raw, and the fold check reads the other
 # group's norm, so ``_normalized`` takes in the branch's kets and the kept
-# group's, as many as ``_detect`` hands out in both groups. A schedule runs each alpha on its own, builds no batch, detects each
-# present success branch (2,052 of the grid's 2,120 rows) and prints ecp2's
-# VBS setting t, read off the joint state's ket. A change to the engine's
+# group's, as many as ``_detect`` hands out in both groups. The readout takes
+# the joint state and its phase map, one entry per ket, so its kets in are
+# twice its kets out. A schedule runs each alpha on its own, builds no batch,
+# detects each present success branch (2,052 of the grid's 2,120 rows) and
+# prints ecp2's VBS setting t, read off the joint state's ket. A change to the engine's
 # work restates these counts in the same diff, as a golden CSV is restated.
 _STAGES = (
     (protocols, "_probe_round"),
@@ -1322,7 +1396,7 @@ _COUNTED_GRID = [math.sqrt(x) for x in np.linspace(0.05, 0.95, 212)]
 # (calls, builds, kets in, kets out) per stage
 _GRID_WORK = {
     "_probe_round": (10, 40, 20, 40), "_tag_phases": (10, 0, 40, 40),
-    "_partition": (10, 30, 40, 40), "_interfere_and_detect": (10, 30, 20, 20),
+    "_partition": (10, 30, 80, 40), "_interfere_and_detect": (10, 30, 20, 20),
     "_split": (10, 40, 20, 40), "_detect": (10, 0, 40, 40), "_normalized": (20, 80, 40, 40),
     None: (0, 32, 0, 0),
 }
@@ -1339,7 +1413,7 @@ _STAGE_WORK = {
         lambda: _schedules(_settings("ecp2", 1, max_rounds=10), _COUNTED_GRID),
         {
             "_probe_round": (2120, 0, 4238, 8276), "_tag_phases": (2120, 0, 8408, 8408),
-            "_partition": (2120, 0, 8408, 8408), "_interfere_and_detect": (4172, 0, 8276, 8276),
+            "_partition": (2120, 0, 16816, 8408), "_interfere_and_detect": (4172, 0, 8276, 8276),
             "_split": (4172, 0, 8276, 16552), "_detect": (4172, 0, 16552, 16552),
             "_normalized": (8344, 0, 16552, 16552), None: (0, 0, 0, 0),
         },
@@ -1348,7 +1422,7 @@ _STAGE_WORK = {
         lambda: [run_schedule(_config("ecp2", 0.5000000000000052, 1, max_rounds=1000))],
         {
             "_probe_round": (1000, 0, 1056, 1165), "_tag_phases": (1000, 0, 1167, 1167),
-            "_partition": (1000, 0, 1167, 1167), "_interfere_and_detect": (1055, 0, 1165, 1165),
+            "_partition": (1000, 0, 2334, 1167), "_interfere_and_detect": (1055, 0, 1165, 1165),
             "_split": (1055, 0, 1165, 2330), "_detect": (1055, 0, 2330, 2330),
             "_normalized": (2110, 0, 2330, 2330), None: (0, 0, 0, 0),
         },
@@ -1357,10 +1431,8 @@ _STAGE_WORK = {
 
 
 def _kets(value):
-    """The kets in ``value``: a state's, a tagged state's (its phases share
-    them) and an amplitude or phase map's, through tuples and lists."""
-    if isinstance(value, optics.TaggedState):
-        return _kets(value.state)
+    """The kets in ``value``: a state's and an amplitude or phase map's,
+    through tuples and lists."""
     if isinstance(value, PureState):
         return value.num_terms()
     if isinstance(value, dict):
@@ -1526,8 +1598,8 @@ def test_the_readout_gives_the_zero_class_first_and_at_most_the_theta_class(
     partition = protocols._partition
     readouts = []
 
-    def spy(tagged):
-        classes = partition(tagged)
+    def spy(state, phases):
+        classes = partition(state, phases)
         readouts.append([key for key, *_ in classes])
         return classes
 
