@@ -300,7 +300,7 @@ def _tensor(a: PureState, b: PureState) -> PureState:
 def norm_sq(state: PureState) -> float:
     """Sum of squared amplitude magnitudes, in term order.
 
-    A batch's real elements need no abs before the even power.
+    A batch's real elements need no abs before they are squared.
     """
     return _norm_sq(state._terms.values())
 
@@ -338,7 +338,8 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     for name, st in (("first", a), ("second", b)):
         if _off(norm_sq(st), 1.0, NORM_TOLERANCE):
             raise ValueError(f"{name} argument is not normalized")
-    return min(abs(inner(a, b)) ** 2, 1.0)
+    magnitude = abs(inner(a, b))
+    return min(magnitude * magnitude, 1.0)
 
 
 # --- Number seam: the only code that tells a plain amplitude from a batch. ---
@@ -410,35 +411,23 @@ def _norm_sq(amps: Collection):
     since Python 3.12. A batch is folded one ket at a time, each pass
     squaring that ket's elements into the running sums, so each element
     squares and adds as its scalar run does; its real elements square
-    without abs, to the same bits. The square stays ``**2``, libm
-    ``pow``, and is not rewritten as ``x*x``, which would change printed
-    digits: with glibc 2.36 the two differ on about 1 in 1,200
-    ``random.random()`` draws and on about half of the squares that fall
-    exactly halfway between two doubles, where ``pow`` need not round to
-    even. x = 1.5 + 2**-26 is one: ``x**2`` ends in ...0001p+1, ``x*x`` in
-    ...0000p+1. A square beyond the float range gives inf; no kets give 0.
-    A batch's first two kets share one pass, ``x**2 + y**2``: the same
-    operations in the same order.
-
-    Nor is the square rewritten as ``math.pow(x, 2.0)``, although its bits
-    match. ``math.pow`` leaves ``errno`` at ERANGE after a square that
-    underflows, and CPython's ``abs`` of a NaN complex does not clear it,
-    so a later ``abs(complex(nan))`` raises OverflowError and a plain NaN
-    norm comes out inf. ``test_batch_squares_match_each_elements_scalar_run``
-    in ``tests/test_fock.py`` fails on that rewrite, at its case "leading
-    NaN, then a subnormal norm".
+    without abs, to the same bits. Each square is one multiply, ``m * m``,
+    never a power, so it is correctly rounded. A square beyond the float
+    range gives inf in its own element; no kets give 0. A batch's first two
+    kets share one pass, ``x * x + y * y``: the same operations in the same
+    order.
     """
     try:
         if _batched(amps):
             kets = iter(amps)
             first, second = next(kets), next(kets, None)
             if second is None:
-                return _Batch([x**2 for x in first])
-            total = [x**2 + y**2 for x, y in zip(first, second)]
+                return _Batch([x * x for x in first])
+            total = [x * x + y * y for x, y in zip(first, second)]
             for amp in kets:
-                total = [t + x**2 for t, x in zip(total, amp)]
+                total = [t + x * x for t, x in zip(total, amp)]
             return _Batch(total)
-        squares = [abs(a) ** 2 for a in amps]
+        squares = [m * m for m in map(abs, amps)]
     except OverflowError:
         return math.inf
     return reduce(operator.add, squares) if squares else 0
@@ -479,9 +468,10 @@ def _fold_fidelity(kept: PureState, other: PureState, idx: int):
             overlap = overlap - x * y if flip else overlap + x * y
     amps = b.values()
     if type(overlap) is _Batch:
-        return _Batch([(s / n) ** 2 for s, n in zip(overlap, map(math.hypot, *amps))])
+        return _Batch([q * q for q in map(operator.truediv, overlap, map(math.hypot, *amps))])
     # no shared ket: a zero overlap (a signed zero squares to the same 0.0)
-    return ((overlap or 0.0) / math.hypot(*amps)) ** 2
+    q = (overlap or 0.0) / math.hypot(*amps)
+    return q * q
 
 
 def _normalized(terms: Mapping[BasisKet, complex]) -> tuple[dict[BasisKet, complex], float]:

@@ -364,7 +364,8 @@ def detect_photon(
     if total == math.inf:
         norms = [math.hypot(*[abs(a) * 2.0**-600 for a in g._terms.values()]) for _, g in groups]
         total = math.hypot(*norms)
-    return [(m, branch, (norm / total) ** 2) for (m, branch), norm in zip(projected, norms)]
+    ratios = [norm / total for norm in norms]
+    return [(m, branch, q * q) for (m, branch), q in zip(projected, ratios)]
 
 
 def negate_occupied(state: PureState, mode: ModeId) -> PureState:

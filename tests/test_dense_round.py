@@ -20,10 +20,17 @@ from noonecp import ProtocolConfig, prepare_less_entangled_noon, protocols, run_
 _ULPS = 4
 _ALPHA_SQ = (0.1, 0.3, 0.7, 0.97)
 _ROUNDS = 12
+# A schedule runs its own chain, checked against the circuit's own chain, and
+# each round squares the amplitude ratio, so a relative error about doubles
+# per round until the yield leaves the float range. Measured: 616 ulps, on
+# round 10's p_conditional, p_unconditional and vbs_transmission at
+# alpha^2 = 0.3. The fidelity reads a balanced state every round, so it does
+# not compound: measured 1 ulp, checked within _ULPS.
+_CHAIN_ULPS = 1024
 
 
-def _close(engine, reference):
-    bound = _ULPS * sys.float_info.epsilon * max(abs(reference), sys.float_info.min)
+def _close(engine, reference, ulps=_ULPS):
+    bound = ulps * sys.float_info.epsilon * max(abs(reference), sys.float_info.min)
     return abs(engine - reference) <= bound
 
 
@@ -142,3 +149,34 @@ def test_each_round_matches_the_dense_circuit(protocol, n, theta, monkeypatch):
             if want.success:
                 assert _same_up_to_sign(outcome.success_state.terms, want.success.state), case
             state = outcome.failure_state
+
+
+@pytest.mark.parametrize("theta", [0.1, -2.0, math.pi])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("protocol", protocols.PROTOCOLS)
+def test_each_schedule_column_matches_the_dense_circuits_own_chain(protocol, n, theta):
+    # the circuit recycles its own failure state, from the schedule's input on,
+    # and weights each round's p by its own survival product
+    circuit = DenseRound(protocol, n, theta)
+    for alpha_sq in _ALPHA_SQ:
+        alpha = math.sqrt(alpha_sq)
+        config = ProtocolConfig(protocol, n_photons=n, max_rounds=_ROUNDS, theta=theta, alpha=alpha)
+        rows = protocols.run_schedule(config).per_round
+        assert [row.round_index for row in rows] == list(range(1, _ROUNDS + 1))
+        terms, survival = prepare_less_entangled_noon(alpha, n).terms, 1.0
+        for row in rows:
+            want = circuit.run(terms)
+            case = (alpha_sq, row.round_index)
+            assert (row.vbs_transmission is None) is (want.t is None), case
+            if want.t is not None:
+                assert _close(row.vbs_transmission, want.t, _CHAIN_ULPS), case
+            assert _close(row.p_conditional, want.p, _CHAIN_ULPS), case
+            assert _close(row.p_unconditional, want.p * survival, _CHAIN_ULPS), case
+            assert math.isnan(row.success_fidelity) is (want.success is None), case
+            if want.success:
+                # the overlap with the balanced target (|N,0> + |0,N>)/sqrt(2), squared
+                state = want.success.state
+                overlap = (state.get((n, 0), 0.0) + state.get((0, n), 0.0)) / math.sqrt(2.0)
+                assert _close(row.success_fidelity, overlap * overlap), case
+            survival *= want.f
+            terms = want.failure.state

@@ -3,9 +3,13 @@
 import gc
 import itertools
 import math
+import operator
+import random
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import pytest
@@ -429,7 +433,7 @@ def test_state_rejects_non_finite_amplitudes(amp):
 # bit for bit, or the batch is refused as a whole.
 
 _TINY = math.ldexp(1.0, -1070)  # 1 / (5 * _TINY) overflows
-_HALFWAY = 1.5 + 2.0**-26  # its square is a tie, which pow and x*x round apart
+_HALFWAY = 1.5 + 2.0**-26  # its square is a tie, which a multiply rounds to even
 _SEAM_RUNS = {
     "leading NaN": [(math.nan, 1.0), (0.6, 0.8), (3.0, -4.0)],
     "leading NaN, then a subnormal norm": [(math.nan, 1.0), (0.6, 0.8), (3 * _TINY, 4 * _TINY)],
@@ -437,6 +441,7 @@ _SEAM_RUNS = {
     "signed zeros": [(0.0, 1.0), (-0.0, -2.0), (0.6, -0.0), (_HALFWAY, -0.0)],
     "smallest normal norm": [(sys.float_info.min, 0.0), (0.6, 0.8)],
     "subnormal norm": [(0.6, 0.8), (3 * _TINY, 4 * _TINY), (-_TINY, 0.0)],
+    "one square beyond the float range": [(0.6, 0.8), (1e200, 1.0)],
 }
 
 
@@ -487,6 +492,46 @@ def test_batch_fold_fidelity_matches_each_elements_scalar_run(runs):
         assert batch[element].hex() == fidelity(*run).hex()
 
 
+# Each square the seam forms is one multiply, so it is the exact square rounded
+# once, ties to even: ties, subnormals, values about sqrt(max float) and beyond,
+# and drawn doubles, among them 27-bit odd mantissas, whose squares are ties
+# about half the time.
+_ROOT_MAX = math.sqrt(sys.float_info.max)
+_DRAWN = random.Random(17091795)
+_SQUARED = [
+    _HALFWAY, -_HALFWAY, 5e-324, -_TINY, 3 * _TINY, sys.float_info.min, 1e-160,
+    math.nextafter(_ROOT_MAX, 0.0), _ROOT_MAX, math.nextafter(_ROOT_MAX, math.inf), -1e200,
+    *(_DRAWN.random() for _ in range(200)),
+    *(math.ldexp(_DRAWN.choice((-1, 1)) * _DRAWN.random(), _DRAWN.randint(-560, 560))
+      for _ in range(100)),
+    *(math.ldexp(2**26 + 2 * _DRAWN.getrandbits(25) + 1, -26) for _ in range(100)),
+]
+
+
+def _square(x):
+    """x^2 rounded once from its exact value, or inf where it leaves the float range."""
+    try:
+        return float(Fraction(x) ** 2)
+    except OverflowError:
+        return math.inf
+
+
+def test_each_square_the_seam_forms_is_correctly_rounded():
+    want = [_square(x).hex() for x in _SQUARED]
+    assert [_norm_sq([x]).hex() for x in _SQUARED] == want
+    assert [_norm_sq([complex(x)]).hex() for x in _SQUARED] == want
+    assert [x.hex() for x in _norm_sq([_Batch(_SQUARED)])] == want
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_a_fold_of_squares_adds_the_correctly_rounded_squares_left_to_right(width):
+    # run i holds _SQUARED[i], _SQUARED[i + 1], ...: one ket per column
+    runs = list(zip(*(_SQUARED[shift:] + _SQUARED[:shift] for shift in range(width))))
+    want = [reduce(operator.add, map(_square, run)).hex() for run in runs]
+    assert [_norm_sq(list(run)).hex() for run in runs] == want
+    assert [x.hex() for x in _norm_sq(_batched_kets(runs))] == want
+
+
 # (kept, other) amplitudes on (a, b); the fold negates other's kets with a
 # photon in a
 _FOLD_CASES = {
@@ -513,7 +558,8 @@ def test_fold_fidelity_has_the_bits_of_the_public_ops(kept, other):
     kept, other = PureState._derived(("a", "b"), kept), PureState._derived(("a", "b"), other)
     overlap = complex(inner(kept, negate_occupied(other, "a")))
     assert overlap.imag == 0.0
-    want = (overlap.real / math.hypot(*other._terms.values())) ** 2
+    ratio = overlap.real / math.hypot(*other._terms.values())
+    want = ratio * ratio
     assert _fold_fidelity(kept, other, 0).hex() == want.hex()
 
 

@@ -1066,3 +1066,64 @@ def test_the_guard_sees_each_unread_import(source):
 )
 def test_the_guard_lets_each_read_import_through(source):
     assert _unread_imports(source) == []
+
+
+def _power_squares(source):
+    """Line of every square taken as a power: ``**`` or ``**=`` with the
+    constant exponent 2 or 2.0, or a ``pow`` or ``math.pow`` call with it.
+
+    A float square is one multiply, ``x * x``, which is correctly rounded;
+    libm ``pow`` need not be.
+    """
+
+    def two(node):
+        return (
+            isinstance(node, ast.Constant)
+            and type(node.value) in (int, float)
+            and node.value == 2
+        )
+
+    def squares(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            return two(node.right if isinstance(node, ast.BinOp) else node.value)
+        if isinstance(node, ast.Call) and len(node.args) >= 2:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            return name == "pow" and two(node.args[1])
+        return False
+
+    return [node.lineno for node in ast.walk(ast.parse(source)) if squares(node)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_in_the_package_squares_with_a_power(module):
+    assert _power_squares((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(x):\n    return x**2",
+        "def f(a):\n    return abs(a) ** 2",
+        "def f(s, n):\n    return (s / n) ** 2.0",
+        "def f(x):\n    return pow(x, 2)",
+        "import math\ndef f(x):\n    return math.pow(x, 2)",
+        "def f(x):\n    x **= 2\n    return x",
+    ],
+)
+def test_the_guard_sees_each_square_taken_as_a_power(source):
+    assert _power_squares(source) != []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "LARGE = 2.0**1022",
+        "SMALL = 2.0**-600",
+        "def f(q, a):\n    return q ** (a // 2)",
+        "def f(x):\n    return x * x",
+        "def f(x):\n    return pow(2, x)",
+    ],
+)
+def test_the_guard_lets_other_powers_and_multiplies_through(source):
+    assert _power_squares(source) == []
