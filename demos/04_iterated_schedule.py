@@ -37,7 +37,8 @@ print("\nbalanced start, 10 rounds: p_total =", run_schedule(balanced).p_total)
 print("1 - 2^-10 =", 1 - 2**-10)
 
 # sweep the closed form over the full parameter range; cross_check=True
-# reruns the simulator at each grid point and insists they agree
+# also runs the whole grid through the engine in one batched pass and raises
+# at the first round where the two disagree
 points = figure3_sweep(k_max=10)
 best = max(points, key=lambda p: p.p_total)
 print(f"\nsweep over {len(points)} grid points, K=10:")

@@ -317,15 +317,14 @@ def normalized(state: PureState) -> PureState:
 
 
 def inner(a: PureState, b: PureState) -> complex:
-    """Inner product <a|b>; registers must match exactly."""
+    """Inner product <a|b>, summed in a's ket order; registers must match exactly."""
     if a._register != b._register:
         raise ValueError(f"register mismatch: {a._register!r} vs {b._register!r}")
-    small, large = (a, b) if len(a._terms) <= len(b._terms) else (b, a)
     total = None
-    for ket, amp in small._terms.items():
-        other = large._terms.get(ket)
+    for ket, amp in a._terms.items():
+        other = b._terms.get(ket)
         if other is not None:
-            term = amp.conjugate() * other if small is a else other.conjugate() * amp
+            term = amp.conjugate() * other
             total = term if total is None else total + term
     return 0j if total is None else total
 
@@ -413,7 +412,7 @@ def _norm_sq(amps: Collection):
     squares and adds as its scalar run does; its real elements square
     without abs, to the same bits. Each square is one multiply, ``m * m``,
     never a power, so it is correctly rounded. A square beyond the float
-    range gives inf in its own element; no kets give 0. A batch's first two
+    range gives inf in its own element; no kets give 0.0. A batch's first two
     kets share one pass, ``x * x + y * y``: the same operations in the same
     order.
     """
@@ -430,7 +429,7 @@ def _norm_sq(amps: Collection):
         squares = [m * m for m in map(abs, amps)]
     except OverflowError:
         return math.inf
-    return reduce(operator.add, squares) if squares else 0
+    return reduce(operator.add, squares) if squares else 0.0
 
 
 def _fold_fidelity(kept: PureState, other: PureState, idx: int):
@@ -439,20 +438,19 @@ def _fold_fidelity(kept: PureState, other: PureState, idx: int):
     ``kept`` is a normalized real state and ``other`` an unnormalized real
     state on the same register; other' is ``other`` with every ket that
     holds a photon at position ``idx`` negated, and is not formed. The
-    overlap's terms come in ``inner``'s ket order, and each is the product
-    kept·other: where other' would hold -other, it is subtracted (negated
-    if it comes first), which rounds as adding kept·(-other) does, so the
-    overlap has ``inner``'s bits. The norm is the hypot of ``other``'s
+    overlap's terms come in ``inner``'s ket order, ``kept``'s, and each is the
+    product kept·other: where other' would hold -other, it is subtracted
+    (negated if it comes first), which rounds as adding kept·(-other) does,
+    so the overlap has ``inner``'s bits. The norm is the hypot of ``other``'s
     amplitudes, as ``_normalized`` takes it, so the value is the fidelity
     with ``other`` normalized to within a few ulps. A batch folds each
     later ket's multiply-add in one pass over its elements, then divides
     and squares in one more.
     """
     a, b = kept._terms, other._terms
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
     overlap = None
-    for ket, x in small.items():
-        y = large.get(ket)
+    for ket, x in a.items():
+        y = b.get(ket)
         if y is None:
             continue
         flip = ket[idx] > 0

@@ -17,7 +17,9 @@ Three physical pieces live here:
 
 ``detect_photon`` projects on single-photon detector clicks and
 ``negate_occupied`` is the local correction applied after a click on the
-second detector.
+second detector. The round folds that sign into its detector-fold check
+(``fock._fold_fidelity``), so the public op serves rounds built by hand,
+as in demo 03 and the acceptance gate.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def _partition(
         (key, PureState._derived(state._register, members), _norm_sq(members.values()))
         for key, members in sorted(classes, key=itemgetter(0))
     ]
-    total = reduce(add, [mass for *_, mass in weighed]) if weighed else 0
+    total = reduce(add, [mass for *_, mass in weighed]) if weighed else 0.0
     if _off(total, 1.0, NORM_TOLERANCE):
         raise ValueError(f"homodyne readout expects a normalized state, norm^2={total}")
     return weighed

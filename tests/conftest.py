@@ -9,7 +9,9 @@ def _reference_rounds(alpha, k_max):
 
     Round k succeeds with 2 x_k y_k on the surviving branch; failure keeps
     probability x_k^2 + y_k^2 and squares the renormalized coefficients.
-    Independent of the telescoped forms and of the engine under test.
+    ``test_exact_round`` derives this map exactly from the circuit, for
+    both schemes and N in {1, 2, 3}. Independent of the telescoped forms
+    and of the engine under test.
     """
     with mpmath.workdps(60):
         x = mpmath.mpf(alpha) ** 2

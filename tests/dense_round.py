@@ -29,9 +29,10 @@ carries its |0,N> coefficient cb second. The basis has C(N + 4, 3) kets.
   ``negate_occupied`` to b1. That click then heralds the first click's
   state up to a global phase.
 
-The description (``basis``, ``generator_terms``, ``tag_phase`` and the
-correction's sign) holds integers and exact rules, so it can be evaluated
-over other number types; ``DenseRound`` evaluates it in numpy floats.
+The description (``basis``, ``generator_terms``, ``tag_phase`` and
+``correction_sign``) holds integers and exact rules, so it can be evaluated
+over other number types: ``DenseRound`` evaluates it in numpy floats, and
+``test_exact_round`` over sympy's exact numbers.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ def generator_terms(kets):
 def tag_phase(ket, n: int, theta: float) -> float:
     """The probe phase both tags give ``ket``: -theta/N per photon in b, theta per one in cb."""
     return ket[1] * (-theta / n) + ket[CB] * theta
+
+
+def correction_sign(ket) -> int:
+    """The sign the second click's correction gives ``ket``: -1 with b occupied."""
+    return -1 if ket[1] else 1
 
 
 def mixer(kets, t: float = MIXER_T) -> np.ndarray:
@@ -159,7 +165,7 @@ class DenseRound:
             [i for i, ket in enumerate(self.kets) if ket[CA:] == fired]
             for fired in ((1, 0), (0, 1))
         ]
-        self.correction = np.array([-1.0 if ket[1] else 1.0 for ket in self.kets])
+        self.correction = np.array([float(correction_sign(ket)) for ket in self.kets])
 
     def run(self, terms) -> Round:
         """One round on the input {(n_a, n_b): amplitude} of a NOON state,

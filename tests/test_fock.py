@@ -218,6 +218,14 @@ def test_norm_sq_of_a_finite_state_beyond_the_float_range_is_inf(amp):
         homodyne_partition(cross_kerr_tag(st, "a", 0.1))
 
 
+def test_the_norm_of_a_state_with_no_kets_is_a_float_zero():
+    # a zero amplitude is not kept, so the state holds no kets
+    st = PureState(("a",), {(0,): 0})
+    assert type(norm_sq(st)) is float and norm_sq(st).hex() == "0x0.0p+0"
+    with pytest.raises(ValueError, match="normalized state, norm\\^2=0\\.0$"):
+        homodyne_partition(cross_kerr_tag(st, "a", 0.1))
+
+
 def test_norm_sq_adds_left_to_right_in_a_state_and_in_a_batch_element(monkeypatch):
     # 1 + 4 * 2^-54 is 1.0 added left to right, but 1.0000000000000002 added
     # with compensation, as Python 3.12's sum adds floats. math.fsum stands in
@@ -317,6 +325,23 @@ def test_inner_conjugates_first_argument():
     b = basis_state(("m",), (1,))
     assert inner(a, b) == pytest.approx(-1j, abs=1e-15)
     assert inner(b, a) == pytest.approx(1j, abs=1e-15)
+
+
+# The first state has more kets, and the shared terms add to different doubles
+# in the two orders: (1 + 2^-53) - 1 is 0, the tie rounding to 1, while
+# (-1 + 2^-53) + 1 is 2^-53.
+_ORDER_FIRST = {(0,): 1.0, (1,): 2.0**-53, (2,): -1.0, (3,): 0.5}
+_ORDER_SECOND = {(2,): 1.0, (1,): 1.0, (0,): 1.0}
+
+
+def test_an_overlap_sums_in_its_first_arguments_ket_order():
+    a, b = PureState(("m",), _ORDER_FIRST), PureState(("m",), _ORDER_SECOND)
+    assert repr(inner(a, b)) == "0j"
+    assert repr(inner(b, a)) == "(1.1102230246251565e-16+0j)"
+    # the fold walks kept's kets; with idx 1 no ket is negated
+    kept = PureState._derived(("a", "b"), {(*k, 0): v for k, v in _ORDER_FIRST.items()})
+    other = PureState._derived(("a", "b"), {(*k, 0): v for k, v in _ORDER_SECOND.items()})
+    assert _fold_fidelity(kept, other, 1).hex() == "0x0.0p+0"
 
 
 def test_normalized_scales_to_unit_norm():
@@ -542,6 +567,10 @@ _FOLD_CASES = {
     "other has fewer kets": (
         {(1, 0): 0.36, (0, 1): 0.48, (1, 1): 0.8},
         {(1, 1): -1.0, (0, 1): 0.1},
+    ),
+    "kept has more kets, whose order decides the sum": (
+        {(0, *k): v for k, v in _ORDER_FIRST.items()},
+        {(0, *k): v for k, v in _ORDER_SECOND.items()},
     ),
     "signs cancel": (
         {(1, 0): 0.5, (0, 1): 0.5, (2, 0): 0.5, (0, 2): 0.5},
