@@ -43,7 +43,6 @@ from .fock import (
     basis_state,
     fidelity_up_to_global_phase,
     normalized,
-    tensor,  # unused here; benchmarks/test_benchmark.py traces noonecp.protocols.tensor
 )
 from .optics import (
     PHASE_CLASS_TOLERANCE,

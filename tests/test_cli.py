@@ -20,11 +20,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _python(*args):
-    """Run ``python args`` with this checkout's ``src`` first on PYTHONPATH."""
+    """Run ``python -W error args`` with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-W", "error", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
     )
 
 

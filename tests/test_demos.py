@@ -32,13 +32,13 @@ def test_every_committed_demo_output_has_a_demo():
 
 @cache
 def _run(demo):
-    """One run of ``demo``, shared by the tests that read it."""
+    """One run of ``demo``, shared by the tests that read it; a warning is an error."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         capture_output=True,
         timeout=120,
         env=env,

@@ -998,14 +998,6 @@ def test_the_guard_lets_other_uses_of_the_module_name_through():
     assert _script_entries("log = logging.getLogger(__name__)\nok = __name__ == 'noonecp'") == []
 
 
-# Module-level imports a module keeps without reading them, each with its reason.
-UNREAD_IMPORTS_KEPT = {
-    # benchmarks/test_benchmark.py looks up noonecp.protocols.tensor; ROADMAP
-    # item 3 mends that test and deletes the import with it
-    ("protocols.py", "tensor"),
-}
-
-
 def _unread_imports(source):
     """Each name a module-level import of ``source`` binds and no code reads.
 
@@ -1030,8 +1022,7 @@ def _unread_imports(source):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_reads_every_name_it_imports(module):
-    kept = sorted(name for owner, name in UNREAD_IMPORTS_KEPT if owner == module)
-    assert _unread_imports((PACKAGE / module).read_text()) == kept
+    assert _unread_imports((PACKAGE / module).read_text()) == []
 
 
 @pytest.mark.parametrize(

@@ -1131,6 +1131,59 @@ def test_the_last_present_success_reading_is_pinned(protocol, n):
         assert state.terms == {(n, 0) if alpha * alpha > 0.5 else (0, n): 1.0}, alpha
 
 
+def _near_balanced_alphas(rng, count):
+    """alpha = sqrt(1/2 +- d) for d log-uniform in [1e-16, 1e-14], then the
+    three doubles nearest sqrt(1/2) themselves."""
+    drawn = [
+        math.sqrt(0.5 + rng.choice((1, -1)) * 10.0 ** rng.uniform(-16, -14)) for _ in range(count)
+    ]
+    root = math.sqrt(0.5)
+    return drawn + [math.nextafter(root, 0.0), root, math.nextafter(root, 1.0)]
+
+
+def _lopsided_alphas(rng, count):
+    """alpha = sqrt(x) for x in [0.7, 0.9], printed to six places as --alpha-sq takes it."""
+    return [math.sqrt(float(f"{rng.uniform(0.7, 0.9):.6f}")) for _ in range(count)]
+
+
+# The two alpha^2 bands the deep benchmark workload draws from
+# (benchmarks/workloads.py: 1/2 +- 10^u for u in [-15, -14], and [0.7, 0.9]),
+# the near band widened to 1e-16 and to the doubles nearest sqrt(1/2), with
+# the round by which every input of the band reaches its exact fixed point.
+_DEEP_BANDS = {
+    "near-balanced": (_near_balanced_alphas, 64),
+    "lopsided": (_lopsided_alphas, 12),
+}
+
+
+@pytest.mark.parametrize("band", _DEEP_BANDS)
+def test_every_deep_input_reaches_its_exact_fixed_point(band):
+    # A stop at the exact fixed point in the engine loop rests on this: from
+    # two rounds after the last present success reading, each round hands
+    # back its input bit for bit, with no success state, a success_prob of
+    # 0.0 and a failure_prob of exactly 1.0; no round before that is fixed.
+    draw, bound = _DEEP_BANDS[band]
+    config = _settings("ecp2", 1)
+    latest = 0
+    for alpha in draw(random.Random(4501), 80):
+        state = prepare_less_entangled_noon(alpha, 1)
+        last_present = 0
+        for k in range(1, bound + 1):
+            outcome = run_round(state, config, k)
+            if outcome.success_prob > 0.0:
+                last_present = k
+            if outcome.failure_state == state and outcome.failure_prob == 1.0:
+                break
+            state = outcome.failure_state
+        else:
+            pytest.fail(f"alpha={alpha!r} is not fixed by round {bound}")
+        assert k == last_present + 2, (alpha, k, last_present)
+        assert (outcome.success_state, outcome.success_prob) == (None, 0.0), alpha
+        latest = max(latest, k)
+    # the doubles nearest sqrt(1/2) fix latest of all, at the near band's bound
+    assert band == "lopsided" or latest == bound
+
+
 # The round of a grid batch from which every element sits at its exact fixed
 # point, so that the probe stage hands back its input bit for bit. It is the
 # latest of the elements' own first fixed rounds: the same for both schemes
